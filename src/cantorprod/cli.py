@@ -16,8 +16,8 @@ import sys
 from typing import Optional, Sequence
 
 from . import products, render
-from .gaps import TARGETS, certify, g_interval, p_interval, verify_order_chain, chain_holds
-from .intervals import decimal_string, format_rational, parse_rational, rat
+from .gaps import TARGETS, certify, verify_order_chain, chain_holds
+from .intervals import format_rational, parse_rational
 from .subdivision import ROOT, TruncationPolicy, classify_ternary
 from fractions import Fraction
 
@@ -66,7 +66,7 @@ def _render_payload(payload: dict, fmt: str, out: Optional[str]) -> None:
 
 def _cmd_art(args, parser) -> int:
     try:
-        result = products.standard_estimate(args.n, args.threads)
+        result = products.standard_estimate(args.n)
     except ValueError as exc:
         parser.error(str(exc))
     _render_payload(result.to_json(args.digits), args.format, args.out)
@@ -75,7 +75,7 @@ def _cmd_art(args, parser) -> int:
 
 def _cmd_fast(args, parser) -> int:
     try:
-        bounds = products.fast_bounds(args.n, TruncationPolicy(args.K), args.threads)
+        bounds = products.fast_bounds(args.n, TruncationPolicy(args.K))
     except ValueError as exc:
         parser.error(str(exc))
     _render_payload(bounds.to_json(args.digits), args.format, args.out)
@@ -101,33 +101,17 @@ def _cmd_render(args, parser) -> int:
         _emit(document, args.out)
         return 0
     try:
-        node = render.render_cell(args.n)
+        node, families = render.cell_families(args.n, args.K)
     except ValueError as exc:
         parser.error(str(exc))
-    if not 0 <= args.K <= render.MAX_KMAX:
-        parser.error(f"k_max must be in 0..{render.MAX_KMAX}")
-    families = []
     payload = {
         "depth": args.n,
         "k_max": args.K,
-        "cell": {"lo": format_rational(rat(node.cell.lo)), "hi": format_rational(rat(node.cell.hi)), "q": node.q},
-        "families": families,
+        "cell": {"lo": format_rational(node.cell.lo), "hi": format_rational(node.cell.hi), "q": node.q},
+        "families": [
+            {"k": k, "side": side, "p": p.to_json(), "g": g.to_json()} for k, side, p, g in families
+        ],
     }
-    entries = [(0, "±", False)]
-    for k in range(1, args.K + 1):
-        entries.append((k, "-", False))
-        entries.append((k, "+", True))
-    for k, side, high in entries:
-        p = p_interval(node, k, high)
-        g = g_interval(node, k, high)
-        families.append(
-            {
-                "k": k,
-                "side": side,
-                "p": [format_rational(p.lo), format_rational(p.hi)],
-                "g": [format_rational(g.lo), format_rational(g.hi)],
-            }
-        )
     _render_payload(payload, args.format, args.out)
     return 0
 
@@ -233,7 +217,7 @@ def _cmd_selftest(args, parser) -> int:
 
 
 def _add_common(sub, *, n=None, K=None, formats=("json", "text"), default_format="json",
-                threads=False, digits=True, target=False, x=False):
+                digits=True, target=False, x=False):
     if n is not None:
         sub.add_argument("--n", type=int, default=n)
     if K is not None:
@@ -246,8 +230,6 @@ def _add_common(sub, *, n=None, K=None, formats=("json", "text"), default_format
         sub.add_argument("--digits", type=int, default=12)
     sub.add_argument("--format", choices=formats, default=default_format)
     sub.add_argument("--out", default=None)
-    if threads:
-        sub.add_argument("--threads", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -258,11 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     art = subs.add_parser("art", help="standard-route estimate at level n")
-    _add_common(art, n=11, threads=True)
+    _add_common(art, n=11)
     art.set_defaults(func=_cmd_art)
 
     fast = subs.add_parser("fast", help="fast-subdivision bracket at (n, K)")
-    _add_common(fast, n=3, K=8, threads=True)
+    _add_common(fast, n=3, K=8)
     fast.set_defaults(func=_cmd_fast)
 
     cert = subs.add_parser("certify", help="verify the enclosure chain")

@@ -25,6 +25,7 @@ geometric tails, never floating point.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -151,18 +152,15 @@ class ChainCheck:
     holds: bool
     lhs: Fraction
     rhs: Fraction
-    relation: str  # "eq", "lt", "le"
+    relation: str  # a key of _RELATIONS
+
+
+# the comparisons an order check or a certificate entry may assert
+_RELATIONS = {"eq": operator.eq, "lt": operator.lt, "le": operator.le, "gt": operator.gt}
 
 
 def _check(name: str, k: int, lhs: Fraction, rhs: Fraction, relation: str) -> ChainCheck:
-    if relation == "eq":
-        holds = lhs == rhs
-    elif relation == "lt":
-        holds = lhs < rhs
-    elif relation == "le":
-        holds = lhs <= rhs
-    else:
-        raise ValueError(f"unknown relation {relation!r}")
+    holds = _RELATIONS[relation](lhs, rhs)
     return ChainCheck(name=name, k=k, holds=holds, lhs=lhs, rhs=rhs, relation=relation)
 
 
@@ -313,20 +311,12 @@ def first_level_gap_total() -> Fraction:
     return gap_total(ROOT.length)
 
 
-def _verified_low_threshold(q: int, k: int, expected: int) -> int:
-    got = low_cover_threshold(q, k)
+def _verified_threshold(high: bool, q: int, k: int, expected: int) -> int:
+    got = (high_cover_threshold if high else low_cover_threshold)(q, k)
     if got != expected:
+        side = "high" if high else "low"
         raise CertificationError(
-            f"low covering threshold pattern broke at q={q}, k={k}: {got} != {expected}"
-        )
-    return got
-
-
-def _verified_high_threshold(q: int, k: int, expected: int) -> int:
-    got = high_cover_threshold(q, k)
-    if got != expected:
-        raise CertificationError(
-            f"high covering threshold pattern broke at q={q}, k={k}: {got} != {expected}"
+            f"{side} covering threshold pattern broke at q={q}, k={k}: {got} != {expected}"
         )
     return got
 
@@ -341,8 +331,8 @@ def second_level_increment(cut: int = 12) -> Fraction:
     total = Fraction(0)
     for k in range(1, cut + 1):
         length = Fraction(1, 3 ** (k + 2))
-        total += truncated_gap_sum(length, _verified_low_threshold(ROOT.q, k, k))
-        total += truncated_gap_sum(length, _verified_high_threshold(ROOT.q, k, k + 2))
+        total += truncated_gap_sum(length, _verified_threshold(False, ROOT.q, k, k))
+        total += truncated_gap_sum(length, _verified_threshold(True, ROOT.q, k, k + 2))
     # tails of the two series for k > cut, from the expanded closed form
     # tg(3^-(k+2), k)   = (10/72) 9^-(k+2) - (1/8) 9^-(2k+2)
     # tg(3^-(k+2), k+2) = (10/72) 9^-(k+2) - (1/8) 9^-(2k+4)
@@ -381,14 +371,14 @@ def beta_series(k: int, cut: int = 12) -> Fraction:
     total = Fraction(0)
     for m in range(1, cut + 1):
         length = Fraction(1, 3 ** (k + m + 3))
-        total += truncated_gap_sum(length, _verified_low_threshold(f_k.q, m, m + k + 1))
+        total += truncated_gap_sum(length, _verified_threshold(False, f_k.q, m, m + k + 1))
     # low-side tail for m > cut:
     # tg(3^-(k+m+3), m+k+1) = (10/72) 9^-(k+m+3) - (1/8) 9^-(2k+2m+4)
     total += geometric_series(Fraction(10, 72) / 9 ** (k + cut + 4), Fraction(1, 9))
     total -= geometric_series(Fraction(1, 8) / 9 ** (2 * k + 2 * cut + 6), Fraction(1, 81))
     for m in range(1, k + 3):
         length = Fraction(1, 3 ** (k + m + 3))
-        total += truncated_gap_sum(length, _verified_high_threshold(f_k.q, m, m + k + 3))
+        total += truncated_gap_sum(length, _verified_threshold(True, f_k.q, m, m + k + 3))
     return total
 
 
@@ -425,12 +415,12 @@ def alpha_series(k: int, cut: int = 12) -> Fraction:
     total = Fraction(0)
     for m in range(1, cut + 1):
         length = Fraction(1, 3 ** (k + m + 3))
-        total += truncated_gap_sum(length, _verified_low_threshold(e_k.q, m, m + k + 1))
+        total += truncated_gap_sum(length, _verified_threshold(False, e_k.q, m, m + k + 1))
     total += geometric_series(Fraction(10, 72) / 9 ** (k + cut + 4), Fraction(1, 9))
     total -= geometric_series(Fraction(1, 8) / 9 ** (2 * k + 2 * cut + 6), Fraction(1, 81))
     for m in range(1, k):
         length = Fraction(1, 3 ** (k + m + 3))
-        total += truncated_gap_sum(length, _verified_high_threshold(e_k.q, m, m + k + 3))
+        total += truncated_gap_sum(length, _verified_threshold(True, e_k.q, m, m + k + 3))
     return total
 
 
@@ -522,7 +512,7 @@ class ChainEntry:
     name: str
     value: Fraction
     expected: Fraction
-    relation: str  # "eq", "lt", "gt"
+    relation: str  # a key of _RELATIONS
     match: bool
 
     def to_json(self) -> dict:
@@ -574,14 +564,7 @@ def certify(target: str = TARGET_LEVEL3) -> Certificate:
 
     def add(name: str, value: Fraction, relation: str = "eq") -> Fraction:
         expected = EXPECTED[name]
-        if relation == "eq":
-            match = value == expected
-        elif relation == "lt":
-            match = value < expected
-        elif relation == "gt":
-            match = value > expected
-        else:
-            raise ValueError(f"unknown relation {relation!r}")
+        match = _RELATIONS[relation](value, expected)
         entries.append(ChainEntry(name, value, expected, relation, match))
         return value
 
@@ -621,19 +604,19 @@ def certify(target: str = TARGET_LEVEL3) -> Certificate:
     return Certificate(target=target, center=full_center, radius=full_radius, chain=tuple(entries))
 
 
-def level3_enclosure() -> tuple[Fraction, Fraction]:
-    """(center, radius) for measure(P(D_3 x D_3)), raising if verification fails."""
-    cert = certify(TARGET_LEVEL3)
+def _enclosure(target: str) -> tuple[Fraction, Fraction]:
+    cert = certify(target)
     if not cert.ok:
         names = ", ".join(entry.name for entry in cert.failures())
         raise CertificationError(f"certification failed at: {names}")
     return cert.center, cert.radius
+
+
+def level3_enclosure() -> tuple[Fraction, Fraction]:
+    """(center, radius) for measure(P(D_3 x D_3)), raising if verification fails."""
+    return _enclosure(TARGET_LEVEL3)
 
 
 def full_enclosure() -> tuple[Fraction, Fraction]:
     """(center, radius) for measure(P(C x C)), raising if verification fails."""
-    cert = certify(TARGET_FULL)
-    if not cert.ok:
-        names = ", ".join(entry.name for entry in cert.failures())
-        raise CertificationError(f"certification failed at: {names}")
-    return cert.center, cert.radius
+    return _enclosure(TARGET_FULL)

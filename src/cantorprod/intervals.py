@@ -145,6 +145,14 @@ class IntervalSet:
         self._los: list[Fraction] | None = None
 
     @classmethod
+    def _from_canonical(cls, intervals: Iterable[Interval]) -> "IntervalSet":
+        """Wrap intervals that are already sorted, disjoint and non-touching."""
+        out = cls.__new__(cls)
+        out.intervals = tuple(intervals)
+        out._los = None
+        return out
+
+    @classmethod
     def empty(cls) -> "IntervalSet":
         return cls(())
 
@@ -205,11 +213,9 @@ class IntervalSet:
             raise ValueError(f"affine target must be nondegenerate, got {target!r}")
         scale = target.length
         shift = target.lo
-        out = IntervalSet.empty()
-        out.intervals = tuple(
+        return IntervalSet._from_canonical(
             Interval(shift + scale * iv.lo, shift + scale * iv.hi) for iv in self.intervals
         )
-        return out
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         return IntervalSet(self.intervals + other.intervals)
@@ -238,9 +244,7 @@ class IntervalSet:
                 j += 1
             if lo < iv.hi:
                 out.append(Interval(lo, iv.hi))
-        result = IntervalSet.empty()
-        result.intervals = tuple(out)
-        return result
+        return IntervalSet._from_canonical(out)
 
     def intersection(self, other: "IntervalSet") -> "IntervalSet":
         out: list[Interval] = []
@@ -268,8 +272,3 @@ class IntervalSet:
     @classmethod
     def from_json(cls, data: Iterable[Sequence[str]]) -> "IntervalSet":
         return cls([Interval.from_json(item) for item in data])
-
-
-def normalize(items: Iterable[IntervalLike]) -> IntervalSet:
-    """Canonicalize a raw collection of intervals (convenience wrapper)."""
-    return IntervalSet(items)

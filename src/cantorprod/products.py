@@ -20,14 +20,12 @@ Row merging uses monotonicity: with both factors sorted left to right and all
 endpoints nonnegative, the candidate products of one row have nondecreasing
 lower and upper endpoints, so each row merges in a single pass.  The global
 result is canonicalized by one sort-and-sweep, which makes the output
-independent of row partitioning (and hence of the worker count).
+independent of row partitioning.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -36,21 +34,9 @@ from typing import Optional, Sequence
 from .intervals import Interval, IntervalSet, decimal_string, format_rational
 from .subdivision import TruncationPolicy, fast_subdivision, right_half_subdivision
 
-THREADS_ENV = "CANTORPROD_THREADS"
-
 STANDARD_LEVEL_LIMIT = 16
 FAST_LEVEL_LIMIT = 3
 FAST_GAP_DEPTH_LIMIT = 10
-
-
-def resolve_threads(threads: Optional[int] = None) -> int:
-    """Worker count: explicit argument, else CANTORPROD_THREADS, else 1."""
-    if threads is None:
-        raw = os.environ.get(THREADS_ENV, "").strip()
-        threads = int(raw) if raw else 1
-    if threads < 1:
-        raise ValueError("thread count must be >= 1")
-    return threads
 
 
 def _scaled_endpoints(s: IntervalSet) -> tuple[list[int], list[int], int]:
@@ -110,7 +96,7 @@ def _merge(segs: list[tuple[int, int]]) -> list[tuple[int, int]]:
 
 
 def _product_segments(
-    S: IntervalSet, T: Optional[IntervalSet], threads: int
+    S: IntervalSet, T: Optional[IntervalSet]
 ) -> tuple[list[tuple[int, int]], int]:
     """Canonical integer segments of P(S x T) plus the common denominator.
 
@@ -133,44 +119,29 @@ def _product_segments(
     n = len(a_los)
     if n == 0 or len(b_los) == 0:
         return [], a_den * b_den
-    if threads == 1 or n < 4:
-        segs = _rows(a_los, a_his, b_los, b_his, range(n), triangle)
-    else:
-        # round-robin rows so the triangle's work is spread evenly; the final
-        # sort makes the outcome independent of the partition
-        chunks = [range(w, n, threads) for w in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_rows, a_los, a_his, b_los, b_his, rows, triangle)
-                for rows in chunks
-            ]
-            segs = []
-            for fut in futures:
-                segs.extend(fut.result())
+    segs = _rows(a_los, a_his, b_los, b_his, range(n), triangle)
     return _merge(segs), a_den * b_den
 
 
-def product_image(
-    S: IntervalSet, T: Optional[IntervalSet] = None, threads: Optional[int] = None
-) -> IntervalSet:
+def product_image(S: IntervalSet, T: Optional[IntervalSet] = None) -> IntervalSet:
     """P(S x T) as a canonical IntervalSet; T omitted means P(S x S)."""
     if T is not None and T == S:
         T = None
-    segs, den = _product_segments(S, T, resolve_threads(threads))
-    out = IntervalSet.empty()
-    out.intervals = tuple(Interval(Fraction(lo, den), Fraction(hi, den)) for lo, hi in segs)
-    return out
+    segs, den = _product_segments(S, T)
+    return IntervalSet._from_canonical(
+        Interval(Fraction(lo, den), Fraction(hi, den)) for lo, hi in segs
+    )
 
 
-def self_product_stats(S: IntervalSet, threads: Optional[int] = None) -> tuple[Fraction, int]:
+def self_product_stats(S: IntervalSet) -> tuple[Fraction, int]:
     """(measure, component count) of P(S x S) without building Fractions per endpoint."""
-    segs, den = _product_segments(S, None, resolve_threads(threads))
+    segs, den = _product_segments(S, None)
     total = sum(hi - lo for lo, hi in segs)
     return Fraction(total, den), len(segs)
 
 
-def self_product_measure(S: IntervalSet, threads: Optional[int] = None) -> Fraction:
-    return self_product_stats(S, threads)[0]
+def self_product_measure(S: IntervalSet) -> Fraction:
+    return self_product_stats(S)[0]
 
 
 def scale_to_full(value: Fraction, tail: Fraction) -> Interval:
@@ -225,7 +196,7 @@ def convergence_tail(n: int) -> Fraction:
     return Fraction(1, 63) * Fraction(2, 9) ** max(n - 1, 0)
 
 
-def standard_estimate(n: int, threads: Optional[int] = None) -> EstimateResult:
+def standard_estimate(n: int) -> EstimateResult:
     """Measure of P(R_n x R_n), its convergence tail, and the scaled full value.
 
     The full value (3/2) measure(P(R_n x R_n)) overshoots the true product-set
@@ -235,7 +206,7 @@ def standard_estimate(n: int, threads: Optional[int] = None) -> EstimateResult:
         raise ValueError(f"standard route supports 0 <= n <= {STANDARD_LEVEL_LIMIT}")
     start = time.perf_counter()
     cover = right_half_subdivision(n)
-    measure, count = self_product_stats(cover, threads)
+    measure, count = self_product_stats(cover)
     elapsed = int((time.perf_counter() - start) * 1000)
     return EstimateResult(
         n=n,
@@ -278,7 +249,7 @@ class FastBounds:
         }
 
 
-def fast_bounds(n: int, policy: TruncationPolicy, threads: Optional[int] = None) -> FastBounds:
+def fast_bounds(n: int, policy: TruncationPolicy) -> FastBounds:
     """Bracket measure(P(D_n x D_n)) by brute force on the truncated brackets.
 
     inner <= D_n <= outer gives measure(P(inner^2)) <= measure(P(D_n^2)) <=
@@ -290,8 +261,8 @@ def fast_bounds(n: int, policy: TruncationPolicy, threads: Optional[int] = None)
         raise ValueError(f"fast brute force supports gap_depth <= {FAST_GAP_DEPTH_LIMIT}")
     start = time.perf_counter()
     sub = fast_subdivision(n, policy)
-    lower, count_inner = self_product_stats(sub.inner, threads)
-    upper, count_outer = self_product_stats(sub.outer, threads)
+    lower, count_inner = self_product_stats(sub.inner)
+    upper, count_outer = self_product_stats(sub.outer)
     elapsed = int((time.perf_counter() - start) * 1000)
     return FastBounds(
         n=n,
@@ -304,10 +275,10 @@ def fast_bounds(n: int, policy: TruncationPolicy, threads: Optional[int] = None)
     )
 
 
-def full_measure_bounds(n: int, threads: Optional[int] = None) -> Interval:
+def full_measure_bounds(n: int) -> Interval:
     """Certified enclosure of measure(P(C x C)) from the standard route at level n.
 
     n = 0 already gives [17/21, 5/6].
     """
-    est = standard_estimate(n, threads)
+    est = standard_estimate(n)
     return est.full_bounds()

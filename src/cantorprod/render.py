@@ -96,12 +96,25 @@ def _line(d: _Drawing, x0, y0, x1, y1, width: str, **extra) -> None:
     )
 
 
-def render_cell(depth: int) -> FastNode:
-    """The cell drawn at a given depth: the low-side child chain."""
+def cell_families(
+    depth: int, k_max: int
+) -> tuple[FastNode, list[tuple[int, str, Interval, Interval]]]:
+    """The drawn cell and its (k, side, P, G) families, for the figure's ranges.
+
+    The cell at a given depth is the end of the low-side child chain.
+    """
+    if not 0 <= depth <= MAX_DEPTH:
+        raise ValueError(f"depth must be in 0..{MAX_DEPTH}")
+    if not 0 <= k_max <= MAX_KMAX:
+        raise ValueError(f"k_max must be in 0..{MAX_KMAX}")
     node = ROOT
     for _ in range(depth):
         node = node_child(node, 1, high_side=False)
-    return node
+    families = [(0, "±", p_interval(node, 0, False), g_interval(node, 0, False))]
+    for k in range(1, k_max + 1):
+        families.append((k, "-", p_interval(node, k, False), g_interval(node, k, False)))
+        families.append((k, "+", p_interval(node, k, True), g_interval(node, k, True)))
+    return node, families
 
 
 def _low_cell(k: int) -> tuple[Fraction, Fraction]:
@@ -205,8 +218,8 @@ def _edge_ticks(d: _Drawing, k_max: int) -> None:
         _line(d, 1, lo, 1, hi, "0.008")
 
 
-def _arc_path(node: FastNode, value: Rational) -> str:
-    """Sampled polyline for xy = value in local cell coordinates."""
+def _arc_points(node: FastNode, value: Rational) -> list[tuple[float, float]]:
+    """Samples of xy = value in local cell coordinates, left to right."""
     q = Fraction(node.q)
     scale = Fraction(3) ** (2 * node.k)
     # x-window where the local y stays inside [0,1]
@@ -218,38 +231,27 @@ def _arc_path(node: FastNode, value: Rational) -> str:
         x = float(x_lo) + (float(x_hi) - float(x_lo)) * i / _ARC_SAMPLES
         y = fv / (fq + x) - fq
         pts.append((x, min(max(y, 0.0), 1.0)))
-    steps = " ".join(f"L {_fmt(x)} {_fmt(_flip(y))}" for x, y in pts[1:])
-    return f"M {_fmt(pts[0][0])} {_fmt(_flip(pts[0][1]))} {steps}"
+    return pts
+
+
+def _steps(pts) -> str:
+    return " ".join(f"L {_fmt(x)} {_fmt(_flip(y))}" for x, y in pts)
+
+
+def _arc_path(node: FastNode, value: Rational) -> str:
+    """Sampled polyline for xy = value in local cell coordinates."""
+    pts = _arc_points(node, value)
+    return f"M {_fmt(pts[0][0])} {_fmt(_flip(pts[0][1]))} {_steps(pts[1:])}"
 
 
 def _band_path(node: FastNode, lo: Rational, hi: Rational) -> str:
     """Closed region between the arcs xy = lo and xy = hi."""
-    down = _arc_path(node, hi)
-    q = Fraction(node.q)
-    scale = Fraction(3) ** (2 * node.k)
-    x_lo = max(Fraction(0), lo * scale / (q + 1) - q)
-    x_hi = min(Fraction(1), lo * scale / q - q)
-    fq, fv = float(q), float(lo * scale)
-    pts = []
-    for i in range(_ARC_SAMPLES, -1, -1):
-        x = float(x_lo) + (float(x_hi) - float(x_lo)) * i / _ARC_SAMPLES
-        y = fv / (fq + x) - fq
-        pts.append((x, min(max(y, 0.0), 1.0)))
-    back = " ".join(f"L {_fmt(x)} {_fmt(_flip(y))}" for x, y in pts)
-    return f"{down} {back} Z"
+    return f"{_arc_path(node, hi)} {_steps(reversed(_arc_points(node, lo)))} Z"
 
 
-def _families(node: FastNode, k_max: int) -> list[tuple[int, str, Interval, Interval]]:
-    out = [(0, "±", p_interval(node, 0, False), g_interval(node, 0, False))]
-    for k in range(1, k_max + 1):
-        out.append((k, "-", p_interval(node, k, False), g_interval(node, k, False)))
-        out.append((k, "+", p_interval(node, k, True), g_interval(node, k, True)))
-    return out
-
-
-def _arcs(d: _Drawing, node: FastNode, k_max: int) -> None:
+def _arcs(d: _Drawing, node: FastNode, families) -> None:
     d.open("g", clip_path="url(#cell)", fill="none", stroke="black", stroke_width="0.0015")
-    for k, side, p, g in _families(node, k_max):
+    for k, side, p, g in families:
         d.open("g", **{"class": "family", "data_k": k, "data_side": side})
         d.tag(
             "path",
@@ -304,11 +306,7 @@ def _labels(d: _Drawing, k_max: int) -> None:
 
 def render_svg(depth: int = 1, k_max: int = 3) -> str:
     """Build the figure as an SVG document string."""
-    if not 0 <= depth <= MAX_DEPTH:
-        raise ValueError(f"depth must be in 0..{MAX_DEPTH}")
-    if not 0 <= k_max <= MAX_KMAX:
-        raise ValueError(f"k_max must be in 0..{MAX_KMAX}")
-    node = render_cell(depth)
+    node, families = cell_families(depth, k_max)
     cell = node.cell
     d = _Drawing()
     d.parts.append(
@@ -334,7 +332,7 @@ def render_svg(depth: int = 1, k_max: int = 3) -> str:
     _crosses(d, depth)
     _pair_squares(d, k_max)
     _edge_ticks(d, k_max)
-    _arcs(d, node, k_max)
+    _arcs(d, node, families)
     _labels(d, k_max)
     d.parts.append("</svg>")
     return "\n".join(d.parts) + "\n"

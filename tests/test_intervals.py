@@ -12,7 +12,6 @@ from cantorprod.intervals import (
     IntervalSet,
     decimal_string,
     format_rational,
-    normalize,
     parse_rational,
     rat,
 )
@@ -289,8 +288,3 @@ def test_interval_set_json_round_trip():
         data = s.to_json()
         assert all(len(pair) == 2 for pair in data)
         assert IntervalSet.from_json(data) == s
-
-
-def test_normalize_function_matches_constructor():
-    items = [["1/3", "2/3"], ["0", "1/4"], ["1/2", "3/4"]]
-    assert normalize(items) == IntervalSet(items)

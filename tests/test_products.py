@@ -15,7 +15,6 @@ from cantorprod.products import (
     fast_bounds,
     full_measure_bounds,
     product_image,
-    resolve_threads,
     scale_to_full,
     self_product_measure,
     self_product_stats,
@@ -136,26 +135,6 @@ def test_product_rejects_negative_endpoints():
         product_image(bad)
     with pytest.raises(ValueError):
         product_image(RIGHT, bad)
-
-
-def test_threads_do_not_change_result():
-    rng = random.Random(131)
-    for _ in range(20):
-        s = random_nonneg_set(rng, pieces=9)
-        t = random_nonneg_set(rng, pieces=9)
-        assert product_image(s, t, threads=3) == product_image(s, t, threads=1)
-        assert self_product_stats(s, threads=4) == self_product_stats(s, threads=1)
-
-
-def test_resolve_threads(monkeypatch):
-    monkeypatch.delenv("CANTORPROD_THREADS", raising=False)
-    assert resolve_threads() == 1
-    assert resolve_threads(5) == 5
-    monkeypatch.setenv("CANTORPROD_THREADS", "3")
-    assert resolve_threads() == 3
-    assert resolve_threads(2) == 2
-    with pytest.raises(ValueError):
-        resolve_threads(0)
 
 
 # ---------------------------------------------------------------------------
