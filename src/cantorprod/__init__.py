@@ -22,7 +22,6 @@ from .subdivision import (
     Membership,
     ROOT,
     TernaryExpansion,
-    TriadicInterval,
     TruncationPolicy,
     cantor_membership,
     classify_ternary,
@@ -41,9 +40,7 @@ from .products import (
     FastBounds,
     convergence_tail,
     fast_bounds,
-    full_measure_bounds,
     product_image,
-    scale_to_full,
     self_product_measure,
     standard_estimate,
 )
@@ -77,7 +74,6 @@ __all__ = [
     "ROOT",
     "Rational",
     "TernaryExpansion",
-    "TriadicInterval",
     "TruncationPolicy",
     "cantor_membership",
     "certify",
@@ -89,7 +85,6 @@ __all__ = [
     "fast_subdivision",
     "format_rational",
     "full_enclosure",
-    "full_measure_bounds",
     "g_interval",
     "gap_set",
     "level3_enclosure",
@@ -104,7 +99,6 @@ __all__ = [
     "removed_measure_chain",
     "render_svg",
     "right_half_subdivision",
-    "scale_to_full",
     "self_product_measure",
     "squared_length_sum",
     "standard_estimate",

@@ -11,15 +11,20 @@ failure, 2 usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from dataclasses import replace
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import products, render
-from .gaps import TARGETS, certify, verify_order_chain, chain_holds
+from .gaps import (
+    TARGETS, alpha, alpha_series, beta, beta_series, certify, chain_holds,
+    removed_measure_chain, verify_order_chain,
+)
 from .intervals import format_rational, parse_rational
-from .subdivision import ROOT, TruncationPolicy, classify_ternary
-from fractions import Fraction
+from .subdivision import ROOT, Membership, TruncationPolicy, classify_ternary, right_half_subdivision
 
 MAX_DIGITS = 50
 
@@ -49,18 +54,23 @@ def _text_lines(payload: dict, indent: str = "") -> list[str]:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as handle:
+    """Write text as UTF-8, whatever the locale or stdout encoding."""
+    if out is not None:
+        with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
+        sys.stdout.buffer.flush()
+    else:  # a text-only stream such as io.StringIO
+        sys.stdout.write(text)
 
 
 def _render_payload(payload: dict, fmt: str, out: Optional[str]) -> None:
     if fmt == "json":
         _emit(_dump_json(payload), out)
     else:
-        body = "\n".join(line for line in _text_lines(payload) if line is not None)
+        body = "\n".join(_text_lines(payload))
         _emit(body.rstrip("\n") + "\n", out)
 
 
@@ -140,23 +150,20 @@ def _cmd_member(args, parser) -> int:
 
 
 def _base_product() -> bool:
-    from .subdivision import right_half_subdivision
-
     return products.self_product_measure(right_half_subdivision(0)) == Fraction(5, 9)
 
 
 def _zero_q_flagged() -> bool:
-    from dataclasses import replace
-
     return not chain_holds(verify_order_chain(replace(ROOT, q=0), 3))
 
 
 def _selftest_checks():
+    full = functools.cache(functools.partial(certify, "theorem"))  # shared by three checks
     yield "base product 5/9", _base_product
     yield "level-3 certificate", lambda: certify("prop3").ok
-    yield "full certificate", lambda: certify("theorem").ok
-    yield "full radius below 1e-6", lambda: certify("theorem").radius < Fraction(1, 10**6)
-    yield "standard bounds enclose the certified center", _standard_encloses
+    yield "full certificate", lambda: full().ok
+    yield "full radius below 1e-6", lambda: full().radius < Fraction(1, 10**6)
+    yield "standard bounds enclose the certified center", lambda: _standard_encloses(full().center)
     yield "fast bracket catches the removed measure", _fast_brackets
     yield "order chain holds at the root", lambda: chain_holds(verify_order_chain(ROOT, 4))
     yield "degenerate scale is flagged", _zero_q_flagged
@@ -165,15 +172,12 @@ def _selftest_checks():
     yield "figure renders", lambda: render.render_svg(0, 1).startswith("<svg")
 
 
-def _standard_encloses() -> bool:
-    bounds = products.full_measure_bounds(3)
-    center = certify("theorem").center
+def _standard_encloses(center: Fraction) -> bool:
+    bounds = products.standard_estimate(3).full_bounds()
     return bounds.lo <= center <= bounds.hi
 
 
 def _fast_brackets() -> bool:
-    from .gaps import removed_measure_chain
-
     chain = removed_measure_chain()
     bounds = products.fast_bounds(2, TruncationPolicy(4))
     target = Fraction(5, 9) - chain.mu2
@@ -181,8 +185,6 @@ def _fast_brackets() -> bool:
 
 
 def _member_spots() -> bool:
-    from .subdivision import Membership
-
     cases = [("1/4", Membership.MEMBER), ("1/2", Membership.NON_MEMBER),
              ("2/3", Membership.MEMBER), ("1", Membership.MEMBER)]
     for text, want in cases:
@@ -193,8 +195,6 @@ def _member_spots() -> bool:
 
 
 def _series_spots() -> bool:
-    from .gaps import alpha, alpha_series, beta, beta_series
-
     return beta(1) == beta_series(1) and alpha(2) == alpha_series(2)
 
 

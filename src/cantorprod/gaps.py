@@ -210,6 +210,14 @@ def chain_holds(checks: Iterable[ChainCheck]) -> bool:
 # covering thresholds: which child gaps a parent band swallows
 
 
+def _least_exponent(c: int, bound: int) -> int:
+    """Least l >= 0 with 3^{l+c} > bound."""
+    l = 0
+    while 3 ** (l + c) <= bound:
+        l += 1
+    return l
+
+
 def low_cover_threshold(q: int, k: int) -> int:
     """Least l such that the low child E_k's high gaps with index >= l are
     covered by the parent band p_interval(., k-1, low).
@@ -222,13 +230,7 @@ def low_cover_threshold(q: int, k: int) -> int:
         raise ValueError("child index must be >= 1")
     if q < 1:
         raise ValueError("threshold needs q >= 1")
-    bound = 2 * 3**k * q + 2
-    l = 0
-    power = 9  # 3^{l+2}
-    while power <= bound:
-        l += 1
-        power *= 3
-    return l
+    return _least_exponent(2, 2 * 3**k * q + 2)
 
 
 def high_cover_threshold(q: int, k: int) -> int:
@@ -242,13 +244,7 @@ def high_cover_threshold(q: int, k: int) -> int:
         raise ValueError("child index must be >= 1")
     if q < 1:
         raise ValueError("threshold needs q >= 1")
-    bound = 2 * 3 ** (k + 1) * (q + 1) - 4
-    l = 0
-    power = 3  # 3^{l+1}
-    while power <= bound:
-        l += 1
-        power *= 3
-    return l
+    return _least_exponent(1, 2 * 3 ** (k + 1) * (q + 1) - 4)
 
 
 def child_gap_covered(parent: FastNode, k: int, l: int, high_child: bool) -> bool:
@@ -321,6 +317,26 @@ def _verified_threshold(high: bool, q: int, k: int, expected: int) -> int:
     return got
 
 
+def _uncovered_children(
+    high: bool, q: int, s: int, d: int, cut: int, stop: Optional[int] = None
+) -> Fraction:
+    """Uncovered gap measure of one side's children j = 1..stop of a cell with parameter q.
+
+    Child j has length 3^-(s+j) and covering threshold j+d.  With stop None
+    the terms after `cut` come from one closed tail over j > cut of
+    truncated_gap_sum(3^-(s+j), j+d) = (10/72) 9^-(s+j) - (1/8) 9^-(s+2j+d).
+    """
+    total = Fraction(0)
+    for j in range(1, (cut if stop is None else stop) + 1):
+        total += truncated_gap_sum(
+            Fraction(1, 3 ** (s + j)), _verified_threshold(high, q, j, j + d)
+        )
+    if stop is None:
+        total += geometric_series(Fraction(10, 72) / 9 ** (s + cut + 1), Fraction(1, 9))
+        total -= geometric_series(Fraction(1, 8) / 9 ** (s + 2 * cut + 2 + d), Fraction(1, 81))
+    return total
+
+
 def second_level_increment(cut: int = 12) -> Fraction:
     """Measure removed by round two that round one's bands do not cover.
 
@@ -328,18 +344,8 @@ def second_level_increment(cut: int = 12) -> Fraction:
     is the covering threshold (k for E_k, k+2 for F_k), verified here over the
     partial range before the matching geometric tails are attached.
     """
-    total = Fraction(0)
-    for k in range(1, cut + 1):
-        length = Fraction(1, 3 ** (k + 2))
-        total += truncated_gap_sum(length, _verified_threshold(False, ROOT.q, k, k))
-        total += truncated_gap_sum(length, _verified_threshold(True, ROOT.q, k, k + 2))
-    # tails of the two series for k > cut, from the expanded closed form
-    # tg(3^-(k+2), k)   = (10/72) 9^-(k+2) - (1/8) 9^-(2k+2)
-    # tg(3^-(k+2), k+2) = (10/72) 9^-(k+2) - (1/8) 9^-(2k+4)
-    total += 2 * geometric_series(Fraction(10, 72) / 9 ** (cut + 3), Fraction(1, 9))
-    total -= geometric_series(Fraction(1, 8) / 9 ** (2 * cut + 4), Fraction(1, 81))
-    total -= geometric_series(Fraction(1, 8) / 9 ** (2 * cut + 6), Fraction(1, 81))
-    return total
+    low = _uncovered_children(False, ROOT.q, 2, 0, cut)
+    return low + _uncovered_children(True, ROOT.q, 2, 2, cut)
 
 
 def beta(k: int) -> Fraction:
@@ -367,26 +373,9 @@ def beta_series(k: int, cut: int = 12) -> Fraction:
     """
     if k < 1:
         raise ValueError("index must be >= 1")
-    f_k = node_child(ROOT, k, high_side=True)
-    total = Fraction(0)
-    for m in range(1, cut + 1):
-        length = Fraction(1, 3 ** (k + m + 3))
-        total += truncated_gap_sum(length, _verified_threshold(False, f_k.q, m, m + k + 1))
-    # low-side tail for m > cut:
-    # tg(3^-(k+m+3), m+k+1) = (10/72) 9^-(k+m+3) - (1/8) 9^-(2k+2m+4)
-    total += geometric_series(Fraction(10, 72) / 9 ** (k + cut + 4), Fraction(1, 9))
-    total -= geometric_series(Fraction(1, 8) / 9 ** (2 * k + 2 * cut + 6), Fraction(1, 81))
-    for m in range(1, k + 3):
-        length = Fraction(1, 3 ** (k + m + 3))
-        total += truncated_gap_sum(length, _verified_threshold(True, f_k.q, m, m + k + 3))
-    return total
-
-
-def _excluded_child_correction(k: int) -> Fraction:
-    """High-side terms m = k, k+1, k+2 that beta counts but alpha must not."""
-    return sum(
-        truncated_gap_sum(Fraction(1, 3 ** (2 * k + j)), 2 * k + j) for j in (3, 4, 5)
-    )
+    q = node_child(ROOT, k, high_side=True).q
+    low = _uncovered_children(False, q, k + 3, k + 1, cut)
+    return low + _uncovered_children(True, q, k + 3, k + 3, cut, stop=k + 2)
 
 
 def alpha(k: int) -> Fraction:
@@ -399,7 +388,9 @@ def alpha(k: int) -> Fraction:
     """
     if k < 1:
         raise ValueError("index must be >= 1")
-    return beta(k) - _excluded_child_correction(k)
+    return beta(k) - sum(
+        truncated_gap_sum(Fraction(1, 3 ** (2 * k + j)), 2 * k + j) for j in (3, 4, 5)
+    )
 
 
 def alpha_series(k: int, cut: int = 12) -> Fraction:
@@ -411,17 +402,9 @@ def alpha_series(k: int, cut: int = 12) -> Fraction:
     """
     if k < 1:
         raise ValueError("index must be >= 1")
-    e_k = node_child(ROOT, k, high_side=False)
-    total = Fraction(0)
-    for m in range(1, cut + 1):
-        length = Fraction(1, 3 ** (k + m + 3))
-        total += truncated_gap_sum(length, _verified_threshold(False, e_k.q, m, m + k + 1))
-    total += geometric_series(Fraction(10, 72) / 9 ** (k + cut + 4), Fraction(1, 9))
-    total -= geometric_series(Fraction(1, 8) / 9 ** (2 * k + 2 * cut + 6), Fraction(1, 81))
-    for m in range(1, k):
-        length = Fraction(1, 3 ** (k + m + 3))
-        total += truncated_gap_sum(length, _verified_threshold(True, e_k.q, m, m + k + 3))
-    return total
+    q = node_child(ROOT, k, high_side=False).q
+    low = _uncovered_children(False, q, k + 3, k + 1, cut)
+    return low + _uncovered_children(True, q, k + 3, k + 3, cut, stop=k - 1)
 
 
 def deep_series_total() -> tuple[Fraction, Fraction]:

@@ -101,12 +101,6 @@ class Interval:
     def to_json(self) -> list[str]:
         return [format_rational(self.lo), format_rational(self.hi)]
 
-    @classmethod
-    def from_json(cls, data: Sequence[str]) -> "Interval":
-        if len(data) != 2:
-            raise ValueError(f"interval JSON must be a [lo, hi] pair, got {data!r}")
-        return cls(parse_rational(data[0]), parse_rational(data[1]))
-
     def __repr__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
 
@@ -130,7 +124,7 @@ class IntervalSet:
     canonical component tuples are equal.
     """
 
-    __slots__ = ("intervals", "_los")
+    __slots__ = ("intervals",)
 
     def __init__(self, items: Iterable[IntervalLike] = ()) -> None:
         pending = sorted((_as_interval(it) for it in items), key=lambda iv: (iv.lo, iv.hi))
@@ -142,14 +136,12 @@ class IntervalSet:
             else:
                 merged.append(iv)
         self.intervals: tuple[Interval, ...] = tuple(merged)
-        self._los: list[Fraction] | None = None
 
     @classmethod
     def _from_canonical(cls, intervals: Iterable[Interval]) -> "IntervalSet":
         """Wrap intervals that are already sorted, disjoint and non-touching."""
         out = cls.__new__(cls)
         out.intervals = tuple(intervals)
-        out._los = None
         return out
 
     @classmethod
@@ -198,9 +190,7 @@ class IntervalSet:
 
     def contains(self, x: RationalLike) -> bool:
         v = rat(x)
-        if self._los is None:
-            self._los = [iv.lo for iv in self.intervals]
-        idx = bisect_right(self._los, v) - 1
+        idx = bisect_right(self.intervals, v, key=lambda iv: iv.lo) - 1
         return idx >= 0 and v <= self.intervals[idx].hi
 
     def affine_image(self, target: Interval) -> "IntervalSet":
@@ -265,10 +255,3 @@ class IntervalSet:
         return self.difference(other).measure() == 0 and all(
             other.contains(iv.lo) and other.contains(iv.hi) for iv in self.intervals
         )
-
-    def to_json(self) -> list[list[str]]:
-        return [iv.to_json() for iv in self.intervals]
-
-    @classmethod
-    def from_json(cls, data: Iterable[Sequence[str]]) -> "IntervalSet":
-        return cls([Interval.from_json(item) for item in data])

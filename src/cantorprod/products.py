@@ -19,8 +19,7 @@ measure(P(C x C)) = (3/2) measure(P(R x R)):
 Row merging uses monotonicity: with both factors sorted left to right and all
 endpoints nonnegative, the candidate products of one row have nondecreasing
 lower and upper endpoints, so each row merges in a single pass.  The global
-result is canonicalized by one sort-and-sweep, which makes the output
-independent of row partitioning.
+result is canonicalized by one sort-and-sweep.
 """
 
 from __future__ import annotations
@@ -42,6 +41,8 @@ FAST_GAP_DEPTH_LIMIT = 10
 def _scaled_endpoints(s: IntervalSet) -> tuple[list[int], list[int], int]:
     den = 1
     for iv in s:
+        if iv.lo < 0:
+            raise ValueError("product image needs nonnegative endpoints")
         den = lcm(den, iv.lo.denominator, iv.hi.denominator)
     los = [iv.lo.numerator * (den // iv.lo.denominator) for iv in s]
     his = [iv.hi.numerator * (den // iv.hi.denominator) for iv in s]
@@ -53,14 +54,13 @@ def _rows(
     a_his: Sequence[int],
     b_los: Sequence[int],
     b_his: Sequence[int],
-    rows: Sequence[int],
     triangle: bool,
 ) -> list[tuple[int, int]]:
-    """Merged product segments of the given rows, in scaled integer units."""
+    """Merged product segments of every row, in scaled integer units."""
     segs: list[tuple[int, int]] = []
     append = segs.append
     nb = len(b_los)
-    for i in rows:
+    for i in range(len(a_los)):
         aL = a_los[i]
         aH = a_his[i]
         j = i if triangle else 0
@@ -103,23 +103,14 @@ def _product_segments(
     T=None means the self product, computed over the triangle i <= j (the
     image is symmetric in the factors).
     """
-    for iv in S:
-        if iv.lo < 0:
-            raise ValueError("product image needs nonnegative endpoints")
     a_los, a_his, a_den = _scaled_endpoints(S)
     if T is None:
         b_los, b_his, b_den = a_los, a_his, a_den
-        triangle = True
     else:
-        for iv in T:
-            if iv.lo < 0:
-                raise ValueError("product image needs nonnegative endpoints")
         b_los, b_his, b_den = _scaled_endpoints(T)
-        triangle = False
-    n = len(a_los)
-    if n == 0 or len(b_los) == 0:
+    if not a_los or not b_los:
         return [], a_den * b_den
-    segs = _rows(a_los, a_his, b_los, b_his, range(n), triangle)
+    segs = _rows(a_los, a_his, b_los, b_his, triangle=T is None)
     return _merge(segs), a_den * b_den
 
 
@@ -144,19 +135,6 @@ def self_product_measure(S: IntervalSet) -> Fraction:
     return self_product_stats(S)[0]
 
 
-def scale_to_full(value: Fraction, tail: Fraction) -> Interval:
-    """Lift an upper estimate of measure(P(R x R)) to bounds for the full set.
-
-    value must overshoot the true right-half product measure by at most tail;
-    the scaling identity then pins measure(P(C x C)) inside
-    [(3/2)(value - tail), (3/2) value].
-    """
-    if tail < 0:
-        raise ValueError("tail bound must be >= 0")
-    half = Fraction(3, 2)
-    return Interval(half * (value - tail), half * value)
-
-
 @dataclass(frozen=True)
 class EstimateResult:
     """Standard-route estimate of the Cantor product-set measure at level n."""
@@ -169,7 +147,14 @@ class EstimateResult:
     elapsed_ms: int
 
     def full_bounds(self) -> Interval:
-        return scale_to_full(self.set_measure, self.tail_bound)
+        """Certified enclosure of measure(P(C x C)); n = 0 gives [17/21, 5/6].
+
+        set_measure overshoots the true right-half product measure by at most
+        tail_bound, so the scaling identity pins the full measure inside
+        [(3/2)(set_measure - tail_bound), (3/2) set_measure].
+        """
+        half = Fraction(3, 2)
+        return Interval(half * (self.set_measure - self.tail_bound), half * self.set_measure)
 
     def to_json(self, digits: int = 12) -> dict:
         return {
@@ -274,11 +259,3 @@ def fast_bounds(n: int, policy: TruncationPolicy) -> FastBounds:
         elapsed_ms=elapsed,
     )
 
-
-def full_measure_bounds(n: int) -> Interval:
-    """Certified enclosure of measure(P(C x C)) from the standard route at level n.
-
-    n = 0 already gives [17/21, 5/6].
-    """
-    est = standard_estimate(n)
-    return est.full_bounds()

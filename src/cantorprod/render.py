@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .intervals import Interval, Rational, format_rational, rat
-from .subdivision import ROOT, FastNode, node_child
+from .subdivision import ROOT, FastNode, node_child, standard_cells
 from .gaps import g_interval, p_interval
 
 MAX_DEPTH = 2
@@ -134,33 +134,8 @@ def _cells(k_max: int) -> Iterator[tuple[int, str, Fraction, Fraction]]:
 
 
 def _grid_points(levels: int) -> list[Fraction]:
-    """Interior triadic gap endpoints down to the given level."""
-    points = []
-    cells = [(Fraction(0), Fraction(1))]
-    for _ in range(levels):
-        next_cells = []
-        for lo, hi in cells:
-            third = (hi - lo) / 3
-            points.extend([lo + third, hi - third])
-            next_cells.append((lo, lo + third))
-            next_cells.append((hi - third, hi))
-        cells = next_cells
-    return sorted(points)
-
-
-def _diagonal_squares(depth: int) -> list[tuple[Fraction, Fraction]]:
-    """Diagonal sub-squares that get a white middle-third cross."""
-    squares = [(Fraction(0), Fraction(1))]
-    frontier = squares[:]
-    for _ in range(depth):
-        nxt = []
-        for lo, hi in frontier:
-            third = (hi - lo) / 3
-            nxt.append((lo, lo + third))
-            nxt.append((hi - third, hi))
-        squares.extend(nxt)
-        frontier = nxt
-    return squares
+    """Interior triadic gap endpoints down to the given level, ascending."""
+    return [p for cell in standard_cells(levels) for p in (cell.lo, cell.hi)][1:-1]
 
 
 def _band_rects(d: _Drawing, k_max: int) -> None:
@@ -180,13 +155,16 @@ def _band_rects(d: _Drawing, k_max: int) -> None:
 
 
 def _crosses(d: _Drawing, depth: int) -> None:
-    for lo, hi in _diagonal_squares(depth):
-        third = (hi - lo) / 3
-        a, b = lo + third, hi - third
-        _rect(d, lo, a, a, b, "white")
-        _rect(d, b, a, hi, b, "white")
-        _rect(d, a, b, b, hi, "white")
-        _rect(d, a, lo, b, a, "white")
+    """A white middle-third cross over the diagonal square of every cell of
+    levels 0..depth, level by level."""
+    for level in range(depth + 1):
+        for cell in standard_cells(level):
+            lo, hi, third = cell.lo, cell.hi, cell.length / 3
+            a, b = lo + third, hi - third
+            _rect(d, lo, a, a, b, "white")
+            _rect(d, b, a, hi, b, "white")
+            _rect(d, a, b, b, hi, "white")
+            _rect(d, a, lo, b, a, "white")
 
 
 def _pair_squares(d: _Drawing, k_max: int) -> None:

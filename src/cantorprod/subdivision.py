@@ -36,65 +36,56 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .intervals import Interval, IntervalSet, rat
 
 RIGHT_HALF = Interval(Fraction(2, 3), Fraction(1))
 
 
-@dataclass(frozen=True)
-class TriadicInterval:
-    """The cell [m/3^k, (m+1)/3^k] inside [0, 1]."""
-
-    m: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ValueError("triadic level must be >= 0")
-        if not 0 <= self.m < 3**self.k:
-            raise ValueError(f"numerator {self.m} out of range for level {self.k}")
-
-    @property
-    def interval(self) -> Interval:
-        den = 3**self.k
-        return Interval(Fraction(self.m, den), Fraction(self.m + 1, den))
-
-    @property
-    def length(self) -> Fraction:
-        return Fraction(1, 3**self.k)
+def _triadic_cell(m: int, den: int) -> Interval:
+    """The cell [m/den, (m+1)/den]."""
+    return Interval(Fraction(m, den), Fraction(m + 1, den))
 
 
-def standard_cells(n: int) -> Iterator[TriadicInterval]:
-    """Cells of the level-n standard subdivision of [0, 1], left to right."""
-    if n < 0:
-        raise ValueError("level must be >= 0")
+def _numerators(n: int) -> list[int]:
+    """The m < 3^n with no ternary digit 1, ascending."""
     ms = [0]
     for _ in range(n):
         ms = [d for m in ms for d in (3 * m, 3 * m + 2)]
-    for m in ms:
-        yield TriadicInterval(m, n)
+    return ms
+
+
+def standard_cells(n: int) -> Iterator[Interval]:
+    """Cells [m/3^n, (m+1)/3^n] of the level-n standard subdivision of [0, 1], left to right."""
+    if n < 0:
+        raise ValueError("level must be >= 0")
+    den = 3**n
+    return (_triadic_cell(m, den) for m in _numerators(n))
 
 
 def standard_subdivision(n: int) -> IntervalSet:
     """K_n: what remains of [0, 1] after n rounds of middle-third removal."""
-    return IntervalSet(cell.interval for cell in standard_cells(n))
+    return IntervalSet(standard_cells(n))
 
 
-def right_half_cells(n: int) -> Iterator[TriadicInterval]:
-    """Cells of K_n meet [2/3, 1]: the ones whose leading ternary digit is 2."""
-    if n == 0:
-        yield TriadicInterval(2, 1)
-        return
-    for cell in standard_cells(n):
-        if cell.m >= 2 * 3 ** (n - 1):
-            yield cell
+def right_half_cells(n: int) -> Iterator[Interval]:
+    """Cells of K_n meet [2/3, 1]: the level-(n-1) cells under x -> 2/3 + x/3.
+
+    The map prepends the ternary digit 2 to each numerator.  Level 0 has the
+    single cell [2/3, 1], like level 1.
+    """
+    if n < 0:
+        raise ValueError("level must be >= 0")
+    level = max(n, 1)
+    lead = 2 * 3 ** (level - 1)
+    den = 3**level
+    return (_triadic_cell(lead + m, den) for m in _numerators(level - 1))
 
 
 def right_half_subdivision(n: int) -> IntervalSet:
     """R_n: level-n standard cover of the right half of the Cantor set."""
-    return IntervalSet(cell.interval for cell in right_half_cells(n))
+    return IntervalSet(right_half_cells(n))
 
 
 def gap_set(K: int) -> IntervalSet:
@@ -129,18 +120,11 @@ class FastNode:
 
     @property
     def cell(self) -> Interval:
-        return TriadicInterval(self.m, self.k).interval
+        return _triadic_cell(self.m, 3**self.k)
 
     @property
     def length(self) -> Fraction:
         return Fraction(1, 3**self.k)
-
-    def to_json(self) -> Mapping[str, str]:
-        return {"m": str(self.m), "k": str(self.k), "q": str(self.q), "depth": str(self.depth)}
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, str]) -> "FastNode":
-        return cls(m=int(data["m"]), k=int(data["k"]), q=int(data["q"]), depth=int(data["depth"]))
 
 
 ROOT = FastNode(m=2, k=1, q=2, depth=0)

@@ -202,7 +202,7 @@ def test_criterion_6_property_suites():
     cases = 0
 
     # 1. off-diagonal refinement loses nothing
-    cells = [c.interval for c in right_half_cells(4)]
+    cells = list(right_half_cells(4))
     for _ in range(120):
         a, b = rng.sample(cells, 2)
         assert product_image(split_middle(a), split_middle(b)) == product_image(
@@ -213,7 +213,7 @@ def test_criterion_6_property_suites():
     # 2. diagonal refinement removes exactly the predicted gap
     diag = 0
     for level in range(2, 8):
-        for cell in (c.interval for c in right_half_cells(level)):
+        for cell in right_half_cells(level):
             square = product_image(IntervalSet([cell]))
             refined = product_image(split_middle(cell))
             assert square.difference(IntervalSet([diagonal_gap(cell)])) == refined

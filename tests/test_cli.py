@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from cantorprod import cli
 from cantorprod.gaps import EXPECTED
+from cantorprod.render import render_svg
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -170,6 +175,25 @@ def test_render_usage_errors(capsys):
     assert run_cli(capsys, "render", "--format", "json", "--n", "3")[0] == 2
     assert run_cli(capsys, "render", "--format", "json", "--n", "-1")[0] == 2
     assert run_cli(capsys, "render", "--format", "text", "--n", "0", "--K", "7")[0] == 2
+
+
+def test_render_writes_utf8_whatever_the_locale(tmp_path):
+    # the "±" labels used to raise UnicodeEncodeError on an ASCII stdout or locale
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    env.pop("PYTHONUTF8", None)
+    argv = ["-m", "cantorprod.cli", "render", "--n", "0", "--K", "1"]
+    svg = render_svg(0, 1).encode("utf-8")
+    for extra, want in (([], svg), (["--format", "text"], "side = ±".encode("utf-8"))):
+        proc = subprocess.run([sys.executable, *argv, *extra], capture_output=True,
+                              env={**env, "PYTHONIOENCODING": "ascii"})
+        assert proc.returncode == 0, proc.stderr
+        assert want in proc.stdout
+    target = tmp_path / "f.svg"
+    env.pop("PYTHONIOENCODING", None)
+    proc = subprocess.run([sys.executable, "-X", "utf8=0", *argv, "--out", str(target)],
+                          capture_output=True, env={**env, "LC_ALL": "C"})
+    assert proc.returncode == 0, proc.stderr
+    assert target.read_bytes() == svg
 
 
 # ---------------------------------------------------------------------------

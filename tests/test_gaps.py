@@ -311,8 +311,8 @@ def test_first_level_gap_total():
 def test_second_level_increment_value_and_cut_independence():
     expected = Fraction(859, 2099520)
     assert second_level_increment() == expected
-    assert second_level_increment(cut=8) == expected
-    assert second_level_increment(cut=16) == expected
+    for cut in (1, 2, 8, 16):
+        assert second_level_increment(cut=cut) == expected
 
 
 def test_beta_closed_form_matches_series():
@@ -332,8 +332,9 @@ def test_alpha_below_beta_and_positive():
 
 def test_series_cut_independence():
     for k in (1, 3, 7):
-        assert beta_series(k, cut=9) == beta_series(k, cut=14)
-        assert alpha_series(k, cut=9) == alpha_series(k, cut=14)
+        for cut in (1, 2, 9):
+            assert beta_series(k, cut=cut) == beta_series(k, cut=14)
+            assert alpha_series(k, cut=cut) == alpha_series(k, cut=14)
 
 
 def test_deep_series_total_rounds_to_frozen_value():

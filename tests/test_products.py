@@ -13,9 +13,7 @@ from cantorprod.products import (
     EstimateResult,
     convergence_tail,
     fast_bounds,
-    full_measure_bounds,
     product_image,
-    scale_to_full,
     self_product_measure,
     self_product_stats,
     standard_estimate,
@@ -143,7 +141,7 @@ def test_product_rejects_negative_endpoints():
 
 def test_off_diagonal_refinement_loses_nothing():
     rng = random.Random(137)
-    cells = [c.interval for c in right_half_cells(4)]
+    cells = list(right_half_cells(4))
     for _ in range(150):
         a, b = rng.sample(cells, 2)
         refined = product_image(split_middle(a), split_middle(b))
@@ -152,7 +150,7 @@ def test_off_diagonal_refinement_loses_nothing():
 
 def test_diagonal_refinement_removes_exactly_one_gap():
     for level in (2, 3, 4):
-        for cell in (c.interval for c in right_half_cells(level)):
+        for cell in right_half_cells(level):
             square = product_image(IntervalSet([cell]))
             refined = product_image(split_middle(cell))
             gap = diagonal_gap(cell)
@@ -204,14 +202,10 @@ def test_tail_bounds_actual_telescope():
 
 def test_full_bounds_pairwise_consistent():
     # every level's enclosure contains the same number, so they all overlap
-    bounds = [full_measure_bounds(n) for n in range(7)]
+    bounds = [standard_estimate(n).full_bounds() for n in range(7)]
     for a in bounds:
         for b in bounds:
             assert a.lo <= b.hi
-
-
-def test_full_measure_bounds_level_zero():
-    assert full_measure_bounds(0) == Interval(Fraction(17, 21), Fraction(5, 6))
 
 
 def test_standard_estimate_rejects_bad_levels():
@@ -219,13 +213,6 @@ def test_standard_estimate_rejects_bad_levels():
         standard_estimate(-1)
     with pytest.raises(ValueError):
         standard_estimate(17)
-
-
-def test_scale_to_full():
-    out = scale_to_full(Fraction(5, 9), Fraction(1, 63))
-    assert out == Interval(Fraction(17, 21), Fraction(5, 6))
-    with pytest.raises(ValueError):
-        scale_to_full(Fraction(1, 2), Fraction(-1))
 
 
 def test_estimate_json_shape():
@@ -318,7 +305,7 @@ def test_fast_bounds_rejects_out_of_range():
 def test_routes_agree_on_common_ground():
     # the standard enclosure of the full measure and the theorem-level bracket
     # computed from the fast route must overlap once both are scaled
-    std = full_measure_bounds(3)
+    std = standard_estimate(3).full_bounds()
     fast = fast_bounds(2, TruncationPolicy(5))
     scaled_lo = Fraction(3, 2) * fast.lower
     scaled_hi = Fraction(3, 2) * fast.upper

@@ -10,9 +10,7 @@ import pytest
 from cantorprod.intervals import Interval, IntervalSet
 from cantorprod.subdivision import (
     ROOT,
-    FastNode,
     Membership,
-    TriadicInterval,
     TruncationPolicy,
     cantor_membership,
     classify_ternary,
@@ -65,14 +63,6 @@ def test_standard_rejects_negative():
         standard_subdivision(-1)
 
 
-def test_triadic_interval_validation():
-    assert TriadicInterval(2, 1).interval == Interval(Fraction(2, 3), Fraction(1))
-    with pytest.raises(ValueError):
-        TriadicInterval(3, 1)
-    with pytest.raises(ValueError):
-        TriadicInterval(0, -1)
-
-
 # ---------------------------------------------------------------------------
 # right half
 
@@ -81,6 +71,8 @@ def test_right_half_small_levels():
     assert right_half_subdivision(0) == RIGHT
     assert right_half_subdivision(1) == RIGHT
     assert right_half_subdivision(2) == IntervalSet([["2/3", "7/9"], ["8/9", "1"]])
+    with pytest.raises(ValueError):
+        right_half_subdivision(-1)
 
 
 def test_right_half_is_intersection_with_right_third():
@@ -188,11 +180,6 @@ def test_node_children_ordering():
         assert all(ROOT.cell.lo <= c.lo and c.hi <= ROOT.cell.hi for c in cells)
     with pytest.raises(ValueError):
         node_children(ROOT, 0)
-
-
-def test_fast_node_json_round_trip():
-    node = node_child(ROOT, 3, high_side=True)
-    assert FastNode.from_json(node.to_json()) == node
 
 
 # ---------------------------------------------------------------------------
