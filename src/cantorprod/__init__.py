@@ -22,7 +22,6 @@ from .subdivision import (
     Membership,
     ROOT,
     TernaryExpansion,
-    TruncationPolicy,
     cantor_membership,
     classify_ternary,
     fast_subdivision,
@@ -54,7 +53,6 @@ from .gaps import (
     level3_enclosure,
     p_interval,
     q_interval,
-    removed_measure_chain,
     verify_order_chain,
 )
 from .render import render_svg
@@ -74,7 +72,6 @@ __all__ = [
     "ROOT",
     "Rational",
     "TernaryExpansion",
-    "TruncationPolicy",
     "cantor_membership",
     "certify",
     "classify_ternary",
@@ -96,7 +93,6 @@ __all__ = [
     "q_interval",
     "rat",
     "removed_gaps",
-    "removed_measure_chain",
     "render_svg",
     "right_half_subdivision",
     "self_product_measure",

@@ -21,10 +21,10 @@ from typing import Optional, Sequence
 from . import products, render
 from .gaps import (
     TARGETS, alpha, alpha_series, beta, beta_series, certify, chain_holds,
-    removed_measure_chain, verify_order_chain,
+    first_level_gap_total, second_level_increment, verify_order_chain,
 )
 from .intervals import format_rational, parse_rational
-from .subdivision import ROOT, Membership, TruncationPolicy, classify_ternary, right_half_subdivision
+from .subdivision import ROOT, Membership, classify_ternary, right_half_subdivision
 
 MAX_DIGITS = 50
 
@@ -74,25 +74,19 @@ def _render_payload(payload: dict, fmt: str, out: Optional[str]) -> None:
         _emit(body.rstrip("\n") + "\n", out)
 
 
-def _cmd_art(args, parser) -> int:
-    try:
-        result = products.standard_estimate(args.n)
-    except ValueError as exc:
-        parser.error(str(exc))
+def _cmd_art(args) -> int:
+    result = products.standard_estimate(args.n)
     _render_payload(result.to_json(args.digits), args.format, args.out)
     return 0
 
 
-def _cmd_fast(args, parser) -> int:
-    try:
-        bounds = products.fast_bounds(args.n, TruncationPolicy(args.K))
-    except ValueError as exc:
-        parser.error(str(exc))
+def _cmd_fast(args) -> int:
+    bounds = products.fast_bounds(args.n, args.K)
     _render_payload(bounds.to_json(args.digits), args.format, args.out)
     return 0
 
 
-def _cmd_certify(args, parser) -> int:
+def _cmd_certify(args) -> int:
     cert = certify(args.target)
     _render_payload(cert.to_json(args.digits), args.format, args.out)
     if not cert.ok:
@@ -102,18 +96,11 @@ def _cmd_certify(args, parser) -> int:
     return 0
 
 
-def _cmd_render(args, parser) -> int:
+def _cmd_render(args) -> int:
     if args.format == "svg":
-        try:
-            document = render.render_svg(args.n, args.K)
-        except ValueError as exc:
-            parser.error(str(exc))
-        _emit(document, args.out)
+        _emit(render.render_svg(args.n, args.K), args.out)
         return 0
-    try:
-        node, families = render.cell_families(args.n, args.K)
-    except ValueError as exc:
-        parser.error(str(exc))
+    node, families = render.cell_families(args.n, args.K)
     payload = {
         "depth": args.n,
         "k_max": args.K,
@@ -126,15 +113,9 @@ def _cmd_render(args, parser) -> int:
     return 0
 
 
-def _cmd_member(args, parser) -> int:
-    try:
-        x = parse_rational(args.x)
-    except ValueError as exc:
-        parser.error(str(exc))
-    try:
-        verdict, expansion = classify_ternary(x)
-    except ValueError as exc:
-        parser.error(str(exc))
+def _cmd_member(args) -> int:
+    x = parse_rational(args.x)
+    verdict, expansion = classify_ternary(x)
     payload = {
         "x": format_rational(x),
         "verdict": verdict.value,
@@ -154,7 +135,7 @@ def _base_product() -> bool:
 
 
 def _zero_q_flagged() -> bool:
-    return not chain_holds(verify_order_chain(replace(ROOT, q=0), 3))
+    return not chain_holds(verify_order_chain(replace(ROOT, m=0), 3))
 
 
 def _selftest_checks():
@@ -178,9 +159,8 @@ def _standard_encloses(center: Fraction) -> bool:
 
 
 def _fast_brackets() -> bool:
-    chain = removed_measure_chain()
-    bounds = products.fast_bounds(2, TruncationPolicy(4))
-    target = Fraction(5, 9) - chain.mu2
+    bounds = products.fast_bounds(2, 4)
+    target = Fraction(5, 9) - first_level_gap_total() - second_level_increment()
     return bounds.lower <= target <= bounds.upper
 
 
@@ -198,7 +178,7 @@ def _series_spots() -> bool:
     return beta(1) == beta_series(1) and alpha(2) == alpha_series(2)
 
 
-def _cmd_selftest(args, parser) -> int:
+def _cmd_selftest(args) -> int:
     failures = 0
     for name, check in _selftest_checks():
         try:
@@ -271,7 +251,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     digits = getattr(args, "digits", None)
     if digits is not None and not 1 <= digits <= MAX_DIGITS:
         parser.error(f"digits must be in 1..{MAX_DIGITS}")
-    return args.func(args, parser)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # a rejected argument value: usage error, exit 2
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -435,30 +435,6 @@ def unresolved_cells_bound() -> Fraction:
     return Fraction(5, 36) * geometric_series(Fraction(1, 9**7), Fraction(1, 81))
 
 
-@dataclass(frozen=True)
-class RemovedMeasures:
-    """Measure removed from P(D_0 x D_0) after 1, 2, and 3 rounds (mu values);
-    round three is an exact bracket, not a point value."""
-
-    mu1: Fraction
-    mu2: Fraction
-    mu3_lower: Fraction
-    mu3_upper: Fraction
-
-
-def removed_measure_chain() -> RemovedMeasures:
-    mu1 = first_level_gap_total()
-    mu2 = mu1 + second_level_increment()
-    e1 = node_child(ROOT, 1, high_side=False)
-    d1p = node_child(e1, 1, high_side=True)
-    gamma1 = truncated_gap_sum(d1p.length, high_cover_threshold(e1.q, 1))
-    deep, _ = deep_series_total()
-    lower = mu2 + gamma1 + deep
-    return RemovedMeasures(
-        mu1=mu1, mu2=mu2, mu3_lower=lower, mu3_upper=lower + unresolved_cells_bound()
-    )
-
-
 # ---------------------------------------------------------------------------
 # certificates
 

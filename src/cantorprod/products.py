@@ -31,7 +31,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .intervals import Interval, IntervalSet, decimal_string, format_rational
-from .subdivision import TruncationPolicy, fast_subdivision, right_half_subdivision
+from .subdivision import fast_subdivision, right_half_subdivision
 
 STANDARD_LEVEL_LIMIT = 16
 FAST_LEVEL_LIMIT = 3
@@ -234,7 +234,7 @@ class FastBounds:
         }
 
 
-def fast_bounds(n: int, policy: TruncationPolicy) -> FastBounds:
+def fast_bounds(n: int, K: int) -> FastBounds:
     """Bracket measure(P(D_n x D_n)) by brute force on the truncated brackets.
 
     inner <= D_n <= outer gives measure(P(inner^2)) <= measure(P(D_n^2)) <=
@@ -242,16 +242,16 @@ def fast_bounds(n: int, policy: TruncationPolicy) -> FastBounds:
     """
     if not 0 <= n <= FAST_LEVEL_LIMIT:
         raise ValueError(f"fast brute force supports 0 <= n <= {FAST_LEVEL_LIMIT}")
-    if policy.gap_depth > FAST_GAP_DEPTH_LIMIT:
+    if K > FAST_GAP_DEPTH_LIMIT:
         raise ValueError(f"fast brute force supports gap_depth <= {FAST_GAP_DEPTH_LIMIT}")
     start = time.perf_counter()
-    sub = fast_subdivision(n, policy)
+    sub = fast_subdivision(n, K)
     lower, count_inner = self_product_stats(sub.inner)
     upper, count_outer = self_product_stats(sub.outer)
     elapsed = int((time.perf_counter() - start) * 1000)
     return FastBounds(
         n=n,
-        gap_depth=policy.gap_depth,
+        gap_depth=K,
         lower=lower,
         upper=upper,
         component_count_inner=count_inner,

@@ -204,9 +204,10 @@ def _arc_points(node: FastNode, value: Rational) -> list[tuple[float, float]]:
     x_lo = max(Fraction(0), value * scale / (q + 1) - q)
     x_hi = min(Fraction(1), value * scale / q - q)
     fq, fv = float(q), float(value * scale)
+    fx_lo, fx_hi = float(x_lo), float(x_hi)
     pts = []
     for i in range(_ARC_SAMPLES + 1):
-        x = float(x_lo) + (float(x_hi) - float(x_lo)) * i / _ARC_SAMPLES
+        x = fx_lo + (fx_hi - fx_lo) * i / _ARC_SAMPLES
         y = fv / (fq + x) - fq
         pts.append((x, min(max(y, 0.0), 1.0)))
     return pts

@@ -19,16 +19,15 @@ Two constructions are implemented.
       E_k = A_I([2/3^{k+1}, 1/3^k])   (low side,  k >= 1)
       F_k = A_I([1 - 1/3^k, 1 - 2/3^{k+1}])   (high side, k >= 1),
 
-  each of length |I|/3^{k+1}.  Infinitely many cells appear per round, so a
-  truncation policy keeps only k <= K and brackets the rest: the outer set
+  each of length |I|/3^{k+1}.  Infinitely many cells appear per round, so the
+  fast subdivision tracks only k <= K and brackets the rest: the outer set
   keeps the two hull pieces A_I([0, 3^{-K-1}]) and A_I([1 - 3^{-K-1}, 1]) of
   every subdivided cell (they contain all discarded cells), the inner set
   keeps tracked cells only.  Both brackets are exact: inner <= D_n <= outer.
 
-Each tracked cell carries, besides its triadic address (m, k), the integer
-q = left endpoint / length, the quantity all the gap-ordering arithmetic runs
-on.  For triadic cells q equals m; the two are updated through independent
-recursions and cross-checked in the tests.
+A tracked cell is its triadic address (m, k), the cell [m/3^k, (m+1)/3^k].
+The gap-ordering arithmetic runs on q = left endpoint / length, which for a
+triadic cell is m itself.
 """
 
 from __future__ import annotations
@@ -106,17 +105,15 @@ def gap_set(K: int) -> IntervalSet:
 
 @dataclass(frozen=True)
 class FastNode:
-    """A surviving cell of the fast subdivision.
-
-    m, k address the triadic cell [m/3^k, (m+1)/3^k]; q is the cell's left
-    endpoint divided by its length, tracked by its own recursion.  For genuine
-    cells q == m; synthetic nodes may break that on purpose.
-    """
+    """A surviving cell of the fast subdivision: the triadic cell [m/3^k, (m+1)/3^k]."""
 
     m: int
     k: int
-    q: int
-    depth: int
+
+    @property
+    def q(self) -> int:
+        """The cell's left endpoint divided by its length, which is m."""
+        return self.m
 
     @property
     def cell(self) -> Interval:
@@ -127,14 +124,14 @@ class FastNode:
         return Fraction(1, 3**self.k)
 
 
-ROOT = FastNode(m=2, k=1, q=2, depth=0)
+ROOT = FastNode(m=2, k=1)
 
 
 def node_child(node: FastNode, k: int, high_side: bool) -> FastNode:
     """The k-th surviving child cell of `node`, on the low or high side.
 
-    Both the triadic address and q follow the same affine bookkeeping:
-    low side  E_k: new m = 3^(k+1) m + 2,        length shrinks by 3^(k+1);
+    The length shrinks by 3^(k+1), and the address follows the affine bookkeeping:
+    low side  E_k: new m = 3^(k+1) m + 2,
     high side F_k: new m = 3^(k+1) (m + 1) - 3.
     """
     if k < 1:
@@ -142,11 +139,9 @@ def node_child(node: FastNode, k: int, high_side: bool) -> FastNode:
     scale = 3 ** (k + 1)
     if high_side:
         m = scale * (node.m + 1) - 3
-        q = scale * (node.q + 1) - 3
     else:
         m = scale * node.m + 2
-        q = scale * node.q + 2
-    return FastNode(m=m, k=node.k + k + 1, q=q, depth=node.depth + 1)
+    return FastNode(m=m, k=node.k + k + 1)
 
 
 def node_children(node: FastNode, K: int) -> tuple[FastNode, ...]:
@@ -159,17 +154,6 @@ def node_children(node: FastNode, K: int) -> tuple[FastNode, ...]:
 
 
 @dataclass(frozen=True)
-class TruncationPolicy:
-    """How many children to track per cell per round (k <= gap_depth)."""
-
-    gap_depth: int
-
-    def __post_init__(self) -> None:
-        if self.gap_depth < 1:
-            raise ValueError("gap_depth must be >= 1")
-
-
-@dataclass(frozen=True)
 class FastSubdivision:
     """Result of n rounds of truncated fast subdivision of [2/3, 1].
 
@@ -179,67 +163,60 @@ class FastSubdivision:
     contain every cell the truncation discarded.
     """
 
-    n: int
-    policy: TruncationPolicy
     inner: IntervalSet
     outer: IntervalSet
     nodes: tuple[FastNode, ...]
 
 
+def _rounds(n: int, K: int) -> tuple[list[FastNode], list[FastNode]]:
+    """n rounds from ROOT tracking k <= K: (every subdivided cell, the depth-n cells)."""
+    if n < 0:
+        raise ValueError("round count must be >= 0")
+    if K < 1:
+        raise ValueError("gap_depth must be >= 1")
+    if (2 * K) ** n > 500_000:
+        raise ValueError(f"refusing to track (2*{K})^{n} cells")
+    parents: list[FastNode] = []
+    level = [ROOT]
+    for _ in range(n):
+        parents.extend(level)
+        level = [child for node in level for child in node_children(node, K)]
+    return parents, level
+
+
 def _hull_tails(node: FastNode, K: int) -> tuple[Interval, Interval]:
     scale = 3 ** (K + 1)
     den = 3 ** (node.k + K + 1)
-    lo = Interval(Fraction(node.m * scale, den), Fraction(node.m * scale + 1, den))
-    hi = Interval(Fraction((node.m + 1) * scale - 1, den), Fraction((node.m + 1) * scale, den))
-    return lo, hi
+    return _triadic_cell(node.m * scale, den), _triadic_cell((node.m + 1) * scale - 1, den)
 
 
-def fast_subdivision(n: int, policy: TruncationPolicy) -> FastSubdivision:
-    """Run n truncated rounds starting from [2/3, 1]."""
-    if n < 0:
-        raise ValueError("round count must be >= 0")
-    K = policy.gap_depth
-    if (2 * K) ** n > 500_000:
-        raise ValueError(f"refusing to track (2*{K})^{n} cells")
-    level: list[FastNode] = [ROOT]
-    tails: list[Interval] = []
-    for _ in range(n):
-        for node in level:
-            tails.extend(_hull_tails(node, K))
-        level = [child for node in level for child in node_children(node, K)]
+def fast_subdivision(n: int, K: int) -> FastSubdivision:
+    """Run n truncated rounds starting from [2/3, 1], tracking k <= K."""
+    parents, level = _rounds(n, K)
     cells = [node.cell for node in level]
+    tails = [tail for node in parents for tail in _hull_tails(node, K)]
     return FastSubdivision(
-        n=n,
-        policy=policy,
         inner=IntervalSet(cells),
         outer=IntervalSet(cells + tails),
         nodes=tuple(level),
     )
 
 
-def removed_gaps(n: int, policy: TruncationPolicy) -> IntervalSet:
+def removed_gaps(n: int, K: int) -> IntervalSet:
     """Union of all gap intervals deleted during n rounds of fast subdivision."""
-    if n < 0:
-        raise ValueError("round count must be >= 0")
-    K = policy.gap_depth
+    parents, _ = _rounds(n, K)
     base = gap_set(K)
-    level: list[FastNode] = [ROOT]
-    gaps: list[Interval] = []
-    for _ in range(n):
-        for node in level:
-            gaps.extend(base.affine_image(node.cell))
-        level = [child for node in level for child in node_children(node, K)]
-    return IntervalSet(gaps)
+    return IntervalSet(gap for node in parents for gap in base.affine_image(node.cell))
 
 
-def squared_length_sum(n: int, policy: TruncationPolicy) -> tuple[Fraction, Fraction]:
+def squared_length_sum(n: int, K: int) -> tuple[Fraction, Fraction]:
     """(sum of |cell|^2 over tracked depth-n cells, its K -> infinity limit).
 
     The limit is (1/9) (1/36)^n: each round multiplies the squared-length sum
     of a cell by 2 sum_{k>=1} 9^(-k-1) = 1/36.
     """
-    sub = fast_subdivision(n, policy)
-    truncated = sum((node.length**2 for node in sub.nodes), Fraction(0))
+    _, level = _rounds(n, K)
+    truncated = sum((node.length**2 for node in level), Fraction(0))
     limit = Fraction(1, 9) * Fraction(1, 36) ** n
     return truncated, limit
 

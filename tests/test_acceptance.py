@@ -47,7 +47,6 @@ from cantorprod.products import fast_bounds, product_image, self_product_measure
 from cantorprod.subdivision import (
     ROOT,
     Membership,
-    TruncationPolicy,
     cantor_membership,
     fast_subdivision,
     node_child,
@@ -168,7 +167,7 @@ def test_criterion_5_fast_bracket_level_3():
     assert center == LEVEL3_CENTER
     assert radius == Fraction(1, 64 * P6)
     start = time.perf_counter()
-    results = {K: fast_bounds(3, TruncationPolicy(K)) for K in range(4, 9)}
+    results = {K: fast_bounds(3, K) for K in range(4, 9)}
     elapsed = time.perf_counter() - start
     last = results[8]
     widths = [results[K].width for K in range(4, 9)]
@@ -303,9 +302,8 @@ def test_criterion_7_closed_forms_match_series():
 
 def test_criterion_8_membership_against_brackets():
     rng = random.Random(1729)
-    policy = TruncationPolicy(10)
-    outer = fast_subdivision(3, policy).outer
-    gaps = removed_gaps(3, policy)
+    outer = fast_subdivision(3, 10).outer
+    gaps = removed_gaps(3, 10)
 
     samples = []
     while len(samples) < 1000:

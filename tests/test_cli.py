@@ -27,6 +27,13 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
+def usage_error(capsys, *argv: str) -> str:
+    """Invoke main() on a bad command line; return the error line after checking exit 2."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    return err.splitlines()[-1]
+
+
 # ---------------------------------------------------------------------------
 # art
 
@@ -69,7 +76,9 @@ def test_art_deterministic_apart_from_timing(capsys):
 
 
 def test_art_usage_errors(capsys):
-    assert run_cli(capsys, "art", "--n", "99")[0] == 2
+    assert usage_error(capsys, "art", "--n", "99") == (
+        "cantorprod: error: standard route supports 0 <= n <= 16"
+    )
     assert run_cli(capsys, "art", "--n", "2", "--digits", "0")[0] == 2
     assert run_cli(capsys, "art", "--n", "2", "--digits", "99")[0] == 2
     assert run_cli(capsys, "art", "--n", "3", "--threads", "2")[0] == 2
@@ -91,8 +100,15 @@ def test_fast_json(capsys):
 
 
 def test_fast_usage_errors(capsys):
-    assert run_cli(capsys, "fast", "--n", "9")[0] == 2
-    assert run_cli(capsys, "fast", "--n", "1", "--K", "0")[0] == 2
+    assert usage_error(capsys, "fast", "--n", "9") == (
+        "cantorprod: error: fast brute force supports 0 <= n <= 3"
+    )
+    assert usage_error(capsys, "fast", "--n", "1", "--K", "0") == (
+        "cantorprod: error: gap_depth must be >= 1"
+    )
+    assert usage_error(capsys, "fast", "--n", "1", "--K", "11") == (
+        "cantorprod: error: fast brute force supports gap_depth <= 10"
+    )
     assert run_cli(capsys, "fast", "--n", "1", "--K", "2", "--threads", "2")[0] == 2
 
 
@@ -170,10 +186,13 @@ def test_render_text(capsys):
 
 
 def test_render_usage_errors(capsys):
+    assert usage_error(capsys, "render", "--n", "3") == "cantorprod: error: depth must be in 0..2"
+    assert usage_error(capsys, "render", "--format", "json", "--n", "-1") == (
+        "cantorprod: error: depth must be in 0..2"
+    )
     assert run_cli(capsys, "render", "--n", "5")[0] == 2
     assert run_cli(capsys, "render", "--n", "0", "--K", "9")[0] == 2
     assert run_cli(capsys, "render", "--format", "json", "--n", "3")[0] == 2
-    assert run_cli(capsys, "render", "--format", "json", "--n", "-1")[0] == 2
     assert run_cli(capsys, "render", "--format", "text", "--n", "0", "--K", "7")[0] == 2
 
 
@@ -223,8 +242,12 @@ def test_member_endpoint(capsys):
 
 
 def test_member_rejects_decimals(capsys):
-    assert run_cli(capsys, "member", "--x", "0.5")[0] == 2
-    assert run_cli(capsys, "member", "--x", "5/3")[0] == 2
+    assert usage_error(capsys, "member", "--x", "0.5") == (
+        "cantorprod: error: not an exact rational literal: '0.5'"
+    )
+    assert usage_error(capsys, "member", "--x", "5/3") == (
+        "cantorprod: error: expected a number in [0, 1], got 5/3"
+    )
 
 
 # ---------------------------------------------------------------------------

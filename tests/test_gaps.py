@@ -33,7 +33,6 @@ from cantorprod.gaps import (
     low_cover_threshold,
     p_interval,
     q_interval,
-    removed_measure_chain,
     scaled_point,
     second_level_increment,
     side_piece,
@@ -186,13 +185,13 @@ def test_order_chain_holds_for_depth_one_children():
 
 
 def test_order_chain_holds_for_synthetic_small_q():
-    # any q >= 1 keeps the order; the chain does not depend on depth bookkeeping
-    node = dataclasses.replace(ROOT, q=1)
+    # any q >= 1 keeps the order; the chain reads only (q, k)
+    node = dataclasses.replace(ROOT, m=1)
     assert chain_holds(verify_order_chain(node, 8))
 
 
 def test_order_chain_flags_degenerate_scale():
-    node = dataclasses.replace(ROOT, q=0)
+    node = dataclasses.replace(ROOT, m=0)
     checks = verify_order_chain(node, 4)
     assert not chain_holds(checks)
     bad = {c.name for c in checks if not c.holds}
@@ -354,11 +353,9 @@ def test_unresolved_cells_bound():
 
 
 def test_removed_measure_chain():
-    chain = removed_measure_chain()
-    assert chain.mu1 == Fraction(5, 324)
-    assert chain.mu2 == Fraction(33259, 2099520)
-    assert chain.mu1 < chain.mu2 < chain.mu3_lower < chain.mu3_upper
-    assert chain.mu3_upper - chain.mu3_lower == Fraction(1, 64 * P6)
+    mu1 = first_level_gap_total()
+    assert mu1 == Fraction(5, 324)
+    assert mu1 + second_level_increment() == Fraction(33259, 2099520)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +427,7 @@ def test_enclosure_helpers_match_certificates():
 
 def test_level2_value_sits_inside_coarser_knowledge():
     # the exact level-2 value 5/9 - mu2 must lie above the certified center
-    chain = removed_measure_chain()
+    mu2 = first_level_gap_total() + second_level_increment()
     center3, radius3 = level3_enclosure()
-    level2 = Fraction(5, 9) - chain.mu2
+    level2 = Fraction(5, 9) - mu2
     assert level2 > center3 + radius3

@@ -19,7 +19,6 @@ from cantorprod.products import (
     standard_estimate,
 )
 from cantorprod.subdivision import (
-    TruncationPolicy,
     fast_subdivision,
     right_half_cells,
     right_half_subdivision,
@@ -231,7 +230,7 @@ def test_estimate_json_shape():
 
 
 def test_fast_bounds_bracket_tightens():
-    results = [fast_bounds(2, TruncationPolicy(K)) for K in (2, 3, 4)]
+    results = [fast_bounds(2, K) for K in (2, 3, 4)]
     for a, b in zip(results, results[1:]):
         assert b.lower >= a.lower
         assert b.upper <= a.upper
@@ -244,14 +243,14 @@ def test_fast_bounds_level_one_catches_true_value():
     # one full round removes the diagonal gap: the exact value is 175/324
     true_value = Fraction(175, 324)
     for K in (3, 5, 7):
-        r = fast_bounds(1, TruncationPolicy(K))
+        r = fast_bounds(1, K)
         assert r.lower <= true_value <= r.upper
 
 
 def test_fast_bounds_level_two_catches_true_value():
     # two rounds: 5/9 minus the first two removed-measure increments
     true_value = Fraction(5, 9) - Fraction(5, 324) - Fraction(859, 2099520)
-    r = fast_bounds(2, TruncationPolicy(6))
+    r = fast_bounds(2, 6)
     assert r.lower <= true_value <= r.upper
 
 
@@ -265,11 +264,10 @@ def test_fast_bounds_match_pairwise_oracle():
     # exactly, on both ends of every affordable small bracket
     cases = [(n, K) for n in range(3) for K in range(1, 5)] + [(3, 2)]
     for n, K in cases:
-        policy = TruncationPolicy(K)
-        sub = fast_subdivision(n, policy)
+        sub = fast_subdivision(n, K)
         inner = pairwise_product(sub.inner)
         outer = pairwise_product(sub.outer)
-        r = fast_bounds(n, policy)
+        r = fast_bounds(n, K)
         assert r.lower == inner.measure(), (n, K)
         assert r.upper == outer.measure(), (n, K)
         assert r.component_count_inner == len(inner), (n, K)
@@ -277,7 +275,7 @@ def test_fast_bounds_match_pairwise_oracle():
 
 
 def test_fast_bounds_json_shape():
-    r = fast_bounds(1, TruncationPolicy(2))
+    r = fast_bounds(1, 2)
     data = r.to_json(digits=8)
     assert data["n"] == 1
     assert data["gap_depth"] == 2
@@ -297,16 +295,16 @@ def test_fast_bounds_json_shape():
 
 def test_fast_bounds_rejects_out_of_range():
     with pytest.raises(ValueError):
-        fast_bounds(4, TruncationPolicy(2))
+        fast_bounds(4, 2)
     with pytest.raises(ValueError):
-        fast_bounds(2, TruncationPolicy(11))
+        fast_bounds(2, 11)
 
 
 def test_routes_agree_on_common_ground():
     # the standard enclosure of the full measure and the theorem-level bracket
     # computed from the fast route must overlap once both are scaled
     std = standard_estimate(3).full_bounds()
-    fast = fast_bounds(2, TruncationPolicy(5))
+    fast = fast_bounds(2, 5)
     scaled_lo = Fraction(3, 2) * fast.lower
     scaled_hi = Fraction(3, 2) * fast.upper
     # level-2 fast brackets measure(P(D_2 x D_2)) >= measure(P(R x R)), so

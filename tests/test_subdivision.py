@@ -11,7 +11,6 @@ from cantorprod.intervals import Interval, IntervalSet
 from cantorprod.subdivision import (
     ROOT,
     Membership,
-    TruncationPolicy,
     cantor_membership,
     classify_ternary,
     fast_subdivision,
@@ -164,10 +163,11 @@ def test_genuine_nodes_keep_q_equal_m():
     rng = random.Random(73)
     for _ in range(100):
         node = ROOT
-        for _ in range(rng.randint(1, 4)):
+        depth = rng.randint(1, 4)
+        for _ in range(depth):
             node = node_child(node, rng.randint(1, 5), high_side=rng.random() < 0.5)
         assert node.q == node.m
-        assert node.q >= 2 * 9**node.depth
+        assert node.q >= 2 * 9**depth
 
 
 def test_node_children_ordering():
@@ -187,13 +187,13 @@ def test_node_children_ordering():
 
 
 def test_fast_zero_rounds():
-    sub = fast_subdivision(0, TruncationPolicy(3))
+    sub = fast_subdivision(0, 3)
     assert sub.inner == RIGHT
     assert sub.outer == RIGHT
 
 
 def test_fast_one_round_pinned():
-    sub = fast_subdivision(1, TruncationPolicy(1))
+    sub = fast_subdivision(1, 1)
     assert sub.inner == IntervalSet([["20/27", "7/9"], ["8/9", "25/27"]])
     assert sub.outer == IntervalSet(
         [["2/3", "19/27"], ["20/27", "7/9"], ["8/9", "25/27"], ["26/27", "1"]]
@@ -203,13 +203,13 @@ def test_fast_one_round_pinned():
 def test_fast_one_round_outer_inner_gap():
     # after one round the hull tails are all that separates the brackets
     for K in range(1, 7):
-        sub = fast_subdivision(1, TruncationPolicy(K))
+        sub = fast_subdivision(1, K)
         assert sub.outer.measure() - sub.inner.measure() == Fraction(2, 3 ** (K + 2))
 
 
 def test_fast_brackets_nest():
     for n in (1, 2):
-        subs = [fast_subdivision(n, TruncationPolicy(K)) for K in range(1, 6)]
+        subs = [fast_subdivision(n, K) for K in range(1, 6)]
         for a, b in zip(subs, subs[1:]):
             assert a.inner.subset_of(b.inner)
             assert b.outer.subset_of(a.outer)
@@ -218,7 +218,7 @@ def test_fast_brackets_nest():
 
 
 def test_fast_inner_endpoints_are_members():
-    sub = fast_subdivision(2, TruncationPolicy(2))
+    sub = fast_subdivision(2, 2)
     for cell in sub.inner:
         assert cantor_membership(cell.lo) is Membership.MEMBER
         assert cantor_membership(cell.hi) is Membership.MEMBER
@@ -227,25 +227,32 @@ def test_fast_inner_endpoints_are_members():
 def test_fast_outer_covers_right_half_refinements():
     # the outer bracket must contain every genuine surviving cell, in
     # particular the inner bracket of any deeper truncation
-    wide = fast_subdivision(2, TruncationPolicy(6)).inner
-    assert wide.subset_of(fast_subdivision(2, TruncationPolicy(2)).outer)
+    wide = fast_subdivision(2, 6).inner
+    assert wide.subset_of(fast_subdivision(2, 2).outer)
 
 
 def test_fast_refuses_huge_tracking():
     with pytest.raises(ValueError):
-        fast_subdivision(12, TruncationPolicy(10))
+        fast_subdivision(12, 10)
     with pytest.raises(ValueError):
-        fast_subdivision(-1, TruncationPolicy(2))
+        fast_subdivision(-1, 2)
     with pytest.raises(ValueError):
-        TruncationPolicy(0)
+        fast_subdivision(1, 0)
+    # removed_gaps walks the same rounds, so it refuses the same inputs
+    with pytest.raises(ValueError):
+        removed_gaps(12, 10)
+    with pytest.raises(ValueError):
+        removed_gaps(-1, 2)
+    with pytest.raises(ValueError):
+        removed_gaps(1, 0)
 
 
 def test_removed_gaps_partition_with_outer():
     # what the rounds delete plus what the outer bracket keeps is exactly
     # the starting cell, with no overlap
     for n, K in ((1, 1), (1, 4), (2, 2), (3, 2)):
-        sub = fast_subdivision(n, TruncationPolicy(K))
-        gaps = removed_gaps(n, TruncationPolicy(K))
+        sub = fast_subdivision(n, K)
+        gaps = removed_gaps(n, K)
         assert sub.outer.union(gaps) == RIGHT
         assert sub.outer.measure() + gaps.measure() == Fraction(1, 3)
         assert sub.inner.intersection(gaps).measure() == 0
@@ -254,11 +261,11 @@ def test_removed_gaps_partition_with_outer():
 def test_removed_gaps_one_round_is_scaled_gap_family():
     for K in (1, 3):
         expected = gap_set(K).affine_image(Interval(Fraction(2, 3), Fraction(1)))
-        assert removed_gaps(1, TruncationPolicy(K)) == expected
+        assert removed_gaps(1, K) == expected
 
 
 def test_gap_midpoints_are_non_members():
-    gaps = removed_gaps(2, TruncationPolicy(3))
+    gaps = removed_gaps(2, 3)
     for g in gaps:
         mid = (g.lo + g.hi) / 2
         assert cantor_membership(mid) is Membership.NON_MEMBER
@@ -269,7 +276,7 @@ def test_gap_midpoints_are_non_members():
 
 
 def test_squared_length_sum_round_zero_hits_limit():
-    truncated, limit = squared_length_sum(0, TruncationPolicy(1))
+    truncated, limit = squared_length_sum(0, 1)
     assert truncated == limit == Fraction(1, 9)
 
 
@@ -277,7 +284,7 @@ def test_squared_length_sum_truncation_below_limit():
     for n in (1, 2):
         values = []
         for K in range(1, 7):
-            truncated, limit = squared_length_sum(n, TruncationPolicy(K))
+            truncated, limit = squared_length_sum(n, K)
             assert limit == Fraction(1, 9) * Fraction(1, 36) ** n
             assert truncated < limit
             values.append(truncated)
@@ -286,7 +293,7 @@ def test_squared_length_sum_truncation_below_limit():
 
 def test_squared_length_sum_one_round_closed_form():
     for K in range(1, 8):
-        truncated, _ = squared_length_sum(1, TruncationPolicy(K))
+        truncated, _ = squared_length_sum(1, K)
         expected = 2 * sum(Fraction(1, 9 ** (k + 2)) for k in range(1, K + 1))
         assert truncated == expected
 
