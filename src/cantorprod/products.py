@@ -2,24 +2,26 @@
 
 The multiplication image of a union of closed intervals with nonnegative
 endpoints is again a union of closed intervals: the componentwise products
-[aL*bL, aH*bH] merged into canonical form.  Everything here reduces to that,
-computed exactly over a common integer scale (one lcm denominator per factor,
-so candidate endpoints are machine/big integers and the hot loop is integer
-multiply-and-compare).
+[aL*bL, aH*bH] merged into canonical form.  product_image computes that
+general product by a pair sweep over a common integer scale (one lcm
+denominator per factor, so candidate endpoints are machine/big integers and
+the hot loop is integer multiply-and-compare).  With both factors sorted left
+to right and all endpoints nonnegative, the candidate products of one row
+have nondecreasing lower and upper endpoints, so each row merges in a single
+pass; one sort-and-sweep canonicalizes the result.  The sweep is quadratic in
+the number of cells.  It serves general sets and the fast bracket, and the
+tests use it as the oracle for the standard route.
 
 Two estimate routes for the measure of P(C x C), C the middle-third Cantor
 set, both via its right half R = C meet [2/3, 1] and the scaling identity
 measure(P(C x C)) = (3/2) measure(P(R x R)):
 
 * standard_estimate: P(R_n x R_n) over the level-n standard subdivision,
-  with measure(P(R_n x R_n)) - measure(P(R x R)) in [0, (1/63) (2/9)^n];
+  built in linear time as the union of one sibling band per split cell and
+  one diagonal square per leaf (see _standard_segments), with
+  measure(P(R_n x R_n)) - measure(P(R x R)) in [0, (1/63) (2/9)^(n-1)];
 * fast_bounds: squeeze measure(P(D_n x D_n)) between the inner/outer
   truncated fast subdivisions, which converges like 36^-n in n.
-
-Row merging uses monotonicity: with both factors sorted left to right and all
-endpoints nonnegative, the candidate products of one row have nondecreasing
-lower and upper endpoints, so each row merges in a single pass.  The global
-result is canonicalized by one sort-and-sweep.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .intervals import Interval, IntervalSet, decimal_string, format_rational
-from .subdivision import fast_subdivision, right_half_subdivision
+from .subdivision import _numerators, fast_subdivision
 
-STANDARD_LEVEL_LIMIT = 16
+STANDARD_LEVEL_LIMIT = 20
 FAST_LEVEL_LIMIT = 3
 FAST_GAP_DEPTH_LIMIT = 10
 
@@ -124,11 +126,13 @@ def product_image(S: IntervalSet, T: Optional[IntervalSet] = None) -> IntervalSe
     )
 
 
+def _stats(segs: list[tuple[int, int]], den: int) -> tuple[Fraction, int]:
+    return Fraction(sum(hi - lo for lo, hi in segs), den), len(segs)
+
+
 def self_product_stats(S: IntervalSet) -> tuple[Fraction, int]:
     """(measure, component count) of P(S x S) without building Fractions per endpoint."""
-    segs, den = _product_segments(S, None)
-    total = sum(hi - lo for lo, hi in segs)
-    return Fraction(total, den), len(segs)
+    return _stats(*_product_segments(S, None))
 
 
 def self_product_measure(S: IntervalSet) -> Fraction:
@@ -181,6 +185,64 @@ def convergence_tail(n: int) -> Fraction:
     return Fraction(1, 63) * Fraction(2, 9) ** max(n - 1, 0)
 
 
+def _check_hole_free(a: int, b: int, t: int) -> None:
+    """Raise unless splitting the cells [a, a+t] and [b, b+t] keeps their product whole.
+
+    Split A = [a, a+t] into A0 = [a, a+t/3] and A1 = [a+2t/3, a+t], and B
+    likewise.  For a < b the four child products, sorted by lower end, are
+
+        A0 B0 = [ab,              (a+t/3)(b+t/3)]
+        A0 B1 = [a(b+2t/3),       (a+t/3)(b+t)]
+        A1 B0 = [(a+2t/3)b,       (a+t)(b+t/3)]
+        A1 B1 = [(a+2t/3)(b+2t/3), (a+t)(b+t)]
+
+    and their upper ends increase in the same order, so the union is the one
+    interval [ab, (a+t)(b+t)] = A B iff each lower end is at most the upper end
+    before it.  Multiplied out, the three junctions read
+
+        A0 B1 after A0 B0:  a <= b + t/3
+        A1 B0 after A0 B1:  b <= 3a + t
+        A1 B1 after A1 B0:  b >= a + t/3
+
+    Distinct cells of one level satisfy b >= a + t, so the first and last
+    always hold and the split opens no hole iff b <= 3a + t.  That condition
+    is hardest for the smallest a and the largest b, so checking a level's
+    leftmost and rightmost cells covers every pair of that level.
+    """
+    if b > 3 * a + t:
+        raise RuntimeError(
+            f"splitting cells [{a}, {a + t}] and [{b}, {b + t}] opens a hole in their product"
+        )
+
+
+def _standard_segments(level: int) -> tuple[list[tuple[int, int]], int]:
+    """Canonical segments of P(R x R), R the level-`level` right-half cover, over 9^level.
+
+    R's cells form a binary tree: [2/3, 1] at level 1, and each cell
+    [a, a+t] of levels 1..level-1 splits into [a, a+t/3] and [a+2t/3, a+t].
+    Two leaves either coincide, giving the square [a^2, (a+t)^2], or descend
+    from the two children of their lowest common ancestor [a, a+t].  All
+    cells below those children, level by level, pair up as distinct
+    equal-length cells, and _check_hole_free shows that splitting such a
+    pair leaves its product unchanged.  By induction the two sibling
+    subtrees contribute exactly the product of the children, the band
+    [a(a+2t/3), (a+t/3)(a+t)].  So P(R x R) is the union of one band per
+    split cell and one square per leaf: 2N - 1 segments for N leaves, and no
+    cell pairs.  Each split level's extreme pair is checked on the way.
+    """
+    # a cell's left end is that of its leftmost leaf, so every level's cells
+    # are a stride through the leaves; endpoints are in units of 3^-level
+    leaves = [2 * 3 ** (level - 1) + m for m in _numerators(level - 1)]
+    segs = [(a * a, (a + 1) * (a + 1)) for a in leaves]
+    for j in range(1, level):
+        cells = leaves[:: 2 ** (level - j)]
+        t = 3 ** (level - j)
+        s = t // 3
+        _check_hole_free(cells[0], cells[-1], t)
+        segs.extend((a * (a + 2 * s), (a + s) * (a + t)) for a in cells)
+    return _merge(segs), 9**level
+
+
 def standard_estimate(n: int) -> EstimateResult:
     """Measure of P(R_n x R_n), its convergence tail, and the scaled full value.
 
@@ -190,8 +252,7 @@ def standard_estimate(n: int) -> EstimateResult:
     if not 0 <= n <= STANDARD_LEVEL_LIMIT:
         raise ValueError(f"standard route supports 0 <= n <= {STANDARD_LEVEL_LIMIT}")
     start = time.perf_counter()
-    cover = right_half_subdivision(n)
-    measure, count = self_product_stats(cover)
+    measure, count = _stats(*_standard_segments(max(n, 1)))
     elapsed = int((time.perf_counter() - start) * 1000)
     return EstimateResult(
         n=n,

@@ -165,7 +165,6 @@ class FastSubdivision:
 
     inner: IntervalSet
     outer: IntervalSet
-    nodes: tuple[FastNode, ...]
 
 
 def _rounds(n: int, K: int) -> tuple[list[FastNode], list[FastNode]]:
@@ -198,7 +197,6 @@ def fast_subdivision(n: int, K: int) -> FastSubdivision:
     return FastSubdivision(
         inner=IntervalSet(cells),
         outer=IntervalSet(cells + tails),
-        nodes=tuple(level),
     )
 
 

@@ -13,6 +13,10 @@ every bracket meets [center - r, center + r].  The width bound is the exact
 width of the K=8 bracket the README defines (inner = the tracked depth-3
 cells only), about 7.1e-4; tests/test_products.py checks the bracket's ends
 exactly against a pairwise-product oracle on the brackets it can afford.
+
+Criterion 9 checks the standard route against the same certificate's full
+enclosure: the level-20 standard enclosure clears center - r by about 3.8e-8
+and stays about 1.1e-6 below center + r.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from cantorprod.gaps import (
     deep_series_total,
     diagonal_gap,
     first_level_gap_total,
+    full_enclosure,
     geometric_series,
     high_cover_threshold,
     level3_enclosure,
@@ -344,3 +349,23 @@ def test_criterion_8_membership_against_brackets():
     assert members >= 300  # the construction half guarantees a healthy mix
     assert not escapes
     assert not bad_midpoints
+
+
+def test_criterion_9_standard_inside_full_certificate():
+    # two independent routes to measure(P(C x C)): the level-20 standard
+    # enclosure must lie inside the gap-calculus certificate's center +- r
+    center, radius = full_enclosure()
+    start = time.perf_counter()
+    bounds = standard_estimate(20).full_bounds()
+    elapsed = time.perf_counter() - start
+    low_margin = bounds.lo - (center - radius)
+    high_margin = (center + radius) - bounds.hi
+    ok = low_margin >= 0 and high_margin >= 0
+    report(
+        9,
+        ok,
+        f"level-20 standard enclosure inside center +- r: {ok} "
+        f"(margins {float(low_margin):.3e} low, {float(high_margin):.3e} high), {elapsed:.2f} s",
+    )
+    assert low_margin >= 0, low_margin
+    assert high_margin >= 0, high_margin

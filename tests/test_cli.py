@@ -77,7 +77,10 @@ def test_art_deterministic_apart_from_timing(capsys):
 
 def test_art_usage_errors(capsys):
     assert usage_error(capsys, "art", "--n", "99") == (
-        "cantorprod: error: standard route supports 0 <= n <= 16"
+        "cantorprod: error: standard route supports 0 <= n <= 20"
+    )
+    assert usage_error(capsys, "art", "--n", "21") == (
+        "cantorprod: error: standard route supports 0 <= n <= 20"
     )
     assert run_cli(capsys, "art", "--n", "2", "--digits", "0")[0] == 2
     assert run_cli(capsys, "art", "--n", "2", "--digits", "99")[0] == 2

@@ -6,11 +6,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cantorprod import products
 from cantorprod.gaps import diagonal_gap
 from cantorprod.intervals import Interval, IntervalSet
 from cantorprod.products import (
     EstimateResult,
+    _check_hole_free,
     convergence_tail,
     fast_bounds,
     product_image,
@@ -211,7 +215,36 @@ def test_standard_estimate_rejects_bad_levels():
     with pytest.raises(ValueError):
         standard_estimate(-1)
     with pytest.raises(ValueError):
-        standard_estimate(17)
+        standard_estimate(21)
+
+
+def test_standard_estimate_matches_sweep_oracle():
+    # the band route against the pair sweep over the cover's cells, over the
+    # whole range the benchmark runs
+    for n in range(14):
+        est = standard_estimate(n)
+        assert (est.set_measure, est.component_count) == self_product_stats(
+            right_half_subdivision(n)
+        ), n
+
+
+def test_hole_free_check_raises_on_a_hole(monkeypatch):
+    # A = [0, 1/9] and B = [2/3, 7/9] lie outside [2/3, 1] and break
+    # b <= 3a + t (units of 1/9: a = 0, b = 6, t = 1): splitting them opens a
+    # hole, and the check must say so
+    a = Interval(Fraction(0), Fraction(1, 9))
+    b = Interval(Fraction(2, 3), Fraction(7, 9))
+    refined = product_image(split_middle(a), split_middle(b))
+    assert len(refined) > 1
+    with pytest.raises(RuntimeError):
+        _check_hole_free(0, 6, 1)
+    # the extreme pair of level 2, in units of 1/9, passes
+    _check_hole_free(6, 8, 1)
+    # and the standard route runs the check on every level it splits
+    checked = []
+    monkeypatch.setattr(products, "_check_hole_free", lambda *pair: checked.append(pair))
+    standard_estimate(4)
+    assert checked == [(54, 54, 27), (54, 72, 9), (54, 78, 3)]
 
 
 def test_estimate_json_shape():
@@ -254,9 +287,23 @@ def test_fast_bounds_level_two_catches_true_value():
     assert r.lower <= true_value <= r.upper
 
 
-def pairwise_product(s: IntervalSet) -> IntervalSet:
-    """P(S x S) straight from its definition: every pair's product, one union."""
-    return IntervalSet([Interval(a.lo * b.lo, a.hi * b.hi) for a in s for b in s])
+def pairwise_product(s: IntervalSet, t: IntervalSet | None = None) -> IntervalSet:
+    """P(S x T) straight from its definition: every pair's product, one union."""
+    t = s if t is None else t
+    return IntervalSet([Interval(a.lo * b.lo, a.hi * b.hi) for a in s for b in t])
+
+
+endpoints = st.fractions(min_value=0, max_value=3, max_denominator=12)
+interval_sets = st.lists(st.tuples(endpoints, endpoints), max_size=6).map(
+    lambda pairs: IntervalSet([Interval(min(p), max(p)) for p in pairs])
+)
+
+
+@settings(derandomize=True, deadline=None)
+@given(interval_sets, interval_sets)
+def test_product_image_matches_pairwise_union(s, t):
+    assert product_image(s, t) == pairwise_product(s, t)
+    assert product_image(s) == pairwise_product(s)
 
 
 def test_fast_bounds_match_pairwise_oracle():
