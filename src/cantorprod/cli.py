@@ -14,7 +14,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -56,7 +55,11 @@ def _text_lines(payload: dict, indent: str = "") -> list[str]:
 def _emit(text: str, out: Optional[str]) -> None:
     """Write text as UTF-8, whatever the locale or stdout encoding."""
     if out is not None:
-        with open(out, "w", encoding="utf-8") as handle:
+        try:
+            handle = open(out, "w", encoding="utf-8")
+        except OSError as exc:  # main turns this into a usage error, exit 2
+            raise ValueError(f"cannot write --out {out}: {exc.strerror}") from exc
+        with handle:
             handle.write(text)
     elif hasattr(sys.stdout, "buffer"):
         sys.stdout.flush()
@@ -135,7 +138,7 @@ def _base_product() -> bool:
 
 
 def _zero_q_flagged() -> bool:
-    return not chain_holds(verify_order_chain(replace(ROOT, m=0), 3))
+    return not chain_holds(verify_order_chain(ROOT._replace(m=0), 3))
 
 
 def _selftest_checks():

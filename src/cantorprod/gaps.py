@@ -26,9 +26,8 @@ geometric tails, never floating point.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .intervals import Interval, decimal_string, format_rational
 from .subdivision import ROOT, FastNode, node_child
@@ -145,8 +144,7 @@ def compare_products(node: FastNode, x: Fraction, y: Fraction, z: Fraction, t: F
 # the interleaving order of the three families
 
 
-@dataclass(frozen=True)
-class ChainCheck:
+class ChainCheck(NamedTuple):
     name: str
     k: int
     holds: bool
@@ -466,8 +464,7 @@ EXPECTED: dict[str, Fraction] = {
 }
 
 
-@dataclass(frozen=True)
-class ChainEntry:
+class ChainEntry(NamedTuple):
     name: str
     value: Fraction
     expected: Fraction
@@ -484,8 +481,7 @@ class ChainEntry:
         }
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     target: str
     center: Fraction
     radius: Fraction

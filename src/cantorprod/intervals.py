@@ -12,7 +12,6 @@ truncated with an explicit "..." marker when inexact.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -78,18 +77,40 @@ def decimal_string(x: Fraction, digits: int) -> str:
     return "".join(parts)
 
 
-@dataclass(frozen=True)
 class Interval:
-    """Closed interval [lo, hi] with rational endpoints; degenerate points allowed."""
+    """Closed interval [lo, hi] with rational endpoints; degenerate points allowed.
 
+    Immutable and compared by value.  Not a tuple, so `_as_interval` can tell
+    an Interval from a bare (lo, hi) pair, and the two never compare equal.
+    """
+
+    __slots__ = ("lo", "hi")
     lo: Fraction
     hi: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", rat(self.lo))
-        object.__setattr__(self, "hi", rat(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
+    def __init__(self, lo: RationalLike, hi: RationalLike) -> None:
+        lo, hi = rat(lo), rat(hi)
+        if lo > hi:
+            raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__
+        return Interval, (self.lo, self.hi)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Interval):
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
 
     @property
     def length(self) -> Fraction:

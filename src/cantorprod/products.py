@@ -27,10 +27,9 @@ measure(P(C x C)) = (3/2) measure(P(R x R)):
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .intervals import Interval, IntervalSet, decimal_string, format_rational
 from .subdivision import _numerators, fast_subdivision
@@ -139,8 +138,7 @@ def self_product_measure(S: IntervalSet) -> Fraction:
     return self_product_stats(S)[0]
 
 
-@dataclass(frozen=True)
-class EstimateResult:
+class EstimateResult(NamedTuple):
     """Standard-route estimate of the Cantor product-set measure at level n."""
 
     n: int
@@ -264,8 +262,7 @@ def standard_estimate(n: int) -> EstimateResult:
     )
 
 
-@dataclass(frozen=True)
-class FastBounds:
+class FastBounds(NamedTuple):
     """Exact bracket of measure(P(D_n x D_n)) from the truncated fast subdivision."""
 
     n: int

@@ -32,10 +32,9 @@ triadic cell is m itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .intervals import Interval, IntervalSet, rat
 
@@ -103,8 +102,7 @@ def gap_set(K: int) -> IntervalSet:
     return IntervalSet(gaps)
 
 
-@dataclass(frozen=True)
-class FastNode:
+class FastNode(NamedTuple):
     """A surviving cell of the fast subdivision: the triadic cell [m/3^k, (m+1)/3^k]."""
 
     m: int
@@ -153,8 +151,7 @@ def node_children(node: FastNode, K: int) -> tuple[FastNode, ...]:
     return tuple(low + high)
 
 
-@dataclass(frozen=True)
-class FastSubdivision:
+class FastSubdivision(NamedTuple):
     """Result of n rounds of truncated fast subdivision of [2/3, 1].
 
     inner and outer bracket the true surviving set D_n:
@@ -225,8 +222,7 @@ class Membership(Enum):
     UNDETERMINED = "undetermined"
 
 
-@dataclass(frozen=True)
-class TernaryExpansion:
+class TernaryExpansion(NamedTuple):
     """Base-3 digits of a number in [0, 1], with cycle structure.
 
     period == 0 means the expansion terminates after the recorded digits;

@@ -66,6 +66,16 @@ def test_art_out_file(capsys, tmp_path):
     assert data["set_measure"] == "5/9"
 
 
+def test_unwritable_out_is_usage_error(capsys, tmp_path):
+    missing = tmp_path / "missing" / "x.json"
+    assert usage_error(capsys, "certify", "--out", str(missing)) == (
+        f"cantorprod: error: cannot write --out {missing}: No such file or directory"
+    )
+    assert usage_error(capsys, "member", "--x", "1/3", "--out", str(tmp_path)) == (
+        f"cantorprod: error: cannot write --out {tmp_path}: Is a directory"
+    )
+
+
 def test_art_deterministic_apart_from_timing(capsys):
     _, first, _ = run_cli(capsys, "art", "--n", "3", "--format", "json")
     _, second, _ = run_cli(capsys, "art", "--n", "3", "--format", "json")

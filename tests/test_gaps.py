@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -186,12 +185,12 @@ def test_order_chain_holds_for_depth_one_children():
 
 def test_order_chain_holds_for_synthetic_small_q():
     # any q >= 1 keeps the order; the chain reads only (q, k)
-    node = dataclasses.replace(ROOT, m=1)
+    node = ROOT._replace(m=1)
     assert chain_holds(verify_order_chain(node, 8))
 
 
 def test_order_chain_flags_degenerate_scale():
-    node = dataclasses.replace(ROOT, m=0)
+    node = ROOT._replace(m=0)
     checks = verify_order_chain(node, 4)
     assert not chain_holds(checks)
     bad = {c.name for c in checks if not c.holds}

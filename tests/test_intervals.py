@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantorprod.intervals import (
     Interval,
@@ -96,6 +99,16 @@ def test_interval_validation_and_length():
     assert Interval(Fraction(1, 2), Fraction(1, 2)).length == 0
     with pytest.raises(ValueError):
         Interval(Fraction(2, 3), Fraction(1, 3))
+    half = Interval(0, "1/2")
+    assert half == Interval(Fraction(0), Fraction(1, 2))
+    assert hash(half) == hash(Interval(Fraction(0), Fraction(1, 2)))
+    assert half != (Fraction(0), Fraction(1, 2))
+    with pytest.raises(AttributeError):
+        half.lo = Fraction(1, 4)
+    with pytest.raises(AttributeError):
+        del half.hi
+    assert len({half, Interval(0, "1/2"), Interval(Fraction(0), Fraction(1, 2))}) == 1
+    assert pickle.loads(pickle.dumps(half)) == half
 
 
 def test_interval_json_round_trip():
@@ -142,6 +155,25 @@ def test_normalize_permutation_invariant():
         shuffled = raw[:]
         rng.shuffle(shuffled)
         assert IntervalSet(raw) == IntervalSet(shuffled)
+
+
+endpoints = st.fractions(min_value=0, max_value=3, max_denominator=12)
+unions = st.lists(st.tuples(endpoints, endpoints), max_size=6).map(
+    lambda pairs: IntervalSet([Interval(min(p), max(p)) for p in pairs])
+)
+
+
+@settings(derandomize=True, deadline=None)
+@given(unions, unions)
+def test_canonical_form_and_inclusion_exclusion(a, b):
+    for s in (a, b, a.union(b), a.intersection(b), a.difference(b)):
+        comps = list(s)
+        assert comps == sorted(comps, key=lambda iv: (iv.lo, iv.hi))
+        assert all(x.hi < y.lo for x, y in zip(comps, comps[1:]))
+        assert IntervalSet(comps) == s
+    m = IntervalSet.measure
+    assert m(a.union(b)) + m(a.intersection(b)) == m(a) + m(b)
+    assert m(a.difference(b)) == m(a) - m(a.intersection(b))
 
 
 def test_components_strictly_separated():

@@ -10,6 +10,7 @@ import pytest
 from cantorprod.intervals import Interval, IntervalSet
 from cantorprod.subdivision import (
     ROOT,
+    FastNode,
     Membership,
     cantor_membership,
     classify_ternary,
@@ -125,6 +126,7 @@ def test_gap_set_complement_measure():
 def test_root_cell():
     assert ROOT.cell == Interval(Fraction(2, 3), Fraction(1))
     assert ROOT.q == ROOT.m == 2
+    assert ROOT._replace(m=0) == FastNode(0, 1)
 
 
 def test_node_child_pinned_addresses():
