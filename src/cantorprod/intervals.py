@@ -4,6 +4,8 @@ Everything downstream (subdivisions, product measures, certificates) works with
 finite unions of closed intervals with Fraction endpoints.  The canonical form
 is sorted and pairwise disjoint, with touching intervals merged, so equality of
 sets is equality of tuples and the Lebesgue measure is a plain sum of lengths.
+One merge, _merge_ends, builds that form from unsorted interval ends; the
+integer product sweeps in `products` use it too.
 
 No floats anywhere in here: decimal output is rendered by long division and
 truncated with an explicit "..." marker when inexact.
@@ -136,27 +138,42 @@ def _as_interval(item: IntervalLike) -> Interval:
     return Interval(rat(lo), rat(hi))
 
 
+def _merge_ends(los: list, his: list) -> tuple[list, list]:
+    """Component ends of the union of the closed intervals [los[i], his[i]].
+
+    Sorts each list in place on its own; the pairing of the ends is not needed.
+    Cut between positions i-1 and i exactly when his[i-1] < los[i].  At
+    least i intervals end by his[i-1], each begins below los[i], and at most
+    i lower ends lie below los[i]; so exactly those i intervals begin there,
+    every other one begins at or after los[i], and nothing covers the gap
+    (his[i-1], los[i]).  Conversely, an uncovered x in [los[0], his[-1]]
+    with i lower ends at or below it has those i intervals end below it, so
+    his[i-1] < x < los[i] is a cut.  Touching intervals merge.
+    """
+    los.sort()
+    his.sort()
+    out_los, out_his = los[:1], []
+    for hi, lo in zip(his, los[1:]):
+        if hi < lo:
+            out_his.append(hi)
+            out_los.append(lo)
+    return out_los, out_his + his[-1:]
+
+
 class IntervalSet:
     """Finite union of closed intervals, kept in canonical form.
 
     The constructor accepts intervals in any order, overlapping or touching,
-    and normalizes: sort by endpoints, merge whenever the next interval starts
-    at or before the current end.  Two IntervalSets are equal iff their
+    and merges them with _merge_ends.  Two IntervalSets are equal iff their
     canonical component tuples are equal.
     """
 
     __slots__ = ("intervals",)
 
     def __init__(self, items: Iterable[IntervalLike] = ()) -> None:
-        pending = sorted((_as_interval(it) for it in items), key=lambda iv: (iv.lo, iv.hi))
-        merged: list[Interval] = []
-        for iv in pending:
-            if merged and iv.lo <= merged[-1].hi:
-                if iv.hi > merged[-1].hi:
-                    merged[-1] = Interval(merged[-1].lo, iv.hi)
-            else:
-                merged.append(iv)
-        self.intervals: tuple[Interval, ...] = tuple(merged)
+        ivs = [_as_interval(it) for it in items]
+        los, his = _merge_ends([iv.lo for iv in ivs], [iv.hi for iv in ivs])
+        self.intervals: tuple[Interval, ...] = tuple(map(Interval, los, his))
 
     @classmethod
     def _from_canonical(cls, intervals: Iterable[Interval]) -> "IntervalSet":
@@ -270,7 +287,7 @@ class IntervalSet:
                 i += 1
             else:
                 j += 1
-        return IntervalSet(out)
+        return IntervalSet._from_canonical(out)
 
     def subset_of(self, other: "IntervalSet") -> bool:
         return self.difference(other).measure() == 0 and all(

@@ -8,7 +8,7 @@ denominator per factor, so candidate endpoints are machine/big integers and
 the hot loop is integer multiply-and-compare).  With both factors sorted left
 to right and all endpoints nonnegative, the candidate products of one row
 have nondecreasing lower and upper endpoints, so each row merges in a single
-pass; one sort-and-sweep canonicalizes the result.  The sweep is quadratic in
+pass; intervals._merge_ends then merges the rows.  The sweep is quadratic in
 the number of cells.  It serves general sets and the fast bracket, and the
 tests use it as the oracle for the standard route.
 
@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
-from .intervals import Interval, IntervalSet, decimal_string, format_rational
+from .intervals import Interval, IntervalSet, _merge_ends, decimal_string, format_rational
 from .subdivision import _numerators, fast_subdivision
 
 STANDARD_LEVEL_LIMIT = 20
@@ -56,10 +56,10 @@ def _rows(
     b_los: Sequence[int],
     b_his: Sequence[int],
     triangle: bool,
-) -> list[tuple[int, int]]:
-    """Merged product segments of every row, in scaled integer units."""
-    segs: list[tuple[int, int]] = []
-    append = segs.append
+) -> tuple[list[int], list[int]]:
+    """Lower and upper ends of every row's merged product segments, in scaled integer units."""
+    los: list[int] = []
+    his: list[int] = []
     nb = len(b_los)
     for i in range(len(a_los)):
         aL = a_los[i]
@@ -72,34 +72,19 @@ def _rows(
             if lo <= cur_hi:
                 cur_hi = aH * b_his[j]
             else:
-                append((cur_lo, cur_hi))
+                los.append(cur_lo)
+                his.append(cur_hi)
                 cur_lo = lo
                 cur_hi = aH * b_his[j]
-        append((cur_lo, cur_hi))
-    return segs
-
-
-def _merge(segs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    segs.sort()
-    out: list[tuple[int, int]] = []
-    cur_lo = cur_hi = None
-    for lo, hi in segs:
-        if cur_hi is not None and lo <= cur_hi:
-            if hi > cur_hi:
-                cur_hi = hi
-        else:
-            if cur_hi is not None:
-                out.append((cur_lo, cur_hi))
-            cur_lo, cur_hi = lo, hi
-    if cur_hi is not None:
-        out.append((cur_lo, cur_hi))
-    return out
+        los.append(cur_lo)
+        his.append(cur_hi)
+    return los, his
 
 
 def _product_segments(
     S: IntervalSet, T: Optional[IntervalSet]
-) -> tuple[list[tuple[int, int]], int]:
-    """Canonical integer segments of P(S x T) plus the common denominator.
+) -> tuple[list[int], list[int], int]:
+    """Canonical component ends of P(S x T) in integers, plus the common denominator.
 
     T=None means the self product, computed over the triangle i <= j (the
     image is symmetric in the factors).
@@ -110,23 +95,23 @@ def _product_segments(
     else:
         b_los, b_his, b_den = _scaled_endpoints(T)
     if not a_los or not b_los:
-        return [], a_den * b_den
-    segs = _rows(a_los, a_his, b_los, b_his, triangle=T is None)
-    return _merge(segs), a_den * b_den
+        return [], [], a_den * b_den
+    los, his = _rows(a_los, a_his, b_los, b_his, triangle=T is None)
+    return (*_merge_ends(los, his), a_den * b_den)
 
 
 def product_image(S: IntervalSet, T: Optional[IntervalSet] = None) -> IntervalSet:
     """P(S x T) as a canonical IntervalSet; T omitted means P(S x S)."""
     if T is not None and T == S:
         T = None
-    segs, den = _product_segments(S, T)
+    los, his, den = _product_segments(S, T)
     return IntervalSet._from_canonical(
-        Interval(Fraction(lo, den), Fraction(hi, den)) for lo, hi in segs
+        Interval(Fraction(lo, den), Fraction(hi, den)) for lo, hi in zip(los, his)
     )
 
 
-def _stats(segs: list[tuple[int, int]], den: int) -> tuple[Fraction, int]:
-    return Fraction(sum(hi - lo for lo, hi in segs), den), len(segs)
+def _stats(los: list[int], his: list[int], den: int) -> tuple[Fraction, int]:
+    return Fraction(sum(his) - sum(los), den), len(los)
 
 
 def self_product_stats(S: IntervalSet) -> tuple[Fraction, int]:
@@ -213,8 +198,8 @@ def _check_hole_free(a: int, b: int, t: int) -> None:
         )
 
 
-def _standard_segments(level: int) -> tuple[list[tuple[int, int]], int]:
-    """Canonical segments of P(R x R), R the level-`level` right-half cover, over 9^level.
+def _standard_segments(level: int) -> tuple[list[int], list[int], int]:
+    """Canonical component ends of P(R x R), R the level-`level` right-half cover, over 9^level.
 
     R's cells form a binary tree: [2/3, 1] at level 1, and each cell
     [a, a+t] of levels 1..level-1 splits into [a, a+t/3] and [a+2t/3, a+t].
@@ -231,14 +216,16 @@ def _standard_segments(level: int) -> tuple[list[tuple[int, int]], int]:
     # a cell's left end is that of its leftmost leaf, so every level's cells
     # are a stride through the leaves; endpoints are in units of 3^-level
     leaves = [2 * 3 ** (level - 1) + m for m in _numerators(level - 1)]
-    segs = [(a * a, (a + 1) * (a + 1)) for a in leaves]
+    los = [a * a for a in leaves]
+    his = [(a + 1) * (a + 1) for a in leaves]
     for j in range(1, level):
         cells = leaves[:: 2 ** (level - j)]
         t = 3 ** (level - j)
         s = t // 3
         _check_hole_free(cells[0], cells[-1], t)
-        segs.extend((a * (a + 2 * s), (a + s) * (a + t)) for a in cells)
-    return _merge(segs), 9**level
+        los.extend(a * (a + 2 * s) for a in cells)
+        his.extend((a + s) * (a + t) for a in cells)
+    return (*_merge_ends(los, his), 9**level)
 
 
 def standard_estimate(n: int) -> EstimateResult:

@@ -21,7 +21,7 @@ from typing import Iterator
 
 from .intervals import Interval, Rational, format_rational, rat
 from .subdivision import ROOT, FastNode, node_child, standard_cells
-from .gaps import g_interval, p_interval
+from .gaps import child_cell, g_interval, p_interval
 
 MAX_DEPTH = 2
 MAX_KMAX = 6
@@ -117,20 +117,14 @@ def cell_families(
     return node, families
 
 
-def _low_cell(k: int) -> tuple[Fraction, Fraction]:
-    return Fraction(2, 3 ** (k + 1)), Fraction(1, 3**k)
-
-
-def _high_cell(k: int) -> tuple[Fraction, Fraction]:
-    return 1 - Fraction(1, 3**k), 1 - Fraction(2, 3 ** (k + 1))
+_UNIT = FastNode(0, 0)  # scaled_point is the identity: child cells E_k, F_k in local coordinates
 
 
 def _cells(k_max: int) -> Iterator[tuple[int, str, Fraction, Fraction]]:
     for k in range(1, k_max + 1):
-        lo, hi = _low_cell(k)
-        yield k, "-", lo, hi
-        lo, hi = _high_cell(k)
-        yield k, "+", lo, hi
+        for side, high_side in (("-", False), ("+", True)):
+            cell = child_cell(_UNIT, k, high_side)
+            yield k, side, cell.lo, cell.hi
 
 
 def _grid_points(levels: int) -> list[Fraction]:
@@ -144,14 +138,14 @@ def _band_rects(d: _Drawing, k_max: int) -> None:
     _rect(d, Fraction(0), Fraction(2, 3), Fraction(1, 3), Fraction(1), grey)
     for k in range(1, k_max + 1):
         tail = Fraction(1, 3 ** (k + 1))
-        e_lo, e_hi = _low_cell(k)
+        e = child_cell(_UNIT, k, False)
         # low pair: cell x tail, then tail x (cell start .. previous scale)
-        _rect(d, e_lo, Fraction(0), e_hi, tail, grey)
+        _rect(d, e.lo, Fraction(0), e.hi, tail, grey)
         reach = Fraction(1) if k == 1 else Fraction(1, 3 ** (k - 1))
-        _rect(d, Fraction(0), e_lo, tail, reach, grey)
-        f_lo, f_hi = _high_cell(k)
-        _rect(d, 1 - tail, f_lo, Fraction(1), f_hi, grey)
-        _rect(d, f_lo, 1 - tail, f_hi, Fraction(1), grey)
+        _rect(d, Fraction(0), e.lo, tail, reach, grey)
+        f = child_cell(_UNIT, k, True)
+        _rect(d, 1 - tail, f.lo, Fraction(1), f.hi, grey)
+        _rect(d, f.lo, 1 - tail, f.hi, Fraction(1), grey)
 
 
 def _crosses(d: _Drawing, depth: int) -> None:

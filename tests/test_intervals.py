@@ -7,12 +7,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cantorprod.intervals import (
     Interval,
     IntervalSet,
+    _merge_ends,
     decimal_string,
     format_rational,
     parse_rational,
@@ -174,6 +175,42 @@ def test_canonical_form_and_inclusion_exclusion(a, b):
     m = IntervalSet.measure
     assert m(a.union(b)) + m(a.intersection(b)) == m(a) + m(b)
     assert m(a.difference(b)) == m(a) - m(a.intersection(b))
+
+
+def _sweep_reference(segs):
+    """Components of a union of (lo, hi) pairs by sorting the pairs and sweeping.
+
+    The tuple sort-and-sweep the products module used before _merge_ends; kept
+    here as an independent oracle, since IntervalSet now merges through
+    _merge_ends as well.
+    """
+    out = []
+    for lo, hi in sorted(segs):
+        if out and lo <= out[-1][1]:
+            if hi > out[-1][1]:
+                out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return out
+
+
+def _segments(values):
+    return st.lists(st.tuples(values, values), max_size=12).map(
+        lambda pairs: [(min(p), max(p)) for p in pairs]
+    )
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.one_of(_segments(st.integers(0, 12)), _segments(endpoints)))
+@example([])
+@example([(3, 3)])
+@example([(0, 1), (1, 2), (2, 2)])
+@example([(0, 10), (2, 3), (4, 4), (1, 9)])
+@example([(1, 2), (1, 2), (5, 5), (5, 5)])
+@example([(Fraction(1, 3), Fraction(1, 2)), (Fraction(1, 2), Fraction(2, 3))])
+def test_merge_ends_matches_sort_and_sweep(segs):
+    los, his = _merge_ends([lo for lo, _ in segs], [hi for _, hi in segs])
+    assert list(zip(los, his)) == _sweep_reference(segs)
 
 
 def test_components_strictly_separated():

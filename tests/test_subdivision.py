@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantorprod.intervals import Interval, IntervalSet
 from cantorprod.subdivision import (
@@ -354,6 +356,50 @@ def test_membership_of_constructed_digit_strings():
         pos = rng.randrange(len(digits))
         y = x + Fraction(1 - digits[pos], 3 ** (pos + 1)) + Fraction(1, 3 ** (len(digits) + 2))
         assert cantor_membership(y) is Membership.NON_MEMBER
+
+
+def _ternary_value(digits, cycle=()):
+    """The value of 0.digits(cycle)* in base 3."""
+    head = Fraction(int("".join(map(str, digits)) or "0", 3), 3 ** len(digits))
+    if not cycle:
+        return head
+    period = Fraction(int("".join(map(str, cycle)), 3), 3 ** len(cycle) - 1)
+    return head + period / 3 ** len(digits)
+
+
+@st.composite
+def digit_built_members(draw):
+    """Digits 0 and 2 with an optional cycle that is not all zeros, or ending in one 1."""
+    digits = draw(st.lists(st.sampled_from([0, 2]), max_size=8))
+    if draw(st.booleans()):
+        return _ternary_value(digits + [1])
+    cycle = draw(st.lists(st.sampled_from([0, 2]), max_size=6).filter(lambda c: not c or 2 in c))
+    return _ternary_value(digits, cycle)
+
+
+@st.composite
+def digit_built_gap_points(draw):
+    """A digit 1 followed later by a nonzero digit, either a last digit or in a cycle.
+
+    All-0 and all-2 cycles are left out: 0.1(0)* and 0.1(2)* = 0.2 are members.
+    """
+    digits = draw(st.lists(st.integers(0, 2), max_size=6)) + [1]
+    digits += draw(st.lists(st.integers(0, 2), max_size=4))
+    if draw(st.booleans()):
+        return _ternary_value(digits + [draw(st.integers(1, 2))])
+    cycle = draw(
+        st.lists(st.integers(0, 2), min_size=1, max_size=5).filter(
+            lambda c: any(c) and any(d != 2 for d in c)
+        )
+    )
+    return _ternary_value(digits, cycle)
+
+
+@settings(derandomize=True, deadline=None)
+@given(digit_built_members(), digit_built_gap_points())
+def test_membership_of_digit_built_points(member, gap_point):
+    assert classify_ternary(member)[0] is Membership.MEMBER
+    assert classify_ternary(gap_point)[0] is Membership.NON_MEMBER
 
 
 def test_ternary_expansion_strings():
