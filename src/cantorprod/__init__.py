@@ -5,59 +5,44 @@ middle-third Cantor set} two independent ways: a brute-force product of
 subdivision covers, and a certified enclosure assembled from the gap
 calculus along the diagonal.  Everything on the certified path is a
 `fractions.Fraction`; floats appear only in rendered output.
+
+Imports are lazy: `import cantorprod` loads none of the computation
+modules, and each exported name loads its module on first access (PEP 562).
+A short-lived CLI command then pays only for the modules it runs.
 """
 
-from .intervals import (
-    Interval,
-    IntervalSet,
-    Rational,
-    decimal_string,
-    format_rational,
-    parse_rational,
-    rat,
-)
-from .subdivision import (
-    FastNode,
-    FastSubdivision,
-    Membership,
-    ROOT,
-    TernaryExpansion,
-    cantor_membership,
-    classify_ternary,
-    fast_subdivision,
-    gap_set,
-    node_child,
-    node_children,
-    removed_gaps,
-    right_half_subdivision,
-    squared_length_sum,
-    standard_subdivision,
-    ternary_expansion,
-)
-from .products import (
-    EstimateResult,
-    FastBounds,
-    convergence_tail,
-    fast_bounds,
-    product_image,
-    self_product_measure,
-    standard_estimate,
-)
-from .gaps import (
-    Certificate,
-    CertificationError,
-    certify,
-    diagonal_gap,
-    full_enclosure,
-    g_interval,
-    level3_enclosure,
-    p_interval,
-    q_interval,
-    verify_order_chain,
-)
-from .render import render_svg
+import sys
 
 __version__ = "0.1.0"
+
+# certify's target tokens, level-3 then full; here so that the CLI can offer
+# them as choices without importing gaps
+_CERTIFY_TARGETS = ("prop3", "theorem")
+
+_SUBMODULES = ("intervals", "subdivision", "products", "gaps", "render", "cli")
+
+_EXPORTS = {
+    "intervals": (
+        "Interval", "IntervalSet", "Rational", "decimal_string", "format_rational",
+        "parse_rational", "rat",
+    ),
+    "subdivision": (
+        "FastNode", "FastSubdivision", "Membership", "ROOT", "TernaryExpansion",
+        "cantor_membership", "classify_ternary", "fast_subdivision", "gap_set", "node_child",
+        "node_children", "removed_gaps", "right_half_subdivision", "squared_length_sum",
+        "standard_subdivision", "ternary_expansion",
+    ),
+    "products": (
+        "EstimateResult", "FastBounds", "convergence_tail", "fast_bounds", "product_image",
+        "self_product_measure", "standard_estimate",
+    ),
+    "gaps": (
+        "Certificate", "CertificationError", "certify", "diagonal_gap", "full_enclosure",
+        "g_interval", "level3_enclosure", "p_interval", "q_interval", "verify_order_chain",
+    ),
+    "render": ("render_svg",),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = [
     "Certificate",
@@ -102,3 +87,29 @@ __all__ = [
     "ternary_expansion",
     "verify_order_chain",
 ]
+
+
+def __getattr__(name: str):
+    """Load a submodule, or the module an exported name lives in, on first access.
+
+    Exported names are not cached here: every access reads the name from its
+    module, so a name rebound there (a test double, a tracing wrapper) is
+    what callers get, and restoring it there is enough.
+    """
+    if name in _SUBMODULES:
+        return _submodule(name)
+    if name in _HOME:
+        return getattr(_submodule(_HOME[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _submodule(name: str):
+    # the builtin __import__, unlike importlib.import_module, is what
+    # `python -X importtime` times
+    qualified = f"{__name__}.{name}"
+    __import__(qualified)
+    return sys.modules[qualified]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -6,6 +6,11 @@ brute-force bracket), ``certify`` (exact verification chain), ``render``
 ``selftest`` (curated cross-checks).  JSON is the machine format; text
 output is derived from it.  Exit codes: 0 success, 1 verification
 failure, 2 usage.
+
+Only the standard library is imported up front.  Each handler imports the
+modules it runs and calls through them, so a command loads no computation
+module it does not use, and a function rebound in its module is the one
+that runs.
 """
 
 from __future__ import annotations
@@ -17,13 +22,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import products, render
-from .gaps import (
-    TARGETS, alpha, alpha_series, beta, beta_series, certify, chain_holds,
-    first_level_gap_total, second_level_increment, verify_order_chain,
-)
-from .intervals import format_rational, parse_rational
-from .subdivision import ROOT, Membership, classify_ternary, right_half_subdivision
+from . import _CERTIFY_TARGETS
 
 MAX_DIGITS = 50
 
@@ -78,19 +77,25 @@ def _render_payload(payload: dict, fmt: str, out: Optional[str]) -> None:
 
 
 def _cmd_art(args) -> int:
+    from . import products
+
     result = products.standard_estimate(args.n)
     _render_payload(result.to_json(args.digits), args.format, args.out)
     return 0
 
 
 def _cmd_fast(args) -> int:
+    from . import products
+
     bounds = products.fast_bounds(args.n, args.K)
     _render_payload(bounds.to_json(args.digits), args.format, args.out)
     return 0
 
 
 def _cmd_certify(args) -> int:
-    cert = certify(args.target)
+    from . import gaps
+
+    cert = gaps.certify(args.target)
     _render_payload(cert.to_json(args.digits), args.format, args.out)
     if not cert.ok:
         first = cert.failures()[0]
@@ -100,6 +105,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from . import intervals, render
+
     if args.format == "svg":
         _emit(render.render_svg(args.n, args.K), args.out)
         return 0
@@ -107,7 +114,11 @@ def _cmd_render(args) -> int:
     payload = {
         "depth": args.n,
         "k_max": args.K,
-        "cell": {"lo": format_rational(node.cell.lo), "hi": format_rational(node.cell.hi), "q": node.q},
+        "cell": {
+            "lo": intervals.format_rational(node.cell.lo),
+            "hi": intervals.format_rational(node.cell.hi),
+            "q": node.q,
+        },
         "families": [
             {"k": k, "side": side, "p": p.to_json(), "g": g.to_json()} for k, side, p, g in families
         ],
@@ -117,10 +128,12 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_member(args) -> int:
-    x = parse_rational(args.x)
-    verdict, expansion = classify_ternary(x)
+    from . import intervals, subdivision
+
+    x = intervals.parse_rational(args.x)
+    verdict, expansion = subdivision.classify_ternary(x)
     payload = {
-        "x": format_rational(x),
+        "x": intervals.format_rational(x),
         "verdict": verdict.value,
         "expansion": str(expansion),
         "preperiod_digits": expansion.preperiod,
@@ -134,22 +147,29 @@ def _cmd_member(args) -> int:
 
 
 def _base_product() -> bool:
-    return products.self_product_measure(right_half_subdivision(0)) == Fraction(5, 9)
+    from . import products, subdivision
+
+    return products.self_product_measure(subdivision.right_half_subdivision(0)) == Fraction(5, 9)
 
 
 def _zero_q_flagged() -> bool:
-    return not chain_holds(verify_order_chain(ROOT._replace(m=0), 3))
+    from . import gaps, subdivision
+
+    return not gaps.chain_holds(gaps.verify_order_chain(subdivision.ROOT._replace(m=0), 3))
 
 
 def _selftest_checks():
-    full = functools.cache(functools.partial(certify, "theorem"))  # shared by three checks
+    from . import gaps, render, subdivision
+
+    root = subdivision.ROOT
+    full = functools.cache(functools.partial(gaps.certify, "theorem"))  # shared by three checks
     yield "base product 5/9", _base_product
-    yield "level-3 certificate", lambda: certify("prop3").ok
+    yield "level-3 certificate", lambda: gaps.certify("prop3").ok
     yield "full certificate", lambda: full().ok
     yield "full radius below 1e-6", lambda: full().radius < Fraction(1, 10**6)
     yield "standard bounds enclose the certified center", lambda: _standard_encloses(full().center)
     yield "fast bracket catches the removed measure", _fast_brackets
-    yield "order chain holds at the root", lambda: chain_holds(verify_order_chain(ROOT, 4))
+    yield "order chain holds at the root", lambda: gaps.chain_holds(gaps.verify_order_chain(root, 4))
     yield "degenerate scale is flagged", _zero_q_flagged
     yield "membership spot checks", _member_spots
     yield "series closed forms", _series_spots
@@ -157,28 +177,36 @@ def _selftest_checks():
 
 
 def _standard_encloses(center: Fraction) -> bool:
+    from . import products
+
     bounds = products.standard_estimate(3).full_bounds()
     return bounds.lo <= center <= bounds.hi
 
 
 def _fast_brackets() -> bool:
+    from . import gaps, products
+
     bounds = products.fast_bounds(2, 4)
-    target = Fraction(5, 9) - first_level_gap_total() - second_level_increment()
+    target = Fraction(5, 9) - gaps.first_level_gap_total() - gaps.second_level_increment()
     return bounds.lower <= target <= bounds.upper
 
 
 def _member_spots() -> bool:
-    cases = [("1/4", Membership.MEMBER), ("1/2", Membership.NON_MEMBER),
-             ("2/3", Membership.MEMBER), ("1", Membership.MEMBER)]
+    from . import intervals, subdivision
+
+    member, non_member = subdivision.Membership.MEMBER, subdivision.Membership.NON_MEMBER
+    cases = [("1/4", member), ("1/2", non_member), ("2/3", member), ("1", member)]
     for text, want in cases:
-        verdict, _ = classify_ternary(parse_rational(text))
+        verdict, _ = subdivision.classify_ternary(intervals.parse_rational(text))
         if verdict is not want:
             return False
     return True
 
 
 def _series_spots() -> bool:
-    return beta(1) == beta_series(1) and alpha(2) == alpha_series(2)
+    from . import gaps
+
+    return gaps.beta(1) == gaps.beta_series(1) and gaps.alpha(2) == gaps.alpha_series(2)
 
 
 def _cmd_selftest(args) -> int:
@@ -206,7 +234,7 @@ def _add_common(sub, *, n=None, K=None, formats=("json", "text"), default_format
     if K is not None:
         sub.add_argument("--K", type=int, default=K)
     if target:
-        sub.add_argument("--target", choices=sorted(TARGETS), default="prop3")
+        sub.add_argument("--target", choices=sorted(_CERTIFY_TARGETS), default="prop3")
     if x:
         sub.add_argument("--x", required=True)
     if digits:

@@ -29,12 +29,12 @@ import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
+from . import _CERTIFY_TARGETS as TARGETS
 from .intervals import Interval, decimal_string, format_rational
 from .subdivision import ROOT, FastNode, node_child
 
-TARGET_LEVEL3 = "prop3"  # enclosure of measure(P(D_3 x D_3)), opaque CLI token
-TARGET_FULL = "theorem"  # enclosure of measure(P(C x C)), opaque CLI token
-TARGETS = (TARGET_LEVEL3, TARGET_FULL)
+# opaque CLI tokens: the enclosure of measure(P(D_3 x D_3)), then of measure(P(C x C))
+TARGET_LEVEL3, TARGET_FULL = TARGETS
 
 
 class CertificationError(Exception):

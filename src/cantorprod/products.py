@@ -8,7 +8,8 @@ denominator per factor, so candidate endpoints are machine/big integers and
 the hot loop is integer multiply-and-compare).  With both factors sorted left
 to right and all endpoints nonnegative, the candidate products of one row
 have nondecreasing lower and upper endpoints, so each row merges in a single
-pass; intervals._merge_ends then merges the rows.  The sweep is quadratic in
+pass; intervals._merge_ends merges the rows, in batches as they arrive so
+that memory stays near the output's size.  The sweep is quadratic in
 the number of cells.  It serves general sets and the fast bracket, and the
 tests use it as the oracle for the standard route.
 
@@ -57,10 +58,18 @@ def _rows(
     b_his: Sequence[int],
     triangle: bool,
 ) -> tuple[list[int], list[int]]:
-    """Lower and upper ends of every row's merged product segments, in scaled integer units."""
+    """Lower and upper ends of intervals whose union is P(A x B), in scaled integer units.
+
+    Each row's product segments merge in one pass.  The collected ends are
+    merged again once they outgrow twice the larger of what the last merge
+    kept and one full row, so they stay within a small multiple of the
+    output's size instead of holding every row's segments; a union of
+    partial unions is the same union.
+    """
     los: list[int] = []
     his: list[int] = []
     nb = len(b_los)
+    kept = nb
     for i in range(len(a_los)):
         aL = a_los[i]
         aH = a_his[i]
@@ -78,6 +87,9 @@ def _rows(
                 cur_hi = aH * b_his[j]
         los.append(cur_lo)
         his.append(cur_hi)
+        if len(los) > 2 * kept:
+            los, his = _merge_ends(los, his)
+            kept = max(len(los), nb)
     return los, his
 
 

@@ -1,4 +1,5 @@
-"""The package's public surface: every exported name and the README examples."""
+"""The package's public surface: every exported name, the README examples, and
+which modules each entry point loads."""
 
 from __future__ import annotations
 
@@ -9,8 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cantorprod
-from cantorprod import cli
+from cantorprod import cli, gaps
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -35,12 +38,76 @@ def test_readme_command_lines_parse():
         parser.parse_args(argv)
 
 
+def run_probe(*args: str) -> subprocess.CompletedProcess:
+    """A fresh `python -S` on this checkout's sources; -S keeps site .pth files
+    from importing anything first."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-S", *args], env=env, capture_output=True, text=True)
+
+
+def probe_output(source: str, *argv: str) -> str:
+    result = run_probe("-c", source, *argv)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+LOADED = "sorted(m.split('.')[1] for m in sys.modules if m.startswith('cantorprod.'))"
+
+
 def test_cli_import_compiles_no_record_machinery():
     # dataclasses pulls in inspect, ast, dis and tokenize, and each decorator
     # execs fresh source on every import: too much for a start-up-bound CLI.
-    # -S keeps site .pth files from importing either module first.
     probe = "import cantorprod.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
-                            capture_output=True, text=True, check=True)
-    assert result.stdout == "[]\n"
+    assert probe_output(probe) == "[]\n"
+
+
+def test_cli_import_loads_no_computation_module():
+    assert probe_output(f"import cantorprod.cli, sys; print({LOADED})") == "['cli']\n"
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["member", "--x", "1/4"], ["intervals", "subdivision"]),
+    (["art", "--n", "3"], ["intervals", "products", "subdivision"]),
+    (["fast", "--n", "1", "--K", "2"], ["intervals", "products", "subdivision"]),
+    (["certify"], ["gaps", "intervals", "subdivision"]),
+    (["render", "--n", "0", "--K", "1"], ["gaps", "intervals", "render", "subdivision"]),
+    (["selftest"], ["gaps", "intervals", "products", "render", "subdivision"]),
+], ids=["member", "art", "fast", "certify", "render", "selftest"])
+def test_each_command_loads_only_the_modules_it_runs(argv, modules):
+    probe = (
+        "import contextlib, io, sys\n"
+        "from cantorprod import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        f"print(code, {LOADED})\n"
+    )
+    assert probe_output(probe, *argv) == f"0 {['cli', *modules]}\n"
+
+
+def test_module_run_is_clean_under_warnings_as_errors():
+    # runpy warns when the package import has already loaded the module it runs
+    result = run_probe("-W", "error", "-m", "cantorprod.cli", "member", "--x", "1/4")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "member\nexpansion = 0.(02)*\n"
+
+
+def test_dir_lists_exports_and_unknown_names_raise():
+    probe = (
+        "import cantorprod, sys\n"
+        "print(sorted(set(cantorprod.__all__) - set(dir(cantorprod))), hasattr(cantorprod, 'nope'))\n"
+        f"print({LOADED})\n"
+    )
+    # dir() needs no module loaded, and an unknown name is an AttributeError
+    assert probe_output(probe) == "[] False\n[]\n"
+    with pytest.raises(AttributeError, match="'nope'"):
+        cantorprod.nope
+
+
+def test_exports_follow_a_rebound_name(monkeypatch):
+    # nothing is cached in the package: a name rebound in its module (a test
+    # double, a tracing wrapper) is what the package hands out, until restored
+    original = cantorprod.certify
+    monkeypatch.setattr(gaps, "certify", lambda target="prop3": target)
+    assert cantorprod.certify("theorem") == "theorem"
+    monkeypatch.undo()
+    assert cantorprod.certify is original

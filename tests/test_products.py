@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cantorprod import products
 from cantorprod.gaps import diagonal_gap
-from cantorprod.intervals import Interval, IntervalSet
+from cantorprod.intervals import Interval, IntervalSet, _merge_ends
 from cantorprod.products import (
     EstimateResult,
     _check_hole_free,
@@ -319,6 +319,23 @@ def test_fast_bounds_match_pairwise_oracle():
         assert r.upper == outer.measure(), (n, K)
         assert r.component_count_inner == len(inner), (n, K)
         assert r.component_count_outer == len(outer), (n, K)
+
+
+def test_sweep_merges_rows_as_they_arrive(monkeypatch):
+    # fragmented rows grow the collected ends past twice what the last merge
+    # kept, so the sweep merges them mid-way; the union must not change
+    merged = []
+
+    def counted(los, his):
+        merged.append(len(los))
+        return _merge_ends(los, his)
+
+    monkeypatch.setattr(products, "_merge_ends", counted)
+    sub = fast_subdivision(1, 4)
+    for s, t in [(sub.outer, None), (sub.inner, None), (sub.inner, sub.outer)]:
+        merged.clear()
+        assert product_image(s, t) == pairwise_product(s, t)
+        assert len(merged) > 1
 
 
 def test_fast_bounds_json_shape():
