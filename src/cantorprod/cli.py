@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -28,6 +27,8 @@ MAX_DIGITS = 50
 
 
 def _dump_json(payload: dict) -> str:
+    import json  # only JSON output loads it: an SVG render or selftest never does
+
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -214,9 +215,11 @@ def _cmd_selftest(args) -> int:
     for name, check in _selftest_checks():
         try:
             passed = check()
-        except Exception as exc:  # pragma: no cover - defensive
-            passed = False
+        except Exception as exc:  # one raising check fails alone; the rest still run
+            import traceback
+
             print(f"FAIL - {name} ({exc})")
+            traceback.print_exc()  # to stderr: stdout keeps one line per check
             failures += 1
             continue
         if passed:

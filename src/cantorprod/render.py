@@ -11,12 +11,13 @@ shaded.  Margin labels name the P/Q/G families like the usual picture.
 All geometry is computed from the exact family endpoints; coordinates
 are emitted as 12-significant-digit decimals for display, and every
 band and arc carries its exact rational endpoints in data-* attributes
-so the figure can be checked against the certified values.
+so the figure can be checked against the certified values.  Each exact
+point is converted to float once, and each distinct family value's
+hyperbola is sampled once per figure.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator
 
 from .intervals import Interval, Rational, format_rational, rat
@@ -32,67 +33,22 @@ _ARC_SAMPLES = 64
 _VIEW = "-0.58 -0.04 2.26 1.08"
 
 
-def _fmt(value) -> str:
-    """Format a coordinate at 12 significant digits."""
-    return f"{float(value):.12g}"
+# The element builders take float (or small int) coordinates with y up and
+# flip y for SVG (y down) inside the unit square; every number is written
+# at 12 significant digits.
 
 
-def _attrs(mapping: dict) -> str:
-    return "".join(f' {key}="{val}"' for key, val in mapping.items())
-
-
-class _Drawing:
-    """Accumulates SVG elements in paint order."""
-
-    def __init__(self) -> None:
-        self.parts: list[str] = []
-
-    def tag(self, name: str, **attrs) -> None:
-        clean = {k.replace("_", "-"): v for k, v in attrs.items()}
-        self.parts.append(f"<{name}{_attrs(clean)}/>")
-
-    def open(self, name: str, **attrs) -> None:
-        clean = {k.replace("_", "-"): v for k, v in attrs.items()}
-        self.parts.append(f"<{name}{_attrs(clean)}>")
-
-    def close(self, name: str) -> None:
-        self.parts.append(f"</{name}>")
-
-    def text(self, x, y, label: str, anchor: str = "middle") -> None:
-        self.parts.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(_flip(y))}" font-size="0.045"'
-            f' font-family="serif" text-anchor="{anchor}"'
-            f' dominant-baseline="middle">{label}</text>'
-        )
-
-
-def _flip(y) -> float:
-    """Mathematical y (up) to SVG y (down) inside the unit square."""
-    return 1.0 - float(y)
-
-
-def _rect(d: _Drawing, x0, y0, x1, y1, fill: str, **extra) -> None:
-    d.tag(
-        "rect",
-        x=_fmt(x0),
-        y=_fmt(_flip(y1)),
-        width=_fmt(float(x1) - float(x0)),
-        height=_fmt(float(y1) - float(y0)),
-        fill=fill,
-        **extra,
+def _rect(x0: float, y0: float, x1: float, y1: float, fill: str, extra: str = "") -> str:
+    return (
+        f'<rect x="{x0:.12g}" y="{1.0 - y1:.12g}" width="{x1 - x0:.12g}"'
+        f' height="{y1 - y0:.12g}" fill="{fill}"{extra}/>'
     )
 
 
-def _line(d: _Drawing, x0, y0, x1, y1, width: str, **extra) -> None:
-    d.tag(
-        "line",
-        x1=_fmt(x0),
-        y1=_fmt(_flip(y0)),
-        x2=_fmt(x1),
-        y2=_fmt(_flip(y1)),
-        stroke="black",
-        stroke_width=width,
-        **extra,
+def _line(x0: float, y0: float, x1: float, y1: float, width: str, extra: str = "") -> str:
+    return (
+        f'<line x1="{x0:.12g}" y1="{1.0 - y0:.12g}" x2="{x1:.12g}" y2="{1.0 - y1:.12g}"'
+        f' stroke="black" stroke-width="{width}"{extra}/>'
     )
 
 
@@ -120,192 +76,166 @@ def cell_families(
 _UNIT = FastNode(0, 0)  # scaled_point is the identity: child cells E_k, F_k in local coordinates
 
 
-def _cells(k_max: int) -> Iterator[tuple[int, str, Fraction, Fraction]]:
+def _cells(k_max: int) -> list[tuple[int, str, float, float]]:
+    """(k, side, lo, hi) of E_1, F_1, ..., E_K, F_K in local coordinates."""
+    cells = []
     for k in range(1, k_max + 1):
         for side, high_side in (("-", False), ("+", True)):
             cell = child_cell(_UNIT, k, high_side)
-            yield k, side, cell.lo, cell.hi
+            cells.append((k, side, float(cell.lo), float(cell.hi)))
+    return cells
 
 
-def _grid_points(levels: int) -> list[Fraction]:
-    """Interior triadic gap endpoints down to the given level, ascending."""
-    return [p for cell in standard_cells(levels) for p in (cell.lo, cell.hi)][1:-1]
-
-
-def _band_rects(d: _Drawing, k_max: int) -> None:
+def _band_rects(cells) -> Iterator[str]:
     grey = "#c7c7c7"
-    _rect(d, Fraction(2, 3), Fraction(0), Fraction(1), Fraction(1, 3), grey)
-    _rect(d, Fraction(0), Fraction(2, 3), Fraction(1, 3), Fraction(1), grey)
-    for k in range(1, k_max + 1):
-        tail = Fraction(1, 3 ** (k + 1))
-        e = child_cell(_UNIT, k, False)
-        # low pair: cell x tail, then tail x (cell start .. previous scale)
-        _rect(d, e.lo, Fraction(0), e.hi, tail, grey)
-        reach = Fraction(1) if k == 1 else Fraction(1, 3 ** (k - 1))
-        _rect(d, Fraction(0), e.lo, tail, reach, grey)
-        f = child_cell(_UNIT, k, True)
-        _rect(d, 1 - tail, f.lo, Fraction(1), f.hi, grey)
-        _rect(d, f.lo, 1 - tail, f.hi, Fraction(1), grey)
+    yield _rect(2 / 3, 0, 1, 1 / 3, grey)
+    yield _rect(0, 2 / 3, 1 / 3, 1, grey)
+    for k, side, lo, hi in cells:
+        den = 3 ** (k + 1)
+        tail = 1 / den
+        if side == "-":  # E_k: cell x tail, then tail x (cell start .. previous scale)
+            yield _rect(lo, 0, hi, tail, grey)
+            yield _rect(0, lo, tail, 1 if k == 1 else 1 / 3 ** (k - 1), grey)
+        else:  # F_k: the mirror image, about 1 - tail (exact, then rounded once)
+            yield _rect((den - 1) / den, lo, 1, hi, grey)
+            yield _rect(lo, (den - 1) / den, hi, 1, grey)
 
 
-def _crosses(d: _Drawing, depth: int) -> None:
+def _grid(levels: int) -> Iterator[str]:
+    """Lines through the interior triadic gap endpoints down to the given level."""
+    points = [float(p) for cell in standard_cells(levels) for p in (cell.lo, cell.hi)][1:-1]
+    for p in points:
+        yield _line(p, 0, p, 1, "0.0015")
+        yield _line(0, p, 1, p, "0.0015")
+    yield _line(0, 0, 1, 1, "0.0015")
+
+
+def _crosses(depth: int) -> Iterator[str]:
     """A white middle-third cross over the diagonal square of every cell of
     levels 0..depth, level by level."""
     for level in range(depth + 1):
         for cell in standard_cells(level):
-            lo, hi, third = cell.lo, cell.hi, cell.length / 3
-            a, b = lo + third, hi - third
-            _rect(d, lo, a, a, b, "white")
-            _rect(d, b, a, hi, b, "white")
-            _rect(d, a, b, b, hi, "white")
-            _rect(d, a, lo, b, a, "white")
+            third = cell.length / 3
+            lo, a, b, hi = map(float, (cell.lo, cell.lo + third, cell.hi - third, cell.hi))
+            yield _rect(lo, a, a, b, "white")
+            yield _rect(b, a, hi, b, "white")
+            yield _rect(a, b, b, hi, "white")
+            yield _rect(a, lo, b, a, "white")
 
 
-def _pair_squares(d: _Drawing, k_max: int) -> None:
-    cells = list(_cells(k_max))
+def _pair_squares(cells) -> Iterator[str]:
     for xk, xside, x0, x1 in cells:
         for yk, yside, y0, y1 in cells:
-            _rect(
-                d,
-                x0,
-                y0,
-                x1,
-                y1,
-                "black",
-                **{
-                    "class": "pair",
-                    "data_xk": xk,
-                    "data_xside": xside,
-                    "data_yk": yk,
-                    "data_yside": yside,
-                },
-            )
+            tags = f'data-xk="{xk}" data-xside="{xside}" data-yk="{yk}" data-yside="{yside}"'
+            yield _rect(x0, y0, x1, y1, "black", f' class="pair" {tags}')
 
 
-def _edge_ticks(d: _Drawing, k_max: int) -> None:
-    for _, _, lo, hi in _cells(k_max):
-        _line(d, lo, 0, hi, 0, "0.008")
-        _line(d, lo, 1, hi, 1, "0.008")
-        _line(d, 0, lo, 0, hi, "0.008")
-        _line(d, 1, lo, 1, hi, "0.008")
+def _edge_ticks(cells) -> Iterator[str]:
+    for _, _, lo, hi in cells:
+        yield _line(lo, 0, hi, 0, "0.008")
+        yield _line(lo, 1, hi, 1, "0.008")
+        yield _line(0, lo, 0, hi, "0.008")
+        yield _line(1, lo, 1, hi, "0.008")
 
 
-def _arc_points(node: FastNode, value: Rational) -> list[tuple[float, float]]:
-    """Samples of xy = value in local cell coordinates, left to right."""
-    q = Fraction(node.q)
-    scale = Fraction(3) ** (2 * node.k)
-    # x-window where the local y stays inside [0,1]
-    x_lo = max(Fraction(0), value * scale / (q + 1) - q)
-    x_hi = min(Fraction(1), value * scale / q - q)
-    fq, fv = float(q), float(value * scale)
-    fx_lo, fx_hi = float(x_lo), float(x_hi)
-    pts = []
-    for i in range(_ARC_SAMPLES + 1):
-        x = fx_lo + (fx_hi - fx_lo) * i / _ARC_SAMPLES
-        y = fv / (fq + x) - fq
-        pts.append((x, min(max(y, 0.0), 1.0)))
-    return pts
+def _arc_points(node: FastNode, value: Rational) -> list[str]:
+    """Samples of xy = value in local cell coordinates, left to right, as SVG "x y" text.
+
+    Locally the arc is y = v / (q + x) - q, with v = value * 9^k = num / den.
+    """
+    q = node.q
+    num, den = value.numerator * 9**node.k, value.denominator
+    # x-window where the local y stays inside [0,1]: x_lo = v / (q + 1) - q and
+    # x_hi = v / q - q, each an exact int ratio rounded to float once
+    lo, hi = num - q * (q + 1) * den, num - q * q * den
+    fx_lo = lo / (den * (q + 1)) if lo > 0 else 0.0
+    fx_hi = hi / (den * q) if hi < den * q else 1.0
+    fq, fv, span = float(q), num / den, fx_hi - fx_lo
+    xs = [fx_lo + span * i / _ARC_SAMPLES for i in range(_ARC_SAMPLES + 1)]
+    ys = [fv / (fq + x) - fq for x in xs]
+    # y clamped to [0, 1] by a conditional: min/max calls double the cost of this loop
+    return [
+        f"{x:.12g} {1.0 - (0.0 if y < 0.0 else 1.0 if y > 1.0 else y):.12g}"
+        for x, y in zip(xs, ys)
+    ]
 
 
-def _steps(pts) -> str:
-    return " ".join(f"L {_fmt(x)} {_fmt(_flip(y))}" for x, y in pts)
+def _arcs(node: FastNode, families) -> Iterator[str]:
+    # each distinct value is sampled once: neighbouring families share endpoints
+    values = {v for _, _, p, g in families for v in (p.lo, p.hi, g.lo, g.hi)}
+    points = {v: _arc_points(node, v) for v in values}
 
+    def arc(value: Rational) -> str:
+        return "M " + " L ".join(points[value])
 
-def _arc_path(node: FastNode, value: Rational) -> str:
-    """Sampled polyline for xy = value in local cell coordinates."""
-    pts = _arc_points(node, value)
-    return f"M {_fmt(pts[0][0])} {_fmt(_flip(pts[0][1]))} {_steps(pts[1:])}"
+    def band(lo: Rational, hi: Rational) -> str:
+        """Closed region between the arcs xy = lo and xy = hi."""
+        return f"{arc(hi)} L {' L '.join(reversed(points[lo]))} Z"
 
+    def data(interval: Interval) -> str:
+        return f'data-lo="{format_rational(interval.lo)}" data-hi="{format_rational(interval.hi)}"'
 
-def _band_path(node: FastNode, lo: Rational, hi: Rational) -> str:
-    """Closed region between the arcs xy = lo and xy = hi."""
-    return f"{_arc_path(node, hi)} {_steps(reversed(_arc_points(node, lo)))} Z"
-
-
-def _arcs(d: _Drawing, node: FastNode, families) -> None:
-    d.open("g", clip_path="url(#cell)", fill="none", stroke="black", stroke_width="0.0015")
+    yield '<g clip-path="url(#cell)" fill="none" stroke="black" stroke-width="0.0015">'
     for k, side, p, g in families:
-        d.open("g", **{"class": "family", "data_k": k, "data_side": side})
-        d.tag(
-            "path",
-            d=_band_path(node, p.lo, p.hi),
-            fill="grey",
-            fill_opacity="0.1",
-            stroke="none",
-            **{"class": "band band-p", "data_lo": format_rational(p.lo), "data_hi": format_rational(p.hi)},
+        yield f'<g class="family" data-k="{k}" data-side="{side}">'
+        yield (
+            f'<path d="{band(p.lo, p.hi)}" fill="grey" fill-opacity="0.1" stroke="none"'
+            f' class="band band-p" {data(p)}/>'
         )
-        d.tag(
-            "path",
-            d=_band_path(node, g.lo, g.hi),
-            fill="none",
-            **{"class": "band band-g", "data_lo": format_rational(g.lo), "data_hi": format_rational(g.hi)},
-        )
+        yield f'<path d="{band(g.lo, g.hi)}" fill="none" class="band band-g" {data(g)}/>'
         for value in (p.lo, p.hi, g.hi):
-            d.tag(
-                "path",
-                d=_arc_path(node, value),
-                **{"class": "arc", "data_level": format_rational(value)},
-            )
-        d.close("g")
-    d.close("g")
+            yield f'<path d="{arc(value)}" class="arc" data-level="{format_rational(value)}"/>'
+        yield "</g>"
+    yield "</g>"
 
 
-def _label(d: _Drawing, name: str, tx, ty, ax0=None, ax1=None, anchor="middle") -> None:
+def _label(name: str, tx, ty, ax0=None, ax1=None, anchor="middle") -> Iterator[str]:
     if ax0 is not None:
-        _line(
-            d,
-            ax0[0],
-            ax0[1],
-            ax1[0],
-            ax1[1],
-            "0.0012",
-            stroke_dasharray="0.008 0.006",
-            marker_end="url(#tip)",
+        yield _line(
+            *ax0, *ax1, "0.0012", ' stroke-dasharray="0.008 0.006" marker-end="url(#tip)"'
         )
-    d.text(tx, ty, name, anchor)
+    yield (
+        f'<text x="{tx:.12g}" y="{1.0 - ty:.12g}" font-size="0.045" font-family="serif"'
+        f' text-anchor="{anchor}" dominant-baseline="middle">{name}</text>'
+    )
 
 
-def _labels(d: _Drawing, k_max: int) -> None:
-    _label(d, "P(I,0,±)", 0.45, 0.6)
-    _label(d, "G(I,0,±)", 1.34, 0.4, (1.2, 0.4), (0.94, 0.4), "start")
+def _labels(k_max: int) -> Iterator[str]:
+    yield from _label("P(I,0,±)", 0.45, 0.6)
+    yield from _label("G(I,0,±)", 1.34, 0.4, (1.2, 0.4), (0.94, 0.4), "start")
     if k_max >= 1:
-        _label(d, "P(I,1,-)", -0.34, 0.37, (-0.2, 0.37), (0.03, 0.37), "end")
-        _label(d, "Q(I,1,-)", -0.44, 0.28, (-0.3, 0.28), (0.21, 0.28), "end")
-        _label(d, "Q(I,1,+)", -0.44, 0.72, (-0.3, 0.72), (0.65, 0.72), "end")
-        _label(d, "G(I,1,-)", -0.34, 0.48, (-0.2, 0.48), (-0.01, 0.48), "end")
-        _label(d, "P(I,1,+)", 1.34, 0.63, (1.2, 0.63), (0.97, 0.63), "start")
-        _label(d, "G(I,1,+)", 1.34, 0.78, (1.2, 0.78), (1.01, 0.78), "start")
+        yield from _label("P(I,1,-)", -0.34, 0.37, (-0.2, 0.37), (0.03, 0.37), "end")
+        yield from _label("Q(I,1,-)", -0.44, 0.28, (-0.3, 0.28), (0.21, 0.28), "end")
+        yield from _label("Q(I,1,+)", -0.44, 0.72, (-0.3, 0.72), (0.65, 0.72), "end")
+        yield from _label("G(I,1,-)", -0.34, 0.48, (-0.2, 0.48), (-0.01, 0.48), "end")
+        yield from _label("P(I,1,+)", 1.34, 0.63, (1.2, 0.63), (0.97, 0.63), "start")
+        yield from _label("G(I,1,+)", 1.34, 0.78, (1.2, 0.78), (1.01, 0.78), "start")
 
 
 def render_svg(depth: int = 1, k_max: int = 3) -> str:
     """Build the figure as an SVG document string."""
     node, families = cell_families(depth, k_max)
     cell = node.cell
-    d = _Drawing()
-    d.parts.append(
+    cells = _cells(k_max)
+    parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="1000"'
         f' viewBox="{_VIEW}" data-cell-lo="{format_rational(rat(cell.lo))}"'
         f' data-cell-hi="{format_rational(rat(cell.hi))}" data-q="{node.q}"'
-        f' data-scale-k="{node.k}">'
-    )
-    d.open("defs")
-    d.parts.append('<clipPath id="cell"><rect x="0" y="0" width="1" height="1"/></clipPath>')
-    d.parts.append(
+        f' data-scale-k="{node.k}">',
+        "<defs>",
+        '<clipPath id="cell"><rect x="0" y="0" width="1" height="1"/></clipPath>',
         '<marker id="tip" viewBox="0 0 10 10" refX="9" refY="5" markerWidth="6"'
         ' markerHeight="6" orient="auto-start-reverse">'
-        '<path d="M 0 0 L 10 5 L 0 10 z"/></marker>'
-    )
-    d.close("defs")
-    _rect(d, 0, 0, 1, 1, "white", stroke="black", stroke_width="0.0015")
-    _band_rects(d, k_max)
-    for p in _grid_points(min(k_max + 1, 3)):
-        _line(d, p, 0, p, 1, "0.0015")
-        _line(d, 0, p, 1, p, "0.0015")
-    _line(d, 0, 0, 1, 1, "0.0015")
-    _crosses(d, depth)
-    _pair_squares(d, k_max)
-    _edge_ticks(d, k_max)
-    _arcs(d, node, families)
-    _labels(d, k_max)
-    d.parts.append("</svg>")
-    return "\n".join(d.parts) + "\n"
+        '<path d="M 0 0 L 10 5 L 0 10 z"/></marker>',
+        "</defs>",
+        _rect(0, 0, 1, 1, "white", ' stroke="black" stroke-width="0.0015"'),
+    ]
+    parts += _band_rects(cells)
+    parts += _grid(min(k_max + 1, 3))
+    parts += _crosses(depth)
+    parts += _pair_squares(cells)
+    parts += _edge_ticks(cells)
+    parts += _arcs(node, families)
+    parts += _labels(k_max)
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

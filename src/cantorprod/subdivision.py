@@ -47,10 +47,15 @@ def _triadic_cell(m: int, den: int) -> Interval:
 
 
 def _numerators(n: int) -> list[int]:
-    """The m < 3^n with no ternary digit 1, ascending."""
+    """The m < 3^n with no ternary digit 1, ascending.
+
+    Level j + 1 is level j (leading digit 0) followed by level j shifted by
+    the leading digit 2, which puts every one of them above 3^j.
+    """
     ms = [0]
-    for _ in range(n):
-        ms = [d for m in ms for d in (3 * m, 3 * m + 2)]
+    for j in range(n):
+        lead = 2 * 3**j
+        ms += [lead + m for m in ms]
     return ms
 
 

@@ -275,6 +275,24 @@ def test_selftest_passes(capsys):
     assert all(line.startswith("ok - ") for line in lines)
 
 
+def test_selftest_reports_a_raising_check_with_its_traceback(capsys, monkeypatch):
+    def broken():
+        raise ZeroDivisionError("division by zero")
+
+    def checks():
+        yield "passes", lambda: True
+        yield "raises", broken
+        yield "still runs", lambda: True
+
+    monkeypatch.setattr(cli, "_selftest_checks", checks)
+    code, out, err = run_cli(capsys, "selftest")
+    assert code == 1
+    assert out == "ok - passes\nFAIL - raises (division by zero)\nok - still runs\n"
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert "in broken\n" in err
+    assert err.endswith("ZeroDivisionError: division by zero\n")
+
+
 def test_no_command_is_usage_error(capsys):
     assert run_cli(capsys)[0] == 2
 

@@ -51,6 +51,12 @@ def probe_output(source: str, *argv: str) -> str:
     return result.stdout
 
 
+RUN_MAIN = (
+    "import contextlib, io, sys\n"
+    "from cantorprod import cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = cli.main(sys.argv[1:])\n"
+)
 LOADED = "sorted(m.split('.')[1] for m in sys.modules if m.startswith('cantorprod.'))"
 
 
@@ -74,14 +80,18 @@ def test_cli_import_loads_no_computation_module():
     (["selftest"], ["gaps", "intervals", "products", "render", "subdivision"]),
 ], ids=["member", "art", "fast", "certify", "render", "selftest"])
 def test_each_command_loads_only_the_modules_it_runs(argv, modules):
-    probe = (
-        "import contextlib, io, sys\n"
-        "from cantorprod import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = cli.main(sys.argv[1:])\n"
-        f"print(code, {LOADED})\n"
-    )
+    probe = RUN_MAIN + f"print(code, {LOADED})\n"
     assert probe_output(probe, *argv) == f"0 {['cli', *modules]}\n"
+
+
+@pytest.mark.parametrize("argv, loads_json", [
+    (["render", "--n", "0", "--K", "1"], False),
+    (["selftest"], False),
+    (["member", "--x", "1/4", "--format", "json"], True),
+], ids=["render-svg", "selftest", "member-json"])
+def test_only_json_output_loads_json(argv, loads_json):
+    probe = RUN_MAIN + "print(code, 'json' in sys.modules)\n"
+    assert probe_output(probe, *argv) == f"0 {loads_json}\n"
 
 
 def test_module_run_is_clean_under_warnings_as_errors():

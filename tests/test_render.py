@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from cantorprod import cli, render
 from cantorprod.render import MAX_DEPTH, MAX_KMAX, render_svg
 
 SVG = "{http://www.w3.org/2000/svg}"
@@ -118,7 +120,87 @@ def test_descended_cell_band_values_rescale():
     assert bands[0] == ("1240/2187", "427/729")
 
 
+def test_each_family_value_is_sampled_once(monkeypatch):
+    # at K = 3 the seven families draw 49 arcs over 21 distinct values
+    sampled = []
+    original = render._arc_points
+
+    def spy(node, value):
+        sampled.append(value)
+        return original(node, value)
+
+    monkeypatch.setattr(render, "_arc_points", spy)
+    render_svg(1, 3)
+    assert len(sampled) == len(set(sampled)) == 21
+
+
 def test_viewbox_and_clip():
     svg, root = parse(0, 2)
     assert root.get("viewBox") == "-0.58 -0.04 2.26 1.08"
     assert 'clipPath id="cell"' in svg
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# SHA-256 of the UTF-8 bytes of render_svg(depth, k_max), indexed
+# [depth][k_max].  Coordinates are `.12g` decimals of IEEE doubles, so any
+# change to the sampling, the arithmetic order or the formatting shows here.
+SVG_SHA256 = [
+    [
+        "0487f717b2ff8f0a808b2f8c73b4d578d1a1074190b855e5da47cebae2ffa5e1",
+        "c3808baa90b7cfc44116460894fe6a5ba586b31890ee441866a8cafdfec013e7",
+        "799a90f326d325d63ab3030b10ab3992fe26ad3b5bb110d2944a7d438551bb47",
+        "6dce01d6a6d757f83cc1e2121d1dac7063e7ec533561a67c0b84c824f62af759",
+        "ba9d93c24f9ef7f3e4fee732ce453adeafd79eefea4845bfc6006d3b3fe32d7d",
+        "9fe85b7e5acc269e7e4bafe5d56513bfbc15f5db0ff87f6681a68b6701624706",
+        "4a6c5d8defc0189ea03c4793094e445ce44531a52cf36a00a11b9f406167eef0",
+    ],
+    [
+        "8795683c15182ee56e3b3a798bd389074485a1c6e4e03cf0dfb7765231ffd44e",
+        "8b37845366442bab4c685f705f3a44779c494eafe7b557c19baf8c1a646155c6",
+        "3bb2c3bbc5cdc6ef78335fe59fd57fd2434e455ba64e4e6d8b773cbb1bcb400b",
+        "1f7015794e181ff56656a692443dbb493c5030e2b702a020239a5e575213bf2e",
+        "c0763d63b82b79f0e7fbb7ae8b93d11df29178789347663ce26921245a055c32",
+        "bfef100201e99e6d4b7743debf911d74248b04dfe1b8b907e4cacc407fd1388f",
+        "2dc39f6ffe9e9dbc4bcf00070afe6faa8e1210885dac1cb2ee296d8615ec2c61",
+    ],
+    [
+        "12b142dc77ca5a984b7c3538017f0f3d70a1fe78e904a448608c05bca540a6f4",
+        "000afd433eb72b93a0aed876a7c3c84713c7596ba14d71fbc69c16b0d1e2e294",
+        "96a4844ab5ad20590f46f39110ae4b9201d15de2d8ef03987eb9bc62640749aa",
+        "f4bc341376f7289ec01ccb98c05812dbf8e2a4e060adb35adb29cb3962d103f8",
+        "c5973290d223f512fd84d6e8ff973af85cde8f8928d8e2f9aa25dcfde96c6b2d",
+        "c032422042f18767e17da768a48a8d9568297c5971bb01ad511e8b99bd96a3a4",
+        "98e755a1a874fecfa39e957bb03a10609e80786089b0b4247238e0bc58aa4abf",
+    ],
+]
+
+# SHA-256 of `cantorprod render --n depth --format fmt` (K = 3), indexed [fmt][depth]
+PAYLOAD_SHA256 = {
+    "json": [
+        "0dcd03b8cc275d480bb7afd1154349e94bae5e227f9ddba25f3b9c65e7cd68a3",
+        "4a0d4211dd8b637849cf48d435a0ff661b8f8c7c2a370dfc3c0d1c8c8610bef5",
+        "0f16b6bcb85460d11469be18c62c5d319a59578829b7d984d6da03364942ab55",
+    ],
+    "text": [
+        "6227ce96e108d0f05a9b60a293862bcd8e8856bc06161e0d53d33d036c9759cd",
+        "80b9f6e634ec3668dcd48611cd308c8a81168277b98cb48ac86b13d6343980e8",
+        "e33b3a99818b6f8394b58cb4f4579640cbbafc8dd6a5276cc76c9f4c3cbdd912",
+    ],
+}
+
+
+@pytest.mark.parametrize("depth", range(MAX_DEPTH + 1))
+@pytest.mark.parametrize("k_max", range(MAX_KMAX + 1))
+def test_every_figure_is_pinned_byte_for_byte(depth, k_max):
+    assert sha256(render_svg(depth, k_max).encode("utf-8")) == SVG_SHA256[depth][k_max]
+
+
+@pytest.mark.parametrize("fmt", sorted(PAYLOAD_SHA256))
+@pytest.mark.parametrize("depth", range(MAX_DEPTH + 1))
+def test_render_payloads_are_pinned_byte_for_byte(fmt, depth, tmp_path):
+    out = tmp_path / f"render.{fmt}"
+    assert cli.main(["render", "--n", str(depth), "--format", fmt, "--out", str(out)]) == 0
+    assert sha256(out.read_bytes()) == PAYLOAD_SHA256[fmt][depth]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from cantorprod.intervals import Interval, IntervalSet
 from cantorprod.subdivision import (
     ROOT,
+    _numerators,
     FastNode,
     Membership,
     cantor_membership,
@@ -33,6 +34,19 @@ RIGHT = IntervalSet([["2/3", "1"]])
 
 # ---------------------------------------------------------------------------
 # standard subdivision
+
+
+def ternary_digits(m: int) -> set[int]:
+    digits = set()
+    while m:
+        m, digit = divmod(m, 3)
+        digits.add(digit)
+    return digits
+
+
+def test_numerators_are_the_ternary_words_without_digit_one():
+    for n in range(10):
+        assert _numerators(n) == [m for m in range(3**n) if 1 not in ternary_digits(m)]
 
 
 def test_standard_level_zero_and_one():
