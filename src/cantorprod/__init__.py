@@ -44,49 +44,7 @@ _EXPORTS = {
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "Certificate",
-    "CertificationError",
-    "EstimateResult",
-    "FastBounds",
-    "FastNode",
-    "FastSubdivision",
-    "Interval",
-    "IntervalSet",
-    "Membership",
-    "ROOT",
-    "Rational",
-    "TernaryExpansion",
-    "cantor_membership",
-    "certify",
-    "classify_ternary",
-    "convergence_tail",
-    "decimal_string",
-    "diagonal_gap",
-    "fast_bounds",
-    "fast_subdivision",
-    "format_rational",
-    "full_enclosure",
-    "g_interval",
-    "gap_set",
-    "level3_enclosure",
-    "node_child",
-    "node_children",
-    "p_interval",
-    "parse_rational",
-    "product_image",
-    "q_interval",
-    "rat",
-    "removed_gaps",
-    "render_svg",
-    "right_half_subdivision",
-    "self_product_measure",
-    "squared_length_sum",
-    "standard_estimate",
-    "standard_subdivision",
-    "ternary_expansion",
-    "verify_order_chain",
-]
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):

@@ -1,11 +1,10 @@
 """Command-line front end.
 
-Subcommands: ``art`` (standard-route estimate), ``fast`` (truncated
-brute-force bracket), ``certify`` (exact verification chain), ``render``
-(subdivision figure), ``member`` (ternary membership oracle) and
-``selftest`` (curated cross-checks).  JSON is the machine format; text
-output is derived from it.  Exit codes: 0 success, 1 verification
-failure, 2 usage.
+``COMMANDS`` maps each subcommand (art, fast, certify, render, member,
+selftest) to its handler, help line and options; ``parse_args`` reads argv
+against it as argparse would, without importing argparse.  JSON is the
+machine format; text output is derived from it.  Exit codes: 0 success,
+1 verification failure or failed write, 2 usage.
 
 Only the standard library is imported up front.  Each handler imports the
 modules it runs and calls through them, so a command loads no computation
@@ -15,11 +14,13 @@ that runs.
 
 from __future__ import annotations
 
-import argparse
 import functools
+import os
+import re
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import NoReturn, Optional, Sequence
 
 from . import _CERTIFY_TARGETS
 
@@ -147,67 +148,30 @@ def _cmd_member(args) -> int:
     return 0
 
 
-def _base_product() -> bool:
-    from . import products, subdivision
-
-    return products.self_product_measure(subdivision.right_half_subdivision(0)) == Fraction(5, 9)
-
-
-def _zero_q_flagged() -> bool:
-    from . import gaps, subdivision
-
-    return not gaps.chain_holds(gaps.verify_order_chain(subdivision.ROOT._replace(m=0), 3))
-
-
 def _selftest_checks():
-    from . import gaps, render, subdivision
+    from . import gaps, intervals, products, render, subdivision
 
     root = subdivision.ROOT
     full = functools.cache(functools.partial(gaps.certify, "theorem"))  # shared by three checks
-    yield "base product 5/9", _base_product
+    fast = functools.cache(functools.partial(products.fast_bounds, 2, 4))
+    yield "base product 5/9", lambda: products.self_product_measure(
+        subdivision.right_half_subdivision(0)) == Fraction(5, 9)
     yield "level-3 certificate", lambda: gaps.certify("prop3").ok
     yield "full certificate", lambda: full().ok
     yield "full radius below 1e-6", lambda: full().radius < Fraction(1, 10**6)
-    yield "standard bounds enclose the certified center", lambda: _standard_encloses(full().center)
-    yield "fast bracket catches the removed measure", _fast_brackets
+    yield "standard bounds enclose the certified center", (
+        lambda: products.standard_estimate(3).full_bounds().contains(full().center))
+    yield "fast bracket catches the removed measure", lambda: fast().lower <= Fraction(5, 9) - (
+        gaps.first_level_gap_total() + gaps.second_level_increment()) <= fast().upper
     yield "order chain holds at the root", lambda: gaps.chain_holds(gaps.verify_order_chain(root, 4))
-    yield "degenerate scale is flagged", _zero_q_flagged
-    yield "membership spot checks", _member_spots
-    yield "series closed forms", _series_spots
+    yield "degenerate scale is flagged", (
+        lambda: not gaps.chain_holds(gaps.verify_order_chain(root._replace(m=0), 3)))
+    yield "membership spot checks", lambda: [
+        subdivision.classify_ternary(intervals.parse_rational(text))[0].value
+        for text in ("1/4", "1/2", "2/3", "1")] == ["member", "non_member", "member", "member"]
+    yield "series closed forms", (
+        lambda: gaps.beta(1) == gaps.beta_series(1) and gaps.alpha(2) == gaps.alpha_series(2))
     yield "figure renders", lambda: render.render_svg(0, 1).startswith("<svg")
-
-
-def _standard_encloses(center: Fraction) -> bool:
-    from . import products
-
-    bounds = products.standard_estimate(3).full_bounds()
-    return bounds.lo <= center <= bounds.hi
-
-
-def _fast_brackets() -> bool:
-    from . import gaps, products
-
-    bounds = products.fast_bounds(2, 4)
-    target = Fraction(5, 9) - gaps.first_level_gap_total() - gaps.second_level_increment()
-    return bounds.lower <= target <= bounds.upper
-
-
-def _member_spots() -> bool:
-    from . import intervals, subdivision
-
-    member, non_member = subdivision.Membership.MEMBER, subdivision.Membership.NON_MEMBER
-    cases = [("1/4", member), ("1/2", non_member), ("2/3", member), ("1", member)]
-    for text, want in cases:
-        verdict, _ = subdivision.classify_ternary(intervals.parse_rational(text))
-        if verdict is not want:
-            return False
-    return True
-
-
-def _series_spots() -> bool:
-    from . import gaps
-
-    return gaps.beta(1) == gaps.beta_series(1) and gaps.alpha(2) == gaps.alpha_series(2)
 
 
 def _cmd_selftest(args) -> int:
@@ -230,65 +194,142 @@ def _cmd_selftest(args) -> int:
     return 1 if failures else 0
 
 
-def _add_common(sub, *, n=None, K=None, formats=("json", "text"), default_format="json",
-                digits=True, target=False, x=False):
-    if n is not None:
-        sub.add_argument("--n", type=int, default=n)
-    if K is not None:
-        sub.add_argument("--K", type=int, default=K)
-    if target:
-        sub.add_argument("--target", choices=sorted(_CERTIFY_TARGETS), default="prop3")
-    if x:
-        sub.add_argument("--x", required=True)
-    if digits:
-        sub.add_argument("--digits", type=int, default=12)
-    sub.add_argument("--format", choices=formats, default=default_format)
-    sub.add_argument("--out", default=None)
+_FORMATS, _DIGITS, _OUT = ("json", "text"), ("digits", int, 12), ("out", str, None)
+REQUIRED = ...  # the default of an option that must be given
+# command -> (handler, help line, options); an option is (name, kind, default),
+# where kind is int, str or a tuple of the allowed values
+COMMANDS = {
+    "art": (_cmd_art, "standard-route estimate at level n",
+            (("n", int, 11), _DIGITS, ("format", _FORMATS, "json"), _OUT)),
+    "fast": (_cmd_fast, "fast-subdivision bracket at (n, K)",
+             (("n", int, 3), ("K", int, 8), _DIGITS, ("format", _FORMATS, "json"), _OUT)),
+    "certify": (_cmd_certify, "verify the enclosure chain", (("target", _CERTIFY_TARGETS, "prop3"),
+                _DIGITS, ("format", _FORMATS, "json"), _OUT)),
+    "render": (_cmd_render, "subdivision figure",
+               (("n", int, 1), ("K", int, 3), ("format", ("svg", *_FORMATS), "svg"), _OUT)),
+    "member": (_cmd_member, "Cantor membership oracle",
+               (("x", str, REQUIRED), ("format", _FORMATS, "text"), _OUT)),
+    "selftest": (_cmd_selftest, "curated fast cross-checks", ()),
+}
+_HELP = ("-h", "--help")
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse reads these as values
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cantorprod",
-        description="Exact arithmetic for the measure of the Cantor product set",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
+def _usage(command: Optional[str]) -> str:
+    if command is None:
+        return "cantorprod [-h] {" + ",".join(COMMANDS) + "} ..."
+    words = [command, "[-h]"]
+    for name, kind, default in COMMANDS[command][2]:
+        word = f"--{name} " + ("{%s}" % ",".join(kind) if isinstance(kind, tuple) else name.upper())
+        words.append(word if default is REQUIRED else f"[{word}]")
+    return "cantorprod " + " ".join(words)
 
-    art = subs.add_parser("art", help="standard-route estimate at level n")
-    _add_common(art, n=11)
-    art.set_defaults(func=_cmd_art)
 
-    fast = subs.add_parser("fast", help="fast-subdivision bracket at (n, K)")
-    _add_common(fast, n=3, K=8)
-    fast.set_defaults(func=_cmd_fast)
+def _fail(message: str, command: Optional[str] = None) -> NoReturn:
+    sys.stderr.write(f"usage: {_usage(command)}\ncantorprod: error: {message}\n")
+    raise SystemExit(2)
 
-    cert = subs.add_parser("certify", help="verify the enclosure chain")
-    _add_common(cert, target=True)
-    cert.set_defaults(func=_cmd_certify)
 
-    rend = subs.add_parser("render", help="subdivision figure")
-    _add_common(rend, n=1, K=3, formats=("svg", "json", "text"), default_format="svg", digits=False)
-    rend.set_defaults(func=_cmd_render)
+def _help(value: Optional[str], command: Optional[str]) -> NoReturn:
+    if value is not None:
+        _fail(f"argument -h/--help: ignored explicit argument {value!r}", command)
+    if command is None:
+        body = "".join(f"  {_usage(name)}\n      {spec[1]}\n" for name, spec in COMMANDS.items())
+    else:
+        defaults = [f"--{n} {d}" for n, _, d in COMMANDS[command][2] if d not in (None, REQUIRED)]
+        body = f"{COMMANDS[command][1]}\n\ndefaults: {' '.join(defaults) or 'none'}\n"
+    sys.stdout.write(f"usage: {_usage(command)}\n\n{body}\nWrite --opt VALUE or --opt=VALUE.\n")
+    raise SystemExit(0)
 
-    member = subs.add_parser("member", help="Cantor membership oracle")
-    _add_common(member, x=True, formats=("json", "text"), default_format="text", digits=False)
-    member.set_defaults(func=_cmd_member)
 
-    self_test = subs.add_parser("selftest", help="curated fast cross-checks")
-    self_test.set_defaults(func=_cmd_selftest)
+def _read(token: str, names: Sequence[str], command: Optional[str]):
+    """None for a value, else (option or None if unknown, text after `=` or None)."""
+    if not token.startswith("-") or token == "-":
+        return None
+    if token in names:
+        return token, None
+    head, eq, tail = token.partition("=")
+    if eq and head in names:
+        return head, tail
+    if token.startswith("--"):  # a unique prefix names a long option
+        found = [(name, tail if eq else None) for name in names if name.startswith(head)]
+    else:  # a short option runs straight into its value
+        found = [(token[:2], token[2:])] if token[:2] in names else []
+    if len(found) > 1:
+        _fail(f"ambiguous option: {token} could match {', '.join(n for n, _ in found)}", command)
+    if found:
+        return found[0]
+    return None if _NEGATIVE_NUMBER.match(token) or " " in token else (None, None)
 
-    return parser
+
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """Read argv as argparse reads it: `--opt VALUE`, `--opt=VALUE`, a unique prefix,
+    the last of repeats, negative numbers as values. Returns `command` and each of
+    its options; a usage error exits 2, and -h or --help prints help and exits 0."""
+    unknown = []
+    for index, token in enumerate(argv):  # the first value names the command
+        read = None if token == "--" else _read(token, _HELP, None)
+        if read is None:
+            break
+        if read[0] in _HELP:
+            _help(read[1], None)
+        unknown.append(token)
+    else:
+        _fail("the following arguments are required: command")
+    command, tokens = argv[index], list(argv[index + 1 :])
+    if command not in COMMANDS:
+        _fail(f"argument command: invalid choice: {command!r}")
+    kinds = {f"--{name}": kind for name, kind, _ in COMMANDS[command][2]}
+    values = {name: default for name, _, default in COMMANDS[command][2]}
+    # argparse reads every token before it acts on one, and none after "--"
+    cut = tokens.index("--") if "--" in tokens else len(tokens)
+    reads = [_read(token, [*_HELP, *kinds], command) for token in tokens[:cut]] + ["--"]
+    index = 0
+    while index < cut:
+        option, text = reads[index] or (None, None)
+        if option in _HELP:
+            _help(text, command)
+        if option is None:
+            unknown.append(tokens[index])
+        elif text is None and reads[index + 1] is not None:
+            _fail(f"argument {option}: expected one argument", command)
+        else:
+            if text is None:
+                index, text = index + 1, tokens[index + 1]
+            if kinds[option] is int:
+                try:
+                    text = int(text)
+                except ValueError:
+                    _fail(f"argument {option}: invalid int value: {text!r}", command)
+            elif isinstance(kinds[option], tuple) and text not in kinds[option]:
+                _fail(f"argument {option}: invalid choice: {text!r}", command)
+            values[option[2:]] = text
+        index += 1
+    for name in (name for name, value in values.items() if value is REQUIRED):
+        _fail(f"the following arguments are required: --{name}", command)
+    if unknown or cut < len(tokens):
+        _fail(f"unrecognized arguments: {' '.join(unknown + tokens[cut:])}", command)
+    return SimpleNamespace(command=command, **values)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    digits = getattr(args, "digits", None)
-    if digits is not None and not 1 <= digits <= MAX_DIGITS:
-        parser.error(f"digits must be in 1..{MAX_DIGITS}")
+    args = parse_args(sys.argv[1:] if argv is None else argv)
+    if not 1 <= getattr(args, "digits", 1) <= MAX_DIGITS:
+        _fail(f"digits must be in 1..{MAX_DIGITS}", args.command)
     try:
-        return args.func(args)
+        code = COMMANDS[args.command][0](args)
+        sys.stdout.flush()  # a failed write to stdout raises here, not at exit
     except ValueError as exc:  # a rejected argument value: usage error, exit 2
-        parser.error(str(exc))
+        _fail(str(exc), args.command)
+    except OSError as exc:  # a failed write to stdout, or to an --out file once open
+        if getattr(args, "out", None) is None:  # leave nothing for a failing flush at exit
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):  # a closed pipe ends quietly
+            print(f"cantorprod: error: cannot write output: {exc.strerror}", file=sys.stderr)
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

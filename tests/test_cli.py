@@ -21,7 +21,7 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     """Invoke main() and return (exit code, stdout, stderr)."""
     try:
         code = cli.main(list(argv))
-    except SystemExit as exc:  # argparse usage errors
+    except SystemExit as exc:  # usage errors and --help
         code = exc.code if isinstance(exc.code, int) else 2
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -291,6 +291,38 @@ def test_selftest_reports_a_raising_check_with_its_traceback(capsys, monkeypatch
     assert err.startswith("Traceback (most recent call last):\n")
     assert "in broken\n" in err
     assert err.endswith("ZeroDivisionError: division by zero\n")
+
+
+def run_module(argv, stdout) -> tuple[int, bytes]:
+    """Run `python -m cantorprod.cli` with the given stdout; (exit code, stderr)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "cantorprod.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["selftest"], ["member", "--x", "1/4"], ["certify"]],
+                         ids=["selftest", "member", "certify"])
+def test_closed_stdout_pipe_exits_1_quietly(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child starts: its first write fails
+    try:
+        code, err = run_module(argv, write_end)
+    finally:
+        os.close(write_end)
+    assert (code, err) == (1, b"")  # no traceback, no "Exception ignored" at exit
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["render", "--n", "0", "--K", "1"], ["selftest"],
+                                  ["member", "--x", "1/4", "--format", "json"]],
+                         ids=["render", "selftest", "member"])
+def test_failed_write_is_an_error_not_a_usage_error(argv):
+    want = (1, b"cantorprod: error: cannot write output: No space left on device\n")
+    with open("/dev/full", "wb") as full:
+        assert run_module(argv, full) == want
+    if argv[0] != "selftest":  # --out opens /dev/full fine; the write fails
+        assert run_module([*argv, "--out", "/dev/full"], subprocess.DEVNULL) == want
 
 
 def test_no_command_is_usage_error(capsys):

@@ -21,6 +21,7 @@ README = ROOT / "README.md"
 
 def test_exports_resolve_and_readme_library_example_runs():
     assert [name for name in cantorprod.__all__ if not hasattr(cantorprod, name)] == []
+    assert len(cantorprod.__all__) == 41
     section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(block, str(README), "exec"), {})
@@ -32,10 +33,9 @@ def test_readme_command_lines_parse():
     commands = [shlex.split(line, comments=True) for line in block.splitlines()]
     commands = [words for words in commands if words and words[0] == "cantorprod"]
     assert commands
-    parser = cli.build_parser()
     for words in commands:
         argv = words[1 : words.index(">")] if ">" in words else words[1:]
-        parser.parse_args(argv)
+        cli.parse_args(argv)
 
 
 def run_probe(*args: str) -> subprocess.CompletedProcess:
@@ -71,17 +71,32 @@ def test_cli_import_loads_no_computation_module():
     assert probe_output(f"import cantorprod.cli, sys; print({LOADED})") == "['cli']\n"
 
 
-@pytest.mark.parametrize("argv, modules", [
-    (["member", "--x", "1/4"], ["intervals", "subdivision"]),
-    (["art", "--n", "3"], ["intervals", "products", "subdivision"]),
-    (["fast", "--n", "1", "--K", "2"], ["intervals", "products", "subdivision"]),
-    (["certify"], ["gaps", "intervals", "subdivision"]),
-    (["render", "--n", "0", "--K", "1"], ["gaps", "intervals", "render", "subdivision"]),
-    (["selftest"], ["gaps", "intervals", "products", "render", "subdivision"]),
-], ids=["member", "art", "fast", "certify", "render", "selftest"])
+COMMANDS = {
+    "member": (["member", "--x", "1/4"], ["intervals", "subdivision"]),
+    "art": (["art", "--n", "3"], ["intervals", "products", "subdivision"]),
+    "fast": (["fast", "--n", "1", "--K", "2"], ["intervals", "products", "subdivision"]),
+    "certify": (["certify"], ["gaps", "intervals", "subdivision"]),
+    "render": (["render", "--n", "0", "--K", "1"], ["gaps", "intervals", "render", "subdivision"]),
+    "selftest": (["selftest"], ["gaps", "intervals", "products", "render", "subdivision"]),
+}
+
+
+@pytest.mark.parametrize("argv, modules", COMMANDS.values(), ids=COMMANDS)
 def test_each_command_loads_only_the_modules_it_runs(argv, modules):
     probe = RUN_MAIN + f"print(code, {LOADED})\n"
     assert probe_output(probe, *argv) == f"0 {['cli', *modules]}\n"
+
+
+@pytest.mark.parametrize("argv", [None, *(argv for argv, _ in COMMANDS.values())],
+                         ids=["import", *COMMANDS])
+def test_no_command_loads_argparse(argv):
+    # argparse and the gettext and locale imports its messages trigger cost
+    # about 5 ms of every short-lived CLI process
+    heavy = "sorted({'argparse', 'gettext', 'locale'} & set(sys.modules))"
+    if argv is None:
+        assert probe_output(f"import cantorprod.cli, sys; print({heavy})") == "[]\n"
+    else:
+        assert probe_output(RUN_MAIN + f"print(code, {heavy})\n", *argv) == "0 []\n"
 
 
 @pytest.mark.parametrize("argv, loads_json", [
