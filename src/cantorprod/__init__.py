@@ -19,18 +19,21 @@ __version__ = "0.1.0"
 # them as choices without importing gaps
 _CERTIFY_TARGETS = ("prop3", "theorem")
 
-_SUBMODULES = ("intervals", "subdivision", "products", "gaps", "render", "cli")
+_SUBMODULES = ("ternary", "intervals", "subdivision", "products", "gaps", "render", "cli")
 
 _EXPORTS = {
+    "ternary": (
+        "Membership", "TernaryExpansion", "cantor_membership", "classify_ternary",
+        "ternary_expansion",
+    ),
     "intervals": (
         "Interval", "IntervalSet", "Rational", "decimal_string", "format_rational",
         "parse_rational", "rat",
     ),
     "subdivision": (
-        "FastNode", "FastSubdivision", "Membership", "ROOT", "TernaryExpansion",
-        "cantor_membership", "classify_ternary", "fast_subdivision", "gap_set", "node_child",
+        "FastNode", "FastSubdivision", "ROOT", "fast_subdivision", "gap_set", "node_child",
         "node_children", "removed_gaps", "right_half_subdivision", "squared_length_sum",
-        "standard_subdivision", "ternary_expansion",
+        "standard_subdivision",
     ),
     "products": (
         "EstimateResult", "FastBounds", "convergence_tail", "fast_bounds", "product_image",

@@ -3,13 +3,16 @@
 ``COMMANDS`` maps each subcommand (art, fast, certify, render, member,
 selftest) to its handler, help line and options; ``parse_args`` reads argv
 against it as argparse would, without importing argparse.  JSON is the
-machine format; text output is derived from it.  Exit codes: 0 success,
-1 verification failure or failed write, 2 usage.
+machine format; text output is derived from it.  ``_dump_json`` writes it
+byte for byte as ``json.dumps(payload, sort_keys=True, indent=2)`` would,
+without importing json.  Exit codes: 0 success, 1 verification failure or
+failed write, 2 usage.
 
-Only the standard library is imported up front.  Each handler imports the
-modules it runs and calls through them, so a command loads no computation
-module it does not use, and a function rebound in its module is the one
-that runs.
+Only the standard library is imported up front, and neither `fractions` nor
+`json`.  Each handler imports the modules it runs and calls through them, so
+a command loads no computation module it does not use, and a function
+rebound in its module is the one that runs.  `member` loads only `ternary`,
+which decides membership on ints.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import functools
 import os
 import re
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 from typing import NoReturn, Optional, Sequence
 
@@ -27,10 +29,55 @@ from . import _CERTIFY_TARGETS
 MAX_DIGITS = 50
 
 
-def _dump_json(payload: dict) -> str:
-    import json  # only JSON output loads it: an SVG render or selftest never does
+_ESCAPES = {"\\": "\\\\", '"': '\\"', "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r",
+            "\t": "\\t"}
 
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+def _escape(char: str) -> str:
+    code = ord(char)
+    if code > 0xFFFF:  # an astral character: its UTF-16 surrogate pair
+        code -= 0x10000
+        return "\\u%04x\\u%04x" % (0xD800 | code >> 10, 0xDC00 | code & 0x3FF)
+    return _ESCAPES.get(char) or "\\u%04x" % code
+
+
+def _quote(text: str) -> str:
+    """A JSON string with only printable ASCII inside, as json's ensure_ascii writes it."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    return '"' + "".join(
+        c if " " <= c <= "~" and c not in '"\\' else _escape(c) for c in text) + '"'
+
+
+def _json(value, indent: str) -> str:
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)  # as json writes an int subclass too
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("JSON object keys must be str")
+        items = [f"{_quote(key)}: {_json(value[key], inner)}" for key in sorted(value)]
+        brackets = "{}"
+    elif isinstance(value, list):
+        items, brackets = [_json(item, inner) for item in value], "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
+def _dump_json(payload: dict) -> str:
+    """`json.dumps(payload, sort_keys=True, indent=2)` plus a newline, without importing json.
+
+    Values are str, int, bool, None, lists and str-keyed dicts; anything else
+    (a float too) is a TypeError.
+    """
+    return _json(payload, "") + "\n"
 
 
 def _text_lines(payload: dict, indent: str = "") -> list[str]:
@@ -130,12 +177,12 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_member(args) -> int:
-    from . import intervals, subdivision
+    from . import ternary
 
-    x = intervals.parse_rational(args.x)
-    verdict, expansion = subdivision.classify_ternary(x)
+    p, q = ternary.parse_ratio(args.x)
+    verdict, expansion = ternary.classify_ternary(args.x)
     payload = {
-        "x": intervals.format_rational(x),
+        "x": f"{p}/{q}",
         "verdict": verdict.value,
         "expansion": str(expansion),
         "preperiod_digits": expansion.preperiod,
@@ -149,6 +196,8 @@ def _cmd_member(args) -> int:
 
 
 def _selftest_checks():
+    from fractions import Fraction
+
     from . import gaps, intervals, products, render, subdivision
 
     root = subdivision.ROOT

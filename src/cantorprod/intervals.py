@@ -17,6 +17,8 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
+from .ternary import parse_ratio
+
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
@@ -36,17 +38,9 @@ def parse_rational(text: str) -> Fraction:
     """Parse "p/q" (or a bare integer "p") into a Fraction.
 
     Floats are rejected on purpose; a decimal point in the input is an error.
+    `ternary.parse_ratio` reads the text, so there is one parser.
     """
-    s = text.strip()
-    if "." in s or "e" in s.lower():
-        raise ValueError(f"not an exact rational literal: {text!r}")
-    try:
-        if "/" in s:
-            num_s, den_s = s.split("/")
-            return Fraction(int(num_s), int(den_s))
-        return Fraction(int(s))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not an exact rational literal: {text!r}") from exc
+    return Fraction(*parse_ratio(text))
 
 
 def format_rational(x: Fraction) -> str:

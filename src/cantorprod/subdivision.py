@@ -32,11 +32,18 @@ triadic cell is m itself.
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .intervals import Interval, IntervalSet, rat
+from .intervals import Interval, IntervalSet
+
+# Membership lives in `ternary`, which never loads `fractions`.  Its names are
+# re-exported here because callers look them up on this module: perfbench's
+# tracer wraps `subdivision.classify_ternary` (its --trace 1 run fails without
+# it), and the selftest calls it through this module.
+from .ternary import (  # noqa: F401
+    Membership, TernaryExpansion, cantor_membership, classify_ternary, ternary_expansion,
+)
 
 RIGHT_HALF = Interval(Fraction(2, 3), Fraction(1))
 
@@ -219,81 +226,3 @@ def squared_length_sum(n: int, K: int) -> tuple[Fraction, Fraction]:
     truncated = sum((node.length**2 for node in level), Fraction(0))
     limit = Fraction(1, 9) * Fraction(1, 36) ** n
     return truncated, limit
-
-
-class Membership(Enum):
-    MEMBER = "member"
-    NON_MEMBER = "non_member"
-    UNDETERMINED = "undetermined"
-
-
-class TernaryExpansion(NamedTuple):
-    """Base-3 digits of a number in [0, 1], with cycle structure.
-
-    period == 0 means the expansion terminates after the recorded digits;
-    otherwise the last `period` recorded digits repeat forever.  complete is
-    False only when the digit budget ran out before the cycle closed.
-    """
-
-    digits: tuple[int, ...]
-    period: int
-    complete: bool
-
-    @property
-    def preperiod(self) -> int:
-        return len(self.digits) - self.period
-
-    def __str__(self) -> str:
-        head = "".join(str(d) for d in self.digits[: self.preperiod])
-        if self.period:
-            tail = "".join(str(d) for d in self.digits[self.preperiod :])
-            return f"0.{head}({tail})*"
-        if not self.complete:
-            return f"0.{head}..."
-        return f"0.{head}" if self.digits else "0"
-
-
-def ternary_expansion(x: Fraction, max_digits: int = 4096) -> TernaryExpansion:
-    """Expand x in [0, 1] in base 3 by long division, detecting the cycle."""
-    x = rat(x)
-    if not 0 <= x <= 1:
-        raise ValueError(f"expected a number in [0, 1], got {x}")
-    if x == 1:
-        return TernaryExpansion(digits=(2,), period=1, complete=True)
-    rem, den = x.numerator, x.denominator
-    digits: list[int] = []
-    seen: dict[int, int] = {}
-    while rem and len(digits) < max_digits:
-        if rem in seen:
-            start = seen[rem]
-            return TernaryExpansion(tuple(digits), period=len(digits) - start, complete=True)
-        seen[rem] = len(digits)
-        rem *= 3
-        d, rem = divmod(rem, den)
-        digits.append(d)
-    return TernaryExpansion(tuple(digits), period=0, complete=(rem == 0))
-
-
-def classify_ternary(x: Fraction, max_digits: int = 4096) -> tuple[Membership, TernaryExpansion]:
-    """Decide Cantor-set membership of x in [0, 1] from its ternary digits.
-
-    A digit 1 followed by anything nonzero puts x strictly inside a removed
-    gap.  A trailing digit 1 is the left endpoint of a gap and stays in the
-    set (rewrite ...1 as ...0222...).  Rationals always resolve within one
-    remainder cycle, so UNDETERMINED can only happen when max_digits is
-    smaller than the cycle.
-    """
-    exp = ternary_expansion(x, max_digits)
-    for pos, d in enumerate(exp.digits):
-        if d == 1:
-            terminal = exp.period == 0 and exp.complete and pos == len(exp.digits) - 1
-            return (Membership.MEMBER if terminal else Membership.NON_MEMBER), exp
-    if not exp.complete:
-        return Membership.UNDETERMINED, exp
-    return Membership.MEMBER, exp
-
-
-def cantor_membership(x: Fraction, max_digits: int = 4096) -> Membership:
-    """Membership of x in the middle-third Cantor set (exact for rationals)."""
-    verdict, _ = classify_ternary(x, max_digits)
-    return verdict

@@ -1,0 +1,129 @@
+"""Membership in the middle-third Cantor set, from base-3 long division.
+
+A rational x in [0, 1] is in C exactly when its ternary expansion avoids the
+digit 1 (a final digit 1 is allowed: ...1 = ...0222...).  The expansion is
+integer long division of x.numerator by x.denominator, and it cycles within
+the denominator's remainders, so the verdict is exact.
+
+This module holds only that, and `parse_ratio`, the one text parser: "p/q"
+or "p" to lowest-terms integers.  It never imports `fractions`, so the
+`member` command runs on ints alone.  Each function takes an int, a
+`Fraction` or a string such as "1/4".
+"""
+
+from __future__ import annotations
+
+import sys
+from enum import Enum
+from math import gcd
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+
+def parse_ratio(text: str) -> tuple[int, int]:
+    """Parse "p/q" (or a bare integer "p") into (p, q) in lowest terms, q > 0.
+
+    Floats are rejected on purpose; a decimal point in the input is an error.
+    """
+    s = text.strip()
+    if "." in s or "e" in s.lower():
+        raise ValueError(f"not an exact rational literal: {text!r}")
+    num_s, slash, den_s = s.partition("/")
+    try:
+        p, q = int(num_s), int(den_s) if slash else 1
+    except ValueError as exc:
+        raise ValueError(f"not an exact rational literal: {text!r}") from exc
+    if q == 0:
+        raise ValueError(f"not an exact rational literal: {text!r}")
+    g = gcd(p, q) if q > 0 else -gcd(p, q)
+    return p // g, q // g
+
+
+def _ratio(x: int | Fraction | str) -> tuple[int, int]:
+    """(numerator, denominator) of an int, a Fraction or a rational literal."""
+    if isinstance(x, str):
+        return parse_ratio(x)
+    fractions = sys.modules.get("fractions")  # no Fraction exists until it is loaded
+    if isinstance(x, int) or (fractions is not None and isinstance(x, fractions.Fraction)):
+        return x.numerator, x.denominator
+    raise TypeError(f"cannot interpret {x!r} as a rational")
+
+
+class Membership(Enum):
+    MEMBER = "member"
+    NON_MEMBER = "non_member"
+    UNDETERMINED = "undetermined"
+
+
+class TernaryExpansion(NamedTuple):
+    """Base-3 digits of a number in [0, 1], with cycle structure.
+
+    period == 0 means the expansion terminates after the recorded digits;
+    otherwise the last `period` recorded digits repeat forever.  complete is
+    False only when the digit budget ran out before the cycle closed.
+    """
+
+    digits: tuple[int, ...]
+    period: int
+    complete: bool
+
+    @property
+    def preperiod(self) -> int:
+        return len(self.digits) - self.period
+
+    def __str__(self) -> str:
+        head = "".join(str(d) for d in self.digits[: self.preperiod])
+        if self.period:
+            tail = "".join(str(d) for d in self.digits[self.preperiod :])
+            return f"0.{head}({tail})*"
+        if not self.complete:
+            return f"0.{head}..."
+        return f"0.{head}" if self.digits else "0"
+
+
+def ternary_expansion(x: int | Fraction | str, max_digits: int = 4096) -> TernaryExpansion:
+    """Expand x in [0, 1] in base 3 by long division, detecting the cycle."""
+    rem, den = _ratio(x)
+    if not 0 <= rem <= den:
+        raise ValueError(f"expected a number in [0, 1], got {rem if den == 1 else f'{rem}/{den}'}")
+    if rem == den:
+        return TernaryExpansion(digits=(2,), period=1, complete=True)
+    digits: list[int] = []
+    seen: dict[int, int] = {}
+    while rem and len(digits) < max_digits:
+        if rem in seen:
+            start = seen[rem]
+            return TernaryExpansion(tuple(digits), period=len(digits) - start, complete=True)
+        seen[rem] = len(digits)
+        rem *= 3
+        d, rem = divmod(rem, den)
+        digits.append(d)
+    return TernaryExpansion(tuple(digits), period=0, complete=(rem == 0))
+
+
+def classify_ternary(x: int | Fraction | str,
+                     max_digits: int = 4096) -> tuple[Membership, TernaryExpansion]:
+    """Decide Cantor-set membership of x in [0, 1] from its ternary digits.
+
+    A digit 1 followed by anything nonzero puts x strictly inside a removed
+    gap.  A trailing digit 1 is the left endpoint of a gap and stays in the
+    set (rewrite ...1 as ...0222...).  Rationals always resolve within one
+    remainder cycle, so UNDETERMINED can only happen when max_digits is
+    smaller than the cycle.
+    """
+    exp = ternary_expansion(x, max_digits)
+    for pos, d in enumerate(exp.digits):
+        if d == 1:
+            terminal = exp.period == 0 and exp.complete and pos == len(exp.digits) - 1
+            return (Membership.MEMBER if terminal else Membership.NON_MEMBER), exp
+    if not exp.complete:
+        return Membership.UNDETERMINED, exp
+    return Membership.MEMBER, exp
+
+
+def cantor_membership(x: int | Fraction | str, max_digits: int = 4096) -> Membership:
+    """Membership of x in the middle-third Cantor set (exact for rationals)."""
+    verdict, _ = classify_ternary(x, max_digits)
+    return verdict

@@ -11,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cantorprod import cli
 from cantorprod.gaps import EXPECTED
@@ -32,6 +34,36 @@ def usage_error(capsys, *argv: str) -> str:
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     return err.splitlines()[-1]
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer, with json as its oracle
+
+# quote, backslash, the short escapes, other controls, DEL, non-ASCII, a lone
+# surrogate and astral characters, besides anything st.characters() draws
+JSON_CHARS = st.sampled_from(
+    '"\\\b\f\n\r\t\x00\x1f\x7f ~aé±\u2028\ud800\uffff\U0001f600\U0010ffff')
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**300), 2**300)
+    | st.text(JSON_CHARS | st.characters(), max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(JSON_CHARS | st.characters(), max_size=4), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(json_values)
+@example({"": [], "a": {}, "b": [{}, []]})
+@example({"families": [{"side": "±"}], "n": -(10**40)})
+def test_dump_json_matches_json(value):
+    assert cli._dump_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [0.5, {"x": 1.0}, [float("nan")], (1, 2), {1: "one"}])
+def test_dump_json_rejects_what_no_payload_holds(value):
+    with pytest.raises(TypeError):
+        cli._dump_json(value)
 
 
 # ---------------------------------------------------------------------------

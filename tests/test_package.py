@@ -72,12 +72,14 @@ def test_cli_import_loads_no_computation_module():
 
 
 COMMANDS = {
-    "member": (["member", "--x", "1/4"], ["intervals", "subdivision"]),
-    "art": (["art", "--n", "3"], ["intervals", "products", "subdivision"]),
-    "fast": (["fast", "--n", "1", "--K", "2"], ["intervals", "products", "subdivision"]),
-    "certify": (["certify"], ["gaps", "intervals", "subdivision"]),
-    "render": (["render", "--n", "0", "--K", "1"], ["gaps", "intervals", "render", "subdivision"]),
-    "selftest": (["selftest"], ["gaps", "intervals", "products", "render", "subdivision"]),
+    "member": (["member", "--x", "1/4"], ["ternary"]),
+    "art": (["art", "--n", "3"], ["intervals", "products", "subdivision", "ternary"]),
+    "fast": (["fast", "--n", "1", "--K", "2"], ["intervals", "products", "subdivision", "ternary"]),
+    "certify": (["certify"], ["gaps", "intervals", "subdivision", "ternary"]),
+    "render": (["render", "--n", "0", "--K", "1"],
+               ["gaps", "intervals", "render", "subdivision", "ternary"]),
+    "selftest": (["selftest"],
+                 ["gaps", "intervals", "products", "render", "subdivision", "ternary"]),
 }
 
 
@@ -99,14 +101,27 @@ def test_no_command_loads_argparse(argv):
         assert probe_output(RUN_MAIN + f"print(code, {heavy})\n", *argv) == "0 []\n"
 
 
-@pytest.mark.parametrize("argv, loads_json", [
-    (["render", "--n", "0", "--K", "1"], False),
-    (["selftest"], False),
-    (["member", "--x", "1/4", "--format", "json"], True),
-], ids=["render-svg", "selftest", "member-json"])
-def test_only_json_output_loads_json(argv, loads_json):
-    probe = RUN_MAIN + "print(code, 'json' in sys.modules)\n"
-    assert probe_output(probe, *argv) == f"0 {loads_json}\n"
+@pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS.values()], ids=COMMANDS)
+def test_no_command_loads_json(argv):
+    # cli writes JSON itself: json costs about 2 ms of every short-lived process
+    options = {name: kind for name, kind, _ in cli.COMMANDS[argv[0]][2]}
+    extras = [["--format", fmt] for fmt in options["format"]] if "format" in options else [[]]
+    probe = ("import contextlib, io, sys\n"
+             "from cantorprod import cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    codes = [cli.main(sys.argv[1:] + extra) for extra in {extras!r}]\n"
+             "print(codes, 'json' in sys.modules)\n")
+    assert probe_output(probe, *argv) == f"{[0] * len(extras)} False\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_member_runs_on_ints_alone(fmt):
+    # fractions brings decimal and numbers with it: about 3 ms of every member
+    heavy = "sorted({'fractions', 'decimal', 'numbers', 'json'} & set(sys.modules))"
+    probe = RUN_MAIN + f"print(code, {heavy})\n"
+    assert probe_output(probe, "member", "--x", "1/4", "--format", fmt) == "0 []\n"
+    probe = "import cantorprod.cli, sys; print('fractions' in sys.modules)"
+    assert probe_output(probe) == "False\n"
 
 
 def test_module_run_is_clean_under_warnings_as_errors():
