@@ -166,7 +166,7 @@ def _cmd_render(args) -> int:
         "cell": {
             "lo": intervals.format_rational(node.cell.lo),
             "hi": intervals.format_rational(node.cell.hi),
-            "q": node.q,
+            "q": node.m,
         },
         "families": [
             {"k": k, "side": side, "p": p.to_json(), "g": g.to_json()} for k, side, p, g in families

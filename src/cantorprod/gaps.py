@@ -1,8 +1,8 @@
 """Gap calculus: the exact bookkeeping behind the certified measure values.
 
 For a cell I = [A(0), A(1)] (A(x) = |I| (q + x), q = left endpoint over
-length), products of pieces of I organize into three interval families per
-side and index k:
+length, which is the node's address m), products of pieces of I organize
+into three interval families per side and index k:
 
 * p_interval: the band of products between opposite side pieces of I, e.g.
   on the low side P(I(2/3^{k+1}, 3^-k) x I(0, 3^-k-1));
@@ -47,7 +47,7 @@ class CertificationError(Exception):
 
 def scaled_point(node: FastNode, x: Fraction) -> Fraction:
     """A(x) = (q + x) / 3^k, the affine parametrization of the node's cell."""
-    return (node.q + Fraction(x)) / 3**node.k
+    return (node.m + Fraction(x)) / 3**node.k
 
 
 def side_piece(node: FastNode, k: int, high_side: bool) -> Interval:
@@ -132,7 +132,7 @@ def compare_products(node: FastNode, x: Fraction, y: Fraction, z: Fraction, t: F
     """
     x, y, z, t = Fraction(x), Fraction(y), Fraction(z), Fraction(t)
     lhs = z * t - x * y
-    rhs = node.q * (x + y - z - t)
+    rhs = node.m * (x + y - z - t)
     if lhs < rhs:
         return 1
     if lhs == rhs:
@@ -342,8 +342,8 @@ def second_level_increment(cut: int = 12) -> Fraction:
     is the covering threshold (k for E_k, k+2 for F_k), verified here over the
     partial range before the matching geometric tails are attached.
     """
-    low = _uncovered_children(False, ROOT.q, 2, 0, cut)
-    return low + _uncovered_children(True, ROOT.q, 2, 2, cut)
+    low = _uncovered_children(False, ROOT.m, 2, 0, cut)
+    return low + _uncovered_children(True, ROOT.m, 2, 2, cut)
 
 
 def beta(k: int) -> Fraction:
@@ -371,7 +371,7 @@ def beta_series(k: int, cut: int = 12) -> Fraction:
     """
     if k < 1:
         raise ValueError("index must be >= 1")
-    q = node_child(ROOT, k, high_side=True).q
+    q = node_child(ROOT, k, high_side=True).m
     low = _uncovered_children(False, q, k + 3, k + 1, cut)
     return low + _uncovered_children(True, q, k + 3, k + 3, cut, stop=k + 2)
 
@@ -400,7 +400,7 @@ def alpha_series(k: int, cut: int = 12) -> Fraction:
     """
     if k < 1:
         raise ValueError("index must be >= 1")
-    q = node_child(ROOT, k, high_side=False).q
+    q = node_child(ROOT, k, high_side=False).m
     low = _uncovered_children(False, q, k + 3, k + 1, cut)
     return low + _uncovered_children(True, q, k + 3, k + 3, cut, stop=k - 1)
 
@@ -533,7 +533,7 @@ def certify(target: str = TARGET_LEVEL3) -> Certificate:
     # own gaps survive in full up to the covering threshold
     add("special_cell_separation", q_interval(e1, 1, high_side=True).hi, relation="lt")
     add("special_cell_length", d1p.length)
-    threshold = high_cover_threshold(e1.q, 1)
+    threshold = high_cover_threshold(e1.m, 1)
     add("special_cell_gap_threshold", Fraction(threshold))
     gamma1 = add("special_cell_gap_total", truncated_gap_sum(d1p.length, threshold))
 

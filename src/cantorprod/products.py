@@ -3,15 +3,17 @@
 The multiplication image of a union of closed intervals with nonnegative
 endpoints is again a union of closed intervals: the componentwise products
 [aL*bL, aH*bH] merged into canonical form.  product_image computes that
-general product by a pair sweep over a common integer scale (one lcm
-denominator per factor, so candidate endpoints are machine/big integers and
-the hot loop is integer multiply-and-compare).  With both factors sorted left
-to right and all endpoints nonnegative, the candidate products of one row
-have nondecreasing lower and upper endpoints, so each row merges in a single
-pass; intervals._merge_ends merges the rows, in batches as they arrive so
-that memory stays near the output's size.  The sweep is quadratic in
-the number of cells.  It serves general sets and the fast bracket, and the
-tests use it as the oracle for the standard route.
+general product by a pair sweep over a common integer scale, one lcm
+denominator per factor (_scaled_endpoints), so candidate endpoints are
+machine/big integers and the hot loop is integer multiply-and-compare.  The
+fast bracket reads its integer ends straight from the cell addresses, at the
+scale 3^D of its deepest cell, so the lcm route serves general sets only.
+With both factors sorted left to right and all endpoints nonnegative, the
+candidate products of one row have nondecreasing lower and upper endpoints,
+so each row merges in a single pass; intervals._merge_ends merges the rows,
+in batches as they arrive so that memory stays near the output's size.  The
+sweep is quadratic in the number of cells.  It serves general sets and the
+fast bracket, and the tests use it as the oracle for the standard route.
 
 Two estimate routes for the measure of P(C x C), C the middle-third Cantor
 set, both via its right half R = C meet [2/3, 1] and the scaling identity
@@ -33,7 +35,7 @@ from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .intervals import Interval, IntervalSet, _merge_ends, decimal_string, format_rational
-from .subdivision import _numerators, fast_subdivision
+from .subdivision import ROOT, _ends, _fast_tree, _leaves
 
 STANDARD_LEVEL_LIMIT = 20
 FAST_LEVEL_LIMIT = 3
@@ -227,7 +229,7 @@ def _standard_segments(level: int) -> tuple[list[int], list[int], int]:
     """
     # a cell's left end is that of its leftmost leaf, so every level's cells
     # are a stride through the leaves; endpoints are in units of 3^-level
-    leaves = [2 * 3 ** (level - 1) + m for m in _numerators(level - 1)]
+    leaves = _leaves(ROOT, level - 1)
     los = [a * a for a in leaves]
     his = [(a + 1) * (a + 1) for a in leaves]
     for j in range(1, level):
@@ -302,9 +304,14 @@ def fast_bounds(n: int, K: int) -> FastBounds:
     if K > FAST_GAP_DEPTH_LIMIT:
         raise ValueError(f"fast brute force supports gap_depth <= {FAST_GAP_DEPTH_LIMIT}")
     start = time.perf_counter()
-    sub = fast_subdivision(n, K)
-    lower, count_inner = self_product_stats(sub.inner)
-    upper, count_outer = self_product_stats(sub.outer)
+    inner, outer, depth = _fast_tree(n, K)
+
+    def stats(nodes):  # the cells' union, swept at the scale 3^depth of the deepest cell
+        los, his = _merge_ends(*_ends(nodes, depth))
+        return _stats(*_merge_ends(*_rows(los, his, los, his, triangle=True)), 9**depth)
+
+    lower, count_inner = stats(inner)
+    upper, count_outer = stats(outer)
     elapsed = int((time.perf_counter() - start) * 1000)
     return FastBounds(
         n=n,

@@ -21,8 +21,8 @@ from __future__ import annotations
 from typing import Iterator
 
 from .intervals import Interval, Rational, format_rational, rat
-from .subdivision import ROOT, FastNode, node_child, standard_cells
-from .gaps import child_cell, g_interval, p_interval
+from .subdivision import ROOT, UNIT, FastNode, _ends, _leaves, node_child
+from .gaps import g_interval, p_interval
 
 MAX_DEPTH = 2
 MAX_KMAX = 6
@@ -73,17 +73,12 @@ def cell_families(
     return node, families
 
 
-_UNIT = FastNode(0, 0)  # scaled_point is the identity: child cells E_k, F_k in local coordinates
-
-
 def _cells(k_max: int) -> list[tuple[int, str, float, float]]:
-    """(k, side, lo, hi) of E_1, F_1, ..., E_K, F_K in local coordinates."""
-    cells = []
-    for k in range(1, k_max + 1):
-        for side, high_side in (("-", False), ("+", True)):
-            cell = child_cell(_UNIT, k, high_side)
-            cells.append((k, side, float(cell.lo), float(cell.hi)))
-    return cells
+    """(k, side, lo, hi) of E_1, F_1, ..., E_K, F_K in local coordinates: the unit cell's."""
+    tags = [(k, side) for k in range(1, k_max + 1) for side in "-+"]
+    depth = k_max + 1
+    los, his = _ends((node_child(UNIT, k, side == "+") for k, side in tags), depth)
+    return [(k, side, lo / 3**depth, hi / 3**depth) for (k, side), lo, hi in zip(tags, los, his)]
 
 
 def _band_rects(cells) -> Iterator[str]:
@@ -103,7 +98,8 @@ def _band_rects(cells) -> Iterator[str]:
 
 def _grid(levels: int) -> Iterator[str]:
     """Lines through the interior triadic gap endpoints down to the given level."""
-    points = [float(p) for cell in standard_cells(levels) for p in (cell.lo, cell.hi)][1:-1]
+    den = 3**levels
+    points = [e / den for m in _leaves(UNIT, levels) for e in (m, m + 1)][1:-1]
     for p in points:
         yield _line(p, 0, p, 1, "0.0015")
         yield _line(0, p, 1, p, "0.0015")
@@ -114,9 +110,9 @@ def _crosses(depth: int) -> Iterator[str]:
     """A white middle-third cross over the diagonal square of every cell of
     levels 0..depth, level by level."""
     for level in range(depth + 1):
-        for cell in standard_cells(level):
-            third = cell.length / 3
-            lo, a, b, hi = map(float, (cell.lo, cell.lo + third, cell.hi - third, cell.hi))
+        den = 3 ** (level + 1)  # in thirds of the cell (m, level): 3m, 3m+1, 3m+2, 3m+3
+        for m in _leaves(UNIT, level):
+            lo, a, b, hi = (e / den for e in range(3 * m, 3 * m + 4))
             yield _rect(lo, a, a, b, "white")
             yield _rect(b, a, hi, b, "white")
             yield _rect(a, b, b, hi, "white")
@@ -143,7 +139,7 @@ def _arc_points(node: FastNode, value: Rational) -> list[str]:
 
     Locally the arc is y = v / (q + x) - q, with v = value * 9^k = num / den.
     """
-    q = node.q
+    q = node.m
     num, den = value.numerator * 9**node.k, value.denominator
     # x-window where the local y stays inside [0,1]: x_lo = v / (q + 1) - q and
     # x_hi = v / q - q, each an exact int ratio rounded to float once
@@ -220,7 +216,7 @@ def render_svg(depth: int = 1, k_max: int = 3) -> str:
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="1000"'
         f' viewBox="{_VIEW}" data-cell-lo="{format_rational(rat(cell.lo))}"'
-        f' data-cell-hi="{format_rational(rat(cell.hi))}" data-q="{node.q}"'
+        f' data-cell-hi="{format_rational(rat(cell.hi))}" data-q="{node.m}"'
         f' data-scale-k="{node.k}">',
         "<defs>",
         '<clipPath id="cell"><rect x="0" y="0" width="1" height="1"/></clipPath>',

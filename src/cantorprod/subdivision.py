@@ -1,39 +1,37 @@
 """Subdivision schemes for the middle-third Cantor set and its right half.
 
-Two constructions are implemented.
+Every cell is a ternary address (m, k), the cell [m/3^k, (m+1)/3^k]: its k
+base-3 digits, read as the integer m, are the path to it from the unit cell
+(0, 0).  Appending the j digits of a word w gives (m 3^j + w, k + j), and
+both schemes are walks that append words.
 
 * The standard one: at level n the surviving set K_n is the union of the 2^n
-  triadic cells [m/3^n, (m+1)/3^n] whose numerator m has no digit 1 in base 3.
-  The Cantor set C is the intersection of all K_n, and R = C meet [2/3, 1] is
-  its right half.
+  cells whose address has no digit 1.  The Cantor set C is the intersection
+  of all K_n, and its right half R = C meet [2/3, 1] lies below ROOT = (2, 1).
 
 * A faster-converging one driven by the gap family
 
       B = (1/3, 2/3)  u  U_{k>=1} (1/3^{k+1}, 2/3^{k+1})
                       u  U_{k>=1} (1 - 2/3^{k+1}, 1 - 1/3^{k+1}),
 
-  rescaled into every surviving cell at each round.  Removing A_I(B) from a
-  cell I leaves a scaled copy of the construction near each endpoint of I; the
-  surviving cells of one round are
-
-      E_k = A_I([2/3^{k+1}, 1/3^k])   (low side,  k >= 1)
-      F_k = A_I([1 - 1/3^k, 1 - 2/3^{k+1}])   (high side, k >= 1),
-
-  each of length |I|/3^{k+1}.  Infinitely many cells appear per round, so the
+  rescaled into every surviving cell at each round.  Removing it from the
+  cell with address I leaves the children E_k = I 0^k 2 (low side) and
+  F_k = I 2^k 0 (high side), k >= 1, each of length |I|/3^{k+1}: a pruned
+  copy of the standard tree.  Infinitely many cells appear per round, so the
   fast subdivision tracks only k <= K and brackets the rest: the outer set
-  keeps the two hull pieces A_I([0, 3^{-K-1}]) and A_I([1 - 3^{-K-1}, 1]) of
-  every subdivided cell (they contain all discarded cells), the inner set
-  keeps tracked cells only.  Both brackets are exact: inner <= D_n <= outer.
+  keeps the two hull tails I 0^(K+1) and I 2^(K+1) of every subdivided cell
+  (they contain all discarded cells), the inner set keeps tracked cells
+  only.  Both brackets are exact: inner <= D_n <= outer.
 
-A tracked cell is its triadic address (m, k), the cell [m/3^k, (m+1)/3^k].
-The gap-ordering arithmetic runs on q = left endpoint / length, which for a
-triadic cell is m itself.
+This module is the one place that turns an address into endpoints: as
+Fractions (FastNode.cell) or as integers at one common scale (_ends).  The
+ints of _leaves are already the leaves' left ends, in units of their 3^-depth.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .intervals import Interval, IntervalSet
 
@@ -45,52 +43,69 @@ from .ternary import (  # noqa: F401
     Membership, TernaryExpansion, cantor_membership, classify_ternary, ternary_expansion,
 )
 
-RIGHT_HALF = Interval(Fraction(2, 3), Fraction(1))
+
+class FastNode(NamedTuple):
+    """A ternary address: the cell [m/3^k, (m+1)/3^k]."""
+
+    m: int
+    k: int
+
+    @property
+    def cell(self) -> Interval:
+        den = 3**self.k
+        return Interval(Fraction(self.m, den), Fraction(self.m + 1, den))
+
+    @property
+    def length(self) -> Fraction:
+        return Fraction(1, 3**self.k)
 
 
-def _triadic_cell(m: int, den: int) -> Interval:
-    """The cell [m/den, (m+1)/den]."""
-    return Interval(Fraction(m, den), Fraction(m + 1, den))
+UNIT = FastNode(m=0, k=0)
+ROOT = FastNode(m=2, k=1)
 
 
-def _numerators(n: int) -> list[int]:
-    """The m < 3^n with no ternary digit 1, ascending.
+def _append(node: FastNode, word: int, j: int) -> FastNode:
+    """The address `node` followed by the j ternary digits of `word` (0 <= word < 3^j)."""
+    return FastNode(node.m * 3**j + word, node.k + j)
 
-    Level j + 1 is level j (leading digit 0) followed by level j shifted by
-    the leading digit 2, which puts every one of them above 3^j.
+
+def _leaves(node: FastNode, j: int) -> list[int]:
+    """The m of the 2^j standard cells j levels below `node`, left to right.
+
+    They are `node` followed by each j-digit word without digit 1, at depth
+    node.k + j.  Digit i from the right doubles the list: the words so far
+    (digit 0 there), then each plus 2 * 3^i, which lies above all of them.
+    Plain ints, as a FastNode per leaf doubles the standard route's cost.
     """
-    ms = [0]
-    for j in range(n):
-        lead = 2 * 3**j
+    if j < 0:
+        raise ValueError("level must be >= 0")
+    ms = [_append(node, 0, j).m]
+    for i in range(j):
+        lead = 2 * 3**i
         ms += [lead + m for m in ms]
     return ms
 
 
-def standard_cells(n: int) -> Iterator[Interval]:
-    """Cells [m/3^n, (m+1)/3^n] of the level-n standard subdivision of [0, 1], left to right."""
-    if n < 0:
-        raise ValueError("level must be >= 0")
-    den = 3**n
-    return (_triadic_cell(m, den) for m in _numerators(n))
+def _ends(nodes: Iterable[FastNode], depth: int) -> tuple[list[int], list[int]]:
+    """Lower and upper ends of the nodes' cells in units of 3^-depth (no node deeper)."""
+    units = [(m, 3 ** (depth - k)) for m, k in nodes]
+    return [m * unit for m, unit in units], [(m + 1) * unit for m, unit in units]
 
 
 def standard_subdivision(n: int) -> IntervalSet:
     """K_n: what remains of [0, 1] after n rounds of middle-third removal."""
-    return IntervalSet(standard_cells(n))
+    return IntervalSet(FastNode(m, n).cell for m in _leaves(UNIT, n))
 
 
 def right_half_cells(n: int) -> Iterator[Interval]:
-    """Cells of K_n meet [2/3, 1]: the level-(n-1) cells under x -> 2/3 + x/3.
+    """Cells of K_n meet [2/3, 1], left to right: the level-(n-1) words below ROOT.
 
-    The map prepends the ternary digit 2 to each numerator.  Level 0 has the
-    single cell [2/3, 1], like level 1.
+    Level 0 has the single cell [2/3, 1], like level 1.
     """
     if n < 0:
         raise ValueError("level must be >= 0")
     level = max(n, 1)
-    lead = 2 * 3 ** (level - 1)
-    den = 3**level
-    return (_triadic_cell(lead + m, den) for m in _numerators(level - 1))
+    return (FastNode(m, level).cell for m in _leaves(ROOT, level - 1))
 
 
 def right_half_subdivision(n: int) -> IntervalSet:
@@ -114,44 +129,14 @@ def gap_set(K: int) -> IntervalSet:
     return IntervalSet(gaps)
 
 
-class FastNode(NamedTuple):
-    """A surviving cell of the fast subdivision: the triadic cell [m/3^k, (m+1)/3^k]."""
-
-    m: int
-    k: int
-
-    @property
-    def q(self) -> int:
-        """The cell's left endpoint divided by its length, which is m."""
-        return self.m
-
-    @property
-    def cell(self) -> Interval:
-        return _triadic_cell(self.m, 3**self.k)
-
-    @property
-    def length(self) -> Fraction:
-        return Fraction(1, 3**self.k)
-
-
-ROOT = FastNode(m=2, k=1)
-
-
 def node_child(node: FastNode, k: int, high_side: bool) -> FastNode:
     """The k-th surviving child cell of `node`, on the low or high side.
 
-    The length shrinks by 3^(k+1), and the address follows the affine bookkeeping:
-    low side  E_k: new m = 3^(k+1) m + 2,
-    high side F_k: new m = 3^(k+1) (m + 1) - 3.
+    Low side E_k appends the word 0^k 2, high side F_k the word 2^k 0.
     """
     if k < 1:
         raise ValueError("child index must be >= 1")
-    scale = 3 ** (k + 1)
-    if high_side:
-        m = scale * (node.m + 1) - 3
-    else:
-        m = scale * node.m + 2
-    return FastNode(m=m, k=node.k + k + 1)
+    return _append(node, 3 ** (k + 1) - 3 if high_side else 2, k + 1)
 
 
 def node_children(node: FastNode, K: int) -> tuple[FastNode, ...]:
@@ -192,20 +177,23 @@ def _rounds(n: int, K: int) -> tuple[list[FastNode], list[FastNode]]:
     return parents, level
 
 
-def _hull_tails(node: FastNode, K: int) -> tuple[Interval, Interval]:
-    scale = 3 ** (K + 1)
-    den = 3 ** (node.k + K + 1)
-    return _triadic_cell(node.m * scale, den), _triadic_cell((node.m + 1) * scale - 1, den)
+def _fast_tree(n: int, K: int) -> tuple[list[FastNode], list[FastNode], int]:
+    """(inner, outer) addresses and the depth 1 + n(K+1) of the deepest cell.
+
+    inner is the tracked depth-n cells, outer those and the hull tails.
+    """
+    parents, level = _rounds(n, K)
+    words = (0, 3 ** (K + 1) - 1)  # 0^(K+1) and 2^(K+1)
+    tails = [_append(node, w, K + 1) for node in parents for w in words]
+    return level, level + tails, 1 + n * (K + 1)
 
 
 def fast_subdivision(n: int, K: int) -> FastSubdivision:
     """Run n truncated rounds starting from [2/3, 1], tracking k <= K."""
-    parents, level = _rounds(n, K)
-    cells = [node.cell for node in level]
-    tails = [tail for node in parents for tail in _hull_tails(node, K)]
+    inner, outer, _ = _fast_tree(n, K)
     return FastSubdivision(
-        inner=IntervalSet(cells),
-        outer=IntervalSet(cells + tails),
+        inner=IntervalSet(node.cell for node in inner),
+        outer=IntervalSet(node.cell for node in outer),
     )
 
 

@@ -118,7 +118,7 @@ def test_criterion_3_level3_certificate():
     increment = second_level_increment()
     e1 = node_child(ROOT, 1, high_side=False)
     d1p = node_child(e1, 1, high_side=True)
-    gamma1 = truncated_gap_sum(d1p.length, high_cover_threshold(e1.q, 1))
+    gamma1 = truncated_gap_sum(d1p.length, high_cover_threshold(e1.m, 1))
     deep, epsilon = deep_series_total()
     unresolved = unresolved_cells_bound()
     removed = mu1 + increment + gamma1 + deep + epsilon
@@ -244,9 +244,9 @@ def test_criterion_6_property_suites():
         for k in (1, 2, 3):
             for high_child in (False, True):
                 cutoff = (
-                    high_cover_threshold(parent.q, k)
+                    high_cover_threshold(parent.m, k)
                     if high_child
-                    else low_cover_threshold(parent.q, k)
+                    else low_cover_threshold(parent.m, k)
                 )
                 for l in range(cutoff + 3):
                     assert child_gap_covered(parent, k, l, high_child) == (l >= cutoff)
@@ -256,8 +256,8 @@ def test_criterion_6_property_suites():
 
     # 5. child scale parameters: pinned at the root, recursion checked deeper
     for k in range(1, 13):
-        assert node_child(ROOT, k, high_side=True).q == 3 ** (k + 2) - 3
-        assert node_child(ROOT, k, high_side=False).q == 2 * 3 ** (k + 1) + 2
+        assert node_child(ROOT, k, high_side=True).m == 3 ** (k + 2) - 3
+        assert node_child(ROOT, k, high_side=False).m == 2 * 3 ** (k + 1) + 2
         cases += 2
     scale_cases = 0
     for _ in range(80):
@@ -265,8 +265,8 @@ def test_criterion_6_property_suites():
         for _ in range(rng.randint(0, 2)):
             node = node_child(node, rng.randint(1, 4), high_side=rng.random() < 0.5)
         k = rng.randint(1, 6)
-        assert node_child(node, k, high_side=True).q == 3 ** (k + 1) * (node.q + 1) - 3
-        assert node_child(node, k, high_side=False).q == 3 ** (k + 1) * node.q + 2
+        assert node_child(node, k, high_side=True).m == 3 ** (k + 1) * (node.m + 1) - 3
+        assert node_child(node, k, high_side=False).m == 3 ** (k + 1) * node.m + 2
         scale_cases += 2
     assert scale_cases + 24 >= 100
     cases += scale_cases
@@ -274,8 +274,8 @@ def test_criterion_6_property_suites():
     # 6. threshold patterns at the root, plus their defining inequalities
     pattern_cases = 0
     for k in range(1, 13):
-        assert low_cover_threshold(ROOT.q, k) == k
-        assert high_cover_threshold(ROOT.q, k) == k + 2
+        assert low_cover_threshold(ROOT.m, k) == k
+        assert high_cover_threshold(ROOT.m, k) == k + 2
         pattern_cases += 2
     for _ in range(60):
         q = rng.randint(1, 3**8)

@@ -221,14 +221,14 @@ def test_low_flank_scaffold_ascends():
 
 def test_root_threshold_patterns():
     for k in range(1, 13):
-        assert low_cover_threshold(ROOT.q, k) == k
-        assert high_cover_threshold(ROOT.q, k) == k + 2
+        assert low_cover_threshold(ROOT.m, k) == k
+        assert high_cover_threshold(ROOT.m, k) == k + 2
 
 
 def test_child_scale_parameters():
     for k in range(1, 13):
-        assert node_child(ROOT, k, high_side=True).q == 3 ** (k + 2) - 3
-        assert node_child(ROOT, k, high_side=False).q == 2 * 3 ** (k + 1) + 2
+        assert node_child(ROOT, k, high_side=True).m == 3 ** (k + 2) - 3
+        assert node_child(ROOT, k, high_side=False).m == 2 * 3 ** (k + 1) + 2
 
 
 def test_thresholds_match_geometric_covering():
@@ -238,9 +238,9 @@ def test_thresholds_match_geometric_covering():
         for k in range(1, 5):
             for high_child in (False, True):
                 if high_child:
-                    cutoff = high_cover_threshold(parent.q, k)
+                    cutoff = high_cover_threshold(parent.m, k)
                 else:
-                    cutoff = low_cover_threshold(parent.q, k)
+                    cutoff = low_cover_threshold(parent.m, k)
                 for l in range(0, cutoff + 4):
                     covered = child_gap_covered(parent, k, l, high_child)
                     assert covered == (l >= cutoff)

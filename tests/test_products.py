@@ -321,6 +321,39 @@ def test_fast_bounds_match_pairwise_oracle():
         assert r.component_count_outer == len(outer), (n, K)
 
 
+def test_fast_bounds_match_interval_set_route():
+    # the integer ends read from the addresses against the route they replace:
+    # the public fast_subdivision brackets swept through the lcm scale
+    cases = [(n, K) for n in range(3) for K in range(1, 11)] + [(3, K) for K in range(1, 6)]
+    for n, K in cases:
+        sub = fast_subdivision(n, K)
+        r = fast_bounds(n, K)
+        assert (r.lower, r.component_count_inner) == self_product_stats(sub.inner), (n, K)
+        assert (r.upper, r.component_count_outer) == self_product_stats(sub.outer), (n, K)
+
+
+def test_fast_bounds_builds_no_interval_set(monkeypatch):
+    # both constructors, the canonicalising one and the wrapper of canonical parts
+    built = []
+    init, wrap = IntervalSet.__init__, IntervalSet._from_canonical
+
+    def counted_init(self, items=()):
+        built.append("init")
+        init(self, items)
+
+    def counted_wrap(cls, intervals):
+        built.append("canonical")
+        return wrap(intervals)
+
+    monkeypatch.setattr(IntervalSet, "__init__", counted_init)
+    monkeypatch.setattr(IntervalSet, "_from_canonical", classmethod(counted_wrap))
+    product_image(fast_subdivision(1, 2).inner)
+    assert set(built) == {"init", "canonical"}  # the probe sees both
+    built.clear()
+    fast_bounds(2, 4)
+    assert built == []
+
+
 def test_sweep_merges_rows_as_they_arrive(monkeypatch):
     # fragmented rows grow the collected ends past twice what the last merge
     # kept, so the sweep merges them mid-way; the union must not change

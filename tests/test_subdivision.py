@@ -9,10 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cantorprod.gaps import child_cell, side_piece
 from cantorprod.intervals import Interval, IntervalSet
 from cantorprod.subdivision import (
     ROOT,
-    _numerators,
+    _ends,
+    _fast_tree,
+    _leaves,
+    _rounds,
     FastNode,
     Membership,
     cantor_membership,
@@ -46,7 +50,7 @@ def ternary_digits(m: int) -> set[int]:
 
 def test_numerators_are_the_ternary_words_without_digit_one():
     for n in range(10):
-        assert _numerators(n) == [m for m in range(3**n) if 1 not in ternary_digits(m)]
+        assert _leaves(FastNode(0, 0), n) == [m for m in range(3**n) if 1 not in ternary_digits(m)]
 
 
 def test_standard_level_zero_and_one():
@@ -141,7 +145,7 @@ def test_gap_set_complement_measure():
 
 def test_root_cell():
     assert ROOT.cell == Interval(Fraction(2, 3), Fraction(1))
-    assert ROOT.q == ROOT.m == 2
+    assert ROOT.m == 2
     assert ROOT._replace(m=0) == FastNode(0, 1)
 
 
@@ -184,8 +188,8 @@ def test_genuine_nodes_keep_q_equal_m():
         depth = rng.randint(1, 4)
         for _ in range(depth):
             node = node_child(node, rng.randint(1, 5), high_side=rng.random() < 0.5)
-        assert node.q == node.m
-        assert node.q >= 2 * 9**depth
+        assert node.cell.lo / node.length == node.m  # q, left end over length, is m
+        assert node.m >= 2 * 9**depth
 
 
 def test_node_children_ordering():
@@ -198,6 +202,54 @@ def test_node_children_ordering():
         assert all(ROOT.cell.lo <= c.lo and c.hi <= ROOT.cell.hi for c in cells)
     with pytest.raises(ValueError):
         node_children(ROOT, 0)
+
+
+def appended(node: FastNode, digits) -> FastNode:
+    """The address `node` followed by `digits`, one ternary digit at a time."""
+    m, k = node
+    for digit in digits:
+        m, k = 3 * m + digit, k + 1
+    return FastNode(m, k)
+
+
+def test_leaves_append_every_word_without_digit_one():
+    for node in (FastNode(0, 0), ROOT, node_child(ROOT, 2, high_side=True)):
+        for j in range(6):
+            words = [[]]
+            for _ in range(j):
+                words = [w + [d] for w in words for d in (0, 2)]
+            assert _leaves(node, j) == [appended(node, w).m for w in words]
+    with pytest.raises(ValueError):
+        _leaves(ROOT, -1)
+
+
+def test_fast_tree_addresses_are_appended_words():
+    # every subdivided cell of the n <= 3 trees, every tracked child index:
+    # E_k = I 0^k 2 and F_k = I 2^k 0, as the geometric route places them;
+    # the hull tails are I 0^(K+1) and I 2^(K+1), the outermost side pieces
+    for K in range(1, 9):
+        parents, _ = _rounds(3, K)
+        for parent in parents:
+            for k in range(1, K + 1):
+                low = node_child(parent, k, high_side=False)
+                high = node_child(parent, k, high_side=True)
+                assert low == appended(parent, [0] * k + [2])
+                assert high == appended(parent, [2] * k + [0])
+                assert low.cell == child_cell(parent, k, high_side=False)
+                assert high.cell == child_cell(parent, k, high_side=True)
+        inner, outer, depth = _fast_tree(3, K)
+        assert depth == 1 + 3 * (K + 1)
+        tails = outer[len(inner):]
+        assert outer[: len(inner)] == inner
+        assert tails == [appended(p, [d] * (K + 1)) for p in parents for d in (0, 2)]
+        for tail, (parent, high) in zip(tails, ((p, h) for p in parents for h in (False, True))):
+            assert tail.cell == side_piece(parent, K + 1, high)
+        # the integer ends at the one scale 3^depth are the cells' ends
+        los, his = _ends(outer, depth)
+        den = 3**depth
+        assert [(Fraction(lo, den), Fraction(hi, den)) for lo, hi in zip(los, his)] == [
+            (node.cell.lo, node.cell.hi) for node in outer
+        ]
 
 
 # ---------------------------------------------------------------------------
