@@ -1,26 +1,23 @@
 """Gap calculus: the exact bookkeeping behind the certified measure values.
 
-For a cell I = [A(0), A(1)] (A(x) = |I| (q + x), q = left endpoint over
-length, which is the node's address m), products of pieces of I organize
-into three interval families per side and index k:
+A cell I has a side piece per side and index k, I 0^k (low) or I 2^k (high),
+which is I itself at k = 0.  If the piece's thirds are [a+j, a+j+1] / 3^d,
+j = 0, 1, 2, it gives three interval families with endpoints over 9^d:
 
-* p_interval: the band of products between opposite side pieces of I, e.g.
-  on the low side P(I(2/3^{k+1}, 3^-k) x I(0, 3^-k-1));
-* q_interval: the square of the k-th surviving child cell with itself;
-* g_interval: the gap punched over the diagonal by the child's middle
-  removal, P(J x J) minus P(J'' x J'') for the side piece J = I_(k,+-),
-  an interval of length (|I| / 3^{k+1})^2 ending at A(.)^2.
+* p_interval, the band [a(a+2), (a+1)(a+3)], product of the outer thirds;
+* g_interval, the diagonal gap [(a+1)(a+3), (a+2)^2] the middle removal opens;
+* q_interval, the square of the tracked third, the child E_k = [a+2, a+3]
+  (low) or F_k = [a, a+1] (high).
 
-The point of the whole section: these intervals interleave in a fixed order
-(verify_order_chain), bands of a parent swallow most gaps of its children
-(the covering thresholds), and what is not swallowed has an exactly summable
-measure (truncated_gap_sum, beta, alpha).  Accumulating the swallowed-or-not
-accounting over three subdivision rounds yields a certified enclosure of the
-product-set measure, reproduced here entry by entry from first principles
-and compared against frozen expected literals.
+These intervals interleave in a fixed order (verify_order_chain), bands of a
+parent swallow most gaps of its children (the covering thresholds), and what
+is not swallowed has an exactly summable measure (truncated_gap_sum, beta,
+alpha).  Accumulating the swallowed-or-not accounting over three subdivision
+rounds yields a certified enclosure of the product-set measure, reproduced
+here entry by entry and compared against frozen expected literals.
 
-All series are evaluated exactly: explicit partial sums plus closed
-geometric tails, never floating point.
+scaled_point and the products built from it are the geometric oracle for the
+families.  All series are exact: partial sums plus closed geometric tails.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from . import _CERTIFY_TARGETS as TARGETS
 from .intervals import Interval, decimal_string, format_rational
-from .subdivision import ROOT, FastNode, node_child
+from .subdivision import ROOT, FastNode, _append, node_child
 
 # opaque CLI tokens: the enclosure of measure(P(D_3 x D_3)), then of measure(P(C x C))
 TARGET_LEVEL3, TARGET_FULL = TARGETS
@@ -42,7 +39,47 @@ class CertificationError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# cell geometry driven by (q, k): everything is a product of scaled points
+# the three families, on the integer address of a side piece's first third
+
+
+def _side_thirds(node: FastNode, k: int, high_side: bool) -> tuple[int, int, int]:
+    """(a, c, 9^d): the side piece's thirds are [a+j, a+j+1] / 3^d, j = 0, 1, 2,
+    and its tracked third is [c, c+1] / 3^d.  The first third is I 0^(k+1) on
+    the low side (E_k is the last) and F_k = I 2^k 0 on the high side."""
+    if high_side:
+        third = _append(node, 3 ** (k + 1) - 3, k + 1)
+        return third.m, third.m, 9**third.k
+    third = _append(node, 0, k + 1)
+    return third.m, third.m + 2, 9**third.k
+
+
+def p_interval(node: FastNode, k: int, high_side: bool) -> Interval:
+    """Band [a(a+2), (a+1)(a+3)]: the product of the side piece's two outer thirds."""
+    if k < 0:
+        raise ValueError("band index must be >= 0")
+    a, _, scale = _side_thirds(node, k, high_side)
+    return Interval(Fraction(a * (a + 2), scale), Fraction((a + 1) * (a + 3), scale))
+
+
+def q_interval(node: FastNode, k: int, high_side: bool) -> Interval:
+    """Square [c^2, (c+1)^2] of the k-th child cell, the side piece's tracked third."""
+    if k < 1:
+        raise ValueError("child index must be >= 1")
+    _, c, scale = _side_thirds(node, k, high_side)
+    return Interval(Fraction(c * c, scale), Fraction((c + 1) ** 2, scale))
+
+
+def g_interval(node: FastNode, k: int, high_side: bool) -> Interval:
+    """Diagonal gap [(a+1)(a+3), (a+2)^2] = diagonal_gap(side_piece(node, k, high_side)),
+    from the band's top to the upper third's square; both sides agree at k = 0."""
+    if k < 0:
+        raise ValueError("gap index must be >= 0")
+    a, _, scale = _side_thirds(node, k, high_side)
+    return Interval(Fraction((a + 1) * (a + 3), scale), Fraction((a + 2) ** 2, scale))
+
+
+# ---------------------------------------------------------------------------
+# the geometric oracle: cell geometry as products of scaled points A(x)
 
 
 def scaled_point(node: FastNode, x: Fraction) -> Fraction:
@@ -85,43 +122,6 @@ def diagonal_gap(piece: Interval) -> Interval:
     t = piece.length / 3
     hi = (piece.lo + 2 * t) ** 2
     return Interval(hi - t * t, hi)
-
-
-def p_interval(node: FastNode, k: int, high_side: bool) -> Interval:
-    """Band of products between the node's opposite side pieces at index k."""
-    if k < 0:
-        raise ValueError("band index must be >= 0")
-    s = Fraction(1, 3**k)
-    t = Fraction(1, 3 ** (k + 1))
-    if high_side:
-        lo = scaled_point(node, 1 - t) * scaled_point(node, 1 - s)
-        hi = scaled_point(node, 1) * scaled_point(node, 1 - 2 * t)
-    else:
-        lo = scaled_point(node, 2 * t) * scaled_point(node, 0)
-        hi = scaled_point(node, s) * scaled_point(node, t)
-    return Interval(lo, hi)
-
-
-def q_interval(node: FastNode, k: int, high_side: bool) -> Interval:
-    """Square of the k-th child cell: P(cell x cell) = [lo^2, hi^2]."""
-    cell = child_cell(node, k, high_side)
-    return Interval(cell.lo**2, cell.hi**2)
-
-
-def g_interval(node: FastNode, k: int, high_side: bool) -> Interval:
-    """The index-k diagonal gap of the node, on the low or high side.
-
-    Equals diagonal_gap(side_piece(node, k, high_side)); length |I|^2 / 9^{k+1}.
-    Both sides agree at k = 0.
-    """
-    if k < 0:
-        raise ValueError("gap index must be >= 0")
-    t = Fraction(1, 3 ** (k + 1)) / 3**node.k
-    if high_side:
-        edge = scaled_point(node, 1 - Fraction(1, 3 ** (k + 1)))
-    else:
-        edge = scaled_point(node, Fraction(2, 3 ** (k + 1)))
-    return Interval(edge**2 - t * t, edge**2)
 
 
 def compare_products(node: FastNode, x: Fraction, y: Fraction, z: Fraction, t: Fraction) -> int:

@@ -7,8 +7,8 @@ sets is equality of tuples and the Lebesgue measure is a plain sum of lengths.
 One merge, _merge_ends, builds that form from unsorted interval ends; the
 integer product sweeps in `products` use it too.
 
-No floats anywhere in here: decimal output is rendered by long division and
-truncated with an explicit "..." marker when inexact.
+No floats anywhere in here: decimal output is rendered by one integer division
+and truncated with an explicit "..." marker when inexact.
 """
 
 from __future__ import annotations
@@ -56,21 +56,10 @@ def decimal_string(x: Fraction, digits: int) -> str:
     """
     if digits < 0:
         raise ValueError("digits must be >= 0")
-    sign = "-" if x < 0 else ""
-    num, den = abs(x).numerator, abs(x).denominator
-    whole, rem = divmod(num, den)
-    parts = [sign, str(whole)]
-    if digits:
-        frac_digits = []
-        for _ in range(digits):
-            rem *= 10
-            d, rem = divmod(rem, den)
-            frac_digits.append(str(d))
-        parts.append(".")
-        parts.extend(frac_digits)
-    if rem:
-        parts.append("...")
-    return "".join(parts)
+    scaled, rem = divmod(abs(x.numerator) * 10**digits, x.denominator)
+    whole, frac = divmod(scaled, 10**digits)
+    text = f"{whole}.{frac:0{digits}d}" if digits else str(whole)
+    return ("-" if x < 0 else "") + text + ("..." if rem else "")
 
 
 class Interval:
@@ -191,9 +180,6 @@ class IntervalSet:
     def __len__(self) -> int:
         return len(self.intervals)
 
-    def __bool__(self) -> bool:
-        return bool(self.intervals)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntervalSet):
             return NotImplemented
@@ -246,27 +232,15 @@ class IntervalSet:
         """Closure of the set difference; isolated boundary points are dropped.
 
         Measure-exact: measure(A.difference(B)) == measure(A) - measure(A meet B).
+        It meets A with the closed gaps between B's nondegenerate components,
+        taken from A.inf to A.sup, and drops the points left over.
         """
-        out: list[Interval] = []
-        # degenerate cuts cannot change a closure, so drop them up front
+        if not self.intervals:
+            return self
         cuts = [c for c in other.intervals if c.lo < c.hi]
-        n = len(cuts)
-        start = 0
-        for iv in self.intervals:
-            lo = iv.lo
-            # skip cuts entirely to the left of this component
-            while start < n and cuts[start].hi <= iv.lo:
-                start += 1
-            j = start
-            while j < n and cuts[j].lo < iv.hi:
-                if cuts[j].lo > lo:
-                    out.append(Interval(lo, cuts[j].lo))
-                if cuts[j].hi > lo:
-                    lo = cuts[j].hi
-                j += 1
-            if lo < iv.hi:
-                out.append(Interval(lo, iv.hi))
-        return IntervalSet._from_canonical(out)
+        ends = zip([self.inf] + [c.hi for c in cuts], [c.lo for c in cuts] + [self.sup])
+        gaps = IntervalSet._from_canonical(Interval(lo, hi) for lo, hi in ends if lo <= hi)
+        return IntervalSet._from_canonical(iv for iv in self.intersection(gaps) if iv.lo < iv.hi)
 
     def intersection(self, other: "IntervalSet") -> "IntervalSet":
         out: list[Interval] = []
@@ -284,6 +258,4 @@ class IntervalSet:
         return IntervalSet._from_canonical(out)
 
     def subset_of(self, other: "IntervalSet") -> bool:
-        return self.difference(other).measure() == 0 and all(
-            other.contains(iv.lo) and other.contains(iv.hi) for iv in self.intervals
-        )
+        return self.union(other) == other

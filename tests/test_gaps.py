@@ -42,7 +42,9 @@ from cantorprod.gaps import (
 )
 from cantorprod.intervals import Interval, IntervalSet
 from cantorprod.products import product_image
-from cantorprod.subdivision import ROOT, FastNode, node_child, right_half_subdivision
+from cantorprod.subdivision import (
+    ROOT, FastNode, _fast_tree, _rounds, node_child, right_half_subdivision,
+)
 
 P6 = 9**6
 P10 = 9**10
@@ -74,6 +76,61 @@ def test_root_band_gap_square_pins():
     )
     assert q_interval(ROOT, 1, high_side=False) == Interval(Fraction(400, 729), Fraction(49, 81))
     assert q_interval(ROOT, 1, high_side=True) == Interval(Fraction(64, 81), Fraction(625, 729))
+
+
+def _p_oracle(node, k, high_side):
+    """p_interval as products of scaled points, before the side-thirds rewrite."""
+    s = Fraction(1, 3**k)
+    t = Fraction(1, 3 ** (k + 1))
+    if high_side:
+        lo = scaled_point(node, 1 - t) * scaled_point(node, 1 - s)
+        hi = scaled_point(node, 1) * scaled_point(node, 1 - 2 * t)
+    else:
+        lo = scaled_point(node, 2 * t) * scaled_point(node, 0)
+        hi = scaled_point(node, s) * scaled_point(node, t)
+    return Interval(lo, hi)
+
+
+def _q_oracle(node, k, high_side):
+    """q_interval through child_cell, before the side-thirds rewrite."""
+    cell = child_cell(node, k, high_side)
+    return Interval(cell.lo**2, cell.hi**2)
+
+
+def _g_oracle(node, k, high_side):
+    """g_interval as a squared scaled point, before the side-thirds rewrite."""
+    t = Fraction(1, 3 ** (k + 1)) / 3**node.k
+    if high_side:
+        edge = scaled_point(node, 1 - Fraction(1, 3 ** (k + 1)))
+    else:
+        edge = scaled_point(node, Fraction(2, 3 ** (k + 1)))
+    return Interval(edge**2 - t * t, edge**2)
+
+
+def test_families_match_scaled_point_oracles():
+    # every address down to depth 3 (the synthetic m = 0, 1 cells too), and
+    # every cell of the depth-2 fast tree with child index <= 6, hull tails
+    # included; family index k <= 8 on both sides
+    nodes = {FastNode(m, k0) for k0 in range(4) for m in range(3**k0)}
+    parents, _ = _rounds(2, 6)
+    _, outer, _ = _fast_tree(2, 6)
+    nodes.update(parents + outer)
+    for node in nodes:
+        for high_side in (False, True):
+            for k in range(9):
+                p = p_interval(node, k, high_side)
+                g = g_interval(node, k, high_side)
+                assert p == _p_oracle(node, k, high_side)
+                assert g == _g_oracle(node, k, high_side)
+                assert p.hi == g.lo
+                if k == 0:
+                    continue
+                q = q_interval(node, k, high_side)
+                assert q == _q_oracle(node, k, high_side)
+                if not high_side:
+                    assert g.hi == q.lo
+            with pytest.raises(ValueError):
+                q_interval(node, 0, high_side)
 
 
 def test_scaled_point_and_side_piece():

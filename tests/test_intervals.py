@@ -74,6 +74,38 @@ def test_decimal_string_truncates_not_rounds():
         decimal_string(Fraction(1, 3), -1)
 
 
+def _decimal_reference(x, digits):
+    """Digit-by-digit long division: the loop decimal_string used before it
+    took one integer division, kept as its oracle."""
+    sign = "-" if x < 0 else ""
+    num, den = abs(x).numerator, abs(x).denominator
+    whole, rem = divmod(num, den)
+    parts = [sign, str(whole)]
+    if digits:
+        frac_digits = []
+        for _ in range(digits):
+            rem *= 10
+            d, rem = divmod(rem, den)
+            frac_digits.append(str(d))
+        parts.append(".")
+        parts.extend(frac_digits)
+    if rem:
+        parts.append("...")
+    return "".join(parts)
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    st.fractions(max_denominator=10**6),
+    st.sampled_from([0, 1, 2, 5, 12, 30, 50]),
+)
+@example(Fraction(-1, 3), 0)
+@example(Fraction(-7, 8), 3)
+@example(Fraction(1, 10**9), 5)
+def test_decimal_string_matches_long_division(x, digits):
+    assert decimal_string(x, digits) == _decimal_reference(x, digits)
+
+
 def test_decimal_string_prefix_of_true_expansion():
     rng = random.Random(11)
     for _ in range(100):
@@ -211,6 +243,53 @@ def _segments(values):
 def test_merge_ends_matches_sort_and_sweep(segs):
     los, his = _merge_ends([lo for lo, _ in segs], [hi for _, hi in segs])
     assert list(zip(los, his)) == _sweep_reference(segs)
+
+
+def _difference_reference(a, b):
+    """The two-pointer walk IntervalSet.difference used before it became an
+    intersection with b's gaps, kept as its oracle."""
+    out = []
+    cuts = [c for c in b.intervals if c.lo < c.hi]
+    n = len(cuts)
+    start = 0
+    for iv in a.intervals:
+        lo = iv.lo
+        while start < n and cuts[start].hi <= iv.lo:
+            start += 1
+        j = start
+        while j < n and cuts[j].lo < iv.hi:
+            if cuts[j].lo > lo:
+                out.append(Interval(lo, cuts[j].lo))
+            if cuts[j].hi > lo:
+                lo = cuts[j].hi
+            j += 1
+        if lo < iv.hi:
+            out.append(Interval(lo, iv.hi))
+    return out
+
+
+def _with_points(values):
+    # unions whose components are often single points, on both sides
+    pieces = st.one_of(st.tuples(values, values), values.map(lambda x: (x, x)))
+    return st.lists(pieces, max_size=8).map(
+        lambda pairs: IntervalSet([Interval(min(p), max(p)) for p in pairs])
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.one_of(_with_points(st.integers(0, 12)), _with_points(endpoints)),
+       st.one_of(_with_points(st.integers(0, 12)), _with_points(endpoints)))
+@example(IntervalSet.empty(), IntervalSet([[0, 1]]))
+@example(IntervalSet([[0, 1]]), IntervalSet.empty())
+@example(IntervalSet([[0, 0], [2, 3]]), IntervalSet([[0, 2]]))
+@example(IntervalSet([[1, 2]]), IntervalSet([[0, 1], [2, 2], [3, 4]]))
+@example(IntervalSet([[1, 3]]), IntervalSet([[0, 2]]))
+def test_difference_and_subset_match_their_oracles(a, b):
+    assert list(a.difference(b)) == _difference_reference(a, b)
+    inclusion = all(
+        any(c.lo <= iv.lo and iv.hi <= c.hi for c in b) for iv in a
+    )
+    assert a.subset_of(b) == inclusion
 
 
 def test_components_strictly_separated():
