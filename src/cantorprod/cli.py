@@ -12,14 +12,13 @@ Only the standard library is imported up front, and neither `fractions` nor
 `json`.  Each handler imports the modules it runs and calls through them, so
 a command loads no computation module it does not use, and a function
 rebound in its module is the one that runs.  `member` loads only `ternary`,
-which decides membership on ints.
+which decides membership on ints.  `art` and `fast` load `products`,
+`subdivision` and `ternary`, and run on ints from argv to stdout.  Only
+`certify`, `render` and `selftest` load `intervals`, and with it `fractions`.
 """
-
-from __future__ import annotations
 
 import functools
 import os
-import re
 import sys
 from types import SimpleNamespace
 from typing import NoReturn, Optional, Sequence
@@ -261,7 +260,6 @@ COMMANDS = {
     "selftest": (_cmd_selftest, "curated fast cross-checks", ()),
 }
 _HELP = ("-h", "--help")
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse reads these as values
 
 
 def _usage(command: Optional[str]) -> str:
@@ -308,7 +306,11 @@ def _read(token: str, names: Sequence[str], command: Optional[str]):
         _fail(f"ambiguous option: {token} could match {', '.join(n for n, _ in found)}", command)
     if found:
         return found[0]
-    return None if _NEGATIVE_NUMBER.match(token) or " " in token else (None, None)
+    if " " in token:
+        return None
+    import re  # only an unknown dash token needs it: argparse reads negative numbers as values
+
+    return None if re.match(r"^-\d+$|^-\d*\.\d+$", token) else (None, None)
 
 
 def parse_args(argv: Sequence[str]) -> SimpleNamespace:

@@ -4,8 +4,11 @@ Everything downstream (subdivisions, product measures, certificates) works with
 finite unions of closed intervals with Fraction endpoints.  The canonical form
 is sorted and pairwise disjoint, with touching intervals merged, so equality of
 sets is equality of tuples and the Lebesgue measure is a plain sum of lengths.
-One merge, _merge_ends, builds that form from unsorted interval ends; the
-integer product sweeps in `products` use it too.
+One merge, _merge_ends, builds that form from unsorted interval ends.  It
+lives in `ternary`, with the "p/q" and decimal text kernels, because the
+integer product sweeps in `products` use it too and load no `fractions`;
+this module re-exports it, and format_rational and decimal_string wrap the
+text kernels on a Fraction's numerator and denominator.
 
 No floats anywhere in here: decimal output is rendered by one integer division
 and truncated with an explicit "..." marker when inexact.
@@ -17,7 +20,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
-from .ternary import parse_ratio
+from .ternary import _merge_ends, decimal_ratio, format_ratio, parse_ratio
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
@@ -45,7 +48,7 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(x: Fraction) -> str:
     """Render a Fraction as "p/q", with an explicit denominator even for integers."""
-    return f"{x.numerator}/{x.denominator}"
+    return format_ratio(x.numerator, x.denominator)
 
 
 def decimal_string(x: Fraction, digits: int) -> str:
@@ -54,12 +57,7 @@ def decimal_string(x: Fraction, digits: int) -> str:
     A trailing "..." marks a nonterminating (truncated) expansion, so the output
     is never silently rounded.  decimal_string(Fraction(5,9), 6) == "0.555555...".
     """
-    if digits < 0:
-        raise ValueError("digits must be >= 0")
-    scaled, rem = divmod(abs(x.numerator) * 10**digits, x.denominator)
-    whole, frac = divmod(scaled, 10**digits)
-    text = f"{whole}.{frac:0{digits}d}" if digits else str(whole)
-    return ("-" if x < 0 else "") + text + ("..." if rem else "")
+    return decimal_ratio(x.numerator, x.denominator, digits)
 
 
 class Interval:
@@ -119,28 +117,6 @@ def _as_interval(item: IntervalLike) -> Interval:
         return item
     lo, hi = item
     return Interval(rat(lo), rat(hi))
-
-
-def _merge_ends(los: list, his: list) -> tuple[list, list]:
-    """Component ends of the union of the closed intervals [los[i], his[i]].
-
-    Sorts each list in place on its own; the pairing of the ends is not needed.
-    Cut between positions i-1 and i exactly when his[i-1] < los[i].  At
-    least i intervals end by his[i-1], each begins below los[i], and at most
-    i lower ends lie below los[i]; so exactly those i intervals begin there,
-    every other one begins at or after los[i], and nothing covers the gap
-    (his[i-1], los[i]).  Conversely, an uncovered x in [los[0], his[-1]]
-    with i lower ends at or below it has those i intervals end below it, so
-    his[i-1] < x < los[i] is a cut.  Touching intervals merge.
-    """
-    los.sort()
-    his.sort()
-    out_los, out_his = los[:1], []
-    for hi, lo in zip(his, los[1:]):
-        if hi < lo:
-            out_his.append(hi)
-            out_los.append(lo)
-    return out_los, out_his + his[-1:]
 
 
 class IntervalSet:

@@ -10,7 +10,7 @@ fast bracket reads its integer ends straight from the cell addresses, at the
 scale 3^D of its deepest cell, so the lcm route serves general sets only.
 With both factors sorted left to right and all endpoints nonnegative, the
 candidate products of one row have nondecreasing lower and upper endpoints,
-so each row merges in a single pass; intervals._merge_ends merges the rows,
+so each row merges in a single pass; ternary._merge_ends merges the rows,
 in batches as they arrive so that memory stays near the output's size.  The
 sweep is quadratic in the number of cells.  It serves general sets and the
 fast bracket, and the tests use it as the oracle for the standard route.
@@ -25,24 +25,33 @@ measure(P(C x C)) = (3/2) measure(P(R x R)):
   measure(P(R_n x R_n)) - measure(P(R x R)) in [0, (1/63) (2/9)^(n-1)];
 * fast_bounds: squeeze measure(P(D_n x D_n)) between the inner/outer
   truncated fast subdivisions, which converges like 36^-n in n.
+
+Both routes run on ints from the cell addresses to their results.  Their
+records hold each measure as an integer over a power of 9, hand out reduced
+Fractions on access, and write JSON straight from the ints through
+ternary's text kernels, so `art` and `fast` load neither `fractions` nor
+`intervals`.  The functions that take or return Fractions and IntervalSets
+import them where they run.
 """
 
-from __future__ import annotations
-
 import time
-from fractions import Fraction
 from math import lcm
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .intervals import Interval, IntervalSet, _merge_ends, decimal_string, format_rational
 from .subdivision import ROOT, _ends, _fast_tree, _leaves
+from .ternary import _merge_ends, decimal_ratio, format_ratio
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .intervals import Interval, IntervalSet
 
 STANDARD_LEVEL_LIMIT = 20
 FAST_LEVEL_LIMIT = 3
 FAST_GAP_DEPTH_LIMIT = 10
 
 
-def _scaled_endpoints(s: IntervalSet) -> tuple[list[int], list[int], int]:
+def _scaled_endpoints(s: "IntervalSet") -> tuple[list[int], list[int], int]:
     den = 1
     for iv in s:
         if iv.lo < 0:
@@ -96,7 +105,7 @@ def _rows(
 
 
 def _product_segments(
-    S: IntervalSet, T: Optional[IntervalSet]
+    S: "IntervalSet", T: "Optional[IntervalSet]"
 ) -> tuple[list[int], list[int], int]:
     """Canonical component ends of P(S x T) in integers, plus the common denominator.
 
@@ -114,8 +123,12 @@ def _product_segments(
     return (*_merge_ends(los, his), a_den * b_den)
 
 
-def product_image(S: IntervalSet, T: Optional[IntervalSet] = None) -> IntervalSet:
+def product_image(S: "IntervalSet", T: "Optional[IntervalSet]" = None) -> "IntervalSet":
     """P(S x T) as a canonical IntervalSet; T omitted means P(S x S)."""
+    from fractions import Fraction
+
+    from .intervals import Interval, IntervalSet
+
     if T is not None and T == S:
         T = None
     los, his, den = _product_segments(S, T)
@@ -124,52 +137,91 @@ def product_image(S: IntervalSet, T: Optional[IntervalSet] = None) -> IntervalSe
     )
 
 
-def _stats(los: list[int], his: list[int], den: int) -> tuple[Fraction, int]:
-    return Fraction(sum(his) - sum(los), den), len(los)
+def _stats(los: list[int], his: list[int]) -> tuple[int, int]:
+    """(measure, component count) of canonical component ends, in their integer units."""
+    return sum(his) - sum(los), len(los)
 
 
-def self_product_stats(S: IntervalSet) -> tuple[Fraction, int]:
+def _fraction(p: int, q: int) -> "Fraction":
+    from fractions import Fraction
+
+    return Fraction(p, q)
+
+
+def self_product_stats(S: "IntervalSet") -> tuple["Fraction", int]:
     """(measure, component count) of P(S x S) without building Fractions per endpoint."""
-    return _stats(*_product_segments(S, None))
+    los, his, den = _product_segments(S, None)
+    measure, count = _stats(los, his)
+    return _fraction(measure, den), count
 
 
-def self_product_measure(S: IntervalSet) -> Fraction:
+def self_product_measure(S: "IntervalSet") -> "Fraction":
     return self_product_stats(S)[0]
 
 
 class EstimateResult(NamedTuple):
-    """Standard-route estimate of the Cantor product-set measure at level n."""
+    """Standard-route estimate of the Cantor product-set measure at level n.
+
+    measure(P(R_n x R_n)) is held exactly as scaled_measure / scale, with
+    scale = 9^max(n, 1); set_measure, tail_bound and full_value are built from
+    ints on access, as reduced Fractions.
+    """
 
     n: int
-    set_measure: Fraction
-    tail_bound: Fraction
-    full_value: Fraction
+    scaled_measure: int
+    scale: int
     component_count: int
     elapsed_ms: int
 
-    def full_bounds(self) -> Interval:
+    @property
+    def set_measure(self) -> "Fraction":
+        return _fraction(self.scaled_measure, self.scale)
+
+    @property
+    def tail_bound(self) -> "Fraction":
+        return convergence_tail(self.n)
+
+    @property
+    def full_value(self) -> "Fraction":
+        return _fraction(*self._full_ratio())
+
+    def _full_ratio(self) -> tuple[int, int]:
+        return 3 * self.scaled_measure, 2 * self.scale
+
+    def full_bounds(self) -> "Interval":
         """Certified enclosure of measure(P(C x C)); n = 0 gives [17/21, 5/6].
 
         set_measure overshoots the true right-half product measure by at most
         tail_bound, so the scaling identity pins the full measure inside
         [(3/2)(set_measure - tail_bound), (3/2) set_measure].
         """
-        half = Fraction(3, 2)
+        from .intervals import Interval
+
+        half = _fraction(3, 2)
         return Interval(half * (self.set_measure - self.tail_bound), half * self.set_measure)
 
     def to_json(self, digits: int = 12) -> dict:
+        full = self._full_ratio()
         return {
             "n": self.n,
-            "set_measure": format_rational(self.set_measure),
-            "tail_bound": format_rational(self.tail_bound),
-            "full_value": format_rational(self.full_value),
-            "decimal": decimal_string(self.full_value, digits),
+            "set_measure": format_ratio(self.scaled_measure, self.scale),
+            "tail_bound": format_ratio(*_tail_ratio(self.n)),
+            "full_value": format_ratio(*full),
+            "decimal": decimal_ratio(*full, digits),
             "component_count": self.component_count,
             "elapsed_ms": self.elapsed_ms,
         }
 
 
-def convergence_tail(n: int) -> Fraction:
+def _tail_ratio(n: int) -> tuple[int, int]:
+    """convergence_tail(n) as (numerator, denominator) in lowest terms."""
+    if n < 0:
+        raise ValueError("level must be >= 0")
+    j = max(n - 1, 0)
+    return 2**j, 63 * 9**j
+
+
+def convergence_tail(n: int) -> "Fraction":
     """Bound on measure(P(R_n x R_n)) - measure(P(R x R)), R_n the level-n cover.
 
     Splitting a cell of R_j removes at most its diagonal product gap, an
@@ -177,9 +229,7 @@ def convergence_tail(n: int) -> Fraction:
     so the telescope from level n sums to (1/63)(2/9)^{n-1}.  Levels 0 and 1
     are the same set [2/3, 1], hence share the n = 1 value 1/63.
     """
-    if n < 0:
-        raise ValueError("level must be >= 0")
-    return Fraction(1, 63) * Fraction(2, 9) ** max(n - 1, 0)
+    return _fraction(*_tail_ratio(n))
 
 
 def _check_hole_free(a: int, b: int, t: int) -> None:
@@ -251,42 +301,56 @@ def standard_estimate(n: int) -> EstimateResult:
     if not 0 <= n <= STANDARD_LEVEL_LIMIT:
         raise ValueError(f"standard route supports 0 <= n <= {STANDARD_LEVEL_LIMIT}")
     start = time.perf_counter()
-    measure, count = _stats(*_standard_segments(max(n, 1)))
+    los, his, scale = _standard_segments(max(n, 1))
+    measure, count = _stats(los, his)
     elapsed = int((time.perf_counter() - start) * 1000)
     return EstimateResult(
         n=n,
-        set_measure=measure,
-        tail_bound=convergence_tail(n),
-        full_value=Fraction(3, 2) * measure,
+        scaled_measure=measure,
+        scale=scale,
         component_count=count,
         elapsed_ms=elapsed,
     )
 
 
 class FastBounds(NamedTuple):
-    """Exact bracket of measure(P(D_n x D_n)) from the truncated fast subdivision."""
+    """Exact bracket of measure(P(D_n x D_n)) from the truncated fast subdivision.
+
+    Both ends are held exactly as integers over scale = 9^depth, depth that of
+    the deepest cell; lower, upper and width are built from ints on access, as
+    reduced Fractions.
+    """
 
     n: int
     gap_depth: int
-    lower: Fraction
-    upper: Fraction
+    scaled_lower: int
+    scaled_upper: int
+    scale: int
     component_count_inner: int
     component_count_outer: int
     elapsed_ms: int
 
     @property
-    def width(self) -> Fraction:
-        return self.upper - self.lower
+    def lower(self) -> "Fraction":
+        return _fraction(self.scaled_lower, self.scale)
+
+    @property
+    def upper(self) -> "Fraction":
+        return _fraction(self.scaled_upper, self.scale)
+
+    @property
+    def width(self) -> "Fraction":
+        return _fraction(self.scaled_upper - self.scaled_lower, self.scale)
 
     def to_json(self, digits: int = 12) -> dict:
         return {
             "n": self.n,
             "gap_depth": self.gap_depth,
-            "lower": format_rational(self.lower),
-            "upper": format_rational(self.upper),
-            "width": format_rational(self.width),
-            "decimal_lower": decimal_string(self.lower, digits),
-            "decimal_upper": decimal_string(self.upper, digits),
+            "lower": format_ratio(self.scaled_lower, self.scale),
+            "upper": format_ratio(self.scaled_upper, self.scale),
+            "width": format_ratio(self.scaled_upper - self.scaled_lower, self.scale),
+            "decimal_lower": decimal_ratio(self.scaled_lower, self.scale, digits),
+            "decimal_upper": decimal_ratio(self.scaled_upper, self.scale, digits),
             "component_count_inner": self.component_count_inner,
             "component_count_outer": self.component_count_outer,
             "elapsed_ms": self.elapsed_ms,
@@ -308,7 +372,7 @@ def fast_bounds(n: int, K: int) -> FastBounds:
 
     def stats(nodes):  # the cells' union, swept at the scale 3^depth of the deepest cell
         los, his = _merge_ends(*_ends(nodes, depth))
-        return _stats(*_merge_ends(*_rows(los, his, los, his, triangle=True)), 9**depth)
+        return _stats(*_merge_ends(*_rows(los, his, los, his, triangle=True)))
 
     lower, count_inner = stats(inner)
     upper, count_outer = stats(outer)
@@ -316,8 +380,9 @@ def fast_bounds(n: int, K: int) -> FastBounds:
     return FastBounds(
         n=n,
         gap_depth=K,
-        lower=lower,
-        upper=upper,
+        scaled_lower=lower,
+        scaled_upper=upper,
+        scale=9**depth,
         component_count_inner=count_inner,
         component_count_outer=count_outer,
         elapsed_ms=elapsed,

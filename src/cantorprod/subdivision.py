@@ -26,14 +26,11 @@ both schemes are walks that append words.
 This module is the one place that turns an address into endpoints: as
 Fractions (FastNode.cell) or as integers at one common scale (_ends).  The
 ints of _leaves are already the leaves' left ends, in units of their 3^-depth.
+The integer walks load no `fractions`: the functions that build Fractions or
+IntervalSets import them where they run.
 """
 
-from __future__ import annotations
-
-from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
-
-from .intervals import Interval, IntervalSet
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 # Membership lives in `ternary`, which never loads `fractions`.  Its names are
 # re-exported here because callers look them up on this module: perfbench's
@@ -43,6 +40,11 @@ from .ternary import (  # noqa: F401
     Membership, TernaryExpansion, cantor_membership, classify_ternary, ternary_expansion,
 )
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .intervals import Interval, IntervalSet
+
 
 class FastNode(NamedTuple):
     """A ternary address: the cell [m/3^k, (m+1)/3^k]."""
@@ -51,12 +53,18 @@ class FastNode(NamedTuple):
     k: int
 
     @property
-    def cell(self) -> Interval:
+    def cell(self) -> "Interval":
+        from fractions import Fraction
+
+        from .intervals import Interval
+
         den = 3**self.k
         return Interval(Fraction(self.m, den), Fraction(self.m + 1, den))
 
     @property
-    def length(self) -> Fraction:
+    def length(self) -> "Fraction":
+        from fractions import Fraction
+
         return Fraction(1, 3**self.k)
 
 
@@ -92,12 +100,14 @@ def _ends(nodes: Iterable[FastNode], depth: int) -> tuple[list[int], list[int]]:
     return [m * unit for m, unit in units], [(m + 1) * unit for m, unit in units]
 
 
-def standard_subdivision(n: int) -> IntervalSet:
+def standard_subdivision(n: int) -> "IntervalSet":
     """K_n: what remains of [0, 1] after n rounds of middle-third removal."""
+    from .intervals import IntervalSet
+
     return IntervalSet(FastNode(m, n).cell for m in _leaves(UNIT, n))
 
 
-def right_half_cells(n: int) -> Iterator[Interval]:
+def right_half_cells(n: int) -> Iterator["Interval"]:
     """Cells of K_n meet [2/3, 1], left to right: the level-(n-1) words below ROOT.
 
     Level 0 has the single cell [2/3, 1], like level 1.
@@ -108,17 +118,23 @@ def right_half_cells(n: int) -> Iterator[Interval]:
     return (FastNode(m, level).cell for m in _leaves(ROOT, level - 1))
 
 
-def right_half_subdivision(n: int) -> IntervalSet:
+def right_half_subdivision(n: int) -> "IntervalSet":
     """R_n: level-n standard cover of the right half of the Cantor set."""
+    from .intervals import IntervalSet
+
     return IntervalSet(right_half_cells(n))
 
 
-def gap_set(K: int) -> IntervalSet:
+def gap_set(K: int) -> "IntervalSet":
     """The gap family B truncated at index K, as a subset of [0, 1].
 
     Contains the central gap plus the K nearest side gaps at each end;
     measure 2/3 - 1/3^(K+1).
     """
+    from fractions import Fraction
+
+    from .intervals import Interval, IntervalSet
+
     if K < 0:
         raise ValueError("gap index bound must be >= 0")
     gaps = [Interval(Fraction(1, 3), Fraction(2, 3))]
@@ -157,8 +173,8 @@ class FastSubdivision(NamedTuple):
     contain every cell the truncation discarded.
     """
 
-    inner: IntervalSet
-    outer: IntervalSet
+    inner: "IntervalSet"
+    outer: "IntervalSet"
 
 
 def _rounds(n: int, K: int) -> tuple[list[FastNode], list[FastNode]]:
@@ -190,6 +206,8 @@ def _fast_tree(n: int, K: int) -> tuple[list[FastNode], list[FastNode], int]:
 
 def fast_subdivision(n: int, K: int) -> FastSubdivision:
     """Run n truncated rounds starting from [2/3, 1], tracking k <= K."""
+    from .intervals import IntervalSet
+
     inner, outer, _ = _fast_tree(n, K)
     return FastSubdivision(
         inner=IntervalSet(node.cell for node in inner),
@@ -197,19 +215,23 @@ def fast_subdivision(n: int, K: int) -> FastSubdivision:
     )
 
 
-def removed_gaps(n: int, K: int) -> IntervalSet:
+def removed_gaps(n: int, K: int) -> "IntervalSet":
     """Union of all gap intervals deleted during n rounds of fast subdivision."""
+    from .intervals import IntervalSet
+
     parents, _ = _rounds(n, K)
     base = gap_set(K)
     return IntervalSet(gap for node in parents for gap in base.affine_image(node.cell))
 
 
-def squared_length_sum(n: int, K: int) -> tuple[Fraction, Fraction]:
+def squared_length_sum(n: int, K: int) -> tuple["Fraction", "Fraction"]:
     """(sum of |cell|^2 over tracked depth-n cells, its K -> infinity limit).
 
     The limit is (1/9) (1/36)^n: each round multiplies the squared-length sum
     of a cell by 2 sum_{k>=1} 9^(-k-1) = 1/36.
     """
+    from fractions import Fraction
+
     _, level = _rounds(n, K)
     truncated = sum((node.length**2 for node in level), Fraction(0))
     limit = Fraction(1, 9) * Fraction(1, 36) ** n

@@ -1,17 +1,18 @@
-"""Membership in the middle-third Cantor set, from base-3 long division.
+"""Membership in the middle-third Cantor set, and the int kernels of the exact routes.
 
 A rational x in [0, 1] is in C exactly when its ternary expansion avoids the
 digit 1 (a final digit 1 is allowed: ...1 = ...0222...).  The expansion is
 integer long division of x.numerator by x.denominator, and it cycles within
 the denominator's remainders, so the verdict is exact.
 
-This module holds only that, and `parse_ratio`, the one text parser: "p/q"
-or "p" to lowest-terms integers.  It never imports `fractions`, so the
-`member` command runs on ints alone.  Each function takes an int, a
-`Fraction` or a string such as "1/4".
+The exact routes' int kernels live here too, each in one place:
+`parse_ratio`, the one text parser ("p/q" or "p" to lowest-terms integers);
+`format_ratio` and `decimal_ratio`, the "p/q" and truncated decimal text of
+p/q; and `_merge_ends`, the one merge into canonical interval form.  This
+module never imports `fractions`, so `member`, `art` and `fast` run on ints
+alone.  Each membership function takes an int, a `Fraction` or a string such
+as "1/4".
 """
-
-from __future__ import annotations
 
 import sys
 from enum import Enum
@@ -37,11 +38,58 @@ def parse_ratio(text: str) -> tuple[int, int]:
         raise ValueError(f"not an exact rational literal: {text!r}") from exc
     if q == 0:
         raise ValueError(f"not an exact rational literal: {text!r}")
+    return _lowest(p, q)
+
+
+def _lowest(p: int, q: int) -> tuple[int, int]:
+    """p/q in lowest terms with a positive denominator (q != 0)."""
     g = gcd(p, q) if q > 0 else -gcd(p, q)
     return p // g, q // g
 
 
-def _ratio(x: int | Fraction | str) -> tuple[int, int]:
+def format_ratio(p: int, q: int) -> str:
+    """p/q as "p/q" text in lowest terms, with an explicit denominator even for integers."""
+    p, q = _lowest(p, q)
+    return f"{p}/{q}"
+
+
+def decimal_ratio(p: int, q: int, digits: int) -> str:
+    """Exact decimal rendering of p/q (q > 0), truncated toward zero to `digits` places.
+
+    A trailing "..." marks a nonterminating (truncated) expansion, so the output
+    is never silently rounded.  decimal_ratio(5, 9, 6) == "0.555555...".
+    """
+    if digits < 0:
+        raise ValueError("digits must be >= 0")
+    scaled, rem = divmod(abs(p) * 10**digits, q)
+    whole, frac = divmod(scaled, 10**digits)
+    text = f"{whole}.{frac:0{digits}d}" if digits else str(whole)
+    return ("-" if p < 0 else "") + text + ("..." if rem else "")
+
+
+def _merge_ends(los: list, his: list) -> tuple[list, list]:
+    """Component ends of the union of the closed intervals [los[i], his[i]].
+
+    Sorts each list in place on its own; the pairing of the ends is not needed.
+    Cut between positions i-1 and i exactly when his[i-1] < los[i].  At
+    least i intervals end by his[i-1], each begins below los[i], and at most
+    i lower ends lie below los[i]; so exactly those i intervals begin there,
+    every other one begins at or after los[i], and nothing covers the gap
+    (his[i-1], los[i]).  Conversely, an uncovered x in [los[0], his[-1]]
+    with i lower ends at or below it has those i intervals end below it, so
+    his[i-1] < x < los[i] is a cut.  Touching intervals merge.
+    """
+    los.sort()
+    his.sort()
+    out_los, out_his = los[:1], []
+    for hi, lo in zip(his, los[1:]):
+        if hi < lo:
+            out_his.append(hi)
+            out_los.append(lo)
+    return out_los, out_his + his[-1:]
+
+
+def _ratio(x: "int | Fraction | str") -> tuple[int, int]:
     """(numerator, denominator) of an int, a Fraction or a rational literal."""
     if isinstance(x, str):
         return parse_ratio(x)
@@ -83,7 +131,7 @@ class TernaryExpansion(NamedTuple):
         return f"0.{head}" if self.digits else "0"
 
 
-def ternary_expansion(x: int | Fraction | str, max_digits: int = 4096) -> TernaryExpansion:
+def ternary_expansion(x: "int | Fraction | str", max_digits: int = 4096) -> TernaryExpansion:
     """Expand x in [0, 1] in base 3 by long division, detecting the cycle."""
     rem, den = _ratio(x)
     if not 0 <= rem <= den:
@@ -103,7 +151,7 @@ def ternary_expansion(x: int | Fraction | str, max_digits: int = 4096) -> Ternar
     return TernaryExpansion(tuple(digits), period=0, complete=(rem == 0))
 
 
-def classify_ternary(x: int | Fraction | str,
+def classify_ternary(x: "int | Fraction | str",
                      max_digits: int = 4096) -> tuple[Membership, TernaryExpansion]:
     """Decide Cantor-set membership of x in [0, 1] from its ternary digits.
 
@@ -123,7 +171,7 @@ def classify_ternary(x: int | Fraction | str,
     return Membership.MEMBER, exp
 
 
-def cantor_membership(x: int | Fraction | str, max_digits: int = 4096) -> Membership:
+def cantor_membership(x: "int | Fraction | str", max_digits: int = 4096) -> Membership:
     """Membership of x in the middle-third Cantor set (exact for rationals)."""
     verdict, _ = classify_ternary(x, max_digits)
     return verdict

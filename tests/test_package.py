@@ -73,8 +73,8 @@ def test_cli_import_loads_no_computation_module():
 
 COMMANDS = {
     "member": (["member", "--x", "1/4"], ["ternary"]),
-    "art": (["art", "--n", "3"], ["intervals", "products", "subdivision", "ternary"]),
-    "fast": (["fast", "--n", "1", "--K", "2"], ["intervals", "products", "subdivision", "ternary"]),
+    "art": (["art", "--n", "3"], ["products", "subdivision", "ternary"]),
+    "fast": (["fast", "--n", "1", "--K", "2"], ["products", "subdivision", "ternary"]),
     "certify": (["certify"], ["gaps", "intervals", "subdivision", "ternary"]),
     "render": (["render", "--n", "0", "--K", "1"],
                ["gaps", "intervals", "render", "subdivision", "ternary"]),
@@ -114,14 +114,25 @@ def test_no_command_loads_json(argv):
     assert probe_output(probe, *argv) == f"{[0] * len(extras)} False\n"
 
 
+# fractions brings decimal and numbers with it, about 3 ms of a short-lived
+# process, and `from __future__ import annotations` is a real import
+INT_ONLY_HEAVY = ("sorted({'fractions', 'decimal', 'numbers', 'json', '__future__'}"
+                  " & set(sys.modules))")
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_member_runs_on_ints_alone(fmt):
-    # fractions brings decimal and numbers with it: about 3 ms of every member
-    heavy = "sorted({'fractions', 'decimal', 'numbers', 'json'} & set(sys.modules))"
-    probe = RUN_MAIN + f"print(code, {heavy})\n"
+    probe = RUN_MAIN + f"print(code, {INT_ONLY_HEAVY})\n"
     assert probe_output(probe, "member", "--x", "1/4", "--format", fmt) == "0 []\n"
     probe = "import cantorprod.cli, sys; print('fractions' in sys.modules)"
     assert probe_output(probe) == "False\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["art", "fast"])
+def test_art_and_fast_run_on_ints_alone(command, fmt):
+    probe = RUN_MAIN + f"print(code, {INT_ONLY_HEAVY})\n"
+    assert probe_output(probe, *COMMANDS[command][0], "--format", fmt) == "0 []\n"
 
 
 def test_module_run_is_clean_under_warnings_as_errors():

@@ -6,12 +6,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cantorprod import products
 from cantorprod.gaps import diagonal_gap
-from cantorprod.intervals import Interval, IntervalSet, _merge_ends
+from cantorprod.intervals import (
+    Interval, IntervalSet, _merge_ends, decimal_string, format_rational,
+)
 from cantorprod.products import (
     EstimateResult,
     _check_hole_free,
@@ -27,6 +29,7 @@ from cantorprod.subdivision import (
     right_half_cells,
     right_half_subdivision,
 )
+from cantorprod.ternary import decimal_ratio, format_ratio
 
 RIGHT = IntervalSet([["2/3", "1"]])
 
@@ -409,3 +412,112 @@ def test_routes_agree_on_common_ground():
     # standard bound
     assert scaled_hi >= std.lo
     assert std.lo < std.hi
+
+
+# ---------------------------------------------------------------------------
+# the records' int route against the Fraction route it replaced
+
+
+def format_rational_oracle(x: Fraction) -> str:
+    """`intervals.format_rational` as it was before `ternary.format_ratio`."""
+    return f"{x.numerator}/{x.denominator}"
+
+
+def decimal_string_oracle(x: Fraction, digits: int) -> str:
+    """`intervals.decimal_string` as it was before `ternary.decimal_ratio`."""
+    if digits < 0:
+        raise ValueError("digits must be >= 0")
+    scaled, rem = divmod(abs(x.numerator) * 10**digits, x.denominator)
+    whole, frac = divmod(scaled, 10**digits)
+    text = f"{whole}.{frac:0{digits}d}" if digits else str(whole)
+    return ("-" if x < 0 else "") + text + ("..." if rem else "")
+
+
+def estimate_json_oracle(n, set_measure, tail_bound, full_value, component_count, elapsed_ms,
+                         digits):
+    """`EstimateResult.to_json` as it was when the record held Fractions."""
+    return {
+        "n": n,
+        "set_measure": format_rational_oracle(set_measure),
+        "tail_bound": format_rational_oracle(tail_bound),
+        "full_value": format_rational_oracle(full_value),
+        "decimal": decimal_string_oracle(full_value, digits),
+        "component_count": component_count,
+        "elapsed_ms": elapsed_ms,
+    }
+
+
+def fast_json_oracle(n, gap_depth, lower, upper, component_count_inner, component_count_outer,
+                     elapsed_ms, digits):
+    """`FastBounds.to_json` as it was when the record held Fractions."""
+    return {
+        "n": n,
+        "gap_depth": gap_depth,
+        "lower": format_rational_oracle(lower),
+        "upper": format_rational_oracle(upper),
+        "width": format_rational_oracle(upper - lower),
+        "decimal_lower": decimal_string_oracle(lower, digits),
+        "decimal_upper": decimal_string_oracle(upper, digits),
+        "component_count_inner": component_count_inner,
+        "component_count_outer": component_count_outer,
+        "elapsed_ms": elapsed_ms,
+    }
+
+
+def test_estimate_record_matches_fraction_route():
+    # every level the route accepts, with elapsed_ms carried over as the mask
+    half = Fraction(3, 2)
+    for n in range(21):
+        est = standard_estimate(n)
+        los, his, den = products._standard_segments(max(n, 1))
+        measure = Fraction(sum(his) - sum(los), den)
+        tail = Fraction(1, 63) * Fraction(2, 9) ** max(n - 1, 0)
+        full = half * measure
+        fields = (est.set_measure, est.tail_bound, est.full_value)
+        assert fields == (measure, tail, full), n
+        assert [type(value) for value in fields] == [Fraction] * 3, n
+        assert est.full_bounds() == Interval(half * (measure - tail), half * measure), n
+        assert convergence_tail(n) == tail, n
+        for digits in (1, 12, 50):
+            assert est.to_json(digits) == estimate_json_oracle(
+                n, measure, tail, full, len(los), est.elapsed_ms, digits), (n, digits)
+
+
+def test_fast_record_matches_fraction_route():
+    # the ends as the lcm sweep over the public brackets gives them
+    cases = [(n, K) for n in range(3) for K in range(1, 7)] + [(3, K) for K in range(1, 4)]
+    for n, K in cases:
+        sub = fast_subdivision(n, K)
+        lower, count_inner = self_product_stats(sub.inner)
+        upper, count_outer = self_product_stats(sub.outer)
+        r = fast_bounds(n, K)
+        fields = (r.lower, r.upper, r.width)
+        assert fields == (lower, upper, upper - lower), (n, K)
+        assert [type(value) for value in fields] == [Fraction] * 3, (n, K)
+        for digits in (1, 12, 50):
+            assert r.to_json(digits) == fast_json_oracle(
+                n, K, lower, upper, count_inner, count_outer, r.elapsed_ms, digits), (n, K, digits)
+
+
+huge = st.integers(-(10**90), 10**90)
+numerators = st.integers(-(10**6), 10**6) | huge
+denominators = st.integers(1, 10**6) | st.integers(1, 10**90)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(numerators, denominators | denominators.map(lambda q: -q),
+       st.sampled_from([0, 1, 2, 12, 50]))
+@example(0, 7, 3)
+@example(0, -7, 0)
+@example(-12, 4, 2)
+@example(5, 1, 12)
+@example(-1, 10**9, 5)
+@example(3**200 + 1, -(2**300), 50)
+def test_text_kernels_match_fraction_oracles(p, q, digits):
+    x = Fraction(p, q)
+    assert format_ratio(p, q) == format_rational_oracle(x)
+    assert decimal_ratio(x.numerator, x.denominator, digits) == decimal_string_oracle(x, digits)
+    if q > 0:
+        assert decimal_ratio(p, q, digits) == decimal_string_oracle(x, digits)
+    assert format_rational(x) == format_rational_oracle(x)
+    assert decimal_string(x, digits) == decimal_string_oracle(x, digits)
