@@ -8,7 +8,9 @@ One merge, _merge_ends, builds that form from unsorted interval ends.  It
 lives in `ternary`, with the "p/q" and decimal text kernels, because the
 integer product sweeps in `products` use it too and load no `fractions`;
 this module re-exports it, and format_rational and decimal_string wrap the
-text kernels on a Fraction's numerator and denominator.
+text kernels on a Fraction's numerator and denominator.  The integer routes
+(the subdivision covers and the product sweep) merge on ints and cross into
+Fractions once, through IntervalSet._from_ends, the one int -> Fraction bridge.
 
 No floats anywhere in here: decimal output is rendered by one integer division
 and truncated with an explicit "..." marker when inexact.
@@ -140,6 +142,13 @@ class IntervalSet:
         out = cls.__new__(cls)
         out.intervals = tuple(intervals)
         return out
+
+    @classmethod
+    def _from_ends(cls, los: Sequence[int], his: Sequence[int], den: int) -> "IntervalSet":
+        """Wrap canonical integer component ends over one denominator den."""
+        return cls._from_canonical(
+            Interval(Fraction(lo, den), Fraction(hi, den)) for lo, hi in zip(los, his)
+        )
 
     @classmethod
     def empty(cls) -> "IntervalSet":

@@ -14,6 +14,8 @@ so each row merges in a single pass; ternary._merge_ends merges the rows,
 in batches as they arrive so that memory stays near the output's size.  The
 sweep is quadratic in the number of cells.  It serves general sets and the
 fast bracket, and the tests use it as the oracle for the standard route.
+product_image hands its ends to IntervalSet._from_ends, the one int -> Fraction
+bridge.
 
 Two estimate routes for the measure of P(C x C), C the middle-third Cantor
 set, both via its right half R = C meet [2/3, 1] and the scaling identity
@@ -125,16 +127,11 @@ def _product_segments(
 
 def product_image(S: "IntervalSet", T: "Optional[IntervalSet]" = None) -> "IntervalSet":
     """P(S x T) as a canonical IntervalSet; T omitted means P(S x S)."""
-    from fractions import Fraction
-
-    from .intervals import Interval, IntervalSet
+    from .intervals import IntervalSet
 
     if T is not None and T == S:
         T = None
-    los, his, den = _product_segments(S, T)
-    return IntervalSet._from_canonical(
-        Interval(Fraction(lo, den), Fraction(hi, den)) for lo, hi in zip(los, his)
-    )
+    return IntervalSet._from_ends(*_product_segments(S, T))
 
 
 def _stats(los: list[int], his: list[int]) -> tuple[int, int]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .intervals import Interval, Rational, format_rational, rat
+from .intervals import Interval, Rational, format_rational
 from .subdivision import ROOT, UNIT, FastNode, _ends, _leaves, node_child
 from .gaps import g_interval, p_interval
 
@@ -215,8 +215,8 @@ def render_svg(depth: int = 1, k_max: int = 3) -> str:
     cells = _cells(k_max)
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="1000"'
-        f' viewBox="{_VIEW}" data-cell-lo="{format_rational(rat(cell.lo))}"'
-        f' data-cell-hi="{format_rational(rat(cell.hi))}" data-q="{node.m}"'
+        f' viewBox="{_VIEW}" data-cell-lo="{format_rational(cell.lo)}"'
+        f' data-cell-hi="{format_rational(cell.hi)}" data-q="{node.m}"'
         f' data-scale-k="{node.k}">',
         "<defs>",
         '<clipPath id="cell"><rect x="0" y="0" width="1" height="1"/></clipPath>',

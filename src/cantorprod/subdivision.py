@@ -23,14 +23,15 @@ both schemes are walks that append words.
   (they contain all discarded cells), the inner set keeps tracked cells
   only.  Both brackets are exact: inner <= D_n <= outer.
 
-This module is the one place that turns an address into endpoints: as
-Fractions (FastNode.cell) or as integers at one common scale (_ends).  The
-ints of _leaves are already the leaves' left ends, in units of their 3^-depth.
-The integer walks load no `fractions`: the functions that build Fractions or
-IntervalSets import them where they run.
+This module is the one place that turns an address into endpoints.  Every
+set of cells here is a _cover: _ends reads their integer ends at one scale
+3^-depth, merged on ints and made Fractions once; FastNode.cell gives one cell
+as Fractions.  The ints of _leaves are already the leaves' left ends, in units
+of their 3^-depth.  The integer walks load no `fractions`: the functions that
+build Fractions or IntervalSets import them where they run.
 """
 
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 # Membership lives in `ternary`, which never loads `fractions`.  Its names are
 # re-exported here because callers look them up on this module: perfbench's
@@ -39,6 +40,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 from .ternary import (  # noqa: F401
     Membership, TernaryExpansion, cantor_membership, classify_ternary, ternary_expansion,
 )
+from .ternary import _merge_ends
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -100,29 +102,37 @@ def _ends(nodes: Iterable[FastNode], depth: int) -> tuple[list[int], list[int]]:
     return [m * unit for m, unit in units], [(m + 1) * unit for m, unit in units]
 
 
-def standard_subdivision(n: int) -> "IntervalSet":
-    """K_n: what remains of [0, 1] after n rounds of middle-third removal."""
+def _cover(nodes: Iterable[FastNode], depth: int) -> "IntervalSet":
+    """The union of the nodes' cells (no node deeper than `depth`), merged on ints."""
     from .intervals import IntervalSet
 
-    return IntervalSet(FastNode(m, n).cell for m in _leaves(UNIT, n))
+    return IntervalSet._from_ends(*_merge_ends(*_ends(nodes, depth)), 3**depth)
 
 
-def right_half_cells(n: int) -> Iterator["Interval"]:
-    """Cells of K_n meet [2/3, 1], left to right: the level-(n-1) words below ROOT.
+def standard_subdivision(n: int) -> "IntervalSet":
+    """K_n: what remains of [0, 1] after n rounds of middle-third removal."""
+    return _cover([FastNode(m, n) for m in _leaves(UNIT, n)], n)
 
-    Level 0 has the single cell [2/3, 1], like level 1.
+
+def right_half_subdivision(n: int) -> "IntervalSet":
+    """R_n: level-n standard cover of the right half of the Cantor set.
+
+    Its components are the cells of K_n meet [2/3, 1], the level-(n-1) words
+    below ROOT.  Level 0 has the single cell [2/3, 1], like level 1.
     """
     if n < 0:
         raise ValueError("level must be >= 0")
     level = max(n, 1)
-    return (FastNode(m, level).cell for m in _leaves(ROOT, level - 1))
+    return _cover([FastNode(m, level) for m in _leaves(ROOT, level - 1)], level)
 
 
-def right_half_subdivision(n: int) -> "IntervalSet":
-    """R_n: level-n standard cover of the right half of the Cantor set."""
-    from .intervals import IntervalSet
+def _gaps(node: FastNode, K: int) -> list[FastNode]:
+    """The gaps of B truncated at index K, rescaled into `node`.
 
-    return IntervalSet(right_half_cells(n))
+    node 0^k 1 and node 2^k 1 for k <= K: the (k+1)-digit words 1 and 3^(k+1) - 2.
+    Both are the central gap node 1 at k = 0, and the merge drops the copy.
+    """
+    return [_append(node, w, k + 1) for k in range(K + 1) for w in (1, 3 ** (k + 1) - 2)]
 
 
 def gap_set(K: int) -> "IntervalSet":
@@ -131,18 +141,9 @@ def gap_set(K: int) -> "IntervalSet":
     Contains the central gap plus the K nearest side gaps at each end;
     measure 2/3 - 1/3^(K+1).
     """
-    from fractions import Fraction
-
-    from .intervals import Interval, IntervalSet
-
     if K < 0:
         raise ValueError("gap index bound must be >= 0")
-    gaps = [Interval(Fraction(1, 3), Fraction(2, 3))]
-    for k in range(1, K + 1):
-        den = 3 ** (k + 1)
-        gaps.append(Interval(Fraction(1, den), Fraction(2, den)))
-        gaps.append(Interval(Fraction(den - 2, den), Fraction(den - 1, den)))
-    return IntervalSet(gaps)
+    return _cover(_gaps(UNIT, K), K + 1)
 
 
 def node_child(node: FastNode, k: int, high_side: bool) -> FastNode:
@@ -206,22 +207,14 @@ def _fast_tree(n: int, K: int) -> tuple[list[FastNode], list[FastNode], int]:
 
 def fast_subdivision(n: int, K: int) -> FastSubdivision:
     """Run n truncated rounds starting from [2/3, 1], tracking k <= K."""
-    from .intervals import IntervalSet
-
-    inner, outer, _ = _fast_tree(n, K)
-    return FastSubdivision(
-        inner=IntervalSet(node.cell for node in inner),
-        outer=IntervalSet(node.cell for node in outer),
-    )
+    inner, outer, depth = _fast_tree(n, K)
+    return FastSubdivision(inner=_cover(inner, depth), outer=_cover(outer, depth))
 
 
 def removed_gaps(n: int, K: int) -> "IntervalSet":
     """Union of all gap intervals deleted during n rounds of fast subdivision."""
-    from .intervals import IntervalSet
-
     parents, _ = _rounds(n, K)
-    base = gap_set(K)
-    return IntervalSet(gap for node in parents for gap in base.affine_image(node.cell))
+    return _cover([gap for node in parents for gap in _gaps(node, K)], 1 + n * (K + 1))
 
 
 def squared_length_sum(n: int, K: int) -> tuple["Fraction", "Fraction"]:
@@ -232,7 +225,7 @@ def squared_length_sum(n: int, K: int) -> tuple["Fraction", "Fraction"]:
     """
     from fractions import Fraction
 
-    _, level = _rounds(n, K)
-    truncated = sum((node.length**2 for node in level), Fraction(0))
+    level, _, depth = _fast_tree(n, K)
+    truncated = Fraction(sum(9 ** (depth - node.k) for node in level), 9**depth)
     limit = Fraction(1, 9) * Fraction(1, 36) ** n
     return truncated, limit

@@ -26,7 +26,6 @@ from cantorprod.products import (
 )
 from cantorprod.subdivision import (
     fast_subdivision,
-    right_half_cells,
     right_half_subdivision,
 )
 from cantorprod.ternary import decimal_ratio, format_ratio
@@ -147,7 +146,7 @@ def test_product_rejects_negative_endpoints():
 
 def test_off_diagonal_refinement_loses_nothing():
     rng = random.Random(137)
-    cells = list(right_half_cells(4))
+    cells = list(right_half_subdivision(4))
     for _ in range(150):
         a, b = rng.sample(cells, 2)
         refined = product_image(split_middle(a), split_middle(b))
@@ -156,7 +155,7 @@ def test_off_diagonal_refinement_loses_nothing():
 
 def test_diagonal_refinement_removes_exactly_one_gap():
     for level in (2, 3, 4):
-        for cell in right_half_cells(level):
+        for cell in right_half_subdivision(level):
             square = product_image(IntervalSet([cell]))
             refined = product_image(split_middle(cell))
             gap = diagonal_gap(cell)
@@ -350,7 +349,7 @@ def test_fast_bounds_builds_no_interval_set(monkeypatch):
 
     monkeypatch.setattr(IntervalSet, "__init__", counted_init)
     monkeypatch.setattr(IntervalSet, "_from_canonical", classmethod(counted_wrap))
-    product_image(fast_subdivision(1, 2).inner)
+    product_image(IntervalSet([["0", "1"]]))
     assert set(built) == {"init", "canonical"}  # the probe sees both
     built.clear()
     fast_bounds(2, 4)

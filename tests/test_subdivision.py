@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from cantorprod.gaps import child_cell, side_piece
 from cantorprod.intervals import Interval, IntervalSet
+from cantorprod.products import product_image
 from cantorprod.subdivision import (
     ROOT,
+    _cover,
     _ends,
     _fast_tree,
     _leaves,
@@ -366,6 +368,121 @@ def test_squared_length_sum_one_round_closed_form():
         truncated, _ = squared_length_sum(1, K)
         expected = 2 * sum(Fraction(1, 9 ** (k + 2)) for k in range(1, K + 1))
         assert truncated == expected
+
+
+# ---------------------------------------------------------------------------
+# covers merged on ints against the per-cell Fraction route they replace
+
+
+def standard_oracle(n: int) -> IntervalSet:
+    return IntervalSet(FastNode(m, n).cell for m in _leaves(FastNode(0, 0), n))
+
+
+def right_half_oracle(n: int) -> IntervalSet:
+    level = max(n, 1)
+    return IntervalSet(FastNode(m, level).cell for m in _leaves(ROOT, level - 1))
+
+
+def gap_set_oracle(K: int) -> IntervalSet:
+    gaps = [Interval(Fraction(1, 3), Fraction(2, 3))]
+    for k in range(1, K + 1):
+        den = 3 ** (k + 1)
+        gaps.append(Interval(Fraction(1, den), Fraction(2, den)))
+        gaps.append(Interval(Fraction(den - 2, den), Fraction(den - 1, den)))
+    return IntervalSet(gaps)
+
+
+def fast_oracle(n: int, K: int) -> tuple[IntervalSet, IntervalSet]:
+    inner, outer, _ = _fast_tree(n, K)
+    return IntervalSet(node.cell for node in inner), IntervalSet(node.cell for node in outer)
+
+
+def removed_gaps_oracle(n: int, K: int) -> IntervalSet:
+    parents, _ = _rounds(n, K)
+    base = gap_set_oracle(K)
+    return IntervalSet(gap for node in parents for gap in base.affine_image(node.cell))
+
+
+def squared_length_oracle(n: int, K: int) -> Fraction:
+    _, level = _rounds(n, K)
+    return sum((node.length**2 for node in level), Fraction(0))
+
+
+FAST_CASES = [(n, K) for n in range(3) for K in range(1, 9)] + [(3, K) for K in range(1, 7)]
+
+
+def test_standard_and_right_half_match_their_oracles():
+    for n in range(13):
+        assert standard_subdivision(n) == standard_oracle(n), n
+    for n in range(15):
+        assert right_half_subdivision(n) == right_half_oracle(n), n
+
+
+def test_gap_set_matches_its_oracle():
+    for K in range(31):
+        assert gap_set(K) == gap_set_oracle(K), K
+
+
+def test_fast_routes_match_their_oracles():
+    for n, K in FAST_CASES:
+        assert tuple(fast_subdivision(n, K)) == fast_oracle(n, K), (n, K)
+        assert removed_gaps(n, K) == removed_gaps_oracle(n, K), (n, K)
+        assert squared_length_sum(n, K)[0] == squared_length_oracle(n, K), (n, K)
+
+
+def cell_at(k: int):
+    return st.builds(FastNode, st.integers(0, 3**k - 1), st.just(k))
+
+
+@st.composite
+def address_lists(draw):
+    """Addresses at mixed depths with nested, touching and repeated cells, and a depth."""
+    nodes = draw(st.lists(st.integers(0, 5).flatmap(cell_at), max_size=8))
+    extra = []
+    for m, k in nodes:
+        kind = draw(st.sampled_from(["none", "nested", "touching", "repeated"]))
+        j = draw(st.integers(0, 3))
+        if kind == "nested":
+            extra.append(FastNode(m * 3**j + draw(st.integers(0, 3**j - 1)), k + j))
+        elif kind == "touching" and m + 1 < 3**k:  # the left end of the next cell, j deeper
+            extra.append(FastNode((m + 1) * 3**j, k + j))
+        elif kind == "repeated":
+            extra.append(FastNode(m, k))
+    nodes = draw(st.permutations(nodes + extra))
+    return nodes, max((k for _, k in nodes), default=0) + draw(st.integers(0, 2))
+
+
+@settings(derandomize=True, deadline=None)
+@given(address_lists())
+def test_cover_matches_the_per_cell_union(case):
+    nodes, depth = case
+    assert _cover(nodes, depth) == IntervalSet(node.cell for node in nodes)
+
+
+def test_covers_build_no_cell_and_call_no_canonicaliser(monkeypatch):
+    # the sets and the product image come from integer ends: no FastNode.cell
+    # or .length, and no IntervalSet.__init__, whose merge runs on Fractions
+    seen = []
+    init = IntervalSet.__init__
+
+    def counted_init(self, items=()):
+        seen.append("init")
+        init(self, items)
+
+    monkeypatch.setattr(IntervalSet, "__init__", counted_init)
+    for name in ("cell", "length"):
+        monkeypatch.setattr(FastNode, name, property(lambda node, name=name: seen.append(name)))
+    standard_subdivision(4)
+    right_half_subdivision(0)
+    right_half_subdivision(5)
+    product_image(fast_subdivision(2, 3).outer)
+    gap_set(4)
+    removed_gaps(2, 3)
+    squared_length_sum(2, 3)
+    assert seen == []
+    ROOT.cell
+    IntervalSet([["2/3", "1"]])
+    assert seen == ["cell", "init"]  # the probe sees both
 
 
 # ---------------------------------------------------------------------------
