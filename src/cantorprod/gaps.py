@@ -20,8 +20,6 @@ scaled_point and the products built from it are the geometric oracle for the
 families.  All series are exact: partial sums plus closed geometric tails.
 """
 
-from __future__ import annotations
-
 import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional

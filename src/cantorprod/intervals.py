@@ -16,8 +16,6 @@ No floats anywhere in here: decimal output is rendered by one integer division
 and truncated with an explicit "..." marker when inexact.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union

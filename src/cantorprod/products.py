@@ -22,9 +22,12 @@ set, both via its right half R = C meet [2/3, 1] and the scaling identity
 measure(P(C x C)) = (3/2) measure(P(R x R)):
 
 * standard_estimate: P(R_n x R_n) over the level-n standard subdivision,
-  built in linear time as the union of one sibling band per split cell and
-  one diagonal square per leaf (see _standard_segments), with
-  measure(P(R_n x R_n)) - measure(P(R x R)) in [0, (1/63) (2/9)^(n-1)];
+  the union of one sibling band per split cell and one diagonal square per
+  leaf, measured in linear time by a walk over the split cells that takes
+  each cell's one possible gap off the union's hull (see _standard_stats):
+  no segment list and no sort (`art --n 20` takes about 0.5 s and 44 MB
+  peak RSS on one core of a 2-core x86 machine).
+  measure(P(R_n x R_n)) - measure(P(R x R)) lies in [0, (1/63) (2/9)^(n-1)];
 * fast_bounds: squeeze measure(P(D_n x D_n)) between the inner/outer
   truncated fast subdivisions, which converges like 36^-n in n.
 
@@ -259,8 +262,8 @@ def _check_hole_free(a: int, b: int, t: int) -> None:
         )
 
 
-def _standard_segments(level: int) -> tuple[list[int], list[int], int]:
-    """Canonical component ends of P(R x R), R the level-`level` right-half cover, over 9^level.
+def _standard_stats(level: int) -> tuple[int, int]:
+    """(measure, component count) of P(R x R), R the level-`level` right-half cover, over 9^level.
 
     R's cells form a binary tree: [2/3, 1] at level 1, and each cell
     [a, a+t] of levels 1..level-1 splits into [a, a+t/3] and [a+2t/3, a+t].
@@ -271,22 +274,63 @@ def _standard_segments(level: int) -> tuple[list[int], list[int], int]:
     pair leaves its product unchanged.  By induction the two sibling
     subtrees contribute exactly the product of the children, the band
     [a(a+2t/3), (a+t/3)(a+t)].  So P(R x R) is the union of one band per
-    split cell and one square per leaf: 2N - 1 segments for N leaves, and no
-    cell pairs.  Each split level's extreme pair is checked on the way.
+    split cell and one square per leaf, and no cell pairs.
+
+    That union is read off its gaps, with no segment list and no sort.  In
+    units of 3^-level, a cell [a, a+3s] has the square hull [a^2, (a+3s)^2]:
+    its children's hulls [a^2, (a+s)^2] and [(a+2s)^2, (a+3s)^2] and between
+    them the open middle J(c) = ((a+s)^2, (a+2s)^2).  Splitting down to the
+    leaves cuts the hull [(2 3^(level-1))^2, 9^level] of the union into
+    leaf squares, which it covers, and the disjoint J(c) of the split cells
+    c, so the gaps lie in the J(c).  Fix c = [a, a+3s]:
+
+    * The band of c, [a(a+2s), (a+s)(a+3s)], covers [(a+s)^2, (a+s)(a+3s)],
+      and (a+2s)^2 - (a+s)(a+3s) = s^2 > 0.
+    * A cell's hull [A^2, (A+T)^2] meets J(c) only if the cell [A, A+T]
+      overlaps c's middle third (a+s, a+2s).  Cells are nested or disjoint,
+      and c's children miss that third, so only c and its ancestors reach
+      J(c); leaf squares never do.
+    * An ancestor [A, A+3S] whose right child holds c has a band that ends
+      at (A+S)(A+3S), below (A+2S)^2 <= a^2.
+    * An ancestor whose left child [A, A+S] holds c has a band that ends at
+      (A+S)(A+3S) > (A+S)^2 >= (a+3s)^2, above J(c), and starts at A(A+2S).
+    * So with m the least A(A+2S) over those left-child ancestors (9^level
+      if there are none), J(c) leaves uncovered exactly the open interval
+      ((a+s)(a+3s), min(m, (a+2s)^2)), of length
+      min(m - (a+s)(a+3s), s^2).  It is empty unless (a+s)(a+3s) < m:
+      closed bands that touch leave no gap, so the test is strict.
+
+    The measure is the hull's minus the gaps', and the gaps are disjoint
+    and inside the hull, so the count is one plus their number.  m passes
+    down one split level at a time: the left child of [a, a+3s] gets
+    min(m, a(a+2s)), the right child m, and the deepest split level hands
+    none down.  Each split level is one stride through the deepest split
+    level's cells, and each has its extreme pair checked on the way.
     """
-    # a cell's left end is that of its leftmost leaf, so every level's cells
-    # are a stride through the leaves; endpoints are in units of 3^-level
-    leaves = _leaves(ROOT, level - 1)
-    los = [a * a for a in leaves]
-    his = [(a + 1) * (a + 1) for a in leaves]
-    for j in range(1, level):
-        cells = leaves[:: 2 ** (level - j)]
-        t = 3 ** (level - j)
-        s = t // 3
-        _check_hole_free(cells[0], cells[-1], t)
-        los.extend(a * (a + 2 * s) for a in cells)
-        his.extend((a + s) * (a + t) for a in cells)
-    return (*_merge_ends(los, his), 9**level)
+    top = 9**level
+    measure, count = top - (2 * 3 ** (level - 1)) ** 2, 1
+    if level == 1:
+        return measure, count
+    # a cell's left end is that of its leftmost descendant, so every split
+    # level's cells are a stride through the deepest split level's
+    cells = [3 * a for a in _leaves(ROOT, level - 2)]
+    ms = [top]
+    for k in range(level - 2, -1, -1):
+        s = 3**k
+        full = s * s
+        row = cells[:: 2**k]
+        _check_hole_free(row[0], row[-1], 3 * s)
+        for a, m in zip(row, ms):
+            gap = m - (a + s) * (a + 3 * s)
+            if gap > 0:
+                measure -= gap if gap < full else full
+                count += 1
+        if k:  # children interleave, left then right, as in the next row
+            children = ms * 2
+            children[::2] = map(min, ms, [a * (a + 2 * s) for a in row])
+            children[1::2] = ms
+            ms = children
+    return measure, count
 
 
 def standard_estimate(n: int) -> EstimateResult:
@@ -298,13 +342,13 @@ def standard_estimate(n: int) -> EstimateResult:
     if not 0 <= n <= STANDARD_LEVEL_LIMIT:
         raise ValueError(f"standard route supports 0 <= n <= {STANDARD_LEVEL_LIMIT}")
     start = time.perf_counter()
-    los, his, scale = _standard_segments(max(n, 1))
-    measure, count = _stats(los, his)
+    level = max(n, 1)
+    measure, count = _standard_stats(level)
     elapsed = int((time.perf_counter() - start) * 1000)
     return EstimateResult(
         n=n,
         scaled_measure=measure,
-        scale=scale,
+        scale=9**level,
         component_count=count,
         elapsed_ms=elapsed,
     )

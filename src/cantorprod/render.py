@@ -16,8 +16,6 @@ point is converted to float once, and each distinct family value's
 hyperbola is sampled once per figure.
 """
 
-from __future__ import annotations
-
 from typing import Iterator
 
 from .intervals import Interval, Rational, format_rational

@@ -85,7 +85,8 @@ def _leaves(node: FastNode, j: int) -> list[int]:
     They are `node` followed by each j-digit word without digit 1, at depth
     node.k + j.  Digit i from the right doubles the list: the words so far
     (digit 0 there), then each plus 2 * 3^i, which lies above all of them.
-    Plain ints, as a FastNode per leaf doubles the standard route's cost.
+    Plain ints: the standard route's gap walk reads its split cells' left
+    ends straight off them, with no FastNode to unpack per cell.
     """
     if j < 0:
         raise ValueError("level must be >= 0")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,8 @@ from cantorprod.products import (
     standard_estimate,
 )
 from cantorprod.subdivision import (
+    ROOT,
+    _leaves,
     fast_subdivision,
     right_half_subdivision,
 )
@@ -221,13 +224,54 @@ def test_standard_estimate_rejects_bad_levels():
 
 
 def test_standard_estimate_matches_sweep_oracle():
-    # the band route against the pair sweep over the cover's cells, over the
+    # the gap walk against the pair sweep over the cover's cells, over the
     # whole range the benchmark runs
     for n in range(14):
         est = standard_estimate(n)
         assert (est.set_measure, est.component_count) == self_product_stats(
             right_half_subdivision(n)
         ), n
+
+
+def standard_segments_oracle(level: int) -> tuple[list[int], list[int], int]:
+    """Canonical component ends of P(R x R), R the level-`level` right-half cover, over 9^level.
+
+    The band merge the gap walk replaced: every split cell's band and every
+    leaf's square, as segments, sorted and merged.  Endpoints are in units
+    of 3^-level.
+    """
+    leaves = _leaves(ROOT, level - 1)
+    los = [a * a for a in leaves]
+    his = [(a + 1) * (a + 1) for a in leaves]
+    for j in range(1, level):
+        cells = leaves[:: 2 ** (level - j)]
+        t = 3 ** (level - j)
+        s = t // 3
+        los.extend(a * (a + 2 * s) for a in cells)
+        his.extend((a + s) * (a + t) for a in cells)
+    return (*_merge_ends(los, his), 9**level)
+
+
+def test_standard_estimate_matches_band_merge_oracle():
+    # the gap walk against the band merge, over every level the route accepts
+    for n in range(21):
+        est = standard_estimate(n)
+        los, his, scale = standard_segments_oracle(max(n, 1))
+        assert est.scale == scale, n
+        assert (est.scaled_measure, est.component_count) == (sum(his) - sum(los), len(los)), n
+
+
+def test_standard_estimate_memory_stays_below_its_segments():
+    # the walk keeps one m per split cell of a level; the band merge held all
+    # 2N - 1 segments at once, a 7.4 MB peak at n = 16
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        standard_estimate(16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
 
 
 def test_hole_free_check_raises_on_a_hole(monkeypatch):
@@ -468,7 +512,7 @@ def test_estimate_record_matches_fraction_route():
     half = Fraction(3, 2)
     for n in range(21):
         est = standard_estimate(n)
-        los, his, den = products._standard_segments(max(n, 1))
+        los, his, den = standard_segments_oracle(max(n, 1))
         measure = Fraction(sum(his) - sum(los), den)
         tail = Fraction(1, 63) * Fraction(2, 9) ** max(n - 1, 0)
         full = half * measure
