@@ -181,7 +181,7 @@ def _cmd_member(args) -> int:
     p, q = ternary.parse_ratio(args.x)
     verdict, expansion = ternary.classify_ternary(args.x)
     payload = {
-        "x": f"{p}/{q}",
+        "x": ternary.format_ratio(p, q),
         "verdict": verdict.value,
         "expansion": str(expansion),
         "preperiod_digits": expansion.preperiod,

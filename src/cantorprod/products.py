@@ -7,15 +7,16 @@ general product by a pair sweep over a common integer scale, one lcm
 denominator per factor (_scaled_endpoints), so candidate endpoints are
 machine/big integers and the hot loop is integer multiply-and-compare.  The
 fast bracket reads its integer ends straight from the cell addresses, at the
-scale 3^D of its deepest cell, so the lcm route serves general sets only.
-With both factors sorted left to right and all endpoints nonnegative, the
-candidate products of one row have nondecreasing lower and upper endpoints,
-so each row merges in a single pass; ternary._merge_ends merges the rows,
-in batches as they arrive so that memory stays near the output's size.  The
-sweep is quadratic in the number of cells.  It serves general sets and the
-fast bracket, and the tests use it as the oracle for the standard route.
-product_image hands its ends to IntervalSet._from_ends, the one int -> Fraction
-bridge.
+scale 3^D of its deepest cell.  With both factors sorted left to right and
+all endpoints nonnegative, the candidate products of one row have
+nondecreasing lower and upper endpoints, so each row merges in a single
+pass; ternary._merge_ends merges the rows, in batches as they arrive so that
+memory stays near the output's size.  The sweep (_rows) is quadratic in the
+number of cells.  _self_product is its single self-product entry:
+self_product_stats and fast_bounds measure P(A x A) through it, and only
+product_image, which needs the general product's ends, calls _rows itself.
+The tests use the sweep as the oracle for the standard route.  product_image
+hands its ends to IntervalSet._from_ends, the one int -> Fraction bridge.
 
 Two estimate routes for the measure of P(C x C), C the middle-third Cantor
 set, both via its right half R = C meet [2/3, 1] and the scaling identity
@@ -41,7 +42,7 @@ import them where they run.
 
 import time
 from math import lcm
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence
 
 from .subdivision import ROOT, _ends, _fast_tree, _leaves
 from .ternary import _merge_ends, decimal_ratio, format_ratio
@@ -109,37 +110,27 @@ def _rows(
     return los, his
 
 
-def _product_segments(
-    S: "IntervalSet", T: "Optional[IntervalSet]"
-) -> tuple[list[int], list[int], int]:
-    """Canonical component ends of P(S x T) in integers, plus the common denominator.
+def _self_product(los: Sequence[int], his: Sequence[int]) -> tuple[int, int]:
+    """(measure, component count) of P(A x A) from A's canonical integer ends.
 
-    T=None means the self product, computed over the triangle i <= j (the
-    image is symmetric in the factors).
+    The measure is in the square of the ends' units.  The image is symmetric
+    in the factors, so the sweep runs over the triangle i <= j.
     """
-    a_los, a_his, a_den = _scaled_endpoints(S)
-    if T is None:
-        b_los, b_his, b_den = a_los, a_his, a_den
-    else:
-        b_los, b_his, b_den = _scaled_endpoints(T)
-    if not a_los or not b_los:
-        return [], [], a_den * b_den
-    los, his = _rows(a_los, a_his, b_los, b_his, triangle=T is None)
-    return (*_merge_ends(los, his), a_den * b_den)
+    los, his = _merge_ends(*_rows(los, his, los, his, triangle=True))
+    return sum(his) - sum(los), len(los)
 
 
 def product_image(S: "IntervalSet", T: "Optional[IntervalSet]" = None) -> "IntervalSet":
     """P(S x T) as a canonical IntervalSet; T omitted means P(S x S)."""
     from .intervals import IntervalSet
 
-    if T is not None and T == S:
-        T = None
-    return IntervalSet._from_ends(*_product_segments(S, T))
-
-
-def _stats(los: list[int], his: list[int]) -> tuple[int, int]:
-    """(measure, component count) of canonical component ends, in their integer units."""
-    return sum(his) - sum(los), len(los)
+    triangle = T is None or T == S
+    a_los, a_his, a_den = _scaled_endpoints(S)
+    b_los, b_his, b_den = (a_los, a_his, a_den) if triangle else _scaled_endpoints(T)
+    if not a_los or not b_los:
+        return IntervalSet._from_ends([], [], 1)
+    los, his = _merge_ends(*_rows(a_los, a_his, b_los, b_his, triangle))
+    return IntervalSet._from_ends(los, his, a_den * b_den)
 
 
 def _fraction(p: int, q: int) -> "Fraction":
@@ -150,13 +141,18 @@ def _fraction(p: int, q: int) -> "Fraction":
 
 def self_product_stats(S: "IntervalSet") -> tuple["Fraction", int]:
     """(measure, component count) of P(S x S) without building Fractions per endpoint."""
-    los, his, den = _product_segments(S, None)
-    measure, count = _stats(los, his)
-    return _fraction(measure, den), count
+    los, his, den = _scaled_endpoints(S)
+    measure, count = _self_product(los, his)
+    return _fraction(measure, den * den), count
 
 
 def self_product_measure(S: "IntervalSet") -> "Fraction":
     return self_product_stats(S)[0]
+
+
+def _over_scale(numerator: Callable[[Any], int]) -> property:
+    """A record property: numerator(record) over record.scale, as a reduced Fraction."""
+    return property(lambda record: _fraction(numerator(record), record.scale))
 
 
 class EstimateResult(NamedTuple):
@@ -173,9 +169,7 @@ class EstimateResult(NamedTuple):
     component_count: int
     elapsed_ms: int
 
-    @property
-    def set_measure(self) -> "Fraction":
-        return _fraction(self.scaled_measure, self.scale)
+    set_measure = _over_scale(lambda r: r.scaled_measure)
 
     @property
     def tail_bound(self) -> "Fraction":
@@ -371,17 +365,9 @@ class FastBounds(NamedTuple):
     component_count_outer: int
     elapsed_ms: int
 
-    @property
-    def lower(self) -> "Fraction":
-        return _fraction(self.scaled_lower, self.scale)
-
-    @property
-    def upper(self) -> "Fraction":
-        return _fraction(self.scaled_upper, self.scale)
-
-    @property
-    def width(self) -> "Fraction":
-        return _fraction(self.scaled_upper - self.scaled_lower, self.scale)
+    lower = _over_scale(lambda r: r.scaled_lower)
+    upper = _over_scale(lambda r: r.scaled_upper)
+    width = _over_scale(lambda r: r.scaled_upper - r.scaled_lower)
 
     def to_json(self, digits: int = 12) -> dict:
         return {
@@ -411,12 +397,9 @@ def fast_bounds(n: int, K: int) -> FastBounds:
     start = time.perf_counter()
     inner, outer, depth = _fast_tree(n, K)
 
-    def stats(nodes):  # the cells' union, swept at the scale 3^depth of the deepest cell
-        los, his = _merge_ends(*_ends(nodes, depth))
-        return _stats(*_merge_ends(*_rows(los, his, los, his, triangle=True)))
-
-    lower, count_inner = stats(inner)
-    upper, count_outer = stats(outer)
+    # each bracket's union, at the scale 3^depth of the deepest cell
+    lower, count_inner = _self_product(*_merge_ends(*_ends(inner, depth)))
+    upper, count_outer = _self_product(*_merge_ends(*_ends(outer, depth)))
     elapsed = int((time.perf_counter() - start) * 1000)
     return FastBounds(
         n=n,

@@ -33,14 +33,11 @@ build Fractions or IntervalSets import them where they run.
 
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-# Membership lives in `ternary`, which never loads `fractions`.  Its names are
-# re-exported here because callers look them up on this module: perfbench's
+# Membership lives in `ternary`, which never loads `fractions`.  classify_ternary
+# is re-exported here because callers look it up on this module: perfbench's
 # tracer wraps `subdivision.classify_ternary` (its --trace 1 run fails without
 # it), and the selftest calls it through this module.
-from .ternary import (  # noqa: F401
-    Membership, TernaryExpansion, cantor_membership, classify_ternary, ternary_expansion,
-)
-from .ternary import _merge_ends
+from .ternary import _merge_ends, classify_ternary  # noqa: F401
 
 if TYPE_CHECKING:
     from fractions import Fraction

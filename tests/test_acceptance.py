@@ -51,13 +51,12 @@ from cantorprod.intervals import Interval, IntervalSet
 from cantorprod.products import fast_bounds, product_image, self_product_measure, standard_estimate
 from cantorprod.subdivision import (
     ROOT,
-    Membership,
-    cantor_membership,
     fast_subdivision,
     node_child,
     removed_gaps,
     right_half_subdivision,
 )
+from cantorprod.ternary import Membership, cantor_membership
 
 P6 = 9**6
 P10 = 9**10

@@ -252,15 +252,6 @@ def standard_segments_oracle(level: int) -> tuple[list[int], list[int], int]:
     return (*_merge_ends(los, his), 9**level)
 
 
-def test_standard_estimate_matches_band_merge_oracle():
-    # the gap walk against the band merge, over every level the route accepts
-    for n in range(21):
-        est = standard_estimate(n)
-        los, his, scale = standard_segments_oracle(max(n, 1))
-        assert est.scale == scale, n
-        assert (est.scaled_measure, est.component_count) == (sum(his) - sum(los), len(los)), n
-
-
 def test_standard_estimate_memory_stays_below_its_segments():
     # the walk keeps one m per split cell of a level; the band merge held all
     # 2N - 1 segments at once, a 7.4 MB peak at n = 16
@@ -417,6 +408,29 @@ def test_sweep_merges_rows_as_they_arrive(monkeypatch):
         assert len(merged) > 1
 
 
+def test_self_products_share_one_kernel(monkeypatch):
+    # fast_bounds and self_product_stats reach the sweep only through
+    # _self_product, and product_image sweeps once without it
+    calls = {"_rows": 0, "_self_product": 0}
+    for name in calls:
+        def counted(*args, _name=name, _wrapped=getattr(products, name), **kwargs):
+            calls[_name] += 1
+            return _wrapped(*args, **kwargs)
+
+        monkeypatch.setattr(products, name, counted)
+
+    def count(run):
+        calls.update(dict.fromkeys(calls, 0))
+        run()
+        return calls["_rows"], calls["_self_product"]
+
+    two = IntervalSet([["0", "1/3"], ["2/3", "1"]])
+    assert count(lambda: fast_bounds(2, 3)) == (2, 2)
+    assert count(lambda: self_product_stats(RIGHT)) == (1, 1)
+    assert count(lambda: product_image(RIGHT, two)) == (1, 0)
+    assert count(lambda: product_image(two)) == (1, 0)
+
+
 def test_fast_bounds_json_shape():
     r = fast_bounds(1, 2)
     data = r.to_json(digits=8)
@@ -508,11 +522,15 @@ def fast_json_oracle(n, gap_depth, lower, upper, component_count_inner, componen
 
 
 def test_estimate_record_matches_fraction_route():
-    # every level the route accepts, with elapsed_ms carried over as the mask
+    # the gap walk's ints against the band merge it replaced, and the record
+    # built from them against the Fraction route, over every level the route
+    # accepts, with elapsed_ms carried over as the mask
     half = Fraction(3, 2)
     for n in range(21):
         est = standard_estimate(n)
         los, his, den = standard_segments_oracle(max(n, 1))
+        assert est.scale == den, n
+        assert (est.scaled_measure, est.component_count) == (sum(his) - sum(los), len(los)), n
         measure = Fraction(sum(his) - sum(los), den)
         tail = Fraction(1, 63) * Fraction(2, 9) ** max(n - 1, 0)
         full = half * measure

@@ -20,9 +20,6 @@ from cantorprod.subdivision import (
     _leaves,
     _rounds,
     FastNode,
-    Membership,
-    cantor_membership,
-    classify_ternary,
     fast_subdivision,
     gap_set,
     node_child,
@@ -31,8 +28,8 @@ from cantorprod.subdivision import (
     right_half_subdivision,
     squared_length_sum,
     standard_subdivision,
-    ternary_expansion,
 )
+from cantorprod.ternary import Membership, cantor_membership, classify_ternary, ternary_expansion
 
 UNIT = IntervalSet([["0", "1"]])
 RIGHT = IntervalSet([["2/3", "1"]])
