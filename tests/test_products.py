@@ -252,6 +252,15 @@ def standard_segments_oracle(level: int) -> tuple[list[int], list[int], int]:
     return (*_merge_ends(los, his), 9**level)
 
 
+def test_standard_estimate_matches_band_merge_oracle():
+    # the gap walk against the band merge, over every level the route accepts
+    for n in range(21):
+        est = standard_estimate(n)
+        los, his, scale = standard_segments_oracle(max(n, 1))
+        assert est.scale == scale, n
+        assert (est.scaled_measure, est.component_count) == (sum(his) - sum(los), len(los)), n
+
+
 def test_standard_estimate_memory_stays_below_its_segments():
     # the walk keeps one m per split cell of a level; the band merge held all
     # 2N - 1 segments at once, a 7.4 MB peak at n = 16
@@ -522,15 +531,11 @@ def fast_json_oracle(n, gap_depth, lower, upper, component_count_inner, componen
 
 
 def test_estimate_record_matches_fraction_route():
-    # the gap walk's ints against the band merge it replaced, and the record
-    # built from them against the Fraction route, over every level the route
-    # accepts, with elapsed_ms carried over as the mask
+    # every level the route accepts, with elapsed_ms carried over as the mask
     half = Fraction(3, 2)
     for n in range(21):
         est = standard_estimate(n)
         los, his, den = standard_segments_oracle(max(n, 1))
-        assert est.scale == den, n
-        assert (est.scaled_measure, est.component_count) == (sum(his) - sum(los), len(los)), n
         measure = Fraction(sum(his) - sum(los), den)
         tail = Fraction(1, 63) * Fraction(2, 9) ** max(n - 1, 0)
         full = half * measure
