@@ -1,10 +1,11 @@
 """Exact arithmetic for the measure of the Cantor product set.
 
 The package computes the Lebesgue measure of {x*y : x, y in the
-middle-third Cantor set} two independent ways: a brute-force product of
-subdivision covers, and a certified enclosure assembled from the gap
-calculus along the diagonal.  Everything on the certified path is a
-`fractions.Fraction`; floats appear only in rendered output.
+middle-third Cantor set} three independent ways: the standard route's
+estimate over a level-n cover, the fast subdivision's inner/outer bracket,
+and a certified enclosure assembled from the gap calculus along the
+diagonal.  Every value is exact (ints over a scale, or a
+`fractions.Fraction`); floats appear only in rendered output.
 
 Imports are lazy: `import cantorprod` loads none of the computation
 modules, and each exported name loads its module on first access (PEP 562).

@@ -1,12 +1,13 @@
 """Gap calculus: the exact bookkeeping behind the certified measure values.
 
 A cell I has a side piece per side and index k, I 0^k (low) or I 2^k (high),
-which is I itself at k = 0.  If the piece's thirds are [a+j, a+j+1] / 3^d,
+which is I itself at k = 0; subdivision._side, the one home of side-piece
+words, gives its first third.  If the piece's thirds are [a+j, a+j+1] / 3^d,
 j = 0, 1, 2, it gives three interval families with endpoints over 9^d:
 
 * p_interval, the band [a(a+2), (a+1)(a+3)], product of the outer thirds;
 * g_interval, the diagonal gap [(a+1)(a+3), (a+2)^2] the middle removal opens;
-* q_interval, the square of the tracked third, the child E_k = [a+2, a+3]
+* q_interval, the square of the tracked third, node_child's E_k = [a+2, a+3]
   (low) or F_k = [a, a+1] (high).
 
 These intervals interleave in a fixed order (verify_order_chain), bands of a
@@ -26,7 +27,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from . import _CERTIFY_TARGETS as TARGETS
 from .intervals import Interval, decimal_string, format_rational
-from .subdivision import ROOT, FastNode, _append, node_child
+from .subdivision import ROOT, FastNode, _side, node_child
 
 # opaque CLI tokens: the enclosure of measure(P(D_3 x D_3)), then of measure(P(C x C))
 TARGET_LEVEL3, TARGET_FULL = TARGETS
@@ -40,31 +41,18 @@ class CertificationError(Exception):
 # the three families, on the integer address of a side piece's first third
 
 
-def _side_thirds(node: FastNode, k: int, high_side: bool) -> tuple[int, int, int]:
-    """(a, c, 9^d): the side piece's thirds are [a+j, a+j+1] / 3^d, j = 0, 1, 2,
-    and its tracked third is [c, c+1] / 3^d.  The first third is I 0^(k+1) on
-    the low side (E_k is the last) and F_k = I 2^k 0 on the high side."""
-    if high_side:
-        third = _append(node, 3 ** (k + 1) - 3, k + 1)
-        return third.m, third.m, 9**third.k
-    third = _append(node, 0, k + 1)
-    return third.m, third.m + 2, 9**third.k
-
-
 def p_interval(node: FastNode, k: int, high_side: bool) -> Interval:
     """Band [a(a+2), (a+1)(a+3)]: the product of the side piece's two outer thirds."""
     if k < 0:
         raise ValueError("band index must be >= 0")
-    a, _, scale = _side_thirds(node, k, high_side)
-    return Interval(Fraction(a * (a + 2), scale), Fraction((a + 1) * (a + 3), scale))
+    a, d = _side(node, k, high_side, 0)
+    return Interval(Fraction(a * (a + 2), 9**d), Fraction((a + 1) * (a + 3), 9**d))
 
 
 def q_interval(node: FastNode, k: int, high_side: bool) -> Interval:
     """Square [c^2, (c+1)^2] of the k-th child cell, the side piece's tracked third."""
-    if k < 1:
-        raise ValueError("child index must be >= 1")
-    _, c, scale = _side_thirds(node, k, high_side)
-    return Interval(Fraction(c * c, scale), Fraction((c + 1) ** 2, scale))
+    c, d = node_child(node, k, high_side)
+    return Interval(Fraction(c * c, 9**d), Fraction((c + 1) ** 2, 9**d))
 
 
 def g_interval(node: FastNode, k: int, high_side: bool) -> Interval:
@@ -72,8 +60,8 @@ def g_interval(node: FastNode, k: int, high_side: bool) -> Interval:
     from the band's top to the upper third's square; both sides agree at k = 0."""
     if k < 0:
         raise ValueError("gap index must be >= 0")
-    a, _, scale = _side_thirds(node, k, high_side)
-    return Interval(Fraction((a + 1) * (a + 3), scale), Fraction((a + 2) ** 2, scale))
+    a, d = _side(node, k, high_side, 0)
+    return Interval(Fraction((a + 1) * (a + 3), 9**d), Fraction((a + 2) ** 2, 9**d))
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +148,22 @@ def _check(name: str, k: int, lhs: Fraction, rhs: Fraction, relation: str) -> Ch
     return ChainCheck(name=name, k=k, holds=holds, lhs=lhs, rhs=rhs, relation=relation)
 
 
+# one (name, relation) per link of either side's band climb, from its square q
+# through its band p to its gap g: q.lo < p.lo < q.hi < p.hi = g.lo < g.hi
+_CLIMB = (
+    ("square_starts_below_band", "lt"), ("band_enters_square", "lt"),
+    ("square_ends_inside_band", "lt"), ("band_touches_gap", "eq"), ("gap_nonempty", "lt"),
+)
+
+
+def _climb(side: str, k: int, q: Interval, p: Interval, g: Interval) -> list[ChainCheck]:
+    ends = (q.lo, p.lo, q.hi, p.hi, g.lo, g.hi)
+    return [
+        _check(f"{name}_{side}", k, lhs, rhs, relation)
+        for (name, relation), lhs, rhs in zip(_CLIMB, ends, ends[1:])
+    ]
+
+
 def verify_order_chain(node: FastNode, k_max: int) -> tuple[ChainCheck, ...]:
     """Check the interleaving of gap, square, and band intervals up to k_max.
 
@@ -174,27 +178,16 @@ def verify_order_chain(node: FastNode, k_max: int) -> tuple[ChainCheck, ...]:
     for k in range(k_max):
         g_next = g_interval(node, k + 1, high_side=False)
         q_next = q_interval(node, k + 1, high_side=False)
-        p_cur = p_interval(node, k, high_side=False)
         g_cur = g_interval(node, k, high_side=False)
         g_cur_hi = g_interval(node, k, high_side=True)
         q_next_hi = q_interval(node, k + 1, high_side=True)
         checks.append(_check("gap_square_touch_low", k + 1, g_next.hi, q_next.lo, "eq"))
-        checks.append(_check("square_starts_below_band_low", k, q_next.lo, p_cur.lo, "lt"))
-        checks.append(_check("band_enters_square_low", k, p_cur.lo, q_next.hi, "lt"))
-        checks.append(_check("square_ends_inside_band_low", k, q_next.hi, p_cur.hi, "lt"))
-        checks.append(_check("band_touches_gap_low", k, p_cur.hi, g_cur.lo, "eq"))
-        checks.append(_check("gap_nonempty_low", k, g_cur.lo, g_cur.hi, "lt"))
+        checks += _climb("low", k, q_next, p_interval(node, k, high_side=False), g_cur)
         checks.append(_check("gap_low_before_high", k, g_cur.hi, g_cur_hi.hi, "le"))
         checks.append(_check("gap_square_touch_high", k, g_cur_hi.hi, q_next_hi.lo, "eq"))
     for k in range(1, k_max + 1):
-        q_cur = q_interval(node, k, high_side=True)
-        p_cur = p_interval(node, k, high_side=True)
-        g_cur = g_interval(node, k, high_side=True)
-        checks.append(_check("square_starts_below_band_high", k, q_cur.lo, p_cur.lo, "lt"))
-        checks.append(_check("band_enters_square_high", k, p_cur.lo, q_cur.hi, "lt"))
-        checks.append(_check("square_ends_inside_band_high", k, q_cur.hi, p_cur.hi, "lt"))
-        checks.append(_check("band_touches_gap_high", k, p_cur.hi, g_cur.lo, "eq"))
-        checks.append(_check("gap_nonempty_high", k, g_cur.lo, g_cur.hi, "lt"))
+        families = (q_interval, p_interval, g_interval)
+        checks += _climb("high", k, *(family(node, k, high_side=True) for family in families))
     return tuple(checks)
 
 

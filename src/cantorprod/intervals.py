@@ -1,9 +1,10 @@
 """Exact interval-union arithmetic over the rationals.
 
-Everything downstream (subdivisions, product measures, certificates) works with
-finite unions of closed intervals with Fraction endpoints.  The canonical form
-is sorted and pairwise disjoint, with touching intervals merged, so equality of
-sets is equality of tuples and the Lebesgue measure is a plain sum of lengths.
+The public sets (subdivisions, product images) are finite unions of closed
+intervals with Fraction endpoints; the covers and sweeps that build them run
+on integer ends.  The canonical form is sorted and pairwise disjoint, with
+touching intervals merged, so equality of sets is equality of tuples and the
+Lebesgue measure is a plain sum of lengths.
 One merge, _merge_ends, builds that form from unsorted interval ends.  It
 lives in `ternary`, with the "p/q" and decimal text kernels, because the
 integer product sweeps in `products` use it too and load no `fractions`;

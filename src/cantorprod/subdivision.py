@@ -21,7 +21,9 @@ both schemes are walks that append words.
   fast subdivision tracks only k <= K and brackets the rest: the outer set
   keeps the two hull tails I 0^(K+1) and I 2^(K+1) of every subdivided cell
   (they contain all discarded cells), the inner set keeps tracked cells
-  only.  Both brackets are exact: inner <= D_n <= outer.
+  only.  Both brackets are exact: inner <= D_n <= outer.  Each of these
+  words, and each gap I 0^k 1 or I 2^k 1, is a side piece I 0^k or I 2^k
+  followed by one digit, and _side is the one place that builds them.
 
 This module is the one place that turns an address into endpoints.  Every
 set of cells here is a _cover: _ends reads their integer ends at one scale
@@ -124,13 +126,16 @@ def right_half_subdivision(n: int) -> "IntervalSet":
     return _cover([FastNode(m, level) for m in _leaves(ROOT, level - 1)], level)
 
 
-def _gaps(node: FastNode, K: int) -> list[FastNode]:
-    """The gaps of B truncated at index K, rescaled into `node`.
+def _side(node: FastNode, k: int, high_side: bool, digit: int) -> FastNode:
+    """The address node 0^k digit (low side) or node 2^k digit (high side), at
+    depth node.k + k + 1: the one place a side-piece word is built."""
+    return _append(node, digit + (3 ** (k + 1) - 3 if high_side else 0), k + 1)
 
-    node 0^k 1 and node 2^k 1 for k <= K: the (k+1)-digit words 1 and 3^(k+1) - 2.
-    Both are the central gap node 1 at k = 0, and the merge drops the copy.
-    """
-    return [_append(node, w, k + 1) for k in range(K + 1) for w in (1, 3 ** (k + 1) - 2)]
+
+def _gaps(node: FastNode, K: int) -> list[FastNode]:
+    """The gaps of B truncated at index K, rescaled into `node`: node 0^k 1 and
+    node 2^k 1 for k <= K, both node 1 at k = 0 (the merge drops the copy)."""
+    return [_side(node, k, high, 1) for k in range(K + 1) for high in (False, True)]
 
 
 def gap_set(K: int) -> "IntervalSet":
@@ -145,13 +150,11 @@ def gap_set(K: int) -> "IntervalSet":
 
 
 def node_child(node: FastNode, k: int, high_side: bool) -> FastNode:
-    """The k-th surviving child cell of `node`, on the low or high side.
-
-    Low side E_k appends the word 0^k 2, high side F_k the word 2^k 0.
-    """
+    """The k-th surviving child cell of `node`: E_k = node 0^k 2 on the low
+    side, F_k = node 2^k 0 on the high side."""
     if k < 1:
         raise ValueError("child index must be >= 1")
-    return _append(node, 3 ** (k + 1) - 3 if high_side else 2, k + 1)
+    return _side(node, k, high_side, 0 if high_side else 2)
 
 
 def node_children(node: FastNode, K: int) -> tuple[FastNode, ...]:
@@ -198,8 +201,7 @@ def _fast_tree(n: int, K: int) -> tuple[list[FastNode], list[FastNode], int]:
     inner is the tracked depth-n cells, outer those and the hull tails.
     """
     parents, level = _rounds(n, K)
-    words = (0, 3 ** (K + 1) - 1)  # 0^(K+1) and 2^(K+1)
-    tails = [_append(node, w, K + 1) for node in parents for w in words]
+    tails = [_side(node, K, high, 2 if high else 0) for node in parents for high in (False, True)]
     return level, level + tails, 1 + n * (K + 1)
 
 

@@ -259,6 +259,53 @@ def test_order_chain_rejects_bad_k_max():
         verify_order_chain(ROOT, 0)
 
 
+def order_chain_oracle(node, k_max):
+    """The chain as (name, k, holds, lhs, rhs, relation), each side's climb written out."""
+    ops = {"eq": Fraction.__eq__, "lt": Fraction.__lt__, "le": Fraction.__le__}
+    checks = []
+
+    def check(name, k, lhs, rhs, relation):
+        checks.append((name, k, ops[relation](lhs, rhs), lhs, rhs, relation))
+
+    for k in range(k_max):
+        g_next = g_interval(node, k + 1, high_side=False)
+        q_next = q_interval(node, k + 1, high_side=False)
+        p_cur = p_interval(node, k, high_side=False)
+        g_cur = g_interval(node, k, high_side=False)
+        g_cur_hi = g_interval(node, k, high_side=True)
+        q_next_hi = q_interval(node, k + 1, high_side=True)
+        check("gap_square_touch_low", k + 1, g_next.hi, q_next.lo, "eq")
+        check("square_starts_below_band_low", k, q_next.lo, p_cur.lo, "lt")
+        check("band_enters_square_low", k, p_cur.lo, q_next.hi, "lt")
+        check("square_ends_inside_band_low", k, q_next.hi, p_cur.hi, "lt")
+        check("band_touches_gap_low", k, p_cur.hi, g_cur.lo, "eq")
+        check("gap_nonempty_low", k, g_cur.lo, g_cur.hi, "lt")
+        check("gap_low_before_high", k, g_cur.hi, g_cur_hi.hi, "le")
+        check("gap_square_touch_high", k, g_cur_hi.hi, q_next_hi.lo, "eq")
+    for k in range(1, k_max + 1):
+        q_cur = q_interval(node, k, high_side=True)
+        p_cur = p_interval(node, k, high_side=True)
+        g_cur = g_interval(node, k, high_side=True)
+        check("square_starts_below_band_high", k, q_cur.lo, p_cur.lo, "lt")
+        check("band_enters_square_high", k, p_cur.lo, q_cur.hi, "lt")
+        check("square_ends_inside_band_high", k, q_cur.hi, p_cur.hi, "lt")
+        check("band_touches_gap_high", k, p_cur.hi, g_cur.lo, "eq")
+        check("gap_nonempty_high", k, g_cur.lo, g_cur.hi, "lt")
+    return checks
+
+
+def test_order_chain_matches_written_out_oracle():
+    # the shared climb table against both climbs spelled out link by link,
+    # on the root, two synthetic scales (m = 0 breaks the order) and every
+    # depth-one child up to k = 8
+    nodes = [ROOT, ROOT._replace(m=0), ROOT._replace(m=1)]
+    nodes += [node_child(ROOT, k, side) for k in range(1, 9) for side in (False, True)]
+    for node in nodes:
+        for k_max in range(1, 9):
+            got = [tuple(check) for check in verify_order_chain(node, k_max)]
+            assert got == order_chain_oracle(node, k_max), (node, k_max)
+
+
 def test_low_flank_scaffold_ascends():
     # climbing the low flank: gap k+1 touches square k+1, the band overlaps
     # the square from above, and the band's top is the next gap's bottom

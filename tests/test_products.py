@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -252,13 +253,24 @@ def standard_segments_oracle(level: int) -> tuple[list[int], list[int], int]:
     return (*_merge_ends(los, his), 9**level)
 
 
+@functools.cache
+def band_merge_stats(level: int) -> tuple[int, int, int]:
+    """(measure over scale, component count, scale) of the band merge at `level`.
+
+    Cached so that the two tests reading levels 1..20 merge each level once
+    per run, and only three ints per level outlive the merge.
+    """
+    los, his, scale = standard_segments_oracle(level)
+    return sum(his) - sum(los), len(los), scale
+
+
 def test_standard_estimate_matches_band_merge_oracle():
     # the gap walk against the band merge, over every level the route accepts
     for n in range(21):
         est = standard_estimate(n)
-        los, his, scale = standard_segments_oracle(max(n, 1))
+        measure, count, scale = band_merge_stats(max(n, 1))
         assert est.scale == scale, n
-        assert (est.scaled_measure, est.component_count) == (sum(his) - sum(los), len(los)), n
+        assert (est.scaled_measure, est.component_count) == (measure, count), n
 
 
 def test_standard_estimate_memory_stays_below_its_segments():
@@ -369,13 +381,17 @@ def test_fast_bounds_match_pairwise_oracle():
 
 def test_fast_bounds_match_interval_set_route():
     # the integer ends read from the addresses against the route they replace:
-    # the public fast_subdivision brackets swept through the lcm scale
+    # the public fast_subdivision brackets swept through the lcm scale, and
+    # through product_image, the general sweep, which skips _self_product
     cases = [(n, K) for n in range(3) for K in range(1, 11)] + [(3, K) for K in range(1, 6)]
     for n, K in cases:
         sub = fast_subdivision(n, K)
         r = fast_bounds(n, K)
         assert (r.lower, r.component_count_inner) == self_product_stats(sub.inner), (n, K)
         assert (r.upper, r.component_count_outer) == self_product_stats(sub.outer), (n, K)
+        inner, outer = product_image(sub.inner), product_image(sub.outer)
+        assert (r.lower, r.component_count_inner) == (inner.measure(), len(inner)), (n, K)
+        assert (r.upper, r.component_count_outer) == (outer.measure(), len(outer)), (n, K)
 
 
 def test_fast_bounds_builds_no_interval_set(monkeypatch):
@@ -535,8 +551,8 @@ def test_estimate_record_matches_fraction_route():
     half = Fraction(3, 2)
     for n in range(21):
         est = standard_estimate(n)
-        los, his, den = standard_segments_oracle(max(n, 1))
-        measure = Fraction(sum(his) - sum(los), den)
+        scaled, count, den = band_merge_stats(max(n, 1))
+        measure = Fraction(scaled, den)
         tail = Fraction(1, 63) * Fraction(2, 9) ** max(n - 1, 0)
         full = half * measure
         fields = (est.set_measure, est.tail_bound, est.full_value)
@@ -546,7 +562,7 @@ def test_estimate_record_matches_fraction_route():
         assert convergence_tail(n) == tail, n
         for digits in (1, 12, 50):
             assert est.to_json(digits) == estimate_json_oracle(
-                n, measure, tail, full, len(los), est.elapsed_ms, digits), (n, digits)
+                n, measure, tail, full, count, est.elapsed_ms, digits), (n, digits)
 
 
 def test_fast_record_matches_fraction_route():
