@@ -19,6 +19,7 @@ here entry by entry and compared against frozen expected literals.
 
 scaled_point and the products built from it are the geometric oracle for the
 families.  All series are exact: partial sums plus closed geometric tails.
+intervals.rat reads every rational argument, so a float is a TypeError.
 """
 
 import operator
@@ -26,7 +27,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
 from . import _CERTIFY_TARGETS as TARGETS
-from .intervals import Interval, decimal_string, format_rational
+from .intervals import Interval, decimal_string, format_rational, rat
 from .subdivision import ROOT, FastNode, _side, node_child
 
 # opaque CLI tokens: the enclosure of measure(P(D_3 x D_3)), then of measure(P(C x C))
@@ -70,7 +71,7 @@ def g_interval(node: FastNode, k: int, high_side: bool) -> Interval:
 
 def scaled_point(node: FastNode, x: Fraction) -> Fraction:
     """A(x) = (q + x) / 3^k, the affine parametrization of the node's cell."""
-    return (node.m + Fraction(x)) / 3**node.k
+    return (node.m + rat(x)) / 3**node.k
 
 
 def side_piece(node: FastNode, k: int, high_side: bool) -> Interval:
@@ -116,7 +117,7 @@ def compare_products(node: FastNode, x: Fraction, y: Fraction, z: Fraction, t: F
     A(x)A(y) > A(z)A(t)  iff  zt - xy < q (x + y - z - t); the cell length
     cancels, so only q and the local coordinates enter.
     """
-    x, y, z, t = Fraction(x), Fraction(y), Fraction(z), Fraction(t)
+    x, y, z, t = rat(x), rat(y), rat(z), rat(t)
     lhs = z * t - x * y
     rhs = node.m * (x + y - z - t)
     if lhs < rhs:
@@ -254,9 +255,9 @@ def child_gap_covered(parent: FastNode, k: int, l: int, high_child: bool) -> boo
 
 def geometric_series(first: Fraction, ratio: Fraction) -> Fraction:
     """Exact sum of first * ratio^j over j >= 0, for 0 <= ratio < 1."""
-    if not 0 <= ratio < 1:
+    if not 0 <= (ratio := rat(ratio)) < 1:
         raise ValueError("ratio must be in [0, 1)")
-    return first / (1 - ratio)
+    return rat(first) / (1 - ratio)
 
 
 def gap_total(length: Fraction) -> Fraction:
@@ -265,7 +266,7 @@ def gap_total(length: Fraction) -> Fraction:
     One central gap of measure length^2/9 plus two per index k >= 1 of
     measure length^2/9^{k+1} each: (5/36) length^2, assembled exactly.
     """
-    sq = Fraction(length) ** 2
+    sq = rat(length) ** 2
     return sq / 9 + 2 * geometric_series(sq / 81, Fraction(1, 9))
 
 
@@ -277,13 +278,13 @@ def truncated_gap_sum(length: Fraction, uncovered: int) -> Fraction:
     """
     if uncovered < 0:
         raise ValueError("uncovered count must be >= 0")
-    sq = Fraction(length) ** 2
+    sq = rat(length) ** 2
     return sq / 8 * (Fraction(10, 9) - Fraction(1, 9**uncovered))
 
 
 def truncated_gap_sum_series(length: Fraction, uncovered: int, cut: int = 8) -> Fraction:
     """Same value as truncated_gap_sum by explicit partial sum plus tail."""
-    sq = Fraction(length) ** 2
+    sq = rat(length) ** 2
     low = sum(sq / 9 ** (l + 1) for l in range(1, cut + 1))
     low += geometric_series(sq / 9 ** (cut + 2), Fraction(1, 9))
     high = sum(sq / 9 ** (l + 1) for l in range(uncovered))

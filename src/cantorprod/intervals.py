@@ -5,11 +5,11 @@ intervals with Fraction endpoints; the covers and sweeps that build them run
 on integer ends.  The canonical form is sorted and pairwise disjoint, with
 touching intervals merged, so equality of sets is equality of tuples and the
 Lebesgue measure is a plain sum of lengths.
-One merge, _merge_ends, builds that form from unsorted interval ends.  It
-lives in `ternary`, with the "p/q" and decimal text kernels, because the
-integer product sweeps in `products` use it too and load no `fractions`;
-this module re-exports it, and format_rational and decimal_string wrap the
-text kernels on a Fraction's numerator and denominator.  The integer routes
+One merge, _merge_ends, lives in `ternary` (the integer sweeps in `products`
+use it and load no `fractions`), and so do the text kernels and _ratio, the
+one reader of rationals.  format_rational and decimal_string wrap the text
+kernels on a Fraction's ints; rat passes a Fraction through and reads
+anything else with _ratio, so a float is its TypeError.  The integer routes
 (the subdivision covers and the product sweep) merge on ints and cross into
 Fractions once, through IntervalSet._from_ends, the one int -> Fraction bridge.
 
@@ -21,21 +21,15 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
-from .ternary import _merge_ends, decimal_ratio, format_ratio, parse_ratio
+from .ternary import _merge_ends, _ratio, decimal_ratio, format_ratio, parse_ratio
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 
 def rat(value: RationalLike) -> Fraction:
-    """Coerce ints, Fractions, and strings like "5/9" to an exact Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return parse_rational(value)
-    raise TypeError(f"cannot interpret {value!r} as a rational")
+    """An int, a Fraction or a text like "5/9" as an exact Fraction; see the module doc."""
+    return value if isinstance(value, Fraction) else Fraction(*_ratio(value))
 
 
 def parse_rational(text: str) -> Fraction:
@@ -116,8 +110,8 @@ IntervalLike = Union[Interval, Sequence[RationalLike]]
 def _as_interval(item: IntervalLike) -> Interval:
     if isinstance(item, Interval):
         return item
-    lo, hi = item
-    return Interval(rat(lo), rat(hi))
+    lo, hi = item  # a pair of any other length is a ValueError here
+    return Interval(lo, hi)
 
 
 class IntervalSet:
@@ -155,8 +149,7 @@ class IntervalSet:
 
     @classmethod
     def point(cls, x: RationalLike) -> "IntervalSet":
-        v = rat(x)
-        return cls([Interval(v, v)])
+        return cls._from_canonical([Interval(x, x)])
 
     def __iter__(self) -> Iterator[Interval]:
         return iter(self.intervals)

@@ -6,12 +6,12 @@ integer long division of x.numerator by x.denominator, and it cycles within
 the denominator's remainders, so the verdict is exact.
 
 The exact routes' int kernels live here too, each in one place:
-`parse_ratio`, the one text parser ("p/q" or "p" to lowest-terms integers);
-`format_ratio` and `decimal_ratio`, the "p/q" and truncated decimal text of
-p/q; and `_merge_ends`, the one merge into canonical interval form.  This
-module never imports `fractions`, so `member`, `art` and `fast` run on ints
-alone.  Each membership function takes an int, a `Fraction` or a string such
-as "1/4".
+`parse_ratio`, the one text parser ("p/q" or "p" to lowest-terms ints);
+`_ratio`, the one reader of an int, a `Fraction` or such a text, which
+`intervals.rat` wraps and every membership function calls; `format_ratio`
+and `decimal_ratio`, the "p/q" and decimal text of p/q; and `_merge_ends`,
+the one merge into canonical interval form.  This module never imports
+`fractions`, so `member`, `art` and `fast` run on ints alone.
 """
 
 import sys

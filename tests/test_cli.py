@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cantorprod import cli
+from cantorprod import cli, gaps
 from cantorprod.gaps import EXPECTED
 from cantorprod.render import render_svg
 
@@ -197,6 +197,15 @@ def test_certify_reports_tampering(capsys, monkeypatch):
     assert data["verified"] is False
 
 
+def test_certify_reports_a_broken_threshold_pattern(capsys, monkeypatch):
+    # the derivation itself raises, before there is a chain to print
+    real = gaps.high_cover_threshold
+    monkeypatch.setattr(gaps, "high_cover_threshold", lambda q, k: real(q, k) + (k == 3))
+    code, out, err = run_cli(capsys, "certify")
+    assert (code, out) == (1, "")
+    assert err == "verification failed: high covering threshold pattern broke at q=2, k=3: 6 != 5\n"
+
+
 def test_certify_unknown_target(capsys):
     assert run_cli(capsys, "certify", "--target", "nonsense")[0] == 2
 
@@ -314,12 +323,15 @@ def test_selftest_reports_a_raising_check_with_its_traceback(capsys, monkeypatch
     def checks():
         yield "passes", lambda: True
         yield "raises", broken
+        yield "fails", lambda: False
         yield "still runs", lambda: True
 
     monkeypatch.setattr(cli, "_selftest_checks", checks)
     code, out, err = run_cli(capsys, "selftest")
     assert code == 1
-    assert out == "ok - passes\nFAIL - raises (division by zero)\nok - still runs\n"
+    assert out == ("ok - passes\nFAIL - raises (division by zero)\nFAIL - fails\n"
+                   "ok - still runs\n")
+    assert err.count("Traceback") == 1  # a check that returns False prints none
     assert err.startswith("Traceback (most recent call last):\n")
     assert "in broken\n" in err
     assert err.endswith("ZeroDivisionError: division by zero\n")

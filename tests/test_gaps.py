@@ -377,6 +377,7 @@ def test_threshold_input_validation():
 def test_geometric_series_basics():
     assert geometric_series(Fraction(1, 2), Fraction(1, 2)) == 1
     assert geometric_series(Fraction(3), Fraction(0)) == 3
+    assert type(geometric_series(1, 0)) is Fraction  # not 1 / (1 - 0), a float
     with pytest.raises(ValueError):
         geometric_series(Fraction(1), Fraction(1))
 

@@ -64,6 +64,51 @@ def test_rat_coercions():
         rat(0.5)  # type: ignore[arg-type]
 
 
+def rat_reference(value):
+    """The four-branch `rat` that `ternary._ratio` replaced, kept as its oracle."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        return parse_rational(value)
+    raise TypeError(f"cannot interpret {value!r} as a rational")
+
+
+def read_outcome(read, value):
+    """("value", the Fraction read) or (the exception's type, its message)."""
+    try:
+        result = read(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    assert type(result) is Fraction
+    return "value", result
+
+
+# the explicit texts of test_ternary's parser test, and a few more
+RAT_TEXTS = ["", " -6/-8 ", "1_000/1_0", "0/-5", "5/0", "1/2/3", "1e3", "9" * 5000,
+             "0.5", "1e-3", " 5/9 ", "-2/3", "+7", "१/٣"]
+rat_values = st.one_of(
+    st.integers(-(2**70), 2**70), st.booleans(), st.fractions(),
+    st.text(st.sampled_from("0123456789+-_/. eE१٣"), max_size=10),
+    st.sampled_from([0.5, None, (1, 4), b"1/4"]),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(rat_values)
+def test_rat_matches_the_four_branch_reader(value):
+    assert read_outcome(rat, value) == read_outcome(rat_reference, value)
+    if isinstance(value, Fraction):
+        assert rat(value) is value
+
+
+def test_rat_matches_the_four_branch_reader_on_examples():
+    for value in [0, 7, -(10**30), True, False, Fraction(-3, 4), *RAT_TEXTS,
+                  0.5, None, (1, 4), b"1/4"]:
+        assert read_outcome(rat, value) == read_outcome(rat_reference, value)
+
+
 def test_decimal_string_truncates_not_rounds():
     assert decimal_string(Fraction(5, 9), 6) == "0.555555..."
     assert decimal_string(Fraction(1, 4), 2) == "0.25"
@@ -168,6 +213,9 @@ def test_normalize_sorts_and_merges_overlaps():
     s = IntervalSet([["1/3", "2/3"], ["0", "1/4"], ["1/2", "3/4"]])
     assert s == IntervalSet([["0", "1/4"], ["1/3", "3/4"]])
     assert len(s) == 2
+    same = IntervalSet([[0, Fraction(1, 4)], ["1/3", "3/4"]])
+    assert hash(same) == hash(s)
+    assert len({s, same}) == 1
 
 
 def test_normalize_idempotent():
@@ -420,4 +468,5 @@ def test_inf_sup():
     assert s.sup == Fraction(1)
     with pytest.raises(ValueError):
         IntervalSet.empty().inf
-
+    with pytest.raises(ValueError):
+        IntervalSet.empty().sup

@@ -1,5 +1,6 @@
 """Tests for `ternary`: the integer text parser against the Fraction parser it
-replaced, and membership over the int, Fraction and str forms of one value."""
+replaced, membership over the int, Fraction and str forms of one value, and
+`_ratio` as the one reader behind `rat` and the gap calculus."""
 
 from __future__ import annotations
 
@@ -9,7 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cantorprod.gaps import (
+    compare_products, gap_total, geometric_series, scaled_point, truncated_gap_sum,
+    truncated_gap_sum_series,
+)
 from cantorprod.intervals import format_rational, parse_rational, rat
+from cantorprod.subdivision import ROOT, FastNode
 from cantorprod.ternary import classify_ternary, parse_ratio, ternary_expansion
 
 
@@ -27,13 +33,12 @@ def fraction_parse_oracle(text: str) -> Fraction:
         raise ValueError(f"not an exact rational literal: {text!r}") from exc
 
 
-def outcome(parse, text: str):
-    """("value", what parse returned) or ("error", its ValueError message)."""
+def outcome(call, value):
+    """("value", what call returned) or (the exception's type, its message)."""
     try:
-        value = parse(text)
-    except ValueError as exc:
-        return "error", str(exc)
-    return "value", value
+        return "value", call(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
 
 
 # ASCII and non-ASCII decimal digits (Arabic-Indic, Devanagari, fullwidth),
@@ -91,6 +96,20 @@ def test_out_of_range_names_the_value_in_lowest_terms(value, shown):
         classify_ternary(value)
 
 
+# the public gap entries that read a rational, each with x in one rational
+# slot and its other arguments fixed, and its pinned value at x = 1/3
+GAP_ENTRIES = {
+    "scaled_point": (lambda x: scaled_point(FastNode(5, 2), x), Fraction(16, 27)),
+    "compare_products": (
+        lambda x: compare_products(ROOT, x, Fraction(1, 3), 1, Fraction(2, 9)), -1),
+    "gap_total": (gap_total, Fraction(5, 324)),
+    "truncated_gap_sum": (lambda x: truncated_gap_sum(x, 2), Fraction(89, 5832)),
+    "truncated_gap_sum_series": (lambda x: truncated_gap_sum_series(x, 2), Fraction(89, 5832)),
+    "geometric_series first": (lambda x: geometric_series(x, Fraction(1, 9)), Fraction(3, 8)),
+    "geometric_series ratio": (lambda x: geometric_series(Fraction(1, 2), x), Fraction(3, 4)),
+}
+
+
 @pytest.mark.parametrize("value", [0.5, None, (1, 4), b"1/4"])
 def test_other_types_raise_what_rat_raises(value):
     with pytest.raises(TypeError) as from_rat:
@@ -98,4 +117,29 @@ def test_other_types_raise_what_rat_raises(value):
     with pytest.raises(TypeError) as from_ternary:
         ternary_expansion(value)
     assert str(from_ternary.value) == str(from_rat.value)
+    for entry, _ in GAP_ENTRIES.values():
+        assert outcome(entry, value) == (TypeError, str(from_rat.value))
+
+
+@pytest.mark.parametrize("text", ["0.5", "1e-3"])
+def test_decimal_texts_raise_what_parse_ratio_raises(text):
+    with pytest.raises(ValueError) as from_parser:
+        parse_ratio(text)
+    assert outcome(rat, text) == (ValueError, str(from_parser.value))
+    for entry, _ in GAP_ENTRIES.values():
+        assert outcome(entry, text) == (ValueError, str(from_parser.value))
+
+
+@pytest.mark.parametrize("name", GAP_ENTRIES)
+def test_gap_entries_read_every_exact_form_alike(name):
+    entry, at_one_third = GAP_ENTRIES[name]
+    assert entry(Fraction(1, 3)) == at_one_third
+    for x in (Fraction(0), Fraction(1, 3), Fraction(7, 9), Fraction(1), Fraction(-2)):
+        forms = [format_rational(x), f" {3 * x.numerator}/{3 * x.denominator} "]
+        if x.denominator == 1:
+            forms.append(x.numerator)
+        expected = outcome(entry, x)  # ("value", v), or the ratio slot's ValueError
+        assert [outcome(entry, form) for form in forms] == [expected] * len(forms)
+        if expected[0] == "value":
+            assert all(isinstance(entry(form), type(expected[1])) for form in forms)
 
