@@ -13,8 +13,9 @@ Only the standard library is imported up front, and neither `fractions` nor
 a command loads no computation module it does not use, and a function
 rebound in its module is the one that runs.  `member` loads only `ternary`,
 which decides membership on ints.  `art` and `fast` load `products`,
-`subdivision` and `ternary`, and run on ints from argv to stdout.  Only
-`certify`, `render` and `selftest` load `intervals`, and with it `fractions`.
+`subdivision` and `ternary`, and `render` loads `render`, `subdivision` and
+`ternary`; all three run on ints from argv to stdout.  Only `certify` and
+`selftest` load `intervals`, and with it `fractions`.
 """
 
 import functools
@@ -157,22 +158,23 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    from . import intervals, render
+    from . import render, ternary
 
     if args.format == "svg":
         _emit(render.render_svg(args.n, args.K), args.out)
         return 0
     node, families = render.cell_families(args.n, args.K)
+    lo, hi = render.cell_text(node)
+
+    def ends(pair) -> list[str]:
+        return [ternary.format_ratio(*end) for end in pair]
+
     payload = {
         "depth": args.n,
         "k_max": args.K,
-        "cell": {
-            "lo": intervals.format_rational(node.cell.lo),
-            "hi": intervals.format_rational(node.cell.hi),
-            "q": node.m,
-        },
+        "cell": {"lo": lo, "hi": hi, "q": node.m},
         "families": [
-            {"k": k, "side": side, "p": p.to_json(), "g": g.to_json()} for k, side, p, g in families
+            {"k": k, "side": side, "p": ends(p), "g": ends(g)} for k, side, p, g in families
         ],
     }
     _render_payload(payload, args.format, args.out)

@@ -10,6 +10,9 @@ j = 0, 1, 2, it gives three interval families with endpoints over 9^d:
 * q_interval, the square of the tracked third, node_child's E_k = [a+2, a+3]
   (low) or F_k = [a, a+1] (high).
 
+The P and G formulas live on ints in subdivision._families, which the figure
+reads directly; p_interval and g_interval wrap its ends as Fractions.
+
 These intervals interleave in a fixed order (verify_order_chain), bands of a
 parent swallow most gaps of its children (the covering thresholds), and what
 is not swallowed has an exactly summable measure (truncated_gap_sum, beta,
@@ -28,7 +31,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from . import _CERTIFY_TARGETS as TARGETS
 from .intervals import Interval, decimal_string, format_rational, rat
-from .subdivision import ROOT, FastNode, _side, node_child
+from .subdivision import ROOT, FastNode, _families, node_child
 
 # opaque CLI tokens: the enclosure of measure(P(D_3 x D_3)), then of measure(P(C x C))
 TARGET_LEVEL3, TARGET_FULL = TARGETS
@@ -46,8 +49,8 @@ def p_interval(node: FastNode, k: int, high_side: bool) -> Interval:
     """Band [a(a+2), (a+1)(a+3)]: the product of the side piece's two outer thirds."""
     if k < 0:
         raise ValueError("band index must be >= 0")
-    a, d = _side(node, k, high_side, 0)
-    return Interval(Fraction(a * (a + 2), 9**d), Fraction((a + 1) * (a + 3), 9**d))
+    lo, hi, _, den = _families(node, k, high_side)
+    return Interval(Fraction(lo, den), Fraction(hi, den))
 
 
 def q_interval(node: FastNode, k: int, high_side: bool) -> Interval:
@@ -61,8 +64,8 @@ def g_interval(node: FastNode, k: int, high_side: bool) -> Interval:
     from the band's top to the upper third's square; both sides agree at k = 0."""
     if k < 0:
         raise ValueError("gap index must be >= 0")
-    a, d = _side(node, k, high_side, 0)
-    return Interval(Fraction((a + 1) * (a + 3), 9**d), Fraction((a + 2) ** 2, 9**d))
+    _, lo, hi, den = _families(node, k, high_side)
+    return Interval(Fraction(lo, den), Fraction(hi, den))
 
 
 # ---------------------------------------------------------------------------

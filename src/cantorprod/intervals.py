@@ -8,10 +8,12 @@ Lebesgue measure is a plain sum of lengths.
 One merge, _merge_ends, lives in `ternary` (the integer sweeps in `products`
 use it and load no `fractions`), and so do the text kernels and _ratio, the
 one reader of rationals.  format_rational and decimal_string wrap the text
-kernels on a Fraction's ints; rat passes a Fraction through and reads
-anything else with _ratio, so a float is its TypeError.  The integer routes
-(the subdivision covers and the product sweep) merge on ints and cross into
-Fractions once, through IntervalSet._from_ends, the one int -> Fraction bridge.
+kernels on the ints _ratio reads; rat passes a Fraction through and reads
+anything else with _ratio, so a float is a TypeError everywhere here.  The
+integer routes (the subdivision covers and the product sweep) merge on ints
+and cross into Fractions once, through IntervalSet._from_ends, the one
+int -> Fraction bridge.  Of the commands, only `certify` and `selftest` load
+this module.
 
 No floats anywhere in here: decimal output is rendered by one integer division
 and truncated with an explicit "..." marker when inexact.
@@ -41,18 +43,18 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(*parse_ratio(text))
 
 
-def format_rational(x: Fraction) -> str:
-    """Render a Fraction as "p/q", with an explicit denominator even for integers."""
-    return format_ratio(x.numerator, x.denominator)
+def format_rational(x: RationalLike) -> str:
+    """Render a rational as "p/q", with an explicit denominator even for integers."""
+    return format_ratio(*_ratio(x))
 
 
-def decimal_string(x: Fraction, digits: int) -> str:
+def decimal_string(x: RationalLike, digits: int) -> str:
     """Exact decimal rendering of x, truncated toward zero to `digits` places.
 
     A trailing "..." marks a nonterminating (truncated) expansion, so the output
     is never silently rounded.  decimal_string(Fraction(5,9), 6) == "0.555555...".
     """
-    return decimal_ratio(x.numerator, x.denominator, digits)
+    return decimal_ratio(*_ratio(x), digits)
 
 
 class Interval:
@@ -94,8 +96,8 @@ class Interval:
     def length(self) -> Fraction:
         return self.hi - self.lo
 
-    def contains(self, x: Fraction) -> bool:
-        return self.lo <= x <= self.hi
+    def contains(self, x: RationalLike) -> bool:
+        return self.lo <= rat(x) <= self.hi
 
     def to_json(self) -> list[str]:
         return [format_rational(self.lo), format_rational(self.hi)]

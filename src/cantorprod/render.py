@@ -14,13 +14,21 @@ band and arc carries its exact rational endpoints in data-* attributes
 so the figure can be checked against the certified values.  Each exact
 point is converted to float once, and each distinct family value's
 hyperbola is sampled once per figure.
+
+The figure runs on ints: the P and G ends come from subdivision._families,
+their one home, as lowest-terms (p, q) pairs, and the text is
+ternary.format_ratio's.  An int/int true division is correctly rounded, so
+every float is the one a Fraction would give.  This module loads only
+`subdivision` and `ternary`, and neither `fractions`, `intervals` nor `gaps`.
 """
 
 from typing import Iterator
 
-from .intervals import Interval, Rational, format_rational
-from .subdivision import ROOT, UNIT, FastNode, _ends, _leaves, node_child
-from .gaps import g_interval, p_interval
+from .subdivision import ROOT, UNIT, FastNode, _ends, _families, _leaves, node_child
+from .ternary import _lowest, format_ratio
+
+# an exact value as (p, q) in lowest terms, q > 0
+Ratio = tuple[int, int]
 
 MAX_DEPTH = 2
 MAX_KMAX = 6
@@ -52,10 +60,11 @@ def _line(x0: float, y0: float, x1: float, y1: float, width: str, extra: str = "
 
 def cell_families(
     depth: int, k_max: int
-) -> tuple[FastNode, list[tuple[int, str, Interval, Interval]]]:
+) -> tuple[FastNode, list[tuple[int, str, tuple[Ratio, Ratio], tuple[Ratio, Ratio]]]]:
     """The drawn cell and its (k, side, P, G) families, for the figure's ranges.
 
-    The cell at a given depth is the end of the low-side child chain.
+    P and G are (lo, hi) pairs of lowest-terms (p, q) ratios.  The cell at a
+    given depth is the end of the low-side child chain.
     """
     if not 0 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must be in 0..{MAX_DEPTH}")
@@ -64,11 +73,19 @@ def cell_families(
     node = ROOT
     for _ in range(depth):
         node = node_child(node, 1, high_side=False)
-    families = [(0, "±", p_interval(node, 0, False), g_interval(node, 0, False))]
-    for k in range(1, k_max + 1):
-        families.append((k, "-", p_interval(node, k, False), g_interval(node, k, False)))
-        families.append((k, "+", p_interval(node, k, True), g_interval(node, k, True)))
+    tags = [(0, "±")] + [(k, side) for k in range(1, k_max + 1) for side in "-+"]
+    families = []
+    for k, side in tags:
+        *ends, den = _families(node, k, side == "+")
+        p_lo, mid, g_hi = (_lowest(end, den) for end in ends)
+        families.append((k, side, (p_lo, mid), (mid, g_hi)))
     return node, families
+
+
+def cell_text(node: FastNode) -> tuple[str, str]:
+    """The node's cell ends as "p/q" text."""
+    den = 3**node.k
+    return format_ratio(node.m, den), format_ratio(node.m + 1, den)
 
 
 def _cells(k_max: int) -> list[tuple[int, str, float, float]]:
@@ -132,13 +149,14 @@ def _edge_ticks(cells) -> Iterator[str]:
         yield _line(1, lo, 1, hi, "0.008")
 
 
-def _arc_points(node: FastNode, value: Rational) -> list[str]:
+def _arc_points(node: FastNode, value: Ratio) -> list[str]:
     """Samples of xy = value in local cell coordinates, left to right, as SVG "x y" text.
 
     Locally the arc is y = v / (q + x) - q, with v = value * 9^k = num / den.
     """
     q = node.m
-    num, den = value.numerator * 9**node.k, value.denominator
+    num, den = value
+    num *= 9**node.k
     # x-window where the local y stays inside [0,1]: x_lo = v / (q + 1) - q and
     # x_hi = v / q - q, each an exact int ratio rounded to float once
     lo, hi = num - q * (q + 1) * den, num - q * q * den
@@ -156,29 +174,31 @@ def _arc_points(node: FastNode, value: Rational) -> list[str]:
 
 def _arcs(node: FastNode, families) -> Iterator[str]:
     # each distinct value is sampled once: neighbouring families share endpoints
-    values = {v for _, _, p, g in families for v in (p.lo, p.hi, g.lo, g.hi)}
+    # lowest terms make equal values equal pairs
+    values = {v for _, _, p, g in families for v in (*p, *g)}
     points = {v: _arc_points(node, v) for v in values}
 
-    def arc(value: Rational) -> str:
+    def arc(value: Ratio) -> str:
         return "M " + " L ".join(points[value])
 
-    def band(lo: Rational, hi: Rational) -> str:
+    def band(lo: Ratio, hi: Ratio) -> str:
         """Closed region between the arcs xy = lo and xy = hi."""
         return f"{arc(hi)} L {' L '.join(reversed(points[lo]))} Z"
 
-    def data(interval: Interval) -> str:
-        return f'data-lo="{format_rational(interval.lo)}" data-hi="{format_rational(interval.hi)}"'
+    def data(ends: tuple[Ratio, Ratio]) -> str:
+        lo, hi = ends
+        return f'data-lo="{format_ratio(*lo)}" data-hi="{format_ratio(*hi)}"'
 
     yield '<g clip-path="url(#cell)" fill="none" stroke="black" stroke-width="0.0015">'
     for k, side, p, g in families:
         yield f'<g class="family" data-k="{k}" data-side="{side}">'
         yield (
-            f'<path d="{band(p.lo, p.hi)}" fill="grey" fill-opacity="0.1" stroke="none"'
+            f'<path d="{band(*p)}" fill="grey" fill-opacity="0.1" stroke="none"'
             f' class="band band-p" {data(p)}/>'
         )
-        yield f'<path d="{band(g.lo, g.hi)}" fill="none" class="band band-g" {data(g)}/>'
-        for value in (p.lo, p.hi, g.hi):
-            yield f'<path d="{arc(value)}" class="arc" data-level="{format_rational(value)}"/>'
+        yield f'<path d="{band(*g)}" fill="none" class="band band-g" {data(g)}/>'
+        for value in (*p, g[1]):
+            yield f'<path d="{arc(value)}" class="arc" data-level="{format_ratio(*value)}"/>'
         yield "</g>"
     yield "</g>"
 
@@ -209,12 +229,12 @@ def _labels(k_max: int) -> Iterator[str]:
 def render_svg(depth: int = 1, k_max: int = 3) -> str:
     """Build the figure as an SVG document string."""
     node, families = cell_families(depth, k_max)
-    cell = node.cell
+    cell_lo, cell_hi = cell_text(node)
     cells = _cells(k_max)
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="1000"'
-        f' viewBox="{_VIEW}" data-cell-lo="{format_rational(cell.lo)}"'
-        f' data-cell-hi="{format_rational(cell.hi)}" data-q="{node.m}"'
+        f' viewBox="{_VIEW}" data-cell-lo="{cell_lo}"'
+        f' data-cell-hi="{cell_hi}" data-q="{node.m}"'
         f' data-scale-k="{node.k}">',
         "<defs>",
         '<clipPath id="cell"><rect x="0" y="0" width="1" height="1"/></clipPath>',

@@ -24,6 +24,9 @@ both schemes are walks that append words.
   only.  Both brackets are exact: inner <= D_n <= outer.  Each of these
   words, and each gap I 0^k 1 or I 2^k 1, is a side piece I 0^k or I 2^k
   followed by one digit, and _side is the one place that builds them.
+  _families, next to it, is the int home of the band P and the diagonal
+  gap G of a side piece: the figure reads them as ints, gaps wraps them as
+  Fractions.
 
 This module is the one place that turns an address into endpoints.  Every
 set of cells here is a _cover: _ends reads their integer ends at one scale
@@ -130,6 +133,18 @@ def _side(node: FastNode, k: int, high_side: bool, digit: int) -> FastNode:
     """The address node 0^k digit (low side) or node 2^k digit (high side), at
     depth node.k + k + 1: the one place a side-piece word is built."""
     return _append(node, digit + (3 ** (k + 1) - 3 if high_side else 0), k + 1)
+
+
+def _families(node: FastNode, k: int, high_side: bool) -> tuple[int, int, int, int]:
+    """(p_lo, p_hi == g_lo, g_hi, 9^d): the band P and the diagonal gap G of the
+    side piece node 0^k (low) or node 2^k (high), as ints over 9^d.
+
+    With the piece's first third a / 3^d, P = [a(a+2), (a+1)(a+3)] is the
+    product of its outer thirds and G = [(a+1)(a+3), (a+2)^2] is what its
+    middle removal opens on the diagonal: the one home of both formulas.
+    """
+    a, d = _side(node, k, high_side, 0)
+    return a * (a + 2), (a + 1) * (a + 3), (a + 2) ** 2, 9**d
 
 
 def _gaps(node: FastNode, K: int) -> list[FastNode]:

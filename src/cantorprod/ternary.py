@@ -11,7 +11,7 @@ The exact routes' int kernels live here too, each in one place:
 `intervals.rat` wraps and every membership function calls; `format_ratio`
 and `decimal_ratio`, the "p/q" and decimal text of p/q; and `_merge_ends`,
 the one merge into canonical interval form.  This module never imports
-`fractions`, so `member`, `art` and `fast` run on ints alone.
+`fractions`, so `member`, `art`, `fast` and `render` run on ints alone.
 """
 
 import sys

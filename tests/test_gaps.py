@@ -42,6 +42,7 @@ from cantorprod.gaps import (
 )
 from cantorprod.intervals import Interval, IntervalSet
 from cantorprod.products import product_image
+from cantorprod.render import MAX_DEPTH, MAX_KMAX, cell_families
 from cantorprod.subdivision import (
     ROOT, FastNode, _fast_tree, _rounds, node_child, right_half_subdivision,
 )
@@ -131,6 +132,23 @@ def test_families_match_scaled_point_oracles():
                     assert g.hi == q.lo
             with pytest.raises(ValueError):
                 q_interval(node, 0, high_side)
+
+
+def test_render_families_match_scaled_point_oracles():
+    # the figure's int pairs against the oracles, not against p_interval and
+    # g_interval: those wrap the same int kernel, subdivision._families
+    def ratio(x):
+        return x.numerator, x.denominator
+
+    for depth in range(MAX_DEPTH + 1):
+        for k_max in range(MAX_KMAX + 1):
+            node, families = cell_families(depth, k_max)
+            assert len(families) == 1 + 2 * k_max
+            for k, side, p, g in families:
+                for high_side in {"±": (False, True), "-": (False,), "+": (True,)}[side]:
+                    p_ref, g_ref = _p_oracle(node, k, high_side), _g_oracle(node, k, high_side)
+                    assert p == (ratio(p_ref.lo), ratio(p_ref.hi)), (depth, k, high_side)
+                    assert g == (ratio(g_ref.lo), ratio(g_ref.hi)), (depth, k, high_side)
 
 
 def test_scaled_point_and_side_piece():

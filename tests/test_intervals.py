@@ -119,6 +119,23 @@ def test_decimal_string_truncates_not_rounds():
         decimal_string(Fraction(1, 3), -1)
 
 
+def test_text_helpers_read_through_ratio():
+    # a float is rat's TypeError, not an AttributeError on .numerator, and a
+    # text is read as the value it names
+    for bad in (0.5, None, (1, 4)):
+        with pytest.raises(TypeError, match="cannot interpret"):
+            format_rational(bad)  # type: ignore[arg-type]
+        with pytest.raises(TypeError, match="cannot interpret"):
+            decimal_string(bad, 3)  # type: ignore[arg-type]
+    assert format_rational("2/4") == "1/2"
+    assert format_rational(" -6/-8 ") == "3/4"
+    assert format_rational(3) == "3/1"
+    assert decimal_string("5/9", 6) == "0.555555..."
+    assert decimal_string(-2, 2) == "-2.00"
+    with pytest.raises(ValueError):
+        format_rational("0.5")
+
+
 def _decimal_reference(x, digits):
     """Digit-by-digit long division: the loop decimal_string used before it
     took one integer division, kept as its oracle."""
@@ -187,6 +204,15 @@ def test_interval_validation_and_length():
         del half.hi
     assert len({half, Interval(0, "1/2"), Interval(Fraction(0), Fraction(1, 2))}) == 1
     assert pickle.loads(pickle.dumps(half)) == half
+
+
+def test_interval_contains_reads_through_rat():
+    unit = Interval(0, 1)
+    with pytest.raises(TypeError):
+        unit.contains(0.5)  # type: ignore[arg-type]
+    assert unit.contains("1/2")
+    assert unit.contains(1)
+    assert not unit.contains("3/2")
 
 
 def test_interval_json_round_trip():

@@ -76,8 +76,7 @@ COMMANDS = {
     "art": (["art", "--n", "3"], ["products", "subdivision", "ternary"]),
     "fast": (["fast", "--n", "1", "--K", "2"], ["products", "subdivision", "ternary"]),
     "certify": (["certify"], ["gaps", "intervals", "subdivision", "ternary"]),
-    "render": (["render", "--n", "0", "--K", "1"],
-               ["gaps", "intervals", "render", "subdivision", "ternary"]),
+    "render": (["render", "--n", "0", "--K", "1"], ["render", "subdivision", "ternary"]),
     "selftest": (["selftest"],
                  ["gaps", "intervals", "products", "render", "subdivision", "ternary"]),
 }
@@ -135,6 +134,13 @@ def test_member_runs_on_ints_alone(fmt):
 def test_art_and_fast_run_on_ints_alone(command, fmt):
     probe = RUN_MAIN + f"print(code, {INT_ONLY_HEAVY})\n"
     assert probe_output(probe, *COMMANDS[command][0], "--format", fmt) == "0 []\n"
+
+
+@pytest.mark.parametrize("fmt", ["svg", "json", "text"])
+def test_render_runs_on_ints_alone(fmt):
+    probe = RUN_MAIN + f"print(code, {INT_ONLY_HEAVY})\n"
+    argv = ["render", "--n", "2", "--K", "6", "--format", fmt]
+    assert probe_output(probe, *argv) == "0 []\n"
 
 
 def test_module_run_is_clean_under_warnings_as_errors():
