@@ -13,9 +13,10 @@ Only the standard library is imported up front, and neither `fractions` nor
 a command loads no computation module it does not use, and a function
 rebound in its module is the one that runs.  `member` loads only `ternary`,
 which decides membership on ints.  `art` and `fast` load `products`,
-`subdivision` and `ternary`, and `render` loads `render`, `subdivision` and
-`ternary`; all three run on ints from argv to stdout.  Only `certify` and
-`selftest` load `intervals`, and with it `fractions`.
+`subdivision` and `ternary`, `render` loads `render`, `subdivision` and
+`ternary`, and `certify` loads `gaps`, `subdivision` and `ternary`; all four
+run on ints from argv to stdout.  Only `selftest` loads `intervals`, and
+with it `fractions`.
 """
 
 import functools

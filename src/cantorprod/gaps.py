@@ -22,16 +22,31 @@ here entry by entry and compared against frozen expected literals.
 
 scaled_point and the products built from it are the geometric oracle for the
 families.  All series are exact: partial sums plus closed geometric tails.
-intervals.rat reads every rational argument, so a float is a TypeError.
+
+certify runs on one exact kernel of lowest-terms int pairs (p, q), q > 0:
+_sum, _prod, _holds (compare) and _tail (first / (1 - ratio)), reduced
+through ternary._lowest.  The chain's values are gap totals, truncated gap
+sums and geometric tails in powers of 9, so the pairs carry it exactly.  The
+library face (gap_total, truncated_gap_sum, geometric_series, ...) wraps the
+kernel forms and returns Fractions; it reads every rational argument through
+ternary._ratio, so a float is a TypeError.  This module imports `fractions`
+and `intervals` only inside the functions that return or read them, so
+`certify` loads neither.
 """
 
 import operator
-from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Optional
 
 from . import _CERTIFY_TARGETS as TARGETS
-from .intervals import Interval, decimal_string, format_rational, rat
 from .subdivision import ROOT, FastNode, _families, node_child
+from .ternary import _fraction, _lowest, _ratio, decimal_ratio, format_ratio
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .intervals import Interval
+
+Ratio = tuple[int, int]  # (p, q) in lowest terms, q > 0
 
 # opaque CLI tokens: the enclosure of measure(P(D_3 x D_3)), then of measure(P(C x C))
 TARGET_LEVEL3, TARGET_FULL = TARGETS
@@ -45,81 +60,99 @@ class CertificationError(Exception):
 # the three families, on the integer address of a side piece's first third
 
 
-def p_interval(node: FastNode, k: int, high_side: bool) -> Interval:
+def _interval(lo: int, hi: int, den: int) -> "Interval":
+    from .intervals import Interval
+
+    return Interval(_fraction(lo, den), _fraction(hi, den))
+
+
+def p_interval(node: FastNode, k: int, high_side: bool) -> "Interval":
     """Band [a(a+2), (a+1)(a+3)]: the product of the side piece's two outer thirds."""
     if k < 0:
         raise ValueError("band index must be >= 0")
     lo, hi, _, den = _families(node, k, high_side)
-    return Interval(Fraction(lo, den), Fraction(hi, den))
+    return _interval(lo, hi, den)
 
 
-def q_interval(node: FastNode, k: int, high_side: bool) -> Interval:
+def q_interval(node: FastNode, k: int, high_side: bool) -> "Interval":
     """Square [c^2, (c+1)^2] of the k-th child cell, the side piece's tracked third."""
     c, d = node_child(node, k, high_side)
-    return Interval(Fraction(c * c, 9**d), Fraction((c + 1) ** 2, 9**d))
+    return _interval(c * c, (c + 1) ** 2, 9**d)
 
 
-def g_interval(node: FastNode, k: int, high_side: bool) -> Interval:
+def g_interval(node: FastNode, k: int, high_side: bool) -> "Interval":
     """Diagonal gap [(a+1)(a+3), (a+2)^2] = diagonal_gap(side_piece(node, k, high_side)),
     from the band's top to the upper third's square; both sides agree at k = 0."""
     if k < 0:
         raise ValueError("gap index must be >= 0")
     _, lo, hi, den = _families(node, k, high_side)
-    return Interval(Fraction(lo, den), Fraction(hi, den))
+    return _interval(lo, hi, den)
 
 
 # ---------------------------------------------------------------------------
 # the geometric oracle: cell geometry as products of scaled points A(x)
 
 
-def scaled_point(node: FastNode, x: Fraction) -> Fraction:
+def scaled_point(node: FastNode, x: "Fraction") -> "Fraction":
     """A(x) = (q + x) / 3^k, the affine parametrization of the node's cell."""
+    from .intervals import rat
+
     return (node.m + rat(x)) / 3**node.k
 
 
-def side_piece(node: FastNode, k: int, high_side: bool) -> Interval:
+def side_piece(node: FastNode, k: int, high_side: bool) -> "Interval":
     """The closed outer third piece I_(k,-) = I(0, 3^-k) or I_(k,+); k = 0 is I itself."""
+    from .intervals import Interval
+
     if k < 0:
         raise ValueError("side index must be >= 0")
-    t = Fraction(1, 3**k)
+    t = _fraction(1, 3**k)
     if high_side:
         return Interval(scaled_point(node, 1 - t), scaled_point(node, 1))
     return Interval(scaled_point(node, 0), scaled_point(node, t))
 
 
-def child_cell(node: FastNode, k: int, high_side: bool) -> Interval:
+def child_cell(node: FastNode, k: int, high_side: bool) -> "Interval":
     """The k-th surviving child cell as an interval (geometric route).
 
     Must agree with node_child(node, k, high_side).cell for genuine cells;
     this version works off (q, k) alone, so it extends to synthetic nodes.
     """
+    from .intervals import Interval
+
     if k < 1:
         raise ValueError("child index must be >= 1")
-    lo = Fraction(2, 3 ** (k + 1))
-    hi = Fraction(1, 3**k)
+    lo = _fraction(2, 3 ** (k + 1))
+    hi = _fraction(1, 3**k)
     if high_side:
         return Interval(scaled_point(node, 1 - hi), scaled_point(node, 1 - lo))
     return Interval(scaled_point(node, lo), scaled_point(node, hi))
 
 
-def diagonal_gap(piece: Interval) -> Interval:
+def diagonal_gap(piece: "Interval") -> "Interval":
     """P(J x J) minus P(J'' x J'') for J = [a, a+3t] with middle third removed.
 
     The products (a+t)(a+3t) = (a+2t)^2 - t^2 and (a+t)^2 > a(a+2t) leave
     exactly the open slot ((a+2t)^2 - t^2, (a+2t)^2), an interval of length
     t^2 just below the square of the removed gap's right endpoint.
     """
+    from .intervals import Interval
+
     t = piece.length / 3
     hi = (piece.lo + 2 * t) ** 2
     return Interval(hi - t * t, hi)
 
 
-def compare_products(node: FastNode, x: Fraction, y: Fraction, z: Fraction, t: Fraction) -> int:
+def compare_products(
+    node: FastNode, x: "Fraction", y: "Fraction", z: "Fraction", t: "Fraction"
+) -> int:
     """Sign of A(x)A(y) - A(z)A(t) via the integer-friendly predicate.
 
     A(x)A(y) > A(z)A(t)  iff  zt - xy < q (x + y - z - t); the cell length
     cancels, so only q and the local coordinates enter.
     """
+    from .intervals import rat
+
     x, y, z, t = rat(x), rat(y), rat(z), rat(t)
     lhs = z * t - x * y
     rhs = node.m * (x + y - z - t)
@@ -138,8 +171,8 @@ class ChainCheck(NamedTuple):
     name: str
     k: int
     holds: bool
-    lhs: Fraction
-    rhs: Fraction
+    lhs: "Fraction"
+    rhs: "Fraction"
     relation: str  # a key of _RELATIONS
 
 
@@ -147,7 +180,7 @@ class ChainCheck(NamedTuple):
 _RELATIONS = {"eq": operator.eq, "lt": operator.lt, "le": operator.le, "gt": operator.gt}
 
 
-def _check(name: str, k: int, lhs: Fraction, rhs: Fraction, relation: str) -> ChainCheck:
+def _check(name: str, k: int, lhs: "Fraction", rhs: "Fraction", relation: str) -> ChainCheck:
     holds = _RELATIONS[relation](lhs, rhs)
     return ChainCheck(name=name, k=k, holds=holds, lhs=lhs, rhs=rhs, relation=relation)
 
@@ -160,7 +193,7 @@ _CLIMB = (
 )
 
 
-def _climb(side: str, k: int, q: Interval, p: Interval, g: Interval) -> list[ChainCheck]:
+def _climb(side: str, k: int, q: "Interval", p: "Interval", g: "Interval") -> list[ChainCheck]:
     ends = (q.lo, p.lo, q.hi, p.hi, g.lo, g.hi)
     return [
         _check(f"{name}_{side}", k, lhs, rhs, relation)
@@ -253,51 +286,95 @@ def child_gap_covered(parent: FastNode, k: int, l: int, high_child: bool) -> boo
 
 
 # ---------------------------------------------------------------------------
-# exact series: measures of what the bands do not swallow
+# the exact kernel: lowest-terms int pairs (p, q), q > 0
 
 
-def geometric_series(first: Fraction, ratio: Fraction) -> Fraction:
-    """Exact sum of first * ratio^j over j >= 0, for 0 <= ratio < 1."""
-    if not 0 <= (ratio := rat(ratio)) < 1:
+def _sum(*terms: Ratio) -> Ratio:
+    p, q = 0, 1
+    for a, b in terms:
+        p, q = p * b + a * q, q * b
+    return _lowest(p, q)
+
+
+def _prod(*factors: Ratio) -> Ratio:
+    p = q = 1
+    for a, b in factors:
+        p, q = p * a, q * b
+    return _lowest(p, q)
+
+
+def _holds(relation: str, x: Ratio, y: Ratio) -> bool:
+    """x `relation` y, a key of _RELATIONS, compared across the positive denominators."""
+    return _RELATIONS[relation](x[0] * y[1], y[0] * x[1])
+
+
+def _tail(first: Ratio, ratio: Ratio) -> Ratio:
+    """first / (1 - ratio): the sum of first * ratio^j over j >= 0, for 0 <= ratio < 1."""
+    (a, b), (r, s) = first, ratio
+    if not 0 <= r < s:
         raise ValueError("ratio must be in [0, 1)")
-    return rat(first) / (1 - ratio)
+    return _lowest(a * s, b * (s - r))
 
 
-def gap_total(length: Fraction) -> Fraction:
+# ---------------------------------------------------------------------------
+# exact series: measures of what the bands do not swallow.  Each public
+# function returns its kernel form's pair as a Fraction.
+
+
+def geometric_series(first: "Fraction", ratio: "Fraction") -> "Fraction":
+    """Exact sum of first * ratio^j over j >= 0, for 0 <= ratio < 1."""
+    return _fraction(*_tail(_ratio(first), _ratio(ratio)))
+
+
+def gap_total(length: "Fraction") -> "Fraction":
     """Total measure of all diagonal gaps of a cell of the given length.
 
     One central gap of measure length^2/9 plus two per index k >= 1 of
     measure length^2/9^{k+1} each: (5/36) length^2, assembled exactly.
     """
-    sq = rat(length) ** 2
-    return sq / 9 + 2 * geometric_series(sq / 81, Fraction(1, 9))
+    return _fraction(*_gap_total(_ratio(length)))
 
 
-def truncated_gap_sum(length: Fraction, uncovered: int) -> Fraction:
+def _gap_total(length: Ratio) -> Ratio:
+    sq = _prod(length, length)
+    return _sum(_prod(sq, (1, 9)), _prod((2, 1), _tail(_prod(sq, (1, 81)), (1, 9))))
+
+
+def truncated_gap_sum(length: "Fraction", uncovered: int) -> "Fraction":
     """Measure of a cell's gaps left after covering high gaps of index >= uncovered.
 
     All low-side gaps plus the high-side gaps of index < uncovered (index 0 is
     the central gap, counted once): (length^2 / 8)(10/9 - 9^-uncovered).
     """
+    return _fraction(*_truncated_gap_sum(_ratio(length), uncovered))
+
+
+def _truncated_gap_sum(length: Ratio, uncovered: int) -> Ratio:
     if uncovered < 0:
         raise ValueError("uncovered count must be >= 0")
-    sq = rat(length) ** 2
-    return sq / 8 * (Fraction(10, 9) - Fraction(1, 9**uncovered))
+    # (10/9 - 9^-uncovered) / 8 over the one denominator 8 * 9^(uncovered+1)
+    return _prod(length, length, (10 * 9**uncovered - 9, 8 * 9 ** (uncovered + 1)))
 
 
-def truncated_gap_sum_series(length: Fraction, uncovered: int, cut: int = 8) -> Fraction:
+def truncated_gap_sum_series(length: "Fraction", uncovered: int, cut: int = 8) -> "Fraction":
     """Same value as truncated_gap_sum by explicit partial sum plus tail."""
+    from .intervals import rat
+
     sq = rat(length) ** 2
     low = sum(sq / 9 ** (l + 1) for l in range(1, cut + 1))
-    low += geometric_series(sq / 9 ** (cut + 2), Fraction(1, 9))
+    low += geometric_series(sq / 9 ** (cut + 2), _fraction(1, 9))
     high = sum(sq / 9 ** (l + 1) for l in range(uncovered))
     return low + high
 
 
-def first_level_gap_total() -> Fraction:
+def first_level_gap_total() -> "Fraction":
     """Measure removed from P(D_0 x D_0) by the first round: every gap of the
     root cell [2/3, 1] survives, total (5/36)(1/3)^2 = 5/324."""
-    return gap_total(ROOT.length)
+    return _fraction(*_first_level_gap_total())
+
+
+def _first_level_gap_total() -> Ratio:
+    return _gap_total((1, 3**ROOT.k))
 
 
 def _verified_threshold(high: bool, q: int, k: int, expected: int) -> int:
@@ -312,40 +389,45 @@ def _verified_threshold(high: bool, q: int, k: int, expected: int) -> int:
 
 def _uncovered_children(
     high: bool, q: int, s: int, d: int, cut: int, stop: Optional[int] = None
-) -> Fraction:
+) -> Ratio:
     """Uncovered gap measure of one side's children j = 1..stop of a cell with parameter q.
 
     Child j has length 3^-(s+j) and covering threshold j+d.  With stop None
     the terms after `cut` come from one closed tail over j > cut of
     truncated_gap_sum(3^-(s+j), j+d) = (10/72) 9^-(s+j) - (1/8) 9^-(s+2j+d).
     """
-    total = Fraction(0)
-    for j in range(1, (cut if stop is None else stop) + 1):
-        total += truncated_gap_sum(
-            Fraction(1, 3 ** (s + j)), _verified_threshold(high, q, j, j + d)
-        )
+    terms = [
+        _truncated_gap_sum((1, 3 ** (s + j)), _verified_threshold(high, q, j, j + d))
+        for j in range(1, (cut if stop is None else stop) + 1)
+    ]
     if stop is None:
-        total += geometric_series(Fraction(10, 72) / 9 ** (s + cut + 1), Fraction(1, 9))
-        total -= geometric_series(Fraction(1, 8) / 9 ** (s + 2 * cut + 2 + d), Fraction(1, 81))
-    return total
+        terms.append(_tail((10, 72 * 9 ** (s + cut + 1)), (1, 9)))
+        terms.append(_tail((-1, 8 * 9 ** (s + 2 * cut + 2 + d)), (1, 81)))
+    return _sum(*terms)
 
 
-def second_level_increment(cut: int = 12) -> Fraction:
+def second_level_increment(cut: int = 12) -> "Fraction":
     """Measure removed by round two that round one's bands do not cover.
 
     Children of the root are E_k, F_k of length 3^-(k+2); the uncovered count
     is the covering threshold (k for E_k, k+2 for F_k), verified here over the
     partial range before the matching geometric tails are attached.
     """
+    return _fraction(*_second_level_increment(cut))
+
+
+def _second_level_increment(cut: int = 12) -> Ratio:
     low = _uncovered_children(False, ROOT.m, 2, 0, cut)
-    return low + _uncovered_children(True, ROOT.m, 2, 2, cut)
+    return _sum(low, _uncovered_children(True, ROOT.m, 2, 2, cut))
 
 
-def beta(k: int) -> Fraction:
+def beta(k: int) -> "Fraction":
     """Closed form for the uncovered gap measure of the high child F_k's children.
 
     (1/64) [ 20/9^{k+4} - (91/5)/9^{2k+6} + (1/10)/9^{4k+10} ].
     """
+    from fractions import Fraction
+
     if k < 1:
         raise ValueError("index must be >= 1")
     return (
@@ -355,7 +437,7 @@ def beta(k: int) -> Fraction:
     ) / 64
 
 
-def beta_series(k: int, cut: int = 12) -> Fraction:
+def beta_series(k: int, cut: int = 12) -> "Fraction":
     """Independent evaluation of beta(k): per-child truncated sums plus tails.
 
     F_k has parameter q = 3^{k+2} - 3 (re-derived through the child
@@ -368,10 +450,10 @@ def beta_series(k: int, cut: int = 12) -> Fraction:
         raise ValueError("index must be >= 1")
     q = node_child(ROOT, k, high_side=True).m
     low = _uncovered_children(False, q, k + 3, k + 1, cut)
-    return low + _uncovered_children(True, q, k + 3, k + 3, cut, stop=k + 2)
+    return _fraction(*_sum(low, _uncovered_children(True, q, k + 3, k + 3, cut, stop=k + 2)))
 
 
-def alpha(k: int) -> Fraction:
+def alpha(k: int) -> "Fraction":
     """Closed form for the uncovered gap measure of the low child E_k's
     children, excluding the special high grandchild of index m = k (whose
     square escapes the bands and is accounted separately).
@@ -382,11 +464,11 @@ def alpha(k: int) -> Fraction:
     if k < 1:
         raise ValueError("index must be >= 1")
     return beta(k) - sum(
-        truncated_gap_sum(Fraction(1, 3 ** (2 * k + j)), 2 * k + j) for j in (3, 4, 5)
+        truncated_gap_sum(_fraction(1, 3 ** (2 * k + j)), 2 * k + j) for j in (3, 4, 5)
     )
 
 
-def alpha_series(k: int, cut: int = 12) -> Fraction:
+def alpha_series(k: int, cut: int = 12) -> "Fraction":
     """Independent evaluation of alpha(k), mirroring beta_series.
 
     E_k has parameter q = 2*3^{k+1} + 2; thresholds match F_k's pattern
@@ -397,10 +479,10 @@ def alpha_series(k: int, cut: int = 12) -> Fraction:
         raise ValueError("index must be >= 1")
     q = node_child(ROOT, k, high_side=False).m
     low = _uncovered_children(False, q, k + 3, k + 1, cut)
-    return low + _uncovered_children(True, q, k + 3, k + 3, cut, stop=k - 1)
+    return _fraction(*_sum(low, _uncovered_children(True, q, k + 3, k + 3, cut, stop=k - 1)))
 
 
-def deep_series_total() -> tuple[Fraction, Fraction]:
+def deep_series_total() -> tuple["Fraction", "Fraction"]:
     """(sum over k >= 1 of beta(k) + alpha(k), the remainder epsilon).
 
     Per k: beta + alpha = (1/8)[ 5/9^{k+4} - (910 + 91/20)/9^{2k+6}
@@ -409,23 +491,33 @@ def deep_series_total() -> tuple[Fraction, Fraction]:
     - (265721/40) sum 9^-(4k+10) ] leaves the round number
     sum + epsilon = 157/(32 * 9^6).
     """
-    sum_a = geometric_series(Fraction(1, 9**5), Fraction(1, 9))
-    sum_b = geometric_series(Fraction(1, 9**8), Fraction(1, 81))
-    sum_c = geometric_series(Fraction(1, 9**14), Fraction(1, 9**4))
-    total = (
-        5 * sum_a - (910 + Fraction(91, 20)) * sum_b + Fraction(265721, 40) * sum_c
-    ) / 8
-    epsilon = (Fraction(91, 20) * sum_b - Fraction(265721, 40) * sum_c) / 8
+    return tuple(_fraction(*pair) for pair in _deep_series_total())
+
+
+def _deep_series_total() -> tuple[Ratio, Ratio]:
+    sum_a = _tail((1, 9**5), (1, 9))
+    sum_b = _tail((1, 9**8), (1, 81))
+    sum_c = _tail((1, 9**14), (1, 9**4))
+    total = _prod((1, 8), _sum(
+        _prod((5, 1), sum_a),
+        _prod(_sum((-910, 1), (-91, 20)), sum_b),
+        _prod((265721, 40), sum_c),
+    ))
+    epsilon = _prod((1, 8), _sum(_prod((91, 20), sum_b), _prod((-265721, 40), sum_c)))
     return total, epsilon
 
 
-def unresolved_cells_bound() -> Fraction:
+def unresolved_cells_bound() -> "Fraction":
     """Upper bound on the gap measure of the escaped squares with k >= 2.
 
     Each escaped grandchild has length 3^-(2k+3); summing their full gap
     totals (5/36) 9^-(2k+3) over k >= 2 gives exactly 1/(64 * 9^6).
     """
-    return Fraction(5, 36) * geometric_series(Fraction(1, 9**7), Fraction(1, 81))
+    return _fraction(*_unresolved_cells_bound())
+
+
+def _unresolved_cells_bound() -> Ratio:
+    return _prod((5, 36), _tail((1, 9**7), (1, 81)))
 
 
 # ---------------------------------------------------------------------------
@@ -434,53 +526,77 @@ def unresolved_cells_bound() -> Fraction:
 P6 = 9**6
 P10 = 9**10
 
-# Frozen expected values for every chain entry.  certify() re-derives each
-# value from the series and geometry above and compares against this table;
-# tampering with either side must flip the matching entry to False.
-EXPECTED: dict[str, Fraction] = {
-    "level1_gap_total": Fraction(5, 324),
-    "level2_gap_increment": Fraction(859, 2099520),
-    "band_floor": Fraction(16, 27),
-    "special_cell_separation": Fraction(16, 27),
-    "special_cell_length": Fraction(1, 243),
-    "special_cell_gap_threshold": Fraction(5),
-    "special_cell_gap_total": Fraction(5, 4 * P6) - Fraction(1, 8 * P10),
-    "deep_series_total": Fraction(157, 32 * P6),
-    "series_remainder_positive": Fraction(0),
-    "series_remainder_bound": Fraction(1, 128 * P6),
-    "unresolved_cells_bound": Fraction(1, 64 * P6),
-    "level3_center": Fraction(91782451, 170061120),
-    "enclosure_shift_positive": Fraction(0),
-    "enclosure_shift_bound": Fraction(1, 64 * P6),
-    "full_center": Fraction(91782451, 113374080),
-    "subdivision_tail": Fraction(1, 2939328),
-    "full_radius": Fraction(11, 19840464),
-    "full_radius_tolerance": Fraction(1, 10**6),
+# Frozen expected values for every chain entry, each its lowest-terms pair
+# (p, q).  certify() re-derives each value from the series and geometry above
+# and compares against this table; tampering with either side must flip the
+# matching entry to False.  An entry set to an int, a Fraction or a "p/q" text
+# is read exactly too.
+EXPECTED: dict[str, Ratio] = {
+    "level1_gap_total": (5, 324),
+    "level2_gap_increment": (859, 2099520),
+    "band_floor": (16, 27),
+    "special_cell_separation": (16, 27),
+    "special_cell_length": (1, 243),
+    "special_cell_gap_threshold": (5, 1),
+    "special_cell_gap_total": (10 * 9**4 - 1, 8 * P10),  # 5/(4 P6) - 1/(8 P10)
+    "deep_series_total": (157, 32 * P6),
+    "series_remainder_positive": (0, 1),
+    "series_remainder_bound": (1, 128 * P6),
+    "unresolved_cells_bound": (1, 64 * P6),
+    "level3_center": (91782451, 170061120),
+    "enclosure_shift_positive": (0, 1),
+    "enclosure_shift_bound": (1, 64 * P6),
+    "full_center": (91782451, 113374080),
+    "subdivision_tail": (1, 2939328),
+    "full_radius": (11, 19840464),
+    "full_radius_tolerance": (1, 10**6),
 }
 
 
+def _entry_ratio(value: Any) -> Ratio:
+    """A table entry as a lowest-terms pair: a (p, q) pair, or what ternary._ratio reads."""
+    return _lowest(*value) if isinstance(value, tuple) else _ratio(value)
+
+
+def _as_fraction(ratio: Callable[[Any], Ratio]) -> property:
+    """A record property: the pair ratio(record) as a reduced Fraction."""
+    return property(lambda record: _fraction(*ratio(record)))
+
+
 class ChainEntry(NamedTuple):
+    """One derived value against its frozen one, both held as lowest-terms
+    pairs; value and expected give them as Fractions."""
+
     name: str
-    value: Fraction
-    expected: Fraction
+    value_ratio: Ratio
+    expected_ratio: Ratio
     relation: str  # a key of _RELATIONS
     match: bool
+
+    value = _as_fraction(lambda entry: entry.value_ratio)
+    expected = _as_fraction(lambda entry: entry.expected_ratio)
 
     def to_json(self) -> dict:
         return {
             "name": self.name,
-            "value": format_rational(self.value),
-            "expected": format_rational(self.expected),
+            "value": format_ratio(*self.value_ratio),
+            "expected": format_ratio(*self.expected_ratio),
             "relation": self.relation,
             "match": self.match,
         }
 
 
 class Certificate(NamedTuple):
+    """An enclosure center +- radius, held as lowest-terms pairs (center and
+    radius give them as Fractions), and the chain that derived it."""
+
     target: str
-    center: Fraction
-    radius: Fraction
+    center_ratio: Ratio
+    radius_ratio: Ratio
     chain: tuple[ChainEntry, ...]
+
+    center = _as_fraction(lambda cert: cert.center_ratio)
+    radius = _as_fraction(lambda cert: cert.radius_ratio)
 
     @property
     def ok(self) -> bool:
@@ -492,9 +608,9 @@ class Certificate(NamedTuple):
     def to_json(self, digits: int = 12) -> dict:
         return {
             "target": self.target,
-            "center": format_rational(self.center),
-            "radius": format_rational(self.radius),
-            "decimal_center": decimal_string(self.center, digits),
+            "center": format_ratio(*self.center_ratio),
+            "radius": format_ratio(*self.radius_ratio),
+            "decimal_center": decimal_ratio(*self.center_ratio, digits),
             "verified": self.ok,
             "chain": [entry.to_json() for entry in self.chain],
         }
@@ -506,55 +622,57 @@ def certify(target: str = TARGET_LEVEL3) -> Certificate:
     The level-3 target encloses measure(P(D_3 x D_3)); the full target scales
     it to the Cantor product set, folding in the subdivision tail.  Entries
     appear in dependency order; center and radius are taken from the derived
-    values, not the frozen table.
+    values, not the frozen table.  Every value is a lowest-terms pair of the
+    exact kernel.
     """
     if target not in TARGETS:
         raise ValueError(f"unknown certification target {target!r}")
     entries: list[ChainEntry] = []
 
-    def add(name: str, value: Fraction, relation: str = "eq") -> Fraction:
-        expected = EXPECTED[name]
-        match = _RELATIONS[relation](value, expected)
-        entries.append(ChainEntry(name, value, expected, relation, match))
+    def add(name: str, value: Ratio, relation: str = "eq") -> Ratio:
+        expected = _entry_ratio(EXPECTED[name])
+        entries.append(ChainEntry(name, value, expected, relation, _holds(relation, value, expected)))
         return value
 
-    mu1 = add("level1_gap_total", first_level_gap_total())
-    increment = add("level2_gap_increment", second_level_increment())
+    mu1 = add("level1_gap_total", _first_level_gap_total())
+    increment = add("level2_gap_increment", _second_level_increment())
 
     e1 = node_child(ROOT, 1, high_side=False)
     d1p = node_child(e1, 1, high_side=True)
-    add("band_floor", p_interval(ROOT, 0, high_side=False).lo)
-    # the special cell's square sits strictly below the round-one band, so its
-    # own gaps survive in full up to the covering threshold
-    add("special_cell_separation", q_interval(e1, 1, high_side=True).hi, relation="lt")
-    add("special_cell_length", d1p.length)
+    band_lo, _, _, band_den = _families(ROOT, 0, high_side=False)
+    add("band_floor", _lowest(band_lo, band_den))
+    # the special cell's square (q_interval(e1, 1, high) ends at its top) sits
+    # strictly below the round-one band, so its own gaps survive in full up to
+    # the covering threshold
+    add("special_cell_separation", _lowest((d1p.m + 1) ** 2, 9**d1p.k), relation="lt")
+    length = add("special_cell_length", (1, 3**d1p.k))
     threshold = high_cover_threshold(e1.m, 1)
-    add("special_cell_gap_threshold", Fraction(threshold))
-    gamma1 = add("special_cell_gap_total", truncated_gap_sum(d1p.length, threshold))
+    add("special_cell_gap_threshold", (threshold, 1))
+    gamma1 = add("special_cell_gap_total", _truncated_gap_sum(length, threshold))
 
-    deep, epsilon = deep_series_total()
-    add("deep_series_total", deep + epsilon)
+    deep, epsilon = _deep_series_total()
+    add("deep_series_total", _sum(deep, epsilon))
     add("series_remainder_positive", epsilon, relation="gt")
     add("series_remainder_bound", epsilon, relation="lt")
-    radius = add("unresolved_cells_bound", unresolved_cells_bound())
+    radius = add("unresolved_cells_bound", _unresolved_cells_bound())
 
-    removed = mu1 + increment + gamma1 + deep + epsilon
-    shift = Fraction(1, 8 * P10) + epsilon
-    center = add("level3_center", Fraction(5, 9) - removed - Fraction(1, 8 * P10))
+    removed = _sum(mu1, increment, gamma1, deep, epsilon)
+    shift = _sum((1, 8 * P10), epsilon)
+    center = add("level3_center", _sum((5, 9), _prod((-1, 1), removed), (-1, 8 * P10)))
     add("enclosure_shift_positive", shift, relation="gt")
     add("enclosure_shift_bound", shift, relation="lt")
 
     if target == TARGET_LEVEL3:
-        return Certificate(target=target, center=center, radius=radius, chain=tuple(entries))
+        return Certificate(target, center, radius, tuple(entries))
 
-    full_center = add("full_center", Fraction(3, 2) * center)
-    tail = add("subdivision_tail", Fraction(1, 63) * Fraction(1, 36) ** 3)
-    full_radius = add("full_radius", Fraction(3, 2) * (radius + tail))
+    full_center = add("full_center", _prod((3, 2), center))
+    tail = add("subdivision_tail", (1, 63 * 36**3))
+    full_radius = add("full_radius", _prod((3, 2), _sum(radius, tail)))
     add("full_radius_tolerance", full_radius, relation="lt")
-    return Certificate(target=target, center=full_center, radius=full_radius, chain=tuple(entries))
+    return Certificate(target, full_center, full_radius, tuple(entries))
 
 
-def _enclosure(target: str) -> tuple[Fraction, Fraction]:
+def _enclosure(target: str) -> tuple["Fraction", "Fraction"]:
     cert = certify(target)
     if not cert.ok:
         names = ", ".join(entry.name for entry in cert.failures())
@@ -562,11 +680,11 @@ def _enclosure(target: str) -> tuple[Fraction, Fraction]:
     return cert.center, cert.radius
 
 
-def level3_enclosure() -> tuple[Fraction, Fraction]:
+def level3_enclosure() -> tuple["Fraction", "Fraction"]:
     """(center, radius) for measure(P(D_3 x D_3)), raising if verification fails."""
     return _enclosure(TARGET_LEVEL3)
 
 
-def full_enclosure() -> tuple[Fraction, Fraction]:
+def full_enclosure() -> tuple["Fraction", "Fraction"]:
     """(center, radius) for measure(P(C x C)), raising if verification fails."""
     return _enclosure(TARGET_FULL)

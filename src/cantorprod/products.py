@@ -45,7 +45,7 @@ from math import lcm
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence
 
 from .subdivision import ROOT, _ends, _fast_tree, _leaves
-from .ternary import _merge_ends, decimal_ratio, format_ratio
+from .ternary import _fraction, _merge_ends, decimal_ratio, format_ratio
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -131,12 +131,6 @@ def product_image(S: "IntervalSet", T: "Optional[IntervalSet]" = None) -> "Inter
         return IntervalSet._from_ends([], [], 1)
     los, his = _merge_ends(*_rows(a_los, a_his, b_los, b_his, triangle))
     return IntervalSet._from_ends(los, his, a_den * b_den)
-
-
-def _fraction(p: int, q: int) -> "Fraction":
-    from fractions import Fraction
-
-    return Fraction(p, q)
 
 
 def self_product_stats(S: "IntervalSet") -> tuple["Fraction", int]:

@@ -9,9 +9,11 @@ The exact routes' int kernels live here too, each in one place:
 `parse_ratio`, the one text parser ("p/q" or "p" to lowest-terms ints);
 `_ratio`, the one reader of an int, a `Fraction` or such a text, which
 `intervals.rat` wraps and every membership function calls; `format_ratio`
-and `decimal_ratio`, the "p/q" and decimal text of p/q; and `_merge_ends`,
-the one merge into canonical interval form.  This module never imports
-`fractions`, so `member`, `art`, `fast` and `render` run on ints alone.
+and `decimal_ratio`, the "p/q" and decimal text of p/q; `_fraction`, which
+turns the int pairs of the records in `products` and `gaps` into Fractions
+on access; and `_merge_ends`, the one merge into canonical interval form.
+This module never imports `fractions` at load time, so `member`, `art`,
+`fast`, `render` and `certify` run on ints alone.
 """
 
 import sys
@@ -45,6 +47,13 @@ def _lowest(p: int, q: int) -> tuple[int, int]:
     """p/q in lowest terms with a positive denominator (q != 0)."""
     g = gcd(p, q) if q > 0 else -gcd(p, q)
     return p // g, q // g
+
+
+def _fraction(p: int, q: int) -> "Fraction":
+    """p/q as a reduced Fraction, loading `fractions` only when one is built."""
+    from fractions import Fraction
+
+    return Fraction(p, q)
 
 
 def format_ratio(p: int, q: int) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
@@ -521,7 +522,7 @@ def test_certificate_json_shape():
 
 def test_certify_detects_tampering(monkeypatch):
     monkeypatch.setitem(
-        EXPECTED, "deep_series_total", EXPECTED["deep_series_total"] + Fraction(1, 10**9)
+        EXPECTED, "deep_series_total", Fraction(*EXPECTED["deep_series_total"]) + Fraction(1, 10**9)
     )
     cert = certify("prop3")
     assert not cert.ok
@@ -537,6 +538,133 @@ def test_certify_detects_tolerance_tampering(monkeypatch):
     assert {e.name for e in cert.failures()} == {"full_radius_tolerance"}
     with pytest.raises(CertificationError):
         full_enclosure()
+
+
+# the table as it was written when it held Fractions, literal for literal
+FROZEN_EXPECTED = {
+    "level1_gap_total": Fraction(5, 324),
+    "level2_gap_increment": Fraction(859, 2099520),
+    "band_floor": Fraction(16, 27),
+    "special_cell_separation": Fraction(16, 27),
+    "special_cell_length": Fraction(1, 243),
+    "special_cell_gap_threshold": Fraction(5),
+    "special_cell_gap_total": Fraction(5, 4 * P6) - Fraction(1, 8 * P10),
+    "deep_series_total": Fraction(157, 32 * P6),
+    "series_remainder_positive": Fraction(0),
+    "series_remainder_bound": Fraction(1, 128 * P6),
+    "unresolved_cells_bound": Fraction(1, 64 * P6),
+    "level3_center": Fraction(91782451, 170061120),
+    "enclosure_shift_positive": Fraction(0),
+    "enclosure_shift_bound": Fraction(1, 64 * P6),
+    "full_center": Fraction(91782451, 113374080),
+    "subdivision_tail": Fraction(1, 2939328),
+    "full_radius": Fraction(11, 19840464),
+    "full_radius_tolerance": Fraction(1, 10**6),
+}
+
+
+def test_expected_table_is_frozen():
+    # same keys in the same order, each value its Fraction's lowest-terms pair
+    assert list(EXPECTED) == list(FROZEN_EXPECTED)
+    for name, value in FROZEN_EXPECTED.items():
+        assert EXPECTED[name] == (value.numerator, value.denominator), name
+
+
+def _geometric_oracle(first, ratio):
+    return first / (1 - ratio)
+
+
+def _truncated_oracle(length, uncovered):
+    return length**2 / 8 * (Fraction(10, 9) - Fraction(1, 9**uncovered))
+
+
+def _uncovered_oracle(high, q, s, d, cut):
+    threshold = high_cover_threshold if high else low_cover_threshold
+    total = Fraction(0)
+    for j in range(1, cut + 1):
+        assert threshold(q, j) == j + d
+        total += _truncated_oracle(Fraction(1, 3 ** (s + j)), j + d)
+    total += _geometric_oracle(Fraction(10, 72) / 9 ** (s + cut + 1), Fraction(1, 9))
+    total -= _geometric_oracle(Fraction(1, 8) / 9 ** (s + 2 * cut + 2 + d), Fraction(1, 81))
+    return total
+
+
+def certify_fraction_oracle(target):
+    """certify's derivation on Fractions, every series written out:
+    (center, radius, [(name, value, expected, relation, match), ...])."""
+    ops = {"eq": operator.eq, "lt": operator.lt, "gt": operator.gt}
+    entries = []
+
+    def add(name, value, relation="eq"):
+        expected = EXPECTED[name]
+        expected = Fraction(*expected) if isinstance(expected, tuple) else Fraction(expected)
+        entries.append((name, value, expected, relation, ops[relation](value, expected)))
+        return value
+
+    sq = ROOT.length**2
+    mu1 = add("level1_gap_total", sq / 9 + 2 * _geometric_oracle(sq / 81, Fraction(1, 9)))
+    increment = add(
+        "level2_gap_increment",
+        _uncovered_oracle(False, ROOT.m, 2, 0, 12) + _uncovered_oracle(True, ROOT.m, 2, 2, 12),
+    )
+
+    e1 = node_child(ROOT, 1, high_side=False)
+    d1p = node_child(e1, 1, high_side=True)
+    add("band_floor", p_interval(ROOT, 0, high_side=False).lo)
+    add("special_cell_separation", q_interval(e1, 1, high_side=True).hi, relation="lt")
+    add("special_cell_length", d1p.length)
+    threshold = high_cover_threshold(e1.m, 1)
+    add("special_cell_gap_threshold", Fraction(threshold))
+    gamma1 = add("special_cell_gap_total", _truncated_oracle(d1p.length, threshold))
+
+    sum_a = _geometric_oracle(Fraction(1, 9**5), Fraction(1, 9))
+    sum_b = _geometric_oracle(Fraction(1, 9**8), Fraction(1, 81))
+    sum_c = _geometric_oracle(Fraction(1, 9**14), Fraction(1, 9**4))
+    deep = (5 * sum_a - (910 + Fraction(91, 20)) * sum_b + Fraction(265721, 40) * sum_c) / 8
+    epsilon = (Fraction(91, 20) * sum_b - Fraction(265721, 40) * sum_c) / 8
+    add("deep_series_total", deep + epsilon)
+    add("series_remainder_positive", epsilon, relation="gt")
+    add("series_remainder_bound", epsilon, relation="lt")
+    radius = add(
+        "unresolved_cells_bound",
+        Fraction(5, 36) * _geometric_oracle(Fraction(1, 9**7), Fraction(1, 81)),
+    )
+
+    removed = mu1 + increment + gamma1 + deep + epsilon
+    shift = Fraction(1, 8 * P10) + epsilon
+    center = add("level3_center", Fraction(5, 9) - removed - Fraction(1, 8 * P10))
+    add("enclosure_shift_positive", shift, relation="gt")
+    add("enclosure_shift_bound", shift, relation="lt")
+    if target == "prop3":
+        return center, radius, entries
+
+    full_center = add("full_center", Fraction(3, 2) * center)
+    tail = add("subdivision_tail", Fraction(1, 63) * Fraction(1, 36) ** 3)
+    full_radius = add("full_radius", Fraction(3, 2) * (radius + tail))
+    add("full_radius_tolerance", full_radius, relation="lt")
+    return full_center, full_radius, entries
+
+
+TAMPERINGS = {
+    "as-is": {},
+    "deep_series_total": {
+        "deep_series_total": FROZEN_EXPECTED["deep_series_total"] + Fraction(1, 10**9)
+    },
+    "full_radius_tolerance": {"full_radius_tolerance": Fraction(1, 10**9)},
+}
+
+
+@pytest.mark.parametrize("patch", TAMPERINGS.values(), ids=TAMPERINGS)
+@pytest.mark.parametrize("target", ["prop3", "theorem"])
+def test_certify_matches_fraction_oracle(monkeypatch, target, patch):
+    # the int-pair chain against the Fraction derivation, entry by entry, as
+    # is and under the two table tamperings the tests above make
+    for name, value in patch.items():
+        monkeypatch.setitem(EXPECTED, name, value)
+    cert = certify(target)
+    center, radius, entries = certify_fraction_oracle(target)
+    assert [(e.name, e.value, e.expected, e.relation, e.match) for e in cert.chain] == entries
+    assert (cert.center, cert.radius) == (center, radius)
 
 
 def test_enclosure_helpers_match_certificates():

@@ -75,7 +75,7 @@ COMMANDS = {
     "member": (["member", "--x", "1/4"], ["ternary"]),
     "art": (["art", "--n", "3"], ["products", "subdivision", "ternary"]),
     "fast": (["fast", "--n", "1", "--K", "2"], ["products", "subdivision", "ternary"]),
-    "certify": (["certify"], ["gaps", "intervals", "subdivision", "ternary"]),
+    "certify": (["certify"], ["gaps", "subdivision", "ternary"]),
     "render": (["render", "--n", "0", "--K", "1"], ["render", "subdivision", "ternary"]),
     "selftest": (["selftest"],
                  ["gaps", "intervals", "products", "render", "subdivision", "ternary"]),
@@ -140,6 +140,14 @@ def test_art_and_fast_run_on_ints_alone(command, fmt):
 def test_render_runs_on_ints_alone(fmt):
     probe = RUN_MAIN + f"print(code, {INT_ONLY_HEAVY})\n"
     argv = ["render", "--n", "2", "--K", "6", "--format", fmt]
+    assert probe_output(probe, *argv) == "0 []\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("target", ["prop3", "theorem"])
+def test_certify_runs_on_ints_alone(target, fmt):
+    probe = RUN_MAIN + f"print(code, {INT_ONLY_HEAVY})\n"
+    argv = ["certify", "--target", target, "--format", fmt]
     assert probe_output(probe, *argv) == "0 []\n"
 
 
