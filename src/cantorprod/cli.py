@@ -15,15 +15,18 @@ rebound in its module is the one that runs.  `member` loads only `ternary`,
 which decides membership on ints.  `art` and `fast` load `products`,
 `subdivision` and `ternary`, `render` loads `render`, `subdivision` and
 `ternary`, and `certify` loads `gaps`, `subdivision` and `ternary`; all four
-run on ints from argv to stdout.  Only `selftest` loads `intervals`, and
-with it `fractions`.
+run on ints from argv to stdout.  `selftest` loads `gaps`, `products`,
+`render`, `subdivision` and `ternary` and runs its checks on their int
+kernels, so no command loads `fractions` or `intervals`.  `_emit` writes its
+output chunk by chunk: `render` streams the figure line by line as it is
+built.
 """
 
 import functools
 import os
 import sys
 from types import SimpleNamespace
-from typing import NoReturn, Optional, Sequence
+from typing import Iterable, NoReturn, Optional, Sequence
 
 from . import _CERTIFY_TARGETS
 
@@ -101,29 +104,32 @@ def _text_lines(payload: dict, indent: str = "") -> list[str]:
     return lines
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    """Write text as UTF-8, whatever the locale or stdout encoding."""
+def _emit(chunks: Iterable[str], out: Optional[str]) -> None:
+    """Write the chunks one by one as UTF-8, whatever the locale or stdout encoding:
+    to the --out file, to stdout's binary buffer, or to a text-only stream."""
     if out is not None:
         try:
             handle = open(out, "w", encoding="utf-8")
         except OSError as exc:  # main turns this into a usage error, exit 2
             raise ValueError(f"cannot write --out {out}: {exc.strerror}") from exc
         with handle:
-            handle.write(text)
+            handle.writelines(chunks)
     elif hasattr(sys.stdout, "buffer"):
         sys.stdout.flush()
-        sys.stdout.buffer.write(text.encode("utf-8"))
+        write = sys.stdout.buffer.write
+        for chunk in chunks:
+            write(chunk.encode("utf-8"))
         sys.stdout.buffer.flush()
     else:  # a text-only stream such as io.StringIO
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _render_payload(payload: dict, fmt: str, out: Optional[str]) -> None:
     if fmt == "json":
-        _emit(_dump_json(payload), out)
+        _emit([_dump_json(payload)], out)
     else:
         body = "\n".join(_text_lines(payload))
-        _emit(body.rstrip("\n") + "\n", out)
+        _emit([body.rstrip("\n") + "\n"], out)
 
 
 def _cmd_art(args) -> int:
@@ -162,7 +168,7 @@ def _cmd_render(args) -> int:
     from . import render, ternary
 
     if args.format == "svg":
-        _emit(render.render_svg(args.n, args.K), args.out)
+        _emit(render._svg(args.n, args.K), args.out)
         return 0
     node, families = render.cell_families(args.n, args.K)
     lo, hi = render.cell_text(node)
@@ -195,37 +201,49 @@ def _cmd_member(args) -> int:
         "period_length": expansion.period,
     }
     if args.format == "json":
-        _emit(_dump_json(payload), args.out)
+        _emit([_dump_json(payload)], args.out)
     else:
-        _emit(f"{verdict.value}\nexpansion = {expansion}\n", args.out)
+        _emit([f"{verdict.value}\nexpansion = {expansion}\n"], args.out)
     return 0
 
 
 def _selftest_checks():
-    from fractions import Fraction
-
     from . import gaps, products, render, subdivision
 
     root = subdivision.ROOT
     full = functools.cache(functools.partial(gaps.certify, "theorem"))  # shared by three checks
-    fast = functools.cache(functools.partial(products.fast_bounds, 2, 4))
-    yield "base product 5/9", lambda: products.self_product_measure(
-        subdivision.right_half_subdivision(0)) == Fraction(5, 9)
+
+    def encloses(bounds, x) -> bool:  # bounds: a (lo, hi) pair of (p, q) pairs
+        return gaps._holds("le", bounds[0], x) and gaps._holds("le", x, bounds[1])
+
+    def base_product():  # measure(P([2/3, 1]^2)) from the root's ends in thirds, over 9
+        measure, _ = products._self_product(*subdivision._ends([root], root.k))
+        return measure, 9**root.k
+
+    def after_two_rounds():  # 5/9 less the gap measure the first two rounds remove
+        mu = gaps._sum(gaps._first_level_gap_total(), gaps._second_level_increment())
+        return gaps._sum((5, 9), gaps._prod((-1, 1), mu))
+
+    def fast_bracket():
+        bounds = products.fast_bounds(2, 4)
+        return (bounds.scaled_lower, bounds.scale), (bounds.scaled_upper, bounds.scale)
+
+    yield "base product 5/9", lambda: gaps._holds("eq", base_product(), (5, 9))
     yield "level-3 certificate", lambda: gaps.certify("prop3").ok
     yield "full certificate", lambda: full().ok
-    yield "full radius below 1e-6", lambda: full().radius < Fraction(1, 10**6)
+    yield "full radius below 1e-6", lambda: gaps._holds("lt", full().radius_ratio, (1, 10**6))
     yield "standard bounds enclose the certified center", (
-        lambda: products.standard_estimate(3).full_bounds().contains(full().center))
-    yield "fast bracket catches the removed measure", lambda: fast().lower <= Fraction(5, 9) - (
-        gaps.first_level_gap_total() + gaps.second_level_increment()) <= fast().upper
-    yield "order chain holds at the root", lambda: gaps.chain_holds(gaps.verify_order_chain(root, 4))
+        lambda: encloses(products.standard_estimate(3)._full_bounds(), full().center_ratio))
+    yield "fast bracket catches the removed measure", (
+        lambda: encloses(fast_bracket(), after_two_rounds()))
+    yield "order chain holds at the root", lambda: gaps.chain_holds(gaps._order_chain(root, 4))
     yield "degenerate scale is flagged", (
-        lambda: not gaps.chain_holds(gaps.verify_order_chain(root._replace(m=0), 3)))
+        lambda: not gaps.chain_holds(gaps._order_chain(root._replace(m=0), 3)))
     yield "membership spot checks", lambda: [
         subdivision.classify_ternary(text)[0].value
         for text in ("1/4", "1/2", "2/3", "1")] == ["member", "non_member", "member", "member"]
     yield "series closed forms", (
-        lambda: gaps.beta(1) == gaps.beta_series(1) and gaps.alpha(2) == gaps.alpha_series(2))
+        lambda: gaps._beta(1) == gaps._beta_series(1) and gaps._alpha(2) == gaps._alpha_series(2))
     yield "figure renders", lambda: render.render_svg(0, 1).startswith("<svg")
 
 

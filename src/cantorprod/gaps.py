@@ -27,11 +27,13 @@ certify runs on one exact kernel of lowest-terms int pairs (p, q), q > 0:
 _sum, _prod, _holds (compare) and _tail (first / (1 - ratio)), reduced
 through ternary._lowest.  The chain's values are gap totals, truncated gap
 sums and geometric tails in powers of 9, so the pairs carry it exactly.  The
-library face (gap_total, truncated_gap_sum, geometric_series, ...) wraps the
-kernel forms and returns Fractions; it reads every rational argument through
+order chain (_order_chain) and the series beta, alpha and their per-child
+sums (_beta, _alpha, ...) have kernel forms too, which the selftest reads.
+The library face (gap_total, verify_order_chain, beta, ...) wraps the kernel
+forms and returns Fractions; it reads every rational argument through
 ternary._ratio, so a float is a TypeError.  This module imports `fractions`
 and `intervals` only inside the functions that return or read them, so
-`certify` loads neither.
+`certify` and `selftest` load neither.
 """
 
 import operator
@@ -76,8 +78,13 @@ def p_interval(node: FastNode, k: int, high_side: bool) -> "Interval":
 
 def q_interval(node: FastNode, k: int, high_side: bool) -> "Interval":
     """Square [c^2, (c+1)^2] of the k-th child cell, the side piece's tracked third."""
+    return _interval(*_square(node, k, high_side))
+
+
+def _square(node: FastNode, k: int, high_side: bool) -> tuple[int, int, int]:
+    """(q_lo, q_hi, 9^d): q_interval's ends as ints over 9^d, the one home of its formula."""
     c, d = node_child(node, k, high_side)
-    return _interval(c * c, (c + 1) ** 2, 9**d)
+    return c * c, (c + 1) ** 2, 9**d
 
 
 def g_interval(node: FastNode, k: int, high_side: bool) -> "Interval":
@@ -179,10 +186,12 @@ class ChainCheck(NamedTuple):
 # the comparisons an order check or a certificate entry may assert
 _RELATIONS = {"eq": operator.eq, "lt": operator.lt, "le": operator.le, "gt": operator.gt}
 
+# a ChainCheck's fields with lhs and rhs as lowest-terms pairs: the kernel form
+_Check = tuple[str, int, bool, Ratio, Ratio, str]
 
-def _check(name: str, k: int, lhs: "Fraction", rhs: "Fraction", relation: str) -> ChainCheck:
-    holds = _RELATIONS[relation](lhs, rhs)
-    return ChainCheck(name=name, k=k, holds=holds, lhs=lhs, rhs=rhs, relation=relation)
+
+def _check(name: str, k: int, lhs: Ratio, rhs: Ratio, relation: str) -> _Check:
+    return name, k, _holds(relation, lhs, rhs), lhs, rhs, relation
 
 
 # one (name, relation) per link of either side's band climb, from its square q
@@ -193,8 +202,9 @@ _CLIMB = (
 )
 
 
-def _climb(side: str, k: int, q: "Interval", p: "Interval", g: "Interval") -> list[ChainCheck]:
-    ends = (q.lo, p.lo, q.hi, p.hi, g.lo, g.hi)
+def _climb(side: str, k: int, square: list[Ratio], families: list[Ratio]) -> list[_Check]:
+    (q_lo, q_hi), (p_lo, p_hi, g_hi) = square, families
+    ends = (q_lo, p_lo, q_hi, p_hi, p_hi, g_hi)  # p.hi is g.lo
     return [
         _check(f"{name}_{side}", k, lhs, rhs, relation)
         for (name, relation), lhs, rhs in zip(_CLIMB, ends, ends[1:])
@@ -209,27 +219,39 @@ def verify_order_chain(node: FastNode, k_max: int) -> tuple[ChainCheck, ...]:
     square_starts_below_band_low) is flagged rather than crashing.  For
     genuine cells (q >= 2, in fact any q >= 1) all relations hold.
     """
+    return tuple(
+        ChainCheck(name, k, holds, _fraction(*lhs), _fraction(*rhs), relation)
+        for name, k, holds, lhs, rhs, relation in _order_chain(node, k_max)
+    )
+
+
+def _order_chain(node: FastNode, k_max: int) -> list[_Check]:
+    """verify_order_chain's checks in kernel form, every end a lowest-terms pair."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    checks: list[ChainCheck] = []
+
+    def ends(family: Callable, k: int, high_side: bool) -> list[Ratio]:
+        """_square's [q.lo, q.hi] or _families' [p.lo, p.hi == g.lo, g.hi], as pairs."""
+        *ints, den = family(node, k, high_side)
+        return [_lowest(end, den) for end in ints]
+
+    checks: list[_Check] = []
     for k in range(k_max):
-        g_next = g_interval(node, k + 1, high_side=False)
-        q_next = q_interval(node, k + 1, high_side=False)
-        g_cur = g_interval(node, k, high_side=False)
-        g_cur_hi = g_interval(node, k, high_side=True)
-        q_next_hi = q_interval(node, k + 1, high_side=True)
-        checks.append(_check("gap_square_touch_low", k + 1, g_next.hi, q_next.lo, "eq"))
-        checks += _climb("low", k, q_next, p_interval(node, k, high_side=False), g_cur)
-        checks.append(_check("gap_low_before_high", k, g_cur.hi, g_cur_hi.hi, "le"))
-        checks.append(_check("gap_square_touch_high", k, g_cur_hi.hi, q_next_hi.lo, "eq"))
+        q_next, q_next_hi = ends(_square, k + 1, False), ends(_square, k + 1, True)
+        low, high = ends(_families, k, False), ends(_families, k, True)
+        g_next_hi = ends(_families, k + 1, False)[2]
+        checks.append(_check("gap_square_touch_low", k + 1, g_next_hi, q_next[0], "eq"))
+        checks += _climb("low", k, q_next, low)
+        checks.append(_check("gap_low_before_high", k, low[2], high[2], "le"))
+        checks.append(_check("gap_square_touch_high", k, high[2], q_next_hi[0], "eq"))
     for k in range(1, k_max + 1):
-        families = (q_interval, p_interval, g_interval)
-        checks += _climb("high", k, *(family(node, k, high_side=True) for family in families))
-    return tuple(checks)
+        checks += _climb("high", k, ends(_square, k, True), ends(_families, k, True))
+    return checks
 
 
-def chain_holds(checks: Iterable[ChainCheck]) -> bool:
-    return all(c.holds for c in checks)
+def chain_holds(checks: Iterable[tuple]) -> bool:
+    """Whether every check holds: ChainChecks, or the kernel form's tuples."""
+    return all(holds for _, _, holds, *_ in checks)
 
 
 # ---------------------------------------------------------------------------
@@ -426,15 +448,15 @@ def beta(k: int) -> "Fraction":
 
     (1/64) [ 20/9^{k+4} - (91/5)/9^{2k+6} + (1/10)/9^{4k+10} ].
     """
-    from fractions import Fraction
+    return _fraction(*_beta(k))
 
+
+def _beta(k: int) -> Ratio:
     if k < 1:
         raise ValueError("index must be >= 1")
-    return (
-        Fraction(20, 9 ** (k + 4))
-        - Fraction(91, 5) / 9 ** (2 * k + 6)
-        + Fraction(1, 10) / 9 ** (4 * k + 10)
-    ) / 64
+    return _prod((1, 64), _sum(
+        (20, 9 ** (k + 4)), (-91, 5 * 9 ** (2 * k + 6)), (1, 10 * 9 ** (4 * k + 10))
+    ))
 
 
 def beta_series(k: int, cut: int = 12) -> "Fraction":
@@ -446,11 +468,15 @@ def beta_series(k: int, cut: int = 12) -> "Fraction":
     m <= k+2: deeper high grandchildren sit entirely inside the round-one
     band and contribute nothing).
     """
+    return _fraction(*_beta_series(k, cut))
+
+
+def _beta_series(k: int, cut: int = 12) -> Ratio:
     if k < 1:
         raise ValueError("index must be >= 1")
     q = node_child(ROOT, k, high_side=True).m
     low = _uncovered_children(False, q, k + 3, k + 1, cut)
-    return _fraction(*_sum(low, _uncovered_children(True, q, k + 3, k + 3, cut, stop=k + 2)))
+    return _sum(low, _uncovered_children(True, q, k + 3, k + 3, cut, stop=k + 2))
 
 
 def alpha(k: int) -> "Fraction":
@@ -461,11 +487,13 @@ def alpha(k: int) -> "Fraction":
     Same series as beta except the high-side sum stops at m = k-1: the terms
     m = k, k+1, k+2 drop out, each a truncated gap sum at scale 3^-(2k+j).
     """
-    if k < 1:
-        raise ValueError("index must be >= 1")
-    return beta(k) - sum(
-        truncated_gap_sum(_fraction(1, 3 ** (2 * k + j)), 2 * k + j) for j in (3, 4, 5)
-    )
+    return _fraction(*_alpha(k))
+
+
+def _alpha(k: int) -> Ratio:
+    closed = _beta(k)  # raises for k < 1
+    dropped = _sum(*(_truncated_gap_sum((1, 3 ** (2 * k + j)), 2 * k + j) for j in (3, 4, 5)))
+    return _sum(closed, _prod((-1, 1), dropped))
 
 
 def alpha_series(k: int, cut: int = 12) -> "Fraction":
@@ -475,11 +503,15 @@ def alpha_series(k: int, cut: int = 12) -> "Fraction":
     (m+k+1 low, m+k+3 high), but high grandchildren with m >= k+1 are fully
     covered and m = k is excluded, leaving m <= k-1.
     """
+    return _fraction(*_alpha_series(k, cut))
+
+
+def _alpha_series(k: int, cut: int = 12) -> Ratio:
     if k < 1:
         raise ValueError("index must be >= 1")
     q = node_child(ROOT, k, high_side=False).m
     low = _uncovered_children(False, q, k + 3, k + 1, cut)
-    return _fraction(*_sum(low, _uncovered_children(True, q, k + 3, k + 3, cut, stop=k - 1)))
+    return _sum(low, _uncovered_children(True, q, k + 3, k + 3, cut, stop=k - 1))
 
 
 def deep_series_total() -> tuple["Fraction", "Fraction"]:

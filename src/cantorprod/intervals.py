@@ -12,8 +12,8 @@ kernels on the ints _ratio reads; rat passes a Fraction through and reads
 anything else with _ratio, so a float is a TypeError everywhere here.  The
 integer routes (the subdivision covers and the product sweep) merge on ints
 and cross into Fractions once, through IntervalSet._from_ends, the one
-int -> Fraction bridge.  Of the commands, only `selftest` loads this module:
-`certify` runs on the int pairs of `gaps`' exact kernel.
+int -> Fraction bridge.  No command loads this module: `certify` and
+`selftest` run on the int pairs of `gaps`' exact kernel.
 
 No floats anywhere in here: decimal output is rendered by one integer division
 and truncated with an explicit "..." marker when inexact.

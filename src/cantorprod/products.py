@@ -185,8 +185,13 @@ class EstimateResult(NamedTuple):
         """
         from .intervals import Interval
 
-        half = _fraction(3, 2)
-        return Interval(half * (self.set_measure - self.tail_bound), half * self.set_measure)
+        return Interval(*(_fraction(*end) for end in self._full_bounds()))
+
+    def _full_bounds(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """full_bounds' ends as (numerator, denominator) pairs, from the ints."""
+        t, u = _tail_ratio(self.n)
+        low = 3 * (self.scaled_measure * u - t * self.scale), 2 * self.scale * u
+        return low, self._full_ratio()
 
     def to_json(self, digits: int = 12) -> dict:
         full = self._full_ratio()

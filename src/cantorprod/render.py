@@ -12,16 +12,22 @@ All geometry is computed from the exact family endpoints; coordinates
 are emitted as 12-significant-digit decimals for display, and every
 band and arc carries its exact rational endpoints in data-* attributes
 so the figure can be checked against the certified values.  Each exact
-point is converted to float once, and each distinct family value's
-hyperbola is sampled once per figure.
+point is converted to float once, and each family value's hyperbola is
+sampled once per figure (no two families share a value).
 
 The figure runs on ints: the P and G ends come from subdivision._families,
 their one home, as lowest-terms (p, q) pairs, and the text is
 ternary.format_ratio's.  An int/int true division is correctly rounded, so
 every float is the one a Fraction would give.  This module loads only
 `subdivision` and `ternary`, and neither `fractions`, `intervals` nor `gaps`.
+
+_svg hands out the document line by line, each line built as it is read,
+and the CLI writes each one as it comes: at most one family's arcs are held
+at a time, so the figure streams in far less memory than its own text.
+render_svg joins the same lines into one string.
 """
 
+from itertools import chain
 from typing import Iterator
 
 from .subdivision import ROOT, UNIT, FastNode, _ends, _families, _leaves, node_child
@@ -173,17 +179,12 @@ def _arc_points(node: FastNode, value: Ratio) -> list[str]:
 
 
 def _arcs(node: FastNode, families) -> Iterator[str]:
-    # each distinct value is sampled once: neighbouring families share endpoints
-    # lowest terms make equal values equal pairs
-    values = {v for _, _, p, g in families for v in (*p, *g)}
-    points = {v: _arc_points(node, v) for v in values}
+    def arc(points: list[str]) -> str:
+        return "M " + " L ".join(points)
 
-    def arc(value: Ratio) -> str:
-        return "M " + " L ".join(points[value])
-
-    def band(lo: Ratio, hi: Ratio) -> str:
-        """Closed region between the arcs xy = lo and xy = hi."""
-        return f"{arc(hi)} L {' L '.join(reversed(points[lo]))} Z"
+    def band(lo: list[str], hi: list[str]) -> str:
+        """Closed region between the arcs through the points lo and hi."""
+        return f"{arc(hi)} L {' L '.join(reversed(lo))} Z"
 
     def data(ends: tuple[Ratio, Ratio]) -> str:
         lo, hi = ends
@@ -191,14 +192,18 @@ def _arcs(node: FastNode, families) -> Iterator[str]:
 
     yield '<g clip-path="url(#cell)" fill="none" stroke="black" stroke-width="0.0015">'
     for k, side, p, g in families:
+        # a family's band P ends where its gap G starts, and no two families
+        # share a value: each of its three values is sampled once, here
+        values = (*p, g[1])
+        low, mid, high = (_arc_points(node, value) for value in values)
         yield f'<g class="family" data-k="{k}" data-side="{side}">'
         yield (
-            f'<path d="{band(*p)}" fill="grey" fill-opacity="0.1" stroke="none"'
+            f'<path d="{band(low, mid)}" fill="grey" fill-opacity="0.1" stroke="none"'
             f' class="band band-p" {data(p)}/>'
         )
-        yield f'<path d="{band(*g)}" fill="none" class="band band-g" {data(g)}/>'
-        for value in (*p, g[1]):
-            yield f'<path d="{arc(value)}" class="arc" data-level="{format_ratio(*value)}"/>'
+        yield f'<path d="{band(mid, high)}" fill="none" class="band band-g" {data(g)}/>'
+        for value, points in zip(values, (low, mid, high)):
+            yield f'<path d="{arc(points)}" class="arc" data-level="{format_ratio(*value)}"/>'
         yield "</g>"
     yield "</g>"
 
@@ -227,11 +232,21 @@ def _labels(k_max: int) -> Iterator[str]:
 
 
 def render_svg(depth: int = 1, k_max: int = 3) -> str:
-    """Build the figure as an SVG document string."""
+    """Build the figure as an SVG document string: the lines of _svg, joined."""
+    return "".join(_svg(depth, k_max))
+
+
+def _svg(depth: int, k_max: int) -> Iterator[str]:
+    """The figure's lines, each with its newline, built one at a time as they are read.
+
+    The ranges are checked before the generator is returned, so a bad depth
+    or k_max raises before any line is asked for; the CLI streams the lines
+    to its output, and only render_svg holds the whole document.
+    """
     node, families = cell_families(depth, k_max)
     cell_lo, cell_hi = cell_text(node)
     cells = _cells(k_max)
-    parts = [
+    head = (
         '<svg xmlns="http://www.w3.org/2000/svg" width="1000"'
         f' viewBox="{_VIEW}" data-cell-lo="{cell_lo}"'
         f' data-cell-hi="{cell_hi}" data-q="{node.m}"'
@@ -243,13 +258,16 @@ def render_svg(depth: int = 1, k_max: int = 3) -> str:
         '<path d="M 0 0 L 10 5 L 0 10 z"/></marker>',
         "</defs>",
         _rect(0, 0, 1, 1, "white", ' stroke="black" stroke-width="0.0015"'),
-    ]
-    parts += _band_rects(cells)
-    parts += _grid(min(k_max + 1, 3))
-    parts += _crosses(depth)
-    parts += _pair_squares(cells)
-    parts += _edge_ticks(cells)
-    parts += _arcs(node, families)
-    parts += _labels(k_max)
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    )
+    parts = chain(
+        head,
+        _band_rects(cells),
+        _grid(min(k_max + 1, 3)),
+        _crosses(depth),
+        _pair_squares(cells),
+        _edge_ticks(cells),
+        _arcs(node, families),
+        _labels(k_max),
+        ("</svg>",),
+    )
+    return (part + "\n" for part in parts)

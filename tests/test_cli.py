@@ -250,6 +250,15 @@ def test_render_usage_errors(capsys):
     assert run_cli(capsys, "render", "--format", "text", "--n", "0", "--K", "7")[0] == 2
 
 
+def test_rejected_render_creates_no_out_file(capsys, tmp_path):
+    # the ranges are checked before the figure streams, so no file is opened
+    target = tmp_path / "fig.svg"
+    for argv in (["--n", "3"], ["--K", "7"], ["--n", "-1", "--format", "json"]):
+        assert usage_error(capsys, "render", *argv, "--out", str(target)).startswith(
+            "cantorprod: error: ")
+        assert not target.exists()
+
+
 def test_render_writes_utf8_whatever_the_locale(tmp_path):
     # the "±" labels used to raise UnicodeEncodeError on an ASCII stdout or locale
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
@@ -345,8 +354,14 @@ def run_module(argv, stdout) -> tuple[int, bytes]:
     return proc.returncode, proc.stderr
 
 
-@pytest.mark.parametrize("argv", [["selftest"], ["member", "--x", "1/4"], ["certify"]],
-                         ids=["selftest", "member", "certify"])
+# the deepest figure streams in many writes: the first one fails, and the
+# chunks after it must not reach the closed stream at exit either
+DEEPEST_FIGURE = ["render", "--n", "2", "--K", "6"]
+
+
+@pytest.mark.parametrize("argv", [["selftest"], ["member", "--x", "1/4"], ["certify"],
+                                  DEEPEST_FIGURE],
+                         ids=["selftest", "member", "certify", "render"])
 def test_closed_stdout_pipe_exits_1_quietly(argv):
     read_end, write_end = os.pipe()
     os.close(read_end)  # closed before the child starts: its first write fails
@@ -359,8 +374,9 @@ def test_closed_stdout_pipe_exits_1_quietly(argv):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("argv", [["render", "--n", "0", "--K", "1"], ["selftest"],
-                                  ["member", "--x", "1/4", "--format", "json"]],
-                         ids=["render", "selftest", "member"])
+                                  ["member", "--x", "1/4", "--format", "json"],
+                                  DEEPEST_FIGURE],
+                         ids=["render", "selftest", "member", "deepest-render"])
 def test_failed_write_is_an_error_not_a_usage_error(argv):
     want = (1, b"cantorprod: error: cannot write output: No space left on device\n")
     with open("/dev/full", "wb") as full:

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from cantorprod import gaps
 from cantorprod.gaps import (
     EXPECTED,
     Certificate,
@@ -274,8 +275,9 @@ def test_order_chain_flags_degenerate_scale():
 
 
 def test_order_chain_rejects_bad_k_max():
-    with pytest.raises(ValueError):
-        verify_order_chain(ROOT, 0)
+    for chain in (verify_order_chain, gaps._order_chain):
+        with pytest.raises(ValueError, match="k_max must be >= 1"):
+            chain(ROOT, 0)
 
 
 def order_chain_oracle(node, k_max):
@@ -316,13 +318,19 @@ def order_chain_oracle(node, k_max):
 def test_order_chain_matches_written_out_oracle():
     # the shared climb table against both climbs spelled out link by link,
     # on the root, two synthetic scales (m = 0 breaks the order) and every
-    # depth-one child up to k = 8
+    # depth-one child up to k = 8: the int-pair kernel form, and the wrapper
+    # that hands out its ends as Fractions
     nodes = [ROOT, ROOT._replace(m=0), ROOT._replace(m=1)]
     nodes += [node_child(ROOT, k, side) for k in range(1, 9) for side in (False, True)]
     for node in nodes:
         for k_max in range(1, 9):
+            want = order_chain_oracle(node, k_max)
             got = [tuple(check) for check in verify_order_chain(node, k_max)]
-            assert got == order_chain_oracle(node, k_max), (node, k_max)
+            assert got == want, (node, k_max)
+            kernel = gaps._order_chain(node, k_max)
+            assert [(*c[:3], Fraction(*c[3]), Fraction(*c[4]), c[5]) for c in kernel] == want
+            assert all(c[3] == pair(c[3]) and c[4] == pair(c[4]) for c in kernel)
+            assert chain_holds(kernel) == all(c[2] for c in want)
 
 
 def test_low_flank_scaffold_ascends():
@@ -578,15 +586,83 @@ def _truncated_oracle(length, uncovered):
     return length**2 / 8 * (Fraction(10, 9) - Fraction(1, 9**uncovered))
 
 
-def _uncovered_oracle(high, q, s, d, cut):
+def _uncovered_oracle(high, q, s, d, cut, stop=None):
     threshold = high_cover_threshold if high else low_cover_threshold
     total = Fraction(0)
-    for j in range(1, cut + 1):
+    for j in range(1, (cut if stop is None else stop) + 1):
         assert threshold(q, j) == j + d
         total += _truncated_oracle(Fraction(1, 3 ** (s + j)), j + d)
-    total += _geometric_oracle(Fraction(10, 72) / 9 ** (s + cut + 1), Fraction(1, 9))
-    total -= _geometric_oracle(Fraction(1, 8) / 9 ** (s + 2 * cut + 2 + d), Fraction(1, 81))
+    if stop is None:
+        total += _geometric_oracle(Fraction(10, 72) / 9 ** (s + cut + 1), Fraction(1, 9))
+        total -= _geometric_oracle(Fraction(1, 8) / 9 ** (s + 2 * cut + 2 + d), Fraction(1, 81))
     return total
+
+
+# beta, alpha and their series on Fractions, as the closed forms and the
+# per-child sums read before they moved onto the int-pair kernel
+
+
+def beta_oracle(k):
+    return (
+        Fraction(20, 9 ** (k + 4))
+        - Fraction(91, 5) / 9 ** (2 * k + 6)
+        + Fraction(1, 10) / 9 ** (4 * k + 10)
+    ) / 64
+
+
+def alpha_oracle(k):
+    return beta_oracle(k) - sum(
+        _truncated_oracle(Fraction(1, 3 ** (2 * k + j)), 2 * k + j) for j in (3, 4, 5)
+    )
+
+
+def beta_series_oracle(k, cut=12):
+    q = node_child(ROOT, k, high_side=True).m
+    low = _uncovered_oracle(False, q, k + 3, k + 1, cut)
+    return low + _uncovered_oracle(True, q, k + 3, k + 3, cut, stop=k + 2)
+
+
+def alpha_series_oracle(k, cut=12):
+    q = node_child(ROOT, k, high_side=False).m
+    low = _uncovered_oracle(False, q, k + 3, k + 1, cut)
+    return low + _uncovered_oracle(True, q, k + 3, k + 3, cut, stop=k - 1)
+
+
+def pair(value):
+    """A Fraction, or a pair read as one, as its lowest-terms (p, q)."""
+    value = Fraction(*value) if isinstance(value, tuple) else value
+    return value.numerator, value.denominator
+
+
+SERIES = {
+    "beta": (gaps._beta, beta, beta_oracle),
+    "alpha": (gaps._alpha, alpha, alpha_oracle),
+    "beta_series": (gaps._beta_series, beta_series, beta_series_oracle),
+    "alpha_series": (gaps._alpha_series, alpha_series, alpha_series_oracle),
+}
+
+
+@pytest.mark.parametrize("kernel, wrapper, oracle", SERIES.values(), ids=SERIES)
+def test_series_kernels_match_fraction_oracles(kernel, wrapper, oracle):
+    # the int-pair kernel form and its Fraction wrapper against the Fraction
+    # derivation, for every k = 1..20; a kernel's pair is in lowest terms
+    for k in range(1, 21):
+        want = oracle(k)
+        assert kernel(k) == pair(want), k
+        assert wrapper(k) == want, k
+    for bad in (0, -1):
+        for function in (kernel, wrapper):
+            with pytest.raises(ValueError, match="index must be >= 1"):
+                function(bad)
+
+
+@pytest.mark.parametrize("name", ["beta_series", "alpha_series"])
+def test_series_kernels_match_fraction_oracles_at_every_cut(name):
+    kernel, wrapper, oracle = SERIES[name]
+    for k in (1, 2, 5, 9):
+        for cut in (1, 2, 7, 14):
+            want = oracle(k, cut)
+            assert (kernel(k, cut), wrapper(k, cut)) == (pair(want), want), (k, cut)
 
 
 def certify_fraction_oracle(target):

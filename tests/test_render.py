@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -204,3 +206,26 @@ def test_render_payloads_are_pinned_byte_for_byte(fmt, depth, tmp_path):
     out = tmp_path / f"render.{fmt}"
     assert cli.main(["render", "--n", str(depth), "--format", fmt, "--out", str(out)]) == 0
     assert sha256(out.read_bytes()) == PAYLOAD_SHA256[fmt][depth]
+
+
+def traced_peak(argv) -> int:
+    """The tracemalloc peak of cli.main(argv), in bytes, after checking exit 0."""
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cli_streams_the_figure(tmp_path):
+    # the deepest figure goes out line by line, to a real stdout file and
+    # with --out: the CLI never holds the whole 240,350-character document
+    svg = render_svg(MAX_DEPTH, MAX_KMAX)
+    argv = ["render", "--n", str(MAX_DEPTH), "--K", str(MAX_KMAX)]
+    stdout, out = tmp_path / "stdout.svg", tmp_path / "out.svg"
+    with open(stdout, "w", encoding="utf-8") as handle, contextlib.redirect_stdout(handle):
+        peaks = [traced_peak(argv)]
+    peaks.append(traced_peak([*argv, "--out", str(out)]))
+    assert stdout.read_bytes() == out.read_bytes() == svg.encode("utf-8")
+    assert max(peaks) < len(svg), peaks
