@@ -598,8 +598,8 @@ def _uncovered_oracle(high, q, s, d, cut, stop=None):
     return total
 
 
-# beta, alpha and their series on Fractions, as the closed forms and the
-# per-child sums read before they moved onto the int-pair kernel
+# beta, alpha and their per-child series derived on Fractions, apart from
+# gaps' int-pair kernel: the oracles for its kernel forms and their wrappers
 
 
 def beta_oracle(k):
