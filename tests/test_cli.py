@@ -372,6 +372,25 @@ def test_closed_stdout_pipe_exits_1_quietly(argv):
     assert (code, err) == (1, b"")  # no traceback, no "Exception ignored" at exit
 
 
+def test_reader_closing_mid_figure_is_a_failed_write():
+    # a reader that stops early leaves most of the figure unwritten: that is
+    # a failed write, exit 1 and quiet, not a truncated figure and exit 0
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("needs F_SETPIPE_SZ")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)  # far less than the figure
+    proc = subprocess.Popen([sys.executable, "-m", "cantorprod.cli", *DEEPEST_FIGURE],
+                            stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    with open(read_end, "rb", buffering=0) as pipe:
+        head = pipe.read(100)
+    _, err = proc.communicate()
+    assert render_svg(2, 6).encode("utf-8").startswith(head)
+    assert (proc.returncode, err) == (1, b"")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("argv", [["render", "--n", "0", "--K", "1"], ["selftest"],
                                   ["member", "--x", "1/4", "--format", "json"],
