@@ -19,6 +19,8 @@ from cantorprod.intervals import (
 from cantorprod.products import (
     EstimateResult,
     _check_hole_free,
+    _standard_stats,
+    _surviving_gaps,
     convergence_tail,
     fast_bounds,
     product_image,
@@ -225,8 +227,8 @@ def test_standard_estimate_rejects_bad_levels():
 
 
 def test_standard_estimate_matches_sweep_oracle():
-    # the gap walk against the pair sweep over the cover's cells, over the
-    # whole range the benchmark runs
+    # the doubling count against the pair sweep over the cover's cells, over
+    # the whole range the benchmark runs
     for n in range(14):
         est = standard_estimate(n)
         assert (est.set_measure, est.component_count) == self_product_stats(
@@ -265,7 +267,8 @@ def band_merge_stats(level: int) -> tuple[int, int, int]:
 
 
 def test_standard_estimate_matches_band_merge_oracle():
-    # the gap walk against the band merge, over every level the route accepts
+    # the doubling count against the band merge, over every level the route
+    # accepts
     for n in range(21):
         est = standard_estimate(n)
         measure, count, scale = band_merge_stats(max(n, 1))
@@ -274,8 +277,8 @@ def test_standard_estimate_matches_band_merge_oracle():
 
 
 def test_standard_estimate_memory_stays_below_its_segments():
-    # the walk keeps one m per split cell of a level; the band merge held all
-    # 2N - 1 segments at once, a 7.4 MB peak at n = 16
+    # the doubling count keeps one tail per ancestor above half a level; the
+    # band merge held all 2N - 1 segments at once, a 7.4 MB peak at n = 16
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
@@ -284,6 +287,158 @@ def test_standard_estimate_memory_stays_below_its_segments():
     finally:
         tracemalloc.stop()
     assert peak < 3_000_000
+
+
+@functools.cache
+def gap_walk_oracle(level: int) -> tuple[int, int]:
+    """(measure, component count) of P(R x R), R the level-`level` right-half cover, over 9^level.
+
+    R's cells form a binary tree: [2/3, 1] at level 1, and each cell
+    [a, a+t] of levels 1..level-1 splits into [a, a+t/3] and [a+2t/3, a+t].
+    Two leaves either coincide, giving the square [a^2, (a+t)^2], or descend
+    from the two children of their lowest common ancestor [a, a+t].  All
+    cells below those children, level by level, pair up as distinct
+    equal-length cells, and _check_hole_free shows that splitting such a
+    pair leaves its product unchanged.  By induction the two sibling
+    subtrees contribute exactly the product of the children, the band
+    [a(a+2t/3), (a+t/3)(a+t)].  So P(R x R) is the union of one band per
+    split cell and one square per leaf, and no cell pairs.
+
+    That union is read off its gaps, with no segment list and no sort.  In
+    units of 3^-level, a cell [a, a+3s] has the square hull [a^2, (a+3s)^2]:
+    its children's hulls [a^2, (a+s)^2] and [(a+2s)^2, (a+3s)^2] and between
+    them the open middle J(c) = ((a+s)^2, (a+2s)^2).  Splitting down to the
+    leaves cuts the hull [(2 3^(level-1))^2, 9^level] of the union into
+    leaf squares, which it covers, and the disjoint J(c) of the split cells
+    c, so the gaps lie in the J(c).  Fix c = [a, a+3s]:
+
+    * The band of c, [a(a+2s), (a+s)(a+3s)], covers [(a+s)^2, (a+s)(a+3s)],
+      and (a+2s)^2 - (a+s)(a+3s) = s^2 > 0.
+    * A cell's hull [A^2, (A+T)^2] meets J(c) only if the cell [A, A+T]
+      overlaps c's middle third (a+s, a+2s).  Cells are nested or disjoint,
+      and c's children miss that third, so only c and its ancestors reach
+      J(c); leaf squares never do.
+    * An ancestor [A, A+3S] whose right child holds c has a band that ends
+      at (A+S)(A+3S), below (A+2S)^2 <= a^2.
+    * An ancestor whose left child [A, A+S] holds c has a band that ends at
+      (A+S)(A+3S) > (A+S)^2 >= (a+3s)^2, above J(c), and starts at A(A+2S).
+    * So with m the least A(A+2S) over those left-child ancestors (9^level
+      if there are none), J(c) leaves uncovered exactly the open interval
+      ((a+s)(a+3s), min(m, (a+2s)^2)), of length
+      min(m - (a+s)(a+3s), s^2).  It is empty unless (a+s)(a+3s) < m:
+      closed bands that touch leave no gap, so the test is strict.
+
+    The measure is the hull's minus the gaps', and the gaps are disjoint
+    and inside the hull, so the count is one plus their number.  m passes
+    down one split level at a time: the left child of [a, a+3s] gets
+    min(m, a(a+2s)), the right child m, and the deepest split level hands
+    none down.  Each split level is one stride through the deepest split
+    level's cells, and each has its extreme pair checked on the way.
+    """
+    top = 9**level
+    measure, count = top - (2 * 3 ** (level - 1)) ** 2, 1
+    if level == 1:
+        return measure, count
+    # a cell's left end is that of its leftmost descendant, so every split
+    # level's cells are a stride through the deepest split level's
+    cells = [3 * a for a in _leaves(ROOT, level - 2)]
+    ms = [top]
+    for k in range(level - 2, -1, -1):
+        s = 3**k
+        full = s * s
+        row = cells[:: 2**k]
+        _check_hole_free(row[0], row[-1], 3 * s)
+        for a, m in zip(row, ms):
+            gap = m - (a + s) * (a + 3 * s)
+            if gap > 0:
+                measure -= gap if gap < full else full
+                count += 1
+        if k:  # children interleave, left then right, as in the next row
+            children = ms * 2
+            children[::2] = map(min, ms, [a * (a + 2 * s) for a in row])
+            children[1::2] = ms
+            ms = children
+    return measure, count
+
+
+
+def split_rows(level: int, ancestor_levels=None):
+    """(s, [(a, m), ...]) for split levels 1..level-1 of the gap walk, top down.
+
+    As in gap_walk_oracle, in units of 3^-level: each split cell [a, a+3s]
+    and m, the least A(A+2S) over the ancestors [A, A+3S] whose left child
+    holds it, here taking only the ancestors at `ancestor_levels` (all if
+    None), or 9^level.
+    """
+    row = [(2 * 3 ** (level - 1), 9**level)]
+    for j in range(1, level):
+        s = 3 ** (level - j - 1)
+        yield s, row
+        if j + 1 < level:
+            closes = ancestor_levels is None or j in ancestor_levels
+            row = [
+                child
+                for a, m in row
+                for child in ((a, min(m, a * (a + 2 * s)) if closes else m), (a + 2 * s, m))
+            ]
+
+
+def walk_survivors() -> list[int]:
+    """The walk's u_1..u_19: each level's open gaps, its count's step to the next level."""
+    return [gap_walk_oracle(j + 1)[1] - gap_walk_oracle(j)[1] for j in range(1, 20)]
+
+
+def test_surviving_gaps_match_gap_walk_oracle():
+    # the doubling count against the walk it replaced, level by level and as
+    # (measure, count), over every level the route accepts
+    survivors = walk_survivors()
+    for n in range(1, 21):
+        assert _surviving_gaps(n) == survivors[: n - 1], n
+        assert _standard_stats(n) == gap_walk_oracle(n), n
+
+
+def test_standard_gaps_are_all_or_nothing():
+    # every open gap's room m - (a+s)(a+3s) over the walk's split cells is a
+    # whole number of s^2, and the cells give the walk's measure
+    for n in range(2, 17):
+        hull = 2 * 3 ** (n - 1)
+        measure = 9**n - hull * hull
+        for s, row in split_rows(n):
+            for a, m in row:
+                room = m - (a + s) * (a + 3 * s)
+                if room > 0:
+                    assert room % (s * s) == 0, (n, a, s, m)
+                    measure -= min(room, s * s)
+        assert measure == gap_walk_oracle(n)[0], n
+
+
+def test_only_ancestors_above_half_a_level_close_its_gaps():
+    # the ancestors at levels <= (j-2)//2 close every gap of level j that the
+    # whole walk closes
+    survivors = walk_survivors()
+    for j in range(1, 20):
+        *_, (s, row) = split_rows(j + 1, range(1, (j - 2) // 2 + 1))
+        assert sum(m > (a + s) * (a + 3 * s) for a, m in row) == survivors[j - 1], j
+    # and the bound is tight: the level-i ancestors alone first close a gap
+    # at level 2i + 2
+    for i in range(1, 9):
+        for j, (s, row) in enumerate(split_rows(2 * i + 3, {i}), 1):
+            closes = any(m <= (a + s) * (a + 3 * s) for a, m in row)
+            assert closes == (j == 2 * i + 2), (i, j)
+
+
+def test_standard_estimate_memory_stays_flat_at_the_top_level():
+    # the doubling count holds one tail per ancestor above half a level; the
+    # gap walk held one m per cell of its deepest split level, a 27.7 MB peak
+    # at n = 20
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        standard_estimate(20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 def test_hole_free_check_raises_on_a_hole(monkeypatch):
