@@ -17,9 +17,10 @@ which decides membership on ints.  `art` and `fast` load `products`,
 `ternary`, and `certify` loads `gaps`, `subdivision` and `ternary`; all four
 run on ints from argv to stdout.  `selftest` loads `gaps`, `products`,
 `render`, `subdivision` and `ternary` and runs its checks on their int
-kernels, so no command loads `fractions` or `intervals`.  `_emit` writes its
-output chunk by chunk: `render` streams the figure line by line as it is
-built.
+routes: the gap calculus' public values (`gaps.beta`,
+`gaps.verify_order_chain`, ...) are lowest-terms int pairs, so no command
+loads `fractions` or `intervals`.  `_emit` writes its output chunk by chunk:
+`render` streams the figure line by line as it is built.
 """
 
 import functools
@@ -221,7 +222,7 @@ def _selftest_checks():
         return measure, 9**root.k
 
     def after_two_rounds():  # 5/9 less the gap measure the first two rounds remove
-        mu = gaps._sum(gaps._first_level_gap_total(), gaps._second_level_increment())
+        mu = gaps._sum(gaps.first_level_gap_total(), gaps.second_level_increment())
         return gaps._sum((5, 9), gaps._prod((-1, 1), mu))
 
     def fast_bracket():
@@ -236,14 +237,15 @@ def _selftest_checks():
         lambda: encloses(products.standard_estimate(3)._full_bounds(), full().center_ratio))
     yield "fast bracket catches the removed measure", (
         lambda: encloses(fast_bracket(), after_two_rounds()))
-    yield "order chain holds at the root", lambda: gaps.chain_holds(gaps._order_chain(root, 4))
+    yield "order chain holds at the root", (
+        lambda: gaps.chain_holds(gaps.verify_order_chain(root, 4)))
     yield "degenerate scale is flagged", (
-        lambda: not gaps.chain_holds(gaps._order_chain(root._replace(m=0), 3)))
+        lambda: not gaps.chain_holds(gaps.verify_order_chain(root._replace(m=0), 3)))
     yield "membership spot checks", lambda: [
         subdivision.classify_ternary(text)[0].value
         for text in ("1/4", "1/2", "2/3", "1")] == ["member", "non_member", "member", "member"]
     yield "series closed forms", (
-        lambda: gaps._beta(1) == gaps._beta_series(1) and gaps._alpha(2) == gaps._alpha_series(2))
+        lambda: gaps.beta(1) == gaps.beta_series(1) and gaps.alpha(2) == gaps.alpha_series(2))
     yield "figure renders", lambda: render.render_svg(0, 1).startswith("<svg")
 
 

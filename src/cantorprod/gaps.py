@@ -23,16 +23,16 @@ here entry by entry and compared against frozen expected literals.
 scaled_point and the products built from it are the geometric oracle for the
 families.  All series are exact: partial sums plus closed geometric tails.
 
-certify runs on one exact kernel of lowest-terms int pairs (p, q), q > 0:
-_sum, _prod, _holds (compare) and _tail (first / (1 - ratio)), reduced
-through ternary._lowest.  The chain's values are gap totals, truncated gap
-sums and geometric tails in powers of 9, so the pairs carry it exactly.  The
-order chain (_order_chain) and the series beta, alpha and their per-child
-sums (_beta, _alpha, ...) have kernel forms too, which the selftest reads.
-The library face (gap_total, verify_order_chain, beta, ...) wraps the kernel
-forms and returns Fractions; it reads every rational argument through
-ternary._ratio, so a float is a TypeError.  This module imports `fractions`
-and `intervals` only inside the functions that return or read them, so
+The calculus runs on one exact kernel of lowest-terms int pairs (p, q),
+q > 0 (ternary.Ratio): _sum, _prod, _holds (compare) and geometric_series
+(first / (1 - ratio)), reduced through ternary._lowest.  Its values are gap
+totals, truncated gap sums and geometric tails in powers of 9, so the pairs
+carry them exactly.  Each value has one function, which takes ints and
+pairs and returns a pair: gap_total, truncated_gap_sum, beta, alpha, their
+series forms, ...; verify_order_chain gives each check's ends as pairs too.
+certify and the selftest call them; the certificate records hold the pairs
+and give Fractions on access.  This module imports `fractions` and
+`intervals` only inside the functions that return or read them, so
 `certify` and `selftest` load neither.
 """
 
@@ -41,14 +41,14 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Optional
 
 from . import _CERTIFY_TARGETS as TARGETS
 from .subdivision import ROOT, FastNode, _families, node_child
-from .ternary import _fraction, _lowest, _ratio, decimal_ratio, format_ratio
+from .ternary import (
+    Ratio, _fraction, _fraction_property, _lowest, _ratio, decimal_ratio, format_ratio,
+)
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
     from .intervals import Interval
-
-Ratio = tuple[int, int]  # (p, q) in lowest terms, q > 0
 
 # opaque CLI tokens: the enclosure of measure(P(D_3 x D_3)), then of measure(P(C x C))
 TARGET_LEVEL3, TARGET_FULL = TARGETS
@@ -178,20 +178,17 @@ class ChainCheck(NamedTuple):
     name: str
     k: int
     holds: bool
-    lhs: "Fraction"
-    rhs: "Fraction"
+    lhs: Ratio
+    rhs: Ratio
     relation: str  # a key of _RELATIONS
 
 
 # the comparisons an order check or a certificate entry may assert
 _RELATIONS = {"eq": operator.eq, "lt": operator.lt, "le": operator.le, "gt": operator.gt}
 
-# a ChainCheck's fields with lhs and rhs as lowest-terms pairs: the kernel form
-_Check = tuple[str, int, bool, Ratio, Ratio, str]
 
-
-def _check(name: str, k: int, lhs: Ratio, rhs: Ratio, relation: str) -> _Check:
-    return name, k, _holds(relation, lhs, rhs), lhs, rhs, relation
+def _check(name: str, k: int, lhs: Ratio, rhs: Ratio, relation: str) -> ChainCheck:
+    return ChainCheck(name, k, _holds(relation, lhs, rhs), lhs, rhs, relation)
 
 
 # one (name, relation) per link of either side's band climb, from its square q
@@ -202,7 +199,7 @@ _CLIMB = (
 )
 
 
-def _climb(side: str, k: int, square: list[Ratio], families: list[Ratio]) -> list[_Check]:
+def _climb(side: str, k: int, square: list[Ratio], families: list[Ratio]) -> list[ChainCheck]:
     (q_lo, q_hi), (p_lo, p_hi, g_hi) = square, families
     ends = (q_lo, p_lo, q_hi, p_hi, p_hi, g_hi)  # p.hi is g.lo
     return [
@@ -217,16 +214,9 @@ def verify_order_chain(node: FastNode, k_max: int) -> tuple[ChainCheck, ...]:
     Nothing is assumed about the node: every relation is evaluated and
     reported, so a synthetic node that breaks the order (q = 0 breaks
     square_starts_below_band_low) is flagged rather than crashing.  For
-    genuine cells (q >= 2, in fact any q >= 1) all relations hold.
+    genuine cells (q >= 2, in fact any q >= 1) all relations hold.  Each
+    check's ends are lowest-terms pairs.
     """
-    return tuple(
-        ChainCheck(name, k, holds, _fraction(*lhs), _fraction(*rhs), relation)
-        for name, k, holds, lhs, rhs, relation in _order_chain(node, k_max)
-    )
-
-
-def _order_chain(node: FastNode, k_max: int) -> list[_Check]:
-    """verify_order_chain's checks in kernel form, every end a lowest-terms pair."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
 
@@ -235,7 +225,7 @@ def _order_chain(node: FastNode, k_max: int) -> list[_Check]:
         *ints, den = family(node, k, high_side)
         return [_lowest(end, den) for end in ints]
 
-    checks: list[_Check] = []
+    checks: list[ChainCheck] = []
     for k in range(k_max):
         q_next, q_next_hi = ends(_square, k + 1, False), ends(_square, k + 1, True)
         low, high = ends(_families, k, False), ends(_families, k, True)
@@ -246,12 +236,12 @@ def _order_chain(node: FastNode, k_max: int) -> list[_Check]:
         checks.append(_check("gap_square_touch_high", k, high[2], q_next_hi[0], "eq"))
     for k in range(1, k_max + 1):
         checks += _climb("high", k, ends(_square, k, True), ends(_families, k, True))
-    return checks
+    return tuple(checks)
 
 
-def chain_holds(checks: Iterable[tuple]) -> bool:
-    """Whether every check holds: ChainChecks, or the kernel form's tuples."""
-    return all(holds for _, _, holds, *_ in checks)
+def chain_holds(checks: Iterable[ChainCheck]) -> bool:
+    """Whether every check of an order chain holds."""
+    return all(check.holds for check in checks)
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +320,8 @@ def _holds(relation: str, x: Ratio, y: Ratio) -> bool:
     return _RELATIONS[relation](x[0] * y[1], y[0] * x[1])
 
 
-def _tail(first: Ratio, ratio: Ratio) -> Ratio:
-    """first / (1 - ratio): the sum of first * ratio^j over j >= 0, for 0 <= ratio < 1."""
+def geometric_series(first: Ratio, ratio: Ratio) -> Ratio:
+    """Exact sum of first * ratio^j over j >= 0, for 0 <= ratio < 1: first / (1 - ratio)."""
     (a, b), (r, s) = first, ratio
     if not 0 <= r < s:
         raise ValueError("ratio must be in [0, 1)")
@@ -339,39 +329,25 @@ def _tail(first: Ratio, ratio: Ratio) -> Ratio:
 
 
 # ---------------------------------------------------------------------------
-# exact series: measures of what the bands do not swallow.  Each public
-# function returns its kernel form's pair as a Fraction.
+# exact series: measures of what the bands do not swallow, as lowest-terms pairs
 
 
-def geometric_series(first: "Fraction", ratio: "Fraction") -> "Fraction":
-    """Exact sum of first * ratio^j over j >= 0, for 0 <= ratio < 1."""
-    return _fraction(*_tail(_ratio(first), _ratio(ratio)))
-
-
-def gap_total(length: "Fraction") -> "Fraction":
+def gap_total(length: Ratio) -> Ratio:
     """Total measure of all diagonal gaps of a cell of the given length.
 
     One central gap of measure length^2/9 plus two per index k >= 1 of
     measure length^2/9^{k+1} each: (5/36) length^2, assembled exactly.
     """
-    return _fraction(*_gap_total(_ratio(length)))
-
-
-def _gap_total(length: Ratio) -> Ratio:
     sq = _prod(length, length)
-    return _sum(_prod(sq, (1, 9)), _prod((2, 1), _tail(_prod(sq, (1, 81)), (1, 9))))
+    return _sum(_prod(sq, (1, 9)), _prod((2, 1), geometric_series(_prod(sq, (1, 81)), (1, 9))))
 
 
-def truncated_gap_sum(length: "Fraction", uncovered: int) -> "Fraction":
+def truncated_gap_sum(length: Ratio, uncovered: int) -> Ratio:
     """Measure of a cell's gaps left after covering high gaps of index >= uncovered.
 
     All low-side gaps plus the high-side gaps of index < uncovered (index 0 is
     the central gap, counted once): (length^2 / 8)(10/9 - 9^-uncovered).
     """
-    return _fraction(*_truncated_gap_sum(_ratio(length), uncovered))
-
-
-def _truncated_gap_sum(length: Ratio, uncovered: int) -> Ratio:
     if uncovered < 0:
         raise ValueError("uncovered count must be >= 0")
     # (10/9 - 9^-uncovered) / 8 over the one denominator 8 * 9^(uncovered+1)
@@ -379,24 +355,20 @@ def _truncated_gap_sum(length: Ratio, uncovered: int) -> Ratio:
 
 
 def truncated_gap_sum_series(length: "Fraction", uncovered: int, cut: int = 8) -> "Fraction":
-    """Same value as truncated_gap_sum by explicit partial sum plus tail."""
+    """Same value as truncated_gap_sum by explicit partial sum plus tail, on Fractions."""
     from .intervals import rat
 
     sq = rat(length) ** 2
     low = sum(sq / 9 ** (l + 1) for l in range(1, cut + 1))
-    low += geometric_series(sq / 9 ** (cut + 2), _fraction(1, 9))
+    low += sq / 9 ** (cut + 2) / (1 - _fraction(1, 9))  # the tail, first / (1 - ratio)
     high = sum(sq / 9 ** (l + 1) for l in range(uncovered))
     return low + high
 
 
-def first_level_gap_total() -> "Fraction":
+def first_level_gap_total() -> Ratio:
     """Measure removed from P(D_0 x D_0) by the first round: every gap of the
     root cell [2/3, 1] survives, total (5/36)(1/3)^2 = 5/324."""
-    return _fraction(*_first_level_gap_total())
-
-
-def _first_level_gap_total() -> Ratio:
-    return _gap_total((1, 3**ROOT.k))
+    return gap_total((1, 3**ROOT.k))
 
 
 def _verified_threshold(high: bool, q: int, k: int, expected: int) -> int:
@@ -419,39 +391,31 @@ def _uncovered_children(
     truncated_gap_sum(3^-(s+j), j+d) = (10/72) 9^-(s+j) - (1/8) 9^-(s+2j+d).
     """
     terms = [
-        _truncated_gap_sum((1, 3 ** (s + j)), _verified_threshold(high, q, j, j + d))
+        truncated_gap_sum((1, 3 ** (s + j)), _verified_threshold(high, q, j, j + d))
         for j in range(1, (cut if stop is None else stop) + 1)
     ]
     if stop is None:
-        terms.append(_tail((10, 72 * 9 ** (s + cut + 1)), (1, 9)))
-        terms.append(_tail((-1, 8 * 9 ** (s + 2 * cut + 2 + d)), (1, 81)))
+        terms.append(geometric_series((10, 72 * 9 ** (s + cut + 1)), (1, 9)))
+        terms.append(geometric_series((-1, 8 * 9 ** (s + 2 * cut + 2 + d)), (1, 81)))
     return _sum(*terms)
 
 
-def second_level_increment(cut: int = 12) -> "Fraction":
+def second_level_increment(cut: int = 12) -> Ratio:
     """Measure removed by round two that round one's bands do not cover.
 
     Children of the root are E_k, F_k of length 3^-(k+2); the uncovered count
     is the covering threshold (k for E_k, k+2 for F_k), verified here over the
     partial range before the matching geometric tails are attached.
     """
-    return _fraction(*_second_level_increment(cut))
-
-
-def _second_level_increment(cut: int = 12) -> Ratio:
     low = _uncovered_children(False, ROOT.m, 2, 0, cut)
     return _sum(low, _uncovered_children(True, ROOT.m, 2, 2, cut))
 
 
-def beta(k: int) -> "Fraction":
+def beta(k: int) -> Ratio:
     """Closed form for the uncovered gap measure of the high child F_k's children.
 
     (1/64) [ 20/9^{k+4} - (91/5)/9^{2k+6} + (1/10)/9^{4k+10} ].
     """
-    return _fraction(*_beta(k))
-
-
-def _beta(k: int) -> Ratio:
     if k < 1:
         raise ValueError("index must be >= 1")
     return _prod((1, 64), _sum(
@@ -459,7 +423,7 @@ def _beta(k: int) -> Ratio:
     ))
 
 
-def beta_series(k: int, cut: int = 12) -> "Fraction":
+def beta_series(k: int, cut: int = 12) -> Ratio:
     """Independent evaluation of beta(k): per-child truncated sums plus tails.
 
     F_k has parameter q = 3^{k+2} - 3 (re-derived through the child
@@ -468,10 +432,6 @@ def beta_series(k: int, cut: int = 12) -> "Fraction":
     m <= k+2: deeper high grandchildren sit entirely inside the round-one
     band and contribute nothing).
     """
-    return _fraction(*_beta_series(k, cut))
-
-
-def _beta_series(k: int, cut: int = 12) -> Ratio:
     if k < 1:
         raise ValueError("index must be >= 1")
     q = node_child(ROOT, k, high_side=True).m
@@ -479,7 +439,7 @@ def _beta_series(k: int, cut: int = 12) -> Ratio:
     return _sum(low, _uncovered_children(True, q, k + 3, k + 3, cut, stop=k + 2))
 
 
-def alpha(k: int) -> "Fraction":
+def alpha(k: int) -> Ratio:
     """Closed form for the uncovered gap measure of the low child E_k's
     children, excluding the special high grandchild of index m = k (whose
     square escapes the bands and is accounted separately).
@@ -487,26 +447,18 @@ def alpha(k: int) -> "Fraction":
     Same series as beta except the high-side sum stops at m = k-1: the terms
     m = k, k+1, k+2 drop out, each a truncated gap sum at scale 3^-(2k+j).
     """
-    return _fraction(*_alpha(k))
-
-
-def _alpha(k: int) -> Ratio:
-    closed = _beta(k)  # raises for k < 1
-    dropped = _sum(*(_truncated_gap_sum((1, 3 ** (2 * k + j)), 2 * k + j) for j in (3, 4, 5)))
+    closed = beta(k)  # raises for k < 1
+    dropped = _sum(*(truncated_gap_sum((1, 3 ** (2 * k + j)), 2 * k + j) for j in (3, 4, 5)))
     return _sum(closed, _prod((-1, 1), dropped))
 
 
-def alpha_series(k: int, cut: int = 12) -> "Fraction":
+def alpha_series(k: int, cut: int = 12) -> Ratio:
     """Independent evaluation of alpha(k), mirroring beta_series.
 
     E_k has parameter q = 2*3^{k+1} + 2; thresholds match F_k's pattern
     (m+k+1 low, m+k+3 high), but high grandchildren with m >= k+1 are fully
     covered and m = k is excluded, leaving m <= k-1.
     """
-    return _fraction(*_alpha_series(k, cut))
-
-
-def _alpha_series(k: int, cut: int = 12) -> Ratio:
     if k < 1:
         raise ValueError("index must be >= 1")
     q = node_child(ROOT, k, high_side=False).m
@@ -514,7 +466,7 @@ def _alpha_series(k: int, cut: int = 12) -> Ratio:
     return _sum(low, _uncovered_children(True, q, k + 3, k + 3, cut, stop=k - 1))
 
 
-def deep_series_total() -> tuple["Fraction", "Fraction"]:
+def deep_series_total() -> tuple[Ratio, Ratio]:
     """(sum over k >= 1 of beta(k) + alpha(k), the remainder epsilon).
 
     Per k: beta + alpha = (1/8)[ 5/9^{k+4} - (910 + 91/20)/9^{2k+6}
@@ -523,13 +475,9 @@ def deep_series_total() -> tuple["Fraction", "Fraction"]:
     - (265721/40) sum 9^-(4k+10) ] leaves the round number
     sum + epsilon = 157/(32 * 9^6).
     """
-    return tuple(_fraction(*pair) for pair in _deep_series_total())
-
-
-def _deep_series_total() -> tuple[Ratio, Ratio]:
-    sum_a = _tail((1, 9**5), (1, 9))
-    sum_b = _tail((1, 9**8), (1, 81))
-    sum_c = _tail((1, 9**14), (1, 9**4))
+    sum_a = geometric_series((1, 9**5), (1, 9))
+    sum_b = geometric_series((1, 9**8), (1, 81))
+    sum_c = geometric_series((1, 9**14), (1, 9**4))
     total = _prod((1, 8), _sum(
         _prod((5, 1), sum_a),
         _prod(_sum((-910, 1), (-91, 20)), sum_b),
@@ -539,17 +487,13 @@ def _deep_series_total() -> tuple[Ratio, Ratio]:
     return total, epsilon
 
 
-def unresolved_cells_bound() -> "Fraction":
+def unresolved_cells_bound() -> Ratio:
     """Upper bound on the gap measure of the escaped squares with k >= 2.
 
     Each escaped grandchild has length 3^-(2k+3); summing their full gap
     totals (5/36) 9^-(2k+3) over k >= 2 gives exactly 1/(64 * 9^6).
     """
-    return _fraction(*_unresolved_cells_bound())
-
-
-def _unresolved_cells_bound() -> Ratio:
-    return _prod((5, 36), _tail((1, 9**7), (1, 81)))
+    return _prod((5, 36), geometric_series((1, 9**7), (1, 81)))
 
 
 # ---------------------------------------------------------------------------
@@ -590,11 +534,6 @@ def _entry_ratio(value: Any) -> Ratio:
     return _lowest(*value) if isinstance(value, tuple) else _ratio(value)
 
 
-def _as_fraction(ratio: Callable[[Any], Ratio]) -> property:
-    """A record property: the pair ratio(record) as a reduced Fraction."""
-    return property(lambda record: _fraction(*ratio(record)))
-
-
 class ChainEntry(NamedTuple):
     """One derived value against its frozen one, both held as lowest-terms
     pairs; value and expected give them as Fractions."""
@@ -605,8 +544,8 @@ class ChainEntry(NamedTuple):
     relation: str  # a key of _RELATIONS
     match: bool
 
-    value = _as_fraction(lambda entry: entry.value_ratio)
-    expected = _as_fraction(lambda entry: entry.expected_ratio)
+    value = _fraction_property(lambda entry: entry.value_ratio)
+    expected = _fraction_property(lambda entry: entry.expected_ratio)
 
     def to_json(self) -> dict:
         return {
@@ -627,8 +566,8 @@ class Certificate(NamedTuple):
     radius_ratio: Ratio
     chain: tuple[ChainEntry, ...]
 
-    center = _as_fraction(lambda cert: cert.center_ratio)
-    radius = _as_fraction(lambda cert: cert.radius_ratio)
+    center = _fraction_property(lambda cert: cert.center_ratio)
+    radius = _fraction_property(lambda cert: cert.radius_ratio)
 
     @property
     def ok(self) -> bool:
@@ -666,8 +605,8 @@ def certify(target: str = TARGET_LEVEL3) -> Certificate:
         entries.append(ChainEntry(name, value, expected, relation, _holds(relation, value, expected)))
         return value
 
-    mu1 = add("level1_gap_total", _first_level_gap_total())
-    increment = add("level2_gap_increment", _second_level_increment())
+    mu1 = add("level1_gap_total", first_level_gap_total())
+    increment = add("level2_gap_increment", second_level_increment())
 
     e1 = node_child(ROOT, 1, high_side=False)
     d1p = node_child(e1, 1, high_side=True)
@@ -680,13 +619,13 @@ def certify(target: str = TARGET_LEVEL3) -> Certificate:
     length = add("special_cell_length", (1, 3**d1p.k))
     threshold = high_cover_threshold(e1.m, 1)
     add("special_cell_gap_threshold", (threshold, 1))
-    gamma1 = add("special_cell_gap_total", _truncated_gap_sum(length, threshold))
+    gamma1 = add("special_cell_gap_total", truncated_gap_sum(length, threshold))
 
-    deep, epsilon = _deep_series_total()
+    deep, epsilon = deep_series_total()
     add("deep_series_total", _sum(deep, epsilon))
     add("series_remainder_positive", epsilon, relation="gt")
     add("series_remainder_bound", epsilon, relation="lt")
-    radius = add("unresolved_cells_bound", _unresolved_cells_bound())
+    radius = add("unresolved_cells_bound", unresolved_cells_bound())
 
     removed = _sum(mu1, increment, gamma1, deep, epsilon)
     shift = _sum((1, 8 * P10), epsilon)

@@ -34,18 +34,19 @@ measure(P(C x C)) = (3/2) measure(P(R x R)):
 
 Both routes run on ints from the cell addresses to their results.  Their
 records hold each measure as an integer over a power of 9, hand out reduced
-Fractions on access, and write JSON straight from the ints through
-ternary's text kernels, so `art` and `fast` load neither `fractions` nor
-`intervals`.  The functions that take or return Fractions and IntervalSets
-import them where they run.
+Fractions on access through ternary's one property factory, and write JSON
+straight from the ints through ternary's text kernels, so `art` and `fast`
+load neither `fractions` nor `intervals`; convergence_tail returns its
+lowest-terms pair.  The functions that take or return Fractions and
+IntervalSets import them where they run.
 """
 
 import time
 from math import isqrt, lcm
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .subdivision import ROOT, _ends, _fast_tree, _leaves
-from .ternary import _fraction, _merge_ends, decimal_ratio, format_ratio
+from .ternary import Ratio, _fraction, _fraction_property, _merge_ends, decimal_ratio, format_ratio
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -144,11 +145,6 @@ def self_product_measure(S: "IntervalSet") -> "Fraction":
     return self_product_stats(S)[0]
 
 
-def _over_scale(numerator: Callable[[Any], int]) -> property:
-    """A record property: numerator(record) over record.scale, as a reduced Fraction."""
-    return property(lambda record: _fraction(numerator(record), record.scale))
-
-
 class EstimateResult(NamedTuple):
     """Standard-route estimate of the Cantor product-set measure at level n.
 
@@ -163,15 +159,9 @@ class EstimateResult(NamedTuple):
     component_count: int
     elapsed_ms: int
 
-    set_measure = _over_scale(lambda r: r.scaled_measure)
-
-    @property
-    def tail_bound(self) -> "Fraction":
-        return convergence_tail(self.n)
-
-    @property
-    def full_value(self) -> "Fraction":
-        return _fraction(*self._full_ratio())
+    set_measure = _fraction_property(lambda r: (r.scaled_measure, r.scale))
+    tail_bound = _fraction_property(lambda r: convergence_tail(r.n))
+    full_value = _fraction_property(lambda r: r._full_ratio())
 
     def _full_ratio(self) -> tuple[int, int]:
         return 3 * self.scaled_measure, 2 * self.scale
@@ -189,7 +179,7 @@ class EstimateResult(NamedTuple):
 
     def _full_bounds(self) -> tuple[tuple[int, int], tuple[int, int]]:
         """full_bounds' ends as (numerator, denominator) pairs, from the ints."""
-        t, u = _tail_ratio(self.n)
+        t, u = convergence_tail(self.n)
         low = 3 * (self.scaled_measure * u - t * self.scale), 2 * self.scale * u
         return low, self._full_ratio()
 
@@ -198,7 +188,7 @@ class EstimateResult(NamedTuple):
         return {
             "n": self.n,
             "set_measure": format_ratio(self.scaled_measure, self.scale),
-            "tail_bound": format_ratio(*_tail_ratio(self.n)),
+            "tail_bound": format_ratio(*convergence_tail(self.n)),
             "full_value": format_ratio(*full),
             "decimal": decimal_ratio(*full, digits),
             "component_count": self.component_count,
@@ -206,23 +196,19 @@ class EstimateResult(NamedTuple):
         }
 
 
-def _tail_ratio(n: int) -> tuple[int, int]:
-    """convergence_tail(n) as (numerator, denominator) in lowest terms."""
-    if n < 0:
-        raise ValueError("level must be >= 0")
-    j = max(n - 1, 0)
-    return 2**j, 63 * 9**j
-
-
-def convergence_tail(n: int) -> "Fraction":
-    """Bound on measure(P(R_n x R_n)) - measure(P(R x R)), R_n the level-n cover.
+def convergence_tail(n: int) -> Ratio:
+    """Bound on measure(P(R_n x R_n)) - measure(P(R x R)), R_n the level-n cover,
+    as its lowest-terms pair.
 
     Splitting a cell of R_j removes at most its diagonal product gap, an
     interval of measure (|cell|/3)^2; R_j has 2^{j-1} cells of length 3^-j,
     so the telescope from level n sums to (1/63)(2/9)^{n-1}.  Levels 0 and 1
     are the same set [2/3, 1], hence share the n = 1 value 1/63.
     """
-    return _fraction(*_tail_ratio(n))
+    if n < 0:
+        raise ValueError("level must be >= 0")
+    j = max(n - 1, 0)
+    return 2**j, 63 * 9**j
 
 
 def _check_hole_free(a: int, b: int, t: int) -> None:
@@ -364,9 +350,9 @@ class FastBounds(NamedTuple):
     component_count_outer: int
     elapsed_ms: int
 
-    lower = _over_scale(lambda r: r.scaled_lower)
-    upper = _over_scale(lambda r: r.scaled_upper)
-    width = _over_scale(lambda r: r.scaled_upper - r.scaled_lower)
+    lower = _fraction_property(lambda r: (r.scaled_lower, r.scale))
+    upper = _fraction_property(lambda r: (r.scaled_upper, r.scale))
+    width = _fraction_property(lambda r: (r.scaled_upper - r.scaled_lower, r.scale))
 
     def to_json(self, digits: int = 12) -> dict:
         return {

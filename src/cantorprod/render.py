@@ -31,10 +31,7 @@ from itertools import chain
 from typing import Iterator
 
 from .subdivision import ROOT, UNIT, FastNode, _ends, _families, _leaves, node_child
-from .ternary import _lowest, format_ratio
-
-# an exact value as (p, q) in lowest terms, q > 0
-Ratio = tuple[int, int]
+from .ternary import Ratio, _lowest, format_ratio
 
 MAX_DEPTH = 2
 MAX_KMAX = 6

@@ -32,8 +32,9 @@ This module is the one place that turns an address into endpoints.  Every
 set of cells here is a _cover: _ends reads their integer ends at one scale
 3^-depth, merged on ints and made Fractions once; FastNode.cell gives one cell
 as Fractions.  The ints of _leaves are already the leaves' left ends, in units
-of their 3^-depth.  The integer walks load no `fractions`: the functions that
-build Fractions or IntervalSets import them where they run.
+of their 3^-depth.  The integer walks load no `fractions`: Fractions are
+built through ternary._fraction, and the functions that build Intervals or
+IntervalSets import `intervals` where they run.
 """
 
 from typing import TYPE_CHECKING, Iterable, NamedTuple
@@ -42,7 +43,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 # is re-exported here because callers look it up on this module: perfbench's
 # tracer wraps `subdivision.classify_ternary` (its --trace 1 run fails without
 # it), and the selftest calls it through this module.
-from .ternary import _merge_ends, classify_ternary  # noqa: F401
+from .ternary import _fraction, _fraction_property, _merge_ends, classify_ternary  # noqa: F401
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -58,18 +59,12 @@ class FastNode(NamedTuple):
 
     @property
     def cell(self) -> "Interval":
-        from fractions import Fraction
-
         from .intervals import Interval
 
         den = 3**self.k
-        return Interval(Fraction(self.m, den), Fraction(self.m + 1, den))
+        return Interval(_fraction(self.m, den), _fraction(self.m + 1, den))
 
-    @property
-    def length(self) -> "Fraction":
-        from fractions import Fraction
-
-        return Fraction(1, 3**self.k)
+    length = _fraction_property(lambda node: (1, 3**node.k))
 
 
 UNIT = FastNode(m=0, k=0)
@@ -238,9 +233,6 @@ def squared_length_sum(n: int, K: int) -> tuple["Fraction", "Fraction"]:
     The limit is (1/9) (1/36)^n: each round multiplies the squared-length sum
     of a cell by 2 sum_{k>=1} 9^(-k-1) = 1/36.
     """
-    from fractions import Fraction
-
     level, _, depth = _fast_tree(n, K)
-    truncated = Fraction(sum(9 ** (depth - node.k) for node in level), 9**depth)
-    limit = Fraction(1, 9) * Fraction(1, 36) ** n
-    return truncated, limit
+    truncated = _fraction(sum(9 ** (depth - node.k) for node in level), 9**depth)
+    return truncated, _fraction(1, 9 * 36**n)

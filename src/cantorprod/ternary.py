@@ -9,9 +9,12 @@ The exact routes' int kernels live here too, each in one place:
 `parse_ratio`, the one text parser ("p/q" or "p" to lowest-terms ints);
 `_ratio`, the one reader of an int, a `Fraction` or such a text, which
 `intervals.rat` wraps and every membership function calls; `format_ratio`
-and `decimal_ratio`, the "p/q" and decimal text of p/q; `_fraction`, which
-turns the int pairs of the records in `products` and `gaps` into Fractions
-on access; and `_merge_ends`, the one merge into canonical interval form.
+and `decimal_ratio`, the "p/q" and decimal text of p/q; `Ratio`, the type
+of a lowest-terms pair; `_fraction`, which turns such a pair into a
+Fraction, and `_fraction_property`, the one factory of the record properties
+in `products`, `gaps` and `subdivision` that hand out their pairs as
+Fractions on access; and `_merge_ends`, the one merge into canonical
+interval form.
 This module never imports `fractions` at load time, so `member`, `art`,
 `fast`, `render` and `certify` run on ints alone.
 """
@@ -23,9 +26,12 @@ from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from fractions import Fraction
+    from typing import Any, Callable
+
+Ratio = tuple[int, int]  # (p, q) in lowest terms, q > 0: what _lowest returns
 
 
-def parse_ratio(text: str) -> tuple[int, int]:
+def parse_ratio(text: str) -> Ratio:
     """Parse "p/q" (or a bare integer "p") into (p, q) in lowest terms, q > 0.
 
     Floats are rejected on purpose; a decimal point in the input is an error.
@@ -43,7 +49,7 @@ def parse_ratio(text: str) -> tuple[int, int]:
     return _lowest(p, q)
 
 
-def _lowest(p: int, q: int) -> tuple[int, int]:
+def _lowest(p: int, q: int) -> Ratio:
     """p/q in lowest terms with a positive denominator (q != 0)."""
     g = gcd(p, q) if q > 0 else -gcd(p, q)
     return p // g, q // g
@@ -54,6 +60,11 @@ def _fraction(p: int, q: int) -> "Fraction":
     from fractions import Fraction
 
     return Fraction(p, q)
+
+
+def _fraction_property(ratio: "Callable[[Any], tuple[int, int]]") -> property:
+    """A record property: the pair (p, q), q > 0, of ratio(record) as a reduced Fraction."""
+    return property(lambda record: _fraction(*ratio(record)))
 
 
 def format_ratio(p: int, q: int) -> str:
@@ -98,7 +109,7 @@ def _merge_ends(los: list, his: list) -> tuple[list, list]:
     return out_los, out_his + his[-1:]
 
 
-def _ratio(x: "int | Fraction | str") -> tuple[int, int]:
+def _ratio(x: "int | Fraction | str") -> Ratio:
     """(numerator, denominator) of an int, a Fraction or a rational literal."""
     if isinstance(x, str):
         return parse_ratio(x)

@@ -113,13 +113,13 @@ def test_criterion_2_standard_level_11():
 def test_criterion_3_level3_certificate():
     start = time.perf_counter()
     cert = certify("prop3")
-    mu1 = first_level_gap_total()
-    increment = second_level_increment()
+    mu1 = Fraction(*first_level_gap_total())
+    increment = Fraction(*second_level_increment())
     e1 = node_child(ROOT, 1, high_side=False)
     d1p = node_child(e1, 1, high_side=True)
-    gamma1 = truncated_gap_sum(d1p.length, high_cover_threshold(e1.m, 1))
-    deep, epsilon = deep_series_total()
-    unresolved = unresolved_cells_bound()
+    gamma1 = Fraction(*truncated_gap_sum((1, 3**d1p.k), high_cover_threshold(e1.m, 1)))
+    deep, epsilon = (Fraction(*value) for value in deep_series_total())
+    unresolved = Fraction(*unresolved_cells_bound())
     removed = mu1 + increment + gamma1 + deep + epsilon
     elapsed = time.perf_counter() - start
 
@@ -300,8 +300,9 @@ def test_criterion_7_closed_forms_match_series():
     report(7, ok, f"beta/alpha closed forms vs series, k = 1..20, mismatches: {mismatches}")
     assert not mismatches
     # spot-check the assembled tails really converge where the closed forms say
-    assert sum(beta(k) + alpha(k) for k in range(1, 21)) < Fraction(157, 32 * P6)
-    assert geometric_series(Fraction(1, 9), Fraction(1, 9)) == Fraction(1, 8)
+    partial = sum(Fraction(*beta(k)) + Fraction(*alpha(k)) for k in range(1, 21))
+    assert partial < Fraction(157, 32 * P6)
+    assert Fraction(*geometric_series((1, 9), (1, 9))) == Fraction(1, 8)
 
 
 def test_criterion_8_membership_against_brackets():

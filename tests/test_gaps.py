@@ -5,10 +5,10 @@ from __future__ import annotations
 import operator
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from cantorprod import gaps
 from cantorprod.gaps import (
     EXPECTED,
     Certificate,
@@ -275,9 +275,8 @@ def test_order_chain_flags_degenerate_scale():
 
 
 def test_order_chain_rejects_bad_k_max():
-    for chain in (verify_order_chain, gaps._order_chain):
-        with pytest.raises(ValueError, match="k_max must be >= 1"):
-            chain(ROOT, 0)
+    with pytest.raises(ValueError, match="k_max must be >= 1"):
+        verify_order_chain(ROOT, 0)
 
 
 def order_chain_oracle(node, k_max):
@@ -318,19 +317,17 @@ def order_chain_oracle(node, k_max):
 def test_order_chain_matches_written_out_oracle():
     # the shared climb table against both climbs spelled out link by link,
     # on the root, two synthetic scales (m = 0 breaks the order) and every
-    # depth-one child up to k = 8: the int-pair kernel form, and the wrapper
-    # that hands out its ends as Fractions
+    # depth-one child up to k = 8; each check's ends are lowest-terms pairs
     nodes = [ROOT, ROOT._replace(m=0), ROOT._replace(m=1)]
     nodes += [node_child(ROOT, k, side) for k in range(1, 9) for side in (False, True)]
     for node in nodes:
         for k_max in range(1, 9):
             want = order_chain_oracle(node, k_max)
-            got = [tuple(check) for check in verify_order_chain(node, k_max)]
+            checks = verify_order_chain(node, k_max)
+            got = [(*c[:3], Fraction(*c.lhs), Fraction(*c.rhs), c.relation) for c in checks]
             assert got == want, (node, k_max)
-            kernel = gaps._order_chain(node, k_max)
-            assert [(*c[:3], Fraction(*c[3]), Fraction(*c[4]), c[5]) for c in kernel] == want
-            assert all(c[3] == pair(c[3]) and c[4] == pair(c[4]) for c in kernel)
-            assert chain_holds(kernel) == all(c[2] for c in want)
+            assert all(c.lhs == pair(c.lhs) and c.rhs == pair(c.rhs) for c in checks)
+            assert chain_holds(checks) == all(c[2] for c in want)
 
 
 def test_low_flank_scaffold_ascends():
@@ -402,44 +399,44 @@ def test_threshold_input_validation():
 
 
 def test_geometric_series_basics():
-    assert geometric_series(Fraction(1, 2), Fraction(1, 2)) == 1
-    assert geometric_series(Fraction(3), Fraction(0)) == 3
-    assert type(geometric_series(1, 0)) is Fraction  # not 1 / (1 - 0), a float
+    assert geometric_series((1, 2), (1, 2)) == (1, 1)
+    assert geometric_series((3, 1), (0, 1)) == (3, 1)
     with pytest.raises(ValueError):
-        geometric_series(Fraction(1), Fraction(1))
+        geometric_series((1, 1), (1, 1))
 
 
 def test_gap_total_closed_form():
     rng = random.Random(167)
     for _ in range(60):
         length = Fraction(rng.randint(1, 50), rng.randint(1, 400))
-        assert gap_total(length) == Fraction(5, 36) * length**2
+        assert Fraction(*gap_total(pair(length))) == Fraction(5, 36) * length**2
 
 
 def test_truncated_gap_sum_against_series():
     for j in range(1, 6):
         length = Fraction(1, 3**j)
         for uncovered in range(0, 9):
-            closed = truncated_gap_sum(length, uncovered)
+            closed = Fraction(*truncated_gap_sum(pair(length), uncovered))
             series = truncated_gap_sum_series(length, uncovered)
             assert closed == series
 
 
 def test_truncated_gap_sum_limits():
     length = Fraction(1, 243)
-    assert truncated_gap_sum(length, 0) == length**2 / 72
-    values = [truncated_gap_sum(length, u) for u in range(10)]
+    total = Fraction(*gap_total((1, 243)))
+    assert Fraction(*truncated_gap_sum((1, 243), 0)) == length**2 / 72
+    values = [Fraction(*truncated_gap_sum((1, 243), u)) for u in range(10)]
     assert values == sorted(values)
-    assert all(v < gap_total(length) for v in values)
-    assert gap_total(length) - truncated_gap_sum(length, 30) < Fraction(1, 9**30)
+    assert all(v < total for v in values)
+    assert total - Fraction(*truncated_gap_sum((1, 243), 30)) < Fraction(1, 9**30)
 
 
 def test_first_level_gap_total():
-    assert first_level_gap_total() == Fraction(5, 324)
+    assert first_level_gap_total() == (5, 324)
 
 
 def test_second_level_increment_value_and_cut_independence():
-    expected = Fraction(859, 2099520)
+    expected = (859, 2099520)
     assert second_level_increment() == expected
     for cut in (1, 2, 8, 16):
         assert second_level_increment(cut=cut) == expected
@@ -457,7 +454,7 @@ def test_alpha_closed_form_matches_series():
 
 def test_alpha_below_beta_and_positive():
     for k in range(1, 15):
-        assert 0 < alpha(k) < beta(k)
+        assert 0 < Fraction(*alpha(k)) < Fraction(*beta(k))
 
 
 def test_series_cut_independence():
@@ -468,25 +465,25 @@ def test_series_cut_independence():
 
 
 def test_deep_series_total_rounds_to_frozen_value():
-    total, epsilon = deep_series_total()
+    total, epsilon = (Fraction(*value) for value in deep_series_total())
     assert total + epsilon == Fraction(157, 32 * P6)
     assert 0 < epsilon < Fraction(1, 128 * P6)
-    partial = sum(beta(k) + alpha(k) for k in range(1, 26))
+    partial = sum(Fraction(*beta(k)) + Fraction(*alpha(k)) for k in range(1, 26))
     assert 0 < total - partial < Fraction(1, 9**28)
 
 
 def test_unresolved_cells_bound():
-    value = unresolved_cells_bound()
+    value = Fraction(*unresolved_cells_bound())
     assert value == Fraction(1, 64 * P6)
     direct = sum(Fraction(5, 36) * Fraction(1, 9 ** (2 * k + 3)) for k in range(2, 40))
-    tail = Fraction(5, 36) * geometric_series(Fraction(1, 9**83), Fraction(1, 81))
+    tail = Fraction(5, 36) * Fraction(*geometric_series((1, 9**83), (1, 81)))
     assert direct + tail == value
 
 
 def test_removed_measure_chain():
-    mu1 = first_level_gap_total()
+    mu1 = Fraction(*first_level_gap_total())
     assert mu1 == Fraction(5, 324)
-    assert mu1 + second_level_increment() == Fraction(33259, 2099520)
+    assert mu1 + Fraction(*second_level_increment()) == Fraction(33259, 2099520)
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +596,7 @@ def _uncovered_oracle(high, q, s, d, cut, stop=None):
 
 
 # beta, alpha and their per-child series derived on Fractions, apart from
-# gaps' int-pair kernel: the oracles for its kernel forms and their wrappers
+# gaps' int-pair kernel: the oracles for its values
 
 
 def beta_oracle(k):
@@ -635,34 +632,30 @@ def pair(value):
 
 
 SERIES = {
-    "beta": (gaps._beta, beta, beta_oracle),
-    "alpha": (gaps._alpha, alpha, alpha_oracle),
-    "beta_series": (gaps._beta_series, beta_series, beta_series_oracle),
-    "alpha_series": (gaps._alpha_series, alpha_series, alpha_series_oracle),
+    "beta": (beta, beta_oracle),
+    "alpha": (alpha, alpha_oracle),
+    "beta_series": (beta_series, beta_series_oracle),
+    "alpha_series": (alpha_series, alpha_series_oracle),
 }
 
 
-@pytest.mark.parametrize("kernel, wrapper, oracle", SERIES.values(), ids=SERIES)
-def test_series_kernels_match_fraction_oracles(kernel, wrapper, oracle):
-    # the int-pair kernel form and its Fraction wrapper against the Fraction
-    # derivation, for every k = 1..20; a kernel's pair is in lowest terms
+@pytest.mark.parametrize("kernel, oracle", SERIES.values(), ids=SERIES)
+def test_series_kernels_match_fraction_oracles(kernel, oracle):
+    # the int-pair value against the Fraction derivation, for every
+    # k = 1..20; the pair is in lowest terms
     for k in range(1, 21):
-        want = oracle(k)
-        assert kernel(k) == pair(want), k
-        assert wrapper(k) == want, k
+        assert kernel(k) == pair(oracle(k)), k
     for bad in (0, -1):
-        for function in (kernel, wrapper):
-            with pytest.raises(ValueError, match="index must be >= 1"):
-                function(bad)
+        with pytest.raises(ValueError, match="index must be >= 1"):
+            kernel(bad)
 
 
 @pytest.mark.parametrize("name", ["beta_series", "alpha_series"])
 def test_series_kernels_match_fraction_oracles_at_every_cut(name):
-    kernel, wrapper, oracle = SERIES[name]
+    kernel, oracle = SERIES[name]
     for k in (1, 2, 5, 9):
         for cut in (1, 2, 7, 14):
-            want = oracle(k, cut)
-            assert (kernel(k, cut), wrapper(k, cut)) == (pair(want), want), (k, cut)
+            assert kernel(k, cut) == pair(oracle(k, cut)), (k, cut)
 
 
 def certify_fraction_oracle(target):
@@ -743,6 +736,50 @@ def test_certify_matches_fraction_oracle(monkeypatch, target, patch):
     assert (cert.center, cert.radius) == (center, radius)
 
 
+def oracle_entry(name):
+    """The value certify_fraction_oracle derives for one chain entry."""
+    _, _, entries = certify_fraction_oracle("prop3")
+    return next(value for entry, value, *_ in entries if entry == name)
+
+
+# every value function of the gap calculus at sample arguments, with the
+# Fraction derivation it must equal
+VALUES = {
+    "geometric_series": (
+        lambda: geometric_series((-5, 6), (2, 9)),
+        lambda: _geometric_oracle(Fraction(-5, 6), Fraction(2, 9)),
+    ),
+    "gap_total": (
+        lambda: gap_total((2, 15)),
+        lambda: Fraction(4, 225) / 9 + 2 * _geometric_oracle(Fraction(4, 225) / 81, Fraction(1, 9)),
+    ),
+    "truncated_gap_sum": (
+        lambda: truncated_gap_sum((1, 243), 5), lambda: _truncated_oracle(Fraction(1, 243), 5)),
+    "first_level_gap_total": (first_level_gap_total, lambda: oracle_entry("level1_gap_total")),
+    "second_level_increment": (
+        second_level_increment, lambda: oracle_entry("level2_gap_increment")),
+    "beta": (lambda: beta(3), lambda: beta_oracle(3)),
+    "beta_series": (lambda: beta_series(3), lambda: beta_series_oracle(3)),
+    "alpha": (lambda: alpha(3), lambda: alpha_oracle(3)),
+    "alpha_series": (lambda: alpha_series(3), lambda: alpha_series_oracle(3)),
+    "deep_series_total total": (
+        lambda: deep_series_total()[0],
+        lambda: oracle_entry("deep_series_total") - oracle_entry("series_remainder_bound"),
+    ),
+    "deep_series_total epsilon": (
+        lambda: deep_series_total()[1], lambda: oracle_entry("series_remainder_bound")),
+    "unresolved_cells_bound": (
+        unresolved_cells_bound, lambda: oracle_entry("unresolved_cells_bound")),
+}
+
+
+@pytest.mark.parametrize("value, oracle", VALUES.values(), ids=VALUES)
+def test_values_are_lowest_terms_pairs_equal_to_fraction_oracles(value, oracle):
+    p, q = got = value()
+    assert type(p) is int and type(q) is int and q > 0 and gcd(p, q) == 1, got
+    assert Fraction(p, q) == oracle()
+
+
 def test_enclosure_helpers_match_certificates():
     center3, radius3 = level3_enclosure()
     center, radius = full_enclosure()
@@ -753,7 +790,7 @@ def test_enclosure_helpers_match_certificates():
 
 def test_level2_value_sits_inside_coarser_knowledge():
     # the exact level-2 value 5/9 - mu2 must lie above the certified center
-    mu2 = first_level_gap_total() + second_level_increment()
+    mu2 = Fraction(*first_level_gap_total()) + Fraction(*second_level_increment())
     center3, radius3 = level3_enclosure()
     level2 = Fraction(5, 9) - mu2
     assert level2 > center3 + radius3

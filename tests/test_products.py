@@ -174,10 +174,10 @@ def test_diagonal_refinement_removes_exactly_one_gap():
 
 
 def test_convergence_tail_values():
-    assert convergence_tail(0) == Fraction(1, 63)
-    assert convergence_tail(1) == Fraction(1, 63)
-    assert convergence_tail(2) == Fraction(2, 567)
-    assert convergence_tail(5) == Fraction(1, 63) * Fraction(2, 9) ** 4
+    assert convergence_tail(0) == (1, 63)
+    assert convergence_tail(1) == (1, 63)
+    assert convergence_tail(2) == (2, 567)
+    assert Fraction(*convergence_tail(5)) == Fraction(1, 63) * Fraction(2, 9) ** 4
     with pytest.raises(ValueError):
         convergence_tail(-1)
 
@@ -714,7 +714,7 @@ def test_estimate_record_matches_fraction_route():
         assert fields == (measure, tail, full), n
         assert [type(value) for value in fields] == [Fraction] * 3, n
         assert est.full_bounds() == Interval(half * (measure - tail), half * measure), n
-        assert convergence_tail(n) == tail, n
+        assert convergence_tail(n) == (tail.numerator, tail.denominator), n
         for digits in (1, 12, 50):
             assert est.to_json(digits) == estimate_json_oracle(
                 n, measure, tail, full, count, est.elapsed_ms, digits), (n, digits)

@@ -1,6 +1,7 @@
 """Tests for `ternary`: the integer text parser against the Fraction parser it
 replaced, membership over the int, Fraction and str forms of one value, and
-`_ratio` as the one reader behind `rat` and the gap calculus."""
+`_ratio` as the one reader behind `rat` and the gap oracles that read a
+rational."""
 
 from __future__ import annotations
 
@@ -10,10 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cantorprod.gaps import (
-    compare_products, gap_total, geometric_series, scaled_point, truncated_gap_sum,
-    truncated_gap_sum_series,
-)
+from cantorprod.gaps import compare_products, scaled_point, truncated_gap_sum_series
 from cantorprod.intervals import format_rational, parse_rational, rat
 from cantorprod.subdivision import ROOT, FastNode
 from cantorprod.ternary import classify_ternary, parse_ratio, ternary_expansion
@@ -102,11 +100,7 @@ GAP_ENTRIES = {
     "scaled_point": (lambda x: scaled_point(FastNode(5, 2), x), Fraction(16, 27)),
     "compare_products": (
         lambda x: compare_products(ROOT, x, Fraction(1, 3), 1, Fraction(2, 9)), -1),
-    "gap_total": (gap_total, Fraction(5, 324)),
-    "truncated_gap_sum": (lambda x: truncated_gap_sum(x, 2), Fraction(89, 5832)),
     "truncated_gap_sum_series": (lambda x: truncated_gap_sum_series(x, 2), Fraction(89, 5832)),
-    "geometric_series first": (lambda x: geometric_series(x, Fraction(1, 9)), Fraction(3, 8)),
-    "geometric_series ratio": (lambda x: geometric_series(Fraction(1, 2), x), Fraction(3, 4)),
 }
 
 
