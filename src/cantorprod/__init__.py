@@ -24,25 +24,24 @@ _SUBMODULES = ("ternary", "intervals", "subdivision", "products", "gaps", "rende
 
 _EXPORTS = {
     "ternary": (
-        "Membership", "TernaryExpansion", "cantor_membership", "classify_ternary",
-        "ternary_expansion",
+        "Membership", "TernaryExpansion", "classify_ternary", "ternary_expansion",
     ),
     "intervals": (
         "Interval", "IntervalSet", "Rational", "decimal_string", "format_rational",
         "parse_rational", "rat",
     ),
     "subdivision": (
-        "FastNode", "FastSubdivision", "ROOT", "fast_subdivision", "gap_set", "node_child",
-        "node_children", "removed_gaps", "right_half_subdivision", "squared_length_sum",
-        "standard_subdivision",
+        "FastNode", "FastSubdivision", "ROOT", "fast_subdivision", "g_interval", "gap_set",
+        "node_child", "node_children", "p_interval", "q_interval", "removed_gaps",
+        "right_half_subdivision", "squared_length_sum", "standard_subdivision",
     ),
     "products": (
         "EstimateResult", "FastBounds", "convergence_tail", "fast_bounds", "product_image",
-        "self_product_measure", "standard_estimate",
+        "standard_estimate",
     ),
     "gaps": (
         "Certificate", "CertificationError", "certify", "diagonal_gap", "full_enclosure",
-        "g_interval", "level3_enclosure", "p_interval", "q_interval", "verify_order_chain",
+        "level3_enclosure", "verify_order_chain",
     ),
     "render": ("render_svg",),
 }

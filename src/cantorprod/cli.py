@@ -234,7 +234,7 @@ def _selftest_checks():
     yield "full certificate", lambda: full().ok
     yield "full radius below 1e-6", lambda: gaps._holds("lt", full().radius_ratio, (1, 10**6))
     yield "standard bounds enclose the certified center", (
-        lambda: encloses(products.standard_estimate(3)._full_bounds(), full().center_ratio))
+        lambda: encloses(products.standard_estimate(3).full_bounds(), full().center_ratio))
     yield "fast bracket catches the removed measure", (
         lambda: encloses(fast_bracket(), after_two_rounds()))
     yield "order chain holds at the root", (

@@ -10,8 +10,9 @@ j = 0, 1, 2, it gives three interval families with endpoints over 9^d:
 * q_interval, the square of the tracked third, node_child's E_k = [a+2, a+3]
   (low) or F_k = [a, a+1] (high).
 
-The P and G formulas live on ints in subdivision._families, which the figure
-reads directly; p_interval and g_interval wrap its ends as Fractions.
+Each family has one function, in subdivision next to _side, which returns
+its (lo, hi) ends as lowest-terms pairs; this module imports them, and the
+order chain, the covering test and certify read the pairs directly.
 
 These intervals interleave in a fixed order (verify_order_chain), bands of a
 parent swallow most gaps of its children (the covering thresholds), and what
@@ -37,10 +38,10 @@ and give Fractions on access.  This module imports `fractions` and
 """
 
 import operator
-from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Any, Iterable, NamedTuple, Optional
 
 from . import _CERTIFY_TARGETS as TARGETS
-from .subdivision import ROOT, FastNode, _families, node_child
+from .subdivision import ROOT, FastNode, g_interval, node_child, p_interval, q_interval
 from .ternary import (
     Ratio, _fraction, _fraction_property, _lowest, _ratio, decimal_ratio, format_ratio,
 )
@@ -56,44 +57,6 @@ TARGET_LEVEL3, TARGET_FULL = TARGETS
 
 class CertificationError(Exception):
     """A certified identity failed to verify."""
-
-
-# ---------------------------------------------------------------------------
-# the three families, on the integer address of a side piece's first third
-
-
-def _interval(lo: int, hi: int, den: int) -> "Interval":
-    from .intervals import Interval
-
-    return Interval(_fraction(lo, den), _fraction(hi, den))
-
-
-def p_interval(node: FastNode, k: int, high_side: bool) -> "Interval":
-    """Band [a(a+2), (a+1)(a+3)]: the product of the side piece's two outer thirds."""
-    if k < 0:
-        raise ValueError("band index must be >= 0")
-    lo, hi, _, den = _families(node, k, high_side)
-    return _interval(lo, hi, den)
-
-
-def q_interval(node: FastNode, k: int, high_side: bool) -> "Interval":
-    """Square [c^2, (c+1)^2] of the k-th child cell, the side piece's tracked third."""
-    return _interval(*_square(node, k, high_side))
-
-
-def _square(node: FastNode, k: int, high_side: bool) -> tuple[int, int, int]:
-    """(q_lo, q_hi, 9^d): q_interval's ends as ints over 9^d, the one home of its formula."""
-    c, d = node_child(node, k, high_side)
-    return c * c, (c + 1) ** 2, 9**d
-
-
-def g_interval(node: FastNode, k: int, high_side: bool) -> "Interval":
-    """Diagonal gap [(a+1)(a+3), (a+2)^2] = diagonal_gap(side_piece(node, k, high_side)),
-    from the band's top to the upper third's square; both sides agree at k = 0."""
-    if k < 0:
-        raise ValueError("gap index must be >= 0")
-    _, lo, hi, den = _families(node, k, high_side)
-    return _interval(lo, hi, den)
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +162,9 @@ _CLIMB = (
 )
 
 
-def _climb(side: str, k: int, square: list[Ratio], families: list[Ratio]) -> list[ChainCheck]:
-    (q_lo, q_hi), (p_lo, p_hi, g_hi) = square, families
-    ends = (q_lo, p_lo, q_hi, p_hi, p_hi, g_hi)  # p.hi is g.lo
+def _climb(side: str, k: int, q: tuple[Ratio, Ratio], p: tuple[Ratio, Ratio],
+           g: tuple[Ratio, Ratio]) -> list[ChainCheck]:
+    ends = (q[0], p[0], q[1], p[1], g[0], g[1])
     return [
         _check(f"{name}_{side}", k, lhs, rhs, relation)
         for (name, relation), lhs, rhs in zip(_CLIMB, ends, ends[1:])
@@ -219,23 +182,18 @@ def verify_order_chain(node: FastNode, k_max: int) -> tuple[ChainCheck, ...]:
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-
-    def ends(family: Callable, k: int, high_side: bool) -> list[Ratio]:
-        """_square's [q.lo, q.hi] or _families' [p.lo, p.hi == g.lo, g.hi], as pairs."""
-        *ints, den = family(node, k, high_side)
-        return [_lowest(end, den) for end in ints]
-
     checks: list[ChainCheck] = []
     for k in range(k_max):
-        q_next, q_next_hi = ends(_square, k + 1, False), ends(_square, k + 1, True)
-        low, high = ends(_families, k, False), ends(_families, k, True)
-        g_next_hi = ends(_families, k + 1, False)[2]
+        q_next, q_next_hi = q_interval(node, k + 1, False), q_interval(node, k + 1, True)
+        g_low, g_high = g_interval(node, k, False), g_interval(node, k, True)
+        g_next_hi = g_interval(node, k + 1, False)[1]
         checks.append(_check("gap_square_touch_low", k + 1, g_next_hi, q_next[0], "eq"))
-        checks += _climb("low", k, q_next, low)
-        checks.append(_check("gap_low_before_high", k, low[2], high[2], "le"))
-        checks.append(_check("gap_square_touch_high", k, high[2], q_next_hi[0], "eq"))
+        checks += _climb("low", k, q_next, p_interval(node, k, False), g_low)
+        checks.append(_check("gap_low_before_high", k, g_low[1], g_high[1], "le"))
+        checks.append(_check("gap_square_touch_high", k, g_high[1], q_next_hi[0], "eq"))
     for k in range(1, k_max + 1):
-        checks += _climb("high", k, ends(_square, k, True), ends(_families, k, True))
+        q, p, g = (family(node, k, True) for family in (q_interval, p_interval, g_interval))
+        checks += _climb("high", k, q, p, g)
     return tuple(checks)
 
 
@@ -294,7 +252,7 @@ def child_gap_covered(parent: FastNode, k: int, l: int, high_child: bool) -> boo
         band = p_interval(parent, k, high_side=True)
     else:
         band = p_interval(parent, k - 1, high_side=False)
-    return band.lo < gap.lo and gap.hi < band.hi
+    return _holds("lt", band[0], gap[0]) and _holds("lt", gap[1], band[1])
 
 
 # ---------------------------------------------------------------------------
@@ -610,12 +568,10 @@ def certify(target: str = TARGET_LEVEL3) -> Certificate:
 
     e1 = node_child(ROOT, 1, high_side=False)
     d1p = node_child(e1, 1, high_side=True)
-    band_lo, _, _, band_den = _families(ROOT, 0, high_side=False)
-    add("band_floor", _lowest(band_lo, band_den))
-    # the special cell's square (q_interval(e1, 1, high) ends at its top) sits
-    # strictly below the round-one band, so its own gaps survive in full up to
-    # the covering threshold
-    add("special_cell_separation", _lowest((d1p.m + 1) ** 2, 9**d1p.k), relation="lt")
+    add("band_floor", p_interval(ROOT, 0, high_side=False)[0])
+    # the special cell's square sits strictly below the round-one band, so its
+    # own gaps survive in full up to the covering threshold
+    add("special_cell_separation", q_interval(e1, 1, high_side=True)[1], relation="lt")
     length = add("special_cell_length", (1, 3**d1p.k))
     threshold = high_cover_threshold(e1.m, 1)
     add("special_cell_gap_threshold", (threshold, 1))

@@ -36,9 +36,9 @@ Both routes run on ints from the cell addresses to their results.  Their
 records hold each measure as an integer over a power of 9, hand out reduced
 Fractions on access through ternary's one property factory, and write JSON
 straight from the ints through ternary's text kernels, so `art` and `fast`
-load neither `fractions` nor `intervals`; convergence_tail returns its
-lowest-terms pair.  The functions that take or return Fractions and
-IntervalSets import them where they run.
+load neither `fractions` nor `intervals`; convergence_tail and
+EstimateResult.full_bounds return lowest-terms pairs.  The functions that
+take or return Fractions and IntervalSets import them where they run.
 """
 
 import time
@@ -46,12 +46,13 @@ from math import isqrt, lcm
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .subdivision import ROOT, _ends, _fast_tree, _leaves
-from .ternary import Ratio, _fraction, _fraction_property, _merge_ends, decimal_ratio, format_ratio
+from .ternary import Ratio, _fraction, _fraction_property, _lowest, _merge_ends
+from .ternary import decimal_ratio, format_ratio
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
-    from .intervals import Interval, IntervalSet
+    from .intervals import IntervalSet
 
 STANDARD_LEVEL_LIMIT = 20
 FAST_LEVEL_LIMIT = 3
@@ -141,10 +142,6 @@ def self_product_stats(S: "IntervalSet") -> tuple["Fraction", int]:
     return _fraction(measure, den * den), count
 
 
-def self_product_measure(S: "IntervalSet") -> "Fraction":
-    return self_product_stats(S)[0]
-
-
 class EstimateResult(NamedTuple):
     """Standard-route estimate of the Cantor product-set measure at level n.
 
@@ -166,22 +163,17 @@ class EstimateResult(NamedTuple):
     def _full_ratio(self) -> tuple[int, int]:
         return 3 * self.scaled_measure, 2 * self.scale
 
-    def full_bounds(self) -> "Interval":
-        """Certified enclosure of measure(P(C x C)); n = 0 gives [17/21, 5/6].
+    def full_bounds(self) -> tuple[Ratio, Ratio]:
+        """Certified enclosure of measure(P(C x C)) as (lo, hi) lowest-terms
+        pairs, from the ints; n = 0 gives 17/21 and 5/6.
 
         set_measure overshoots the true right-half product measure by at most
         tail_bound, so the scaling identity pins the full measure inside
         [(3/2)(set_measure - tail_bound), (3/2) set_measure].
         """
-        from .intervals import Interval
-
-        return Interval(*(_fraction(*end) for end in self._full_bounds()))
-
-    def _full_bounds(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        """full_bounds' ends as (numerator, denominator) pairs, from the ints."""
         t, u = convergence_tail(self.n)
         low = 3 * (self.scaled_measure * u - t * self.scale), 2 * self.scale * u
-        return low, self._full_ratio()
+        return _lowest(*low), _lowest(*self._full_ratio())
 
     def to_json(self, digits: int = 12) -> dict:
         full = self._full_ratio()

@@ -15,11 +15,12 @@ so the figure can be checked against the certified values.  Each exact
 point is converted to float once, and each family value's hyperbola is
 sampled once per figure (no two families share a value).
 
-The figure runs on ints: the P and G ends come from subdivision._families,
-their one home, as lowest-terms (p, q) pairs, and the text is
-ternary.format_ratio's.  An int/int true division is correctly rounded, so
-every float is the one a Fraction would give.  This module loads only
-`subdivision` and `ternary`, and neither `fractions`, `intervals` nor `gaps`.
+The figure runs on ints: the P and G ends are the lowest-terms (p, q) pairs
+of subdivision.p_interval and g_interval, each family's one home, and the
+text is ternary.format_ratio's.  An int/int true division is correctly
+rounded, so every float is the one a Fraction would give.  This module loads
+only `subdivision` and `ternary`, and neither `fractions`, `intervals` nor
+`gaps`.
 
 _svg hands out the document line by line, each line built as it is read,
 and the CLI writes each one as it comes: at most one family's arcs are held
@@ -30,8 +31,8 @@ render_svg joins the same lines into one string.
 from itertools import chain
 from typing import Iterator
 
-from .subdivision import ROOT, UNIT, FastNode, _ends, _families, _leaves, node_child
-from .ternary import Ratio, _lowest, format_ratio
+from .subdivision import ROOT, UNIT, FastNode, _ends, _leaves, g_interval, node_child, p_interval
+from .ternary import Ratio, format_ratio
 
 MAX_DEPTH = 2
 MAX_KMAX = 6
@@ -77,12 +78,10 @@ def cell_families(
     for _ in range(depth):
         node = node_child(node, 1, high_side=False)
     tags = [(0, "±")] + [(k, side) for k in range(1, k_max + 1) for side in "-+"]
-    families = []
-    for k, side in tags:
-        *ends, den = _families(node, k, side == "+")
-        p_lo, mid, g_hi = (_lowest(end, den) for end in ends)
-        families.append((k, side, (p_lo, mid), (mid, g_hi)))
-    return node, families
+    return node, [
+        (k, side, p_interval(node, k, side == "+"), g_interval(node, k, side == "+"))
+        for k, side in tags
+    ]
 
 
 def cell_text(node: FastNode) -> tuple[str, str]:

@@ -24,9 +24,11 @@ both schemes are walks that append words.
   only.  Both brackets are exact: inner <= D_n <= outer.  Each of these
   words, and each gap I 0^k 1 or I 2^k 1, is a side piece I 0^k or I 2^k
   followed by one digit, and _side is the one place that builds them.
-  _families, next to it, is the int home of the band P and the diagonal
-  gap G of a side piece: the figure reads them as ints, gaps wraps them as
-  Fractions.
+  Next to it, p_interval, g_interval and q_interval hold the formulas of
+  the three families on a side piece, the band P, the diagonal gap G and
+  the child square Q, one function each.  Each returns its (lo, hi) ends as
+  lowest-terms (p, q) pairs: the figure, the order chain and certify read
+  them as they are.
 
 This module is the one place that turns an address into endpoints.  Every
 set of cells here is a _cover: _ends reads their integer ends at one scale
@@ -39,11 +41,13 @@ IntervalSets import `intervals` where they run.
 
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
+from .ternary import Ratio, _fraction, _fraction_property, _lowest, _merge_ends
+
 # Membership lives in `ternary`, which never loads `fractions`.  classify_ternary
 # is re-exported here because callers look it up on this module: perfbench's
 # tracer wraps `subdivision.classify_ternary` (its --trace 1 run fails without
 # it), and the selftest calls it through this module.
-from .ternary import _fraction, _fraction_property, _merge_ends, classify_ternary  # noqa: F401
+from .ternary import classify_ternary  # noqa: F401
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -130,16 +134,32 @@ def _side(node: FastNode, k: int, high_side: bool, digit: int) -> FastNode:
     return _append(node, digit + (3 ** (k + 1) - 3 if high_side else 0), k + 1)
 
 
-def _families(node: FastNode, k: int, high_side: bool) -> tuple[int, int, int, int]:
-    """(p_lo, p_hi == g_lo, g_hi, 9^d): the band P and the diagonal gap G of the
-    side piece node 0^k (low) or node 2^k (high), as ints over 9^d.
-
-    With the piece's first third a / 3^d, P = [a(a+2), (a+1)(a+3)] is the
-    product of its outer thirds and G = [(a+1)(a+3), (a+2)^2] is what its
-    middle removal opens on the diagonal: the one home of both formulas.
-    """
+def p_interval(node: FastNode, k: int, high_side: bool) -> tuple[Ratio, Ratio]:
+    """Band P = [a(a+2), (a+1)(a+3)] / 9^d of the side piece node 0^k (low) or
+    node 2^k (high), whose first third is a / 3^d: the product of its two
+    outer thirds, as (lo, hi) lowest-terms pairs."""
+    if k < 0:
+        raise ValueError("band index must be >= 0")
     a, d = _side(node, k, high_side, 0)
-    return a * (a + 2), (a + 1) * (a + 3), (a + 2) ** 2, 9**d
+    return _lowest(a * (a + 2), 9**d), _lowest((a + 1) * (a + 3), 9**d)
+
+
+def g_interval(node: FastNode, k: int, high_side: bool) -> tuple[Ratio, Ratio]:
+    """Diagonal gap G = [(a+1)(a+3), (a+2)^2] / 9^d of the same side piece, as
+    pairs: what its middle removal opens on the diagonal, from the band's top
+    to the upper third's square (gaps.diagonal_gap of the piece); both sides
+    agree at k = 0."""
+    if k < 0:
+        raise ValueError("gap index must be >= 0")
+    a, d = _side(node, k, high_side, 0)
+    return _lowest((a + 1) * (a + 3), 9**d), _lowest((a + 2) ** 2, 9**d)
+
+
+def q_interval(node: FastNode, k: int, high_side: bool) -> tuple[Ratio, Ratio]:
+    """Square Q = [c^2, (c+1)^2] / 9^d of the k-th child cell c / 3^d (k >= 1),
+    the side piece's tracked third, as pairs."""
+    c, d = node_child(node, k, high_side)
+    return _lowest(c * c, 9**d), _lowest((c + 1) ** 2, 9**d)
 
 
 def _gaps(node: FastNode, K: int) -> list[FastNode]:

@@ -189,9 +189,3 @@ def classify_ternary(x: "int | Fraction | str",
     if not exp.complete:
         return Membership.UNDETERMINED, exp
     return Membership.MEMBER, exp
-
-
-def cantor_membership(x: "int | Fraction | str", max_digits: int = 4096) -> Membership:
-    """Membership of x in the middle-third Cantor set (exact for rationals)."""
-    verdict, _ = classify_ternary(x, max_digits)
-    return verdict

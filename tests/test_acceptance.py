@@ -48,7 +48,7 @@ from cantorprod.gaps import (
     verify_order_chain,
 )
 from cantorprod.intervals import Interval, IntervalSet
-from cantorprod.products import fast_bounds, product_image, self_product_measure, standard_estimate
+from cantorprod.products import fast_bounds, product_image, self_product_stats, standard_estimate
 from cantorprod.subdivision import (
     ROOT,
     fast_subdivision,
@@ -56,7 +56,7 @@ from cantorprod.subdivision import (
     removed_gaps,
     right_half_subdivision,
 )
-from cantorprod.ternary import Membership, cantor_membership
+from cantorprod.ternary import Membership, classify_ternary
 
 P6 = 9**6
 P10 = 9**10
@@ -77,7 +77,7 @@ def split_middle(piece: Interval) -> IntervalSet:
 
 def test_criterion_1_base_product():
     start = time.perf_counter()
-    value = self_product_measure(IntervalSet([["2/3", "1"]]))
+    value = self_product_stats(IntervalSet([["2/3", "1"]]))[0]
     elapsed = time.perf_counter() - start
     ok = value == Fraction(5, 9) and elapsed < 1.0
     report(1, ok, f"P([2/3,1]^2) measure = {value} in {elapsed:.4f} s")
@@ -328,7 +328,7 @@ def test_criterion_8_membership_against_brackets():
     members = 0
     escapes = []
     for x in samples:
-        if cantor_membership(x) is Membership.MEMBER:
+        if classify_ternary(x)[0] is Membership.MEMBER:
             members += 1
             if not outer.contains(x):
                 escapes.append(x)
@@ -336,7 +336,7 @@ def test_criterion_8_membership_against_brackets():
     bad_midpoints = [
         (g.lo + g.hi) / 2
         for g in gaps
-        if cantor_membership((g.lo + g.hi) / 2) is not Membership.NON_MEMBER
+        if classify_ternary((g.lo + g.hi) / 2)[0] is not Membership.NON_MEMBER
     ]
     ok = not escapes and not bad_midpoints
     report(
@@ -356,10 +356,10 @@ def test_criterion_9_standard_inside_full_certificate():
     # enclosure must lie inside the gap-calculus certificate's center +- r
     center, radius = full_enclosure()
     start = time.perf_counter()
-    bounds = standard_estimate(20).full_bounds()
+    lo, hi = (Fraction(*end) for end in standard_estimate(20).full_bounds())
     elapsed = time.perf_counter() - start
-    low_margin = bounds.lo - (center - radius)
-    high_margin = (center + radius) - bounds.hi
+    low_margin = lo - (center - radius)
+    high_margin = (center + radius) - hi
     ok = low_margin >= 0 and high_margin >= 0
     report(
         9,

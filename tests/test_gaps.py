@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import operator
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from math import gcd
 
 import pytest
 
+from cantorprod import gaps
 from cantorprod.gaps import (
     EXPECTED,
     Certificate,
@@ -26,14 +28,11 @@ from cantorprod.gaps import (
     diagonal_gap,
     first_level_gap_total,
     full_enclosure,
-    g_interval,
     gap_total,
     geometric_series,
     high_cover_threshold,
     level3_enclosure,
     low_cover_threshold,
-    p_interval,
-    q_interval,
     scaled_point,
     second_level_increment,
     side_piece,
@@ -43,10 +42,11 @@ from cantorprod.gaps import (
     verify_order_chain,
 )
 from cantorprod.intervals import Interval, IntervalSet
-from cantorprod.products import product_image
+from cantorprod.products import product_image, standard_estimate
 from cantorprod.render import MAX_DEPTH, MAX_KMAX, cell_families
 from cantorprod.subdivision import (
-    ROOT, FastNode, _fast_tree, _rounds, node_child, right_half_subdivision,
+    ROOT, FastNode, _fast_tree, _rounds, _side, g_interval, node_child, p_interval, q_interval,
+    right_half_subdivision,
 )
 
 P6 = 9**6
@@ -65,20 +65,24 @@ def genuine_node(rng: random.Random, depth: int) -> FastNode:
 
 
 def test_root_band_gap_square_pins():
-    assert p_interval(ROOT, 0, high_side=False) == Interval(Fraction(16, 27), Fraction(7, 9))
-    assert p_interval(ROOT, 0, high_side=True) == Interval(Fraction(16, 27), Fraction(7, 9))
-    assert g_interval(ROOT, 0, high_side=False) == Interval(Fraction(7, 9), Fraction(64, 81))
-    assert g_interval(ROOT, 0, high_side=True) == Interval(Fraction(7, 9), Fraction(64, 81))
-    assert p_interval(ROOT, 1, high_side=False) == Interval(Fraction(40, 81), Fraction(133, 243))
-    assert g_interval(ROOT, 1, high_side=False) == Interval(Fraction(133, 243), Fraction(400, 729))
-    assert p_interval(ROOT, 1, high_side=True) == Interval(Fraction(208, 243), Fraction(25, 27))
-    assert g_interval(ROOT, 1, high_side=True) == Interval(Fraction(25, 27), Fraction(676, 729))
-    assert p_interval(ROOT, 2, high_side=False) == Interval(Fraction(112, 243), Fraction(1045, 2187))
-    assert g_interval(ROOT, 2, high_side=False) == Interval(
-        Fraction(1045, 2187), Fraction(3136, 6561)
-    )
-    assert q_interval(ROOT, 1, high_side=False) == Interval(Fraction(400, 729), Fraction(49, 81))
-    assert q_interval(ROOT, 1, high_side=True) == Interval(Fraction(64, 81), Fraction(625, 729))
+    assert p_interval(ROOT, 0, high_side=False) == ((16, 27), (7, 9))
+    assert p_interval(ROOT, 0, high_side=True) == ((16, 27), (7, 9))
+    assert g_interval(ROOT, 0, high_side=False) == ((7, 9), (64, 81))
+    assert g_interval(ROOT, 0, high_side=True) == ((7, 9), (64, 81))
+    assert p_interval(ROOT, 1, high_side=False) == ((40, 81), (133, 243))
+    assert g_interval(ROOT, 1, high_side=False) == ((133, 243), (400, 729))
+    assert p_interval(ROOT, 1, high_side=True) == ((208, 243), (25, 27))
+    assert g_interval(ROOT, 1, high_side=True) == ((25, 27), (676, 729))
+    assert p_interval(ROOT, 2, high_side=False) == ((112, 243), (1045, 2187))
+    assert g_interval(ROOT, 2, high_side=False) == ((1045, 2187), (3136, 6561))
+    assert q_interval(ROOT, 1, high_side=False) == ((400, 729), (49, 81))
+    assert q_interval(ROOT, 1, high_side=True) == ((64, 81), (625, 729))
+
+
+def interval(ends):
+    """A family's (lo, hi) pair of (p, q) pairs as an Interval, to meet the Fraction oracles."""
+    (a, b), (c, d) = ends
+    return Interval(Fraction(a, b), Fraction(c, d))
 
 
 def _p_oracle(node, k, high_side):
@@ -121,14 +125,14 @@ def test_families_match_scaled_point_oracles():
     for node in nodes:
         for high_side in (False, True):
             for k in range(9):
-                p = p_interval(node, k, high_side)
-                g = g_interval(node, k, high_side)
+                p = interval(p_interval(node, k, high_side))
+                g = interval(g_interval(node, k, high_side))
                 assert p == _p_oracle(node, k, high_side)
                 assert g == _g_oracle(node, k, high_side)
                 assert p.hi == g.lo
                 if k == 0:
                     continue
-                q = q_interval(node, k, high_side)
+                q = interval(q_interval(node, k, high_side))
                 assert q == _q_oracle(node, k, high_side)
                 if not high_side:
                     assert g.hi == q.lo
@@ -137,8 +141,8 @@ def test_families_match_scaled_point_oracles():
 
 
 def test_render_families_match_scaled_point_oracles():
-    # the figure's int pairs against the oracles, not against p_interval and
-    # g_interval: those wrap the same int kernel, subdivision._families
+    # the figure's int pairs against the oracles: the figure reads p_interval
+    # and g_interval, so comparing it with them would check nothing
     def ratio(x):
         return x.numerator, x.denominator
 
@@ -169,7 +173,7 @@ def test_gap_is_diagonal_gap_of_side_piece():
         node = genuine_node(rng, rng.randint(0, 2))
         k = rng.randint(0, 6)
         side = rng.random() < 0.5
-        assert g_interval(node, k, side) == diagonal_gap(side_piece(node, k, side))
+        assert interval(g_interval(node, k, side)) == diagonal_gap(side_piece(node, k, side))
 
 
 def test_child_cell_matches_recursive_route():
@@ -188,9 +192,9 @@ def test_square_interval_is_product_of_child_cell():
         k = rng.randint(1, 4)
         side = rng.random() < 0.5
         cell = child_cell(node, k, side)
-        assert q_interval(node, k, side) == Interval(cell.lo**2, cell.hi**2)
+        assert interval(q_interval(node, k, side)) == Interval(cell.lo**2, cell.hi**2)
         prod = product_image(IntervalSet([cell]))
-        assert prod == IntervalSet([q_interval(node, k, side)])
+        assert prod == IntervalSet([interval(q_interval(node, k, side))])
 
 
 def test_band_is_a_product_rectangle():
@@ -207,7 +211,7 @@ def test_band_is_a_product_rectangle():
         else:
             a = child_cell(node, k, side)
             b = side_piece(node, k + 1, side)
-        band = p_interval(node, k, side)
+        band = interval(p_interval(node, k, side))
         prod = product_image(IntervalSet([a]), IntervalSet([b]))
         assert prod == IntervalSet([band])
 
@@ -218,7 +222,7 @@ def test_root_gaps_are_holes_of_brute_force_products():
     for k in range(4):
         prod = product_image(right_half_subdivision(k + 2))
         for side in (False, True):
-            g = g_interval(ROOT, k, side)
+            g = interval(g_interval(ROOT, k, side))
             assert prod.intersection(IntervalSet([g])).measure() == 0
 
 
@@ -226,7 +230,7 @@ def test_root_bands_stay_covered_in_deep_products():
     prod = product_image(right_half_subdivision(9))
     for k in range(6):
         for side in (False, True):
-            band = p_interval(ROOT, k, side)
+            band = interval(p_interval(ROOT, k, side))
             assert IntervalSet([band]).subset_of(prod)
 
 
@@ -288,12 +292,12 @@ def order_chain_oracle(node, k_max):
         checks.append((name, k, ops[relation](lhs, rhs), lhs, rhs, relation))
 
     for k in range(k_max):
-        g_next = g_interval(node, k + 1, high_side=False)
-        q_next = q_interval(node, k + 1, high_side=False)
-        p_cur = p_interval(node, k, high_side=False)
-        g_cur = g_interval(node, k, high_side=False)
-        g_cur_hi = g_interval(node, k, high_side=True)
-        q_next_hi = q_interval(node, k + 1, high_side=True)
+        g_next = interval(g_interval(node, k + 1, high_side=False))
+        q_next = interval(q_interval(node, k + 1, high_side=False))
+        p_cur = interval(p_interval(node, k, high_side=False))
+        g_cur = interval(g_interval(node, k, high_side=False))
+        g_cur_hi = interval(g_interval(node, k, high_side=True))
+        q_next_hi = interval(q_interval(node, k + 1, high_side=True))
         check("gap_square_touch_low", k + 1, g_next.hi, q_next.lo, "eq")
         check("square_starts_below_band_low", k, q_next.lo, p_cur.lo, "lt")
         check("band_enters_square_low", k, p_cur.lo, q_next.hi, "lt")
@@ -303,9 +307,9 @@ def order_chain_oracle(node, k_max):
         check("gap_low_before_high", k, g_cur.hi, g_cur_hi.hi, "le")
         check("gap_square_touch_high", k, g_cur_hi.hi, q_next_hi.lo, "eq")
     for k in range(1, k_max + 1):
-        q_cur = q_interval(node, k, high_side=True)
-        p_cur = p_interval(node, k, high_side=True)
-        g_cur = g_interval(node, k, high_side=True)
+        q_cur = interval(q_interval(node, k, high_side=True))
+        p_cur = interval(p_interval(node, k, high_side=True))
+        g_cur = interval(g_interval(node, k, high_side=True))
         check("square_starts_below_band_high", k, q_cur.lo, p_cur.lo, "lt")
         check("band_enters_square_high", k, p_cur.lo, q_cur.hi, "lt")
         check("square_ends_inside_band_high", k, q_cur.hi, p_cur.hi, "lt")
@@ -330,14 +334,28 @@ def test_order_chain_matches_written_out_oracle():
             assert chain_holds(checks) == all(c[2] for c in want)
 
 
+def test_band_touches_gap_compares_the_band_with_the_gap(monkeypatch):
+    # a gap whose lower end sits one unit of 9^-d below the band's top breaks
+    # the two band_touches_gap links at every index, and no other link
+    def lowered(node, k, high_side):
+        lo, hi = g_interval(node, k, high_side)
+        return pair(Fraction(*lo) - Fraction(1, 9 ** _side(node, k, high_side, 0).k)), hi
+
+    monkeypatch.setattr(gaps, "g_interval", lowered)
+    failed = [(c.name, c.k) for c in verify_order_chain(ROOT, 3) if not c.holds]
+    assert failed == [("band_touches_gap_low", k) for k in range(3)] + [
+        ("band_touches_gap_high", k) for k in range(1, 4)
+    ]
+
+
 def test_low_flank_scaffold_ascends():
     # climbing the low flank: gap k+1 touches square k+1, the band overlaps
     # the square from above, and the band's top is the next gap's bottom
     for k in range(0, 5):
-        g_next = g_interval(ROOT, k + 1, high_side=False)
-        q_next = q_interval(ROOT, k + 1, high_side=False)
-        p_cur = p_interval(ROOT, k, high_side=False)
-        g_cur = g_interval(ROOT, k, high_side=False)
+        g_next = interval(g_interval(ROOT, k + 1, high_side=False))
+        q_next = interval(q_interval(ROOT, k + 1, high_side=False))
+        p_cur = interval(p_interval(ROOT, k, high_side=False))
+        g_cur = interval(g_interval(ROOT, k, high_side=False))
         assert g_next.hi == q_next.lo
         assert q_next.lo < p_cur.lo < q_next.hi < p_cur.hi
         assert p_cur.hi == g_cur.lo < g_cur.hi
@@ -679,8 +697,8 @@ def certify_fraction_oracle(target):
 
     e1 = node_child(ROOT, 1, high_side=False)
     d1p = node_child(e1, 1, high_side=True)
-    add("band_floor", p_interval(ROOT, 0, high_side=False).lo)
-    add("special_cell_separation", q_interval(e1, 1, high_side=True).hi, relation="lt")
+    add("band_floor", interval(p_interval(ROOT, 0, high_side=False)).lo)
+    add("special_cell_separation", interval(q_interval(e1, 1, high_side=True)).hi, relation="lt")
     add("special_cell_length", d1p.length)
     threshold = high_cover_threshold(e1.m, 1)
     add("special_cell_gap_threshold", Fraction(threshold))
@@ -778,6 +796,40 @@ def test_values_are_lowest_terms_pairs_equal_to_fraction_oracles(value, oracle):
     p, q = got = value()
     assert type(p) is int and type(q) is int and q > 0 and gcd(p, q) == 1, got
     assert Fraction(p, q) == oracle()
+
+
+# each family at the root and its children E_k, F_k for k <= 3, index up to
+# 4, and the standard route's enclosure at n = 0..8, with the Fraction
+# derivation it must equal: a (lo, hi) pair of pairs
+NODES = [ROOT] + [node_child(ROOT, k, side) for k in range(1, 4) for side in (False, True)]
+ENDS = {
+    "p_interval": (p_interval, _p_oracle, range(5)),
+    "g_interval": (g_interval, _g_oracle, range(5)),
+    "q_interval": (q_interval, _q_oracle, range(1, 5)),
+}
+
+
+def _full_bounds_oracle(n):
+    est = standard_estimate(n)
+    return Interval(Fraction(3, 2) * (est.set_measure - est.tail_bound), est.full_value)
+
+
+def ends_cases(name):
+    """(the function's ends, its oracle's Interval, the arguments) at each sample."""
+    if name == "full_bounds":
+        return [(standard_estimate(n).full_bounds(), _full_bounds_oracle(n), n) for n in range(9)]
+    family, oracle, ks = ENDS[name]
+    return [(family(*args), oracle(*args), args)
+            for args in itertools.product(NODES, ks, (False, True))]
+
+
+@pytest.mark.parametrize("name", [*ENDS, "full_bounds"])
+def test_ends_are_lowest_terms_pairs_equal_to_fraction_oracles(name):
+    for got, want, args in ends_cases(name):
+        assert len(got) == 2, args
+        for p, q in got:
+            assert type(p) is int and type(q) is int and q > 0 and gcd(p, q) == 1, (args, got)
+        assert interval(got) == want, args
 
 
 def test_enclosure_helpers_match_certificates():

@@ -29,7 +29,7 @@ from cantorprod.subdivision import (
     squared_length_sum,
     standard_subdivision,
 )
-from cantorprod.ternary import Membership, cantor_membership, classify_ternary, ternary_expansion
+from cantorprod.ternary import Membership, classify_ternary, ternary_expansion
 
 UNIT = IntervalSet([["0", "1"]])
 RIGHT = IntervalSet([["2/3", "1"]])
@@ -289,8 +289,8 @@ def test_fast_brackets_nest():
 def test_fast_inner_endpoints_are_members():
     sub = fast_subdivision(2, 2)
     for cell in sub.inner:
-        assert cantor_membership(cell.lo) is Membership.MEMBER
-        assert cantor_membership(cell.hi) is Membership.MEMBER
+        assert classify_ternary(cell.lo)[0] is Membership.MEMBER
+        assert classify_ternary(cell.hi)[0] is Membership.MEMBER
 
 
 def test_fast_outer_covers_right_half_refinements():
@@ -337,7 +337,7 @@ def test_gap_midpoints_are_non_members():
     gaps = removed_gaps(2, 3)
     for g in gaps:
         mid = (g.lo + g.hi) / 2
-        assert cantor_membership(mid) is Membership.NON_MEMBER
+        assert classify_ternary(mid)[0] is Membership.NON_MEMBER
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +503,7 @@ def test_covers_build_no_cell_and_call_no_canonicaliser(monkeypatch):
     ],
 )
 def test_membership_spot_checks(x, verdict):
-    assert cantor_membership(x) is verdict
+    assert classify_ternary(x)[0] is verdict
 
 
 def test_membership_symmetry():
@@ -512,7 +512,7 @@ def test_membership_symmetry():
         x = Fraction(rng.randint(0, 200), rng.randint(1, 200))
         if x > 1:
             x = 1 / x
-        assert cantor_membership(x) is cantor_membership(1 - x)
+        assert classify_ternary(x)[0] is classify_ternary(1 - x)[0]
 
 
 def test_membership_closed_under_thirds():
@@ -521,9 +521,9 @@ def test_membership_closed_under_thirds():
         x = Fraction(rng.randint(0, 120), rng.randint(1, 120))
         if x > 1:
             x = 1 / x
-        if cantor_membership(x) is Membership.MEMBER:
-            assert cantor_membership(x / 3) is Membership.MEMBER
-            assert cantor_membership((x + 2) / 3) is Membership.MEMBER
+        if classify_ternary(x)[0] is Membership.MEMBER:
+            assert classify_ternary(x / 3)[0] is Membership.MEMBER
+            assert classify_ternary((x + 2) / 3)[0] is Membership.MEMBER
 
 
 def test_membership_of_constructed_digit_strings():
@@ -531,11 +531,11 @@ def test_membership_of_constructed_digit_strings():
     for _ in range(100):
         digits = [rng.choice((0, 2)) for _ in range(rng.randint(1, 12))]
         x = sum(Fraction(d, 3 ** (i + 1)) for i, d in enumerate(digits))
-        assert cantor_membership(x) is Membership.MEMBER
+        assert classify_ternary(x)[0] is Membership.MEMBER
         # flipping any digit to 1 with a nonzero continuation leaves the set
         pos = rng.randrange(len(digits))
         y = x + Fraction(1 - digits[pos], 3 ** (pos + 1)) + Fraction(1, 3 ** (len(digits) + 2))
-        assert cantor_membership(y) is Membership.NON_MEMBER
+        assert classify_ternary(y)[0] is Membership.NON_MEMBER
 
 
 def _ternary_value(digits, cycle=()):
