@@ -21,8 +21,18 @@ routes: the gap calculus' public values (`gaps.beta`,
 `gaps.verify_order_chain`, ...) are lowest-terms int pairs, so no command
 loads `fractions` or `intervals`.  `_emit` writes its output chunk by chunk:
 `render` streams the figure line by line as it is built.
+
+`run()` is the process entry, for `python -m cantorprod.cli` and the
+`cantorprod` console script alike; `main(argv)` is the in-process API and
+returns the exit code.  `run` calls `main`, runs the `atexit` handlers,
+flushes stdout and stderr and ends with `os._exit`, skipping interpreter
+teardown: on a 2-core x86 host a command does its own work in 2-10 ms, while
+freeing the ~100 modules that site-packages `.pth` hooks load before it takes
+6-15 ms at exit.  Code that must run after a command, such as a profiler,
+calls `main`.
 """
 
+import atexit
 import functools
 import os
 import sys
@@ -313,6 +323,7 @@ def _help(value: Optional[str], command: Optional[str]) -> NoReturn:
         defaults = [f"--{n} {d}" for n, _, d in COMMANDS[command][2] if d not in (None, REQUIRED)]
         body = f"{COMMANDS[command][1]}\n\ndefaults: {' '.join(defaults) or 'none'}\n"
     sys.stdout.write(f"usage: {_usage(command)}\n\n{body}\nWrite --opt VALUE or --opt=VALUE.\n")
+    sys.stdout.flush()  # a failed write to stdout raises here, inside main
     raise SystemExit(0)
 
 
@@ -391,10 +402,11 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = parse_args(sys.argv[1:] if argv is None else argv)
-    if not 1 <= getattr(args, "digits", 1) <= MAX_DIGITS:
-        _fail(f"digits must be in 1..{MAX_DIGITS}", args.command)
+    args = None
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)  # --help writes to stdout
+        if not 1 <= getattr(args, "digits", 1) <= MAX_DIGITS:
+            _fail(f"digits must be in 1..{MAX_DIGITS}", args.command)
         code = COMMANDS[args.command][0](args)
         sys.stdout.flush()  # a failed write to stdout raises here, not at exit
     except ValueError as exc:  # a rejected argument value: usage error, exit 2
@@ -410,5 +422,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return code
 
 
+def run() -> NoReturn:
+    """Run `main` on sys.argv and end the process with its exit code.
+
+    A usage error or --help ends `main` with SystemExit; its code is read as
+    `sys.exit` reads it.  The `atexit` handlers run and stdout and stderr are
+    flushed, as at a normal exit; then `os._exit` skips module teardown and the
+    final collection, which free nothing the exiting process needs.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = 0 if exc.code is None else exc.code
+    atexit._run_exitfuncs()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    run()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from cantorprod import cli, gaps
 from cantorprod.gaps import EXPECTED
 from cantorprod.render import render_svg
+from test_reachability import COMMAND_LINES
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -346,11 +348,16 @@ def test_selftest_reports_a_raising_check_with_its_traceback(capsys, monkeypatch
     assert err.endswith("ZeroDivisionError: division by zero\n")
 
 
+# a child's stdout is block-buffered, as in a shell pipeline, whatever the
+# environment the tests run in
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+CHILD_ENV.pop("PYTHONUNBUFFERED", None)
+
+
 def run_module(argv, stdout) -> tuple[int, bytes]:
     """Run `python -m cantorprod.cli` with the given stdout; (exit code, stderr)."""
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-m", "cantorprod.cli", *argv], stdout=stdout,
-                          stderr=subprocess.PIPE, env=env)
+                          stderr=subprocess.PIPE, env=CHILD_ENV)
     return proc.returncode, proc.stderr
 
 
@@ -360,8 +367,9 @@ DEEPEST_FIGURE = ["render", "--n", "2", "--K", "6"]
 
 
 @pytest.mark.parametrize("argv", [["selftest"], ["member", "--x", "1/4"], ["certify"],
-                                  DEEPEST_FIGURE],
-                         ids=["selftest", "member", "certify", "render"])
+                                  DEEPEST_FIGURE, ["--help"], ["certify", "--help"]],
+                         ids=["selftest", "member", "certify", "render", "help",
+                              "certify-help"])
 def test_closed_stdout_pipe_exits_1_quietly(argv):
     read_end, write_end = os.pipe()
     os.close(read_end)  # closed before the child starts: its first write fails
@@ -378,11 +386,10 @@ def test_reader_closing_mid_figure_is_a_failed_write():
     fcntl = pytest.importorskip("fcntl")
     if not hasattr(fcntl, "F_SETPIPE_SZ"):
         pytest.skip("needs F_SETPIPE_SZ")
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     read_end, write_end = os.pipe()
     fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)  # far less than the figure
     proc = subprocess.Popen([sys.executable, "-m", "cantorprod.cli", *DEEPEST_FIGURE],
-                            stdout=write_end, stderr=subprocess.PIPE, env=env)
+                            stdout=write_end, stderr=subprocess.PIPE, env=CHILD_ENV)
     os.close(write_end)
     with open(read_end, "rb", buffering=0) as pipe:
         head = pipe.read(100)
@@ -394,14 +401,67 @@ def test_reader_closing_mid_figure_is_a_failed_write():
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("argv", [["render", "--n", "0", "--K", "1"], ["selftest"],
                                   ["member", "--x", "1/4", "--format", "json"],
-                                  DEEPEST_FIGURE],
-                         ids=["render", "selftest", "member", "deepest-render"])
+                                  DEEPEST_FIGURE, ["--help"], ["certify", "--help"]],
+                         ids=["render", "selftest", "member", "deepest-render", "help",
+                              "certify-help"])
 def test_failed_write_is_an_error_not_a_usage_error(argv):
     want = (1, b"cantorprod: error: cannot write output: No space left on device\n")
     with open("/dev/full", "wb") as full:
         assert run_module(argv, full) == want
-    if argv[0] != "selftest":  # --out opens /dev/full fine; the write fails
+    # --out opens /dev/full fine and the write fails; selftest and --help write no --out
+    if argv[0] != "selftest" and "--help" not in argv:
         assert run_module([*argv, "--out", "/dev/full"], subprocess.DEVNULL) == want
+
+
+def masked(text: str) -> str:
+    """The text with every elapsed_ms value, JSON or text, read as 0."""
+    return re.sub(r'("elapsed_ms": |elapsed_ms = )\d+', r"\g<1>0", text)
+
+
+@pytest.mark.parametrize("argv", COMMAND_LINES, ids=" ".join)
+def test_module_run_matches_main_in_process(capsys, argv):
+    # `python -m cantorprod.cli` ends through cli.run and os._exit: what it
+    # writes and its exit code are main's
+    proc = subprocess.run([sys.executable, "-m", "cantorprod.cli", *argv], capture_output=True,
+                          env=CHILD_ENV)
+    code, out, err = run_cli(capsys, *argv)
+    assert proc.returncode == code
+    assert masked(proc.stdout.decode("utf-8")) == masked(out)
+    assert masked(proc.stderr.decode("utf-8")) == masked(err)
+
+
+@pytest.mark.parametrize("argv", [["art", "--n", "13"], ["certify", "--target", "theorem"],
+                                  DEEPEST_FIGURE], ids=["art", "certify", "render"])
+def test_out_file_is_complete_when_the_process_ends(tmp_path, argv):
+    target = tmp_path / "out"
+    written = subprocess.run([sys.executable, "-m", "cantorprod.cli", *argv, "--out", str(target)],
+                             capture_output=True, env=CHILD_ENV)
+    assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
+    printed = subprocess.run([sys.executable, "-m", "cantorprod.cli", *argv],
+                             capture_output=True, env=CHILD_ENV)
+    assert printed.returncode == 0
+    assert masked(target.read_text(encoding="utf-8")) == masked(printed.stdout.decode("utf-8"))
+
+
+# registers a handler that writes to stdout: os._exit keeps it only if run
+# flushes after the handlers have run
+ATEXIT_PROBE = """\
+import atexit
+from cantorprod import cli
+atexit.register(print, "atexit handler ran")
+cli.run()
+"""
+
+
+@pytest.mark.parametrize("argv, want", [(["member", "--x", "1/4"], 0), (["art", "--n", "99"], 2),
+                                        (["--help"], 0), (["certify", "--help"], 0)],
+                         ids=["member", "usage-error", "help", "certify-help"])
+def test_run_runs_atexit_handlers_and_keeps_the_exit_code(argv, want):
+    proc = subprocess.run([sys.executable, "-c", ATEXIT_PROBE, *argv], capture_output=True,
+                          env=CHILD_ENV)
+    assert proc.returncode == want
+    assert proc.stdout.endswith(b"atexit handler ran\n")
+    assert (proc.stderr == b"") == (want == 0)
 
 
 def test_no_command_is_usage_error(capsys):

@@ -1,9 +1,11 @@
 """The reachability gate: every function in src/cantorprod is run by a command,
 or is listed here with the role that keeps it.
 
-One fresh interpreter runs the command lines below in process, through
-`cli.main`, under `sys.setprofile`, from before the package is imported, so
-what runs at import counts too.  It reports every code object it entered.
+One fresh interpreter runs the command lines below in process, under
+`sys.setprofile`, from before the package is imported, so what runs at import
+counts too.  All but the last go through `cli.main`; the last goes through
+`cli.run`, the process entry, with `os._exit` stubbed to raise SystemExit so
+the probe lives on.  It reports every code object it entered.
 Each `def` in the package (methods and nested functions included, lambdas
 and comprehensions not) that no run entered must be in UNREACHED, and every
 entry there must still exist and still go unreached, so the list cannot go
@@ -34,7 +36,7 @@ COMMAND_LINES = [
 ]
 
 PROBE = """\
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 entered = set()
 
 def profile(frame, event, arg):
@@ -42,13 +44,19 @@ def profile(frame, event, arg):
         code = frame.f_code
         entered.add((code.co_filename, code.co_name, code.co_firstlineno))
 
+def exit_here(code):
+    raise SystemExit(code)
+
+os._exit = exit_here
 sys.setprofile(profile)
 from cantorprod import cli
-for argv in json.loads(sys.argv[1]):
+*lines, last = json.loads(sys.argv[1])
+sys.argv[1:] = last  # the command line cli.run reads
+for run in [*(lambda argv=argv: cli.main(argv) for argv in lines), cli.run]:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            cli.main(argv)
-        except SystemExit:  # --help and the usage error
+            run()
+        except SystemExit:  # --help, the usage error and cli.run's os._exit
             pass
 sys.setprofile(None)
 print(json.dumps(sorted(entered)))
