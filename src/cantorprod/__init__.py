@@ -36,12 +36,11 @@ _EXPORTS = {
         "right_half_subdivision", "squared_length_sum", "standard_subdivision",
     ),
     "products": (
-        "EstimateResult", "FastBounds", "convergence_tail", "fast_bounds", "product_image",
-        "standard_estimate",
+        "EstimateResult", "FastBounds", "convergence_tail", "fast_bounds", "standard_estimate",
     ),
     "gaps": (
-        "Certificate", "CertificationError", "certify", "diagonal_gap", "full_enclosure",
-        "level3_enclosure", "verify_order_chain",
+        "Certificate", "CertificationError", "certify", "full_enclosure", "level3_enclosure",
+        "verify_order_chain",
     ),
     "render": ("render_svg",),
 }

@@ -28,8 +28,8 @@ returns the exit code.  `run` calls `main`, runs the `atexit` handlers,
 flushes stdout and stderr and ends with `os._exit`, skipping interpreter
 teardown: on a 2-core x86 host a command does its own work in 2-10 ms, while
 freeing the ~100 modules that site-packages `.pth` hooks load before it takes
-6-15 ms at exit.  Code that must run after a command, such as a profiler,
-calls `main`.
+6-15 ms at exit.  Under a profiler or tracer, `run` ends with `sys.exit`
+instead, so `python -m cProfile -m cantorprod.cli ...` prints its profile.
 """
 
 import atexit
@@ -428,12 +428,19 @@ def run() -> NoReturn:
     A usage error or --help ends `main` with SystemExit; its code is read as
     `sys.exit` reads it.  The `atexit` handlers run and stdout and stderr are
     flushed, as at a normal exit; then `os._exit` skips module teardown and the
-    final collection, which free nothing the exiting process needs.
+    final collection, which free nothing the exiting process needs.  Under a
+    profiler or tracer it ends with `sys.exit` instead, so that what runs it
+    (`python -m cProfile`, say) can still report.
     """
     try:
         code = main()
     except SystemExit as exc:
         code = 0 if exc.code is None else exc.code
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+: cProfile's hook
+    if sys.getprofile() or sys.gettrace() or (
+        monitoring and any(monitoring.get_tool(tool) for tool in range(6))
+    ):
+        sys.exit(code)
     atexit._run_exitfuncs()
     sys.stdout.flush()
     sys.stderr.flush()

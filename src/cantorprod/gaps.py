@@ -12,17 +12,15 @@ j = 0, 1, 2, it gives three interval families with endpoints over 9^d:
 
 Each family has one function, in subdivision next to _side, which returns
 its (lo, hi) ends as lowest-terms pairs; this module imports them, and the
-order chain, the covering test and certify read the pairs directly.
+order chain and certify read the pairs directly.
 
 These intervals interleave in a fixed order (verify_order_chain), bands of a
 parent swallow most gaps of its children (the covering thresholds), and what
 is not swallowed has an exactly summable measure (truncated_gap_sum, beta,
 alpha).  Accumulating the swallowed-or-not accounting over three subdivision
 rounds yields a certified enclosure of the product-set measure, reproduced
-here entry by entry and compared against frozen expected literals.
-
-scaled_point and the products built from it are the geometric oracle for the
-families.  All series are exact: partial sums plus closed geometric tails.
+here entry by entry and compared against frozen expected literals.  All
+series are exact: partial sums plus closed geometric tails.
 
 The calculus runs on one exact kernel of lowest-terms int pairs (p, q),
 q > 0 (ternary.Ratio): _sum, _prod, _holds (compare) and geometric_series
@@ -32,9 +30,7 @@ carry them exactly.  Each value has one function, which takes ints and
 pairs and returns a pair: gap_total, truncated_gap_sum, beta, alpha, their
 series forms, ...; verify_order_chain gives each check's ends as pairs too.
 certify and the selftest call them; the certificate records hold the pairs
-and give Fractions on access.  This module imports `fractions` and
-`intervals` only inside the functions that return or read them, so
-`certify` and `selftest` load neither.
+and give Fractions on access through ternary._fraction_property.
 """
 
 import operator
@@ -42,14 +38,10 @@ from typing import TYPE_CHECKING, Any, Iterable, NamedTuple, Optional
 
 from . import _CERTIFY_TARGETS as TARGETS
 from .subdivision import ROOT, FastNode, g_interval, node_child, p_interval, q_interval
-from .ternary import (
-    Ratio, _fraction, _fraction_property, _lowest, _ratio, decimal_ratio, format_ratio,
-)
+from .ternary import Ratio, _fraction_property, _lowest, _ratio, decimal_ratio, format_ratio
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-    from .intervals import Interval
 
 # opaque CLI tokens: the enclosure of measure(P(D_3 x D_3)), then of measure(P(C x C))
 TARGET_LEVEL3, TARGET_FULL = TARGETS
@@ -57,80 +49,6 @@ TARGET_LEVEL3, TARGET_FULL = TARGETS
 
 class CertificationError(Exception):
     """A certified identity failed to verify."""
-
-
-# ---------------------------------------------------------------------------
-# the geometric oracle: cell geometry as products of scaled points A(x)
-
-
-def scaled_point(node: FastNode, x: "Fraction") -> "Fraction":
-    """A(x) = (q + x) / 3^k, the affine parametrization of the node's cell."""
-    from .intervals import rat
-
-    return (node.m + rat(x)) / 3**node.k
-
-
-def side_piece(node: FastNode, k: int, high_side: bool) -> "Interval":
-    """The closed outer third piece I_(k,-) = I(0, 3^-k) or I_(k,+); k = 0 is I itself."""
-    from .intervals import Interval
-
-    if k < 0:
-        raise ValueError("side index must be >= 0")
-    t = _fraction(1, 3**k)
-    if high_side:
-        return Interval(scaled_point(node, 1 - t), scaled_point(node, 1))
-    return Interval(scaled_point(node, 0), scaled_point(node, t))
-
-
-def child_cell(node: FastNode, k: int, high_side: bool) -> "Interval":
-    """The k-th surviving child cell as an interval (geometric route).
-
-    Must agree with node_child(node, k, high_side).cell for genuine cells;
-    this version works off (q, k) alone, so it extends to synthetic nodes.
-    """
-    from .intervals import Interval
-
-    if k < 1:
-        raise ValueError("child index must be >= 1")
-    lo = _fraction(2, 3 ** (k + 1))
-    hi = _fraction(1, 3**k)
-    if high_side:
-        return Interval(scaled_point(node, 1 - hi), scaled_point(node, 1 - lo))
-    return Interval(scaled_point(node, lo), scaled_point(node, hi))
-
-
-def diagonal_gap(piece: "Interval") -> "Interval":
-    """P(J x J) minus P(J'' x J'') for J = [a, a+3t] with middle third removed.
-
-    The products (a+t)(a+3t) = (a+2t)^2 - t^2 and (a+t)^2 > a(a+2t) leave
-    exactly the open slot ((a+2t)^2 - t^2, (a+2t)^2), an interval of length
-    t^2 just below the square of the removed gap's right endpoint.
-    """
-    from .intervals import Interval
-
-    t = piece.length / 3
-    hi = (piece.lo + 2 * t) ** 2
-    return Interval(hi - t * t, hi)
-
-
-def compare_products(
-    node: FastNode, x: "Fraction", y: "Fraction", z: "Fraction", t: "Fraction"
-) -> int:
-    """Sign of A(x)A(y) - A(z)A(t) via the integer-friendly predicate.
-
-    A(x)A(y) > A(z)A(t)  iff  zt - xy < q (x + y - z - t); the cell length
-    cancels, so only q and the local coordinates enter.
-    """
-    from .intervals import rat
-
-    x, y, z, t = rat(x), rat(y), rat(z), rat(t)
-    lhs = z * t - x * y
-    rhs = node.m * (x + y - z - t)
-    if lhs < rhs:
-        return 1
-    if lhs == rhs:
-        return 0
-    return -1
 
 
 # ---------------------------------------------------------------------------
@@ -243,18 +161,6 @@ def high_cover_threshold(q: int, k: int) -> int:
     return _least_exponent(1, 2 * 3 ** (k + 1) * (q + 1) - 4)
 
 
-def child_gap_covered(parent: FastNode, k: int, l: int, high_child: bool) -> bool:
-    """Geometric route: is the l-th high-side gap of the k-th child strictly
-    inside the matching parent band?  Must agree with the thresholds."""
-    child = node_child(parent, k, high_side=high_child)
-    gap = g_interval(child, l, high_side=True)
-    if high_child:
-        band = p_interval(parent, k, high_side=True)
-    else:
-        band = p_interval(parent, k - 1, high_side=False)
-    return _holds("lt", band[0], gap[0]) and _holds("lt", gap[1], band[1])
-
-
 # ---------------------------------------------------------------------------
 # the exact kernel: lowest-terms int pairs (p, q), q > 0
 
@@ -310,17 +216,6 @@ def truncated_gap_sum(length: Ratio, uncovered: int) -> Ratio:
         raise ValueError("uncovered count must be >= 0")
     # (10/9 - 9^-uncovered) / 8 over the one denominator 8 * 9^(uncovered+1)
     return _prod(length, length, (10 * 9**uncovered - 9, 8 * 9 ** (uncovered + 1)))
-
-
-def truncated_gap_sum_series(length: "Fraction", uncovered: int, cut: int = 8) -> "Fraction":
-    """Same value as truncated_gap_sum by explicit partial sum plus tail, on Fractions."""
-    from .intervals import rat
-
-    sq = rat(length) ** 2
-    low = sum(sq / 9 ** (l + 1) for l in range(1, cut + 1))
-    low += sq / 9 ** (cut + 2) / (1 - _fraction(1, 9))  # the tail, first / (1 - ratio)
-    high = sum(sq / 9 ** (l + 1) for l in range(uncovered))
-    return low + high
 
 
 def first_level_gap_total() -> Ratio:
@@ -381,6 +276,16 @@ def beta(k: int) -> Ratio:
     ))
 
 
+def _uncovered_grandchildren(k: int, high_side: bool, stop: int, cut: int) -> Ratio:
+    """Uncovered gap measure of the grandchildren of the root's k-th child on
+    one side: every low grandchild, and the high ones of index m <= stop."""
+    if k < 1:
+        raise ValueError("index must be >= 1")
+    q = node_child(ROOT, k, high_side=high_side).m
+    low = _uncovered_children(False, q, k + 3, k + 1, cut)
+    return _sum(low, _uncovered_children(True, q, k + 3, k + 3, cut, stop=stop))
+
+
 def beta_series(k: int, cut: int = 12) -> Ratio:
     """Independent evaluation of beta(k): per-child truncated sums plus tails.
 
@@ -390,11 +295,7 @@ def beta_series(k: int, cut: int = 12) -> Ratio:
     m <= k+2: deeper high grandchildren sit entirely inside the round-one
     band and contribute nothing).
     """
-    if k < 1:
-        raise ValueError("index must be >= 1")
-    q = node_child(ROOT, k, high_side=True).m
-    low = _uncovered_children(False, q, k + 3, k + 1, cut)
-    return _sum(low, _uncovered_children(True, q, k + 3, k + 3, cut, stop=k + 2))
+    return _uncovered_grandchildren(k, True, k + 2, cut)
 
 
 def alpha(k: int) -> Ratio:
@@ -417,11 +318,7 @@ def alpha_series(k: int, cut: int = 12) -> Ratio:
     (m+k+1 low, m+k+3 high), but high grandchildren with m >= k+1 are fully
     covered and m = k is excluded, leaving m <= k-1.
     """
-    if k < 1:
-        raise ValueError("index must be >= 1")
-    q = node_child(ROOT, k, high_side=False).m
-    low = _uncovered_children(False, q, k + 3, k + 1, cut)
-    return _sum(low, _uncovered_children(True, q, k + 3, k + 3, cut, stop=k - 1))
+    return _uncovered_grandchildren(k, False, k - 1, cut)
 
 
 def deep_series_total() -> tuple[Ratio, Ratio]:

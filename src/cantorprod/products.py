@@ -2,21 +2,19 @@
 
 The multiplication image of a union of closed intervals with nonnegative
 endpoints is again a union of closed intervals: the componentwise products
-[aL*bL, aH*bH] merged into canonical form.  product_image computes that
-general product by a pair sweep over a common integer scale, one lcm
-denominator per factor (_scaled_endpoints), so candidate endpoints are
-machine/big integers and the hot loop is integer multiply-and-compare.  The
-fast bracket reads its integer ends straight from the cell addresses, at the
-scale 3^D of its deepest cell.  With both factors sorted left to right and
-all endpoints nonnegative, the candidate products of one row have
-nondecreasing lower and upper endpoints, so each row merges in a single
-pass; ternary._merge_ends merges the rows, in batches as they arrive so that
-memory stays near the output's size.  The sweep (_rows) is quadratic in the
-number of cells.  _self_product is its single self-product entry:
-self_product_stats and fast_bounds measure P(A x A) through it, and only
-product_image, which needs the general product's ends, calls _rows itself.
-The tests use the sweep as the oracle for the standard route.  product_image
-hands its ends to IntervalSet._from_ends, the one int -> Fraction bridge.
+[aL*bL, aH*bH] merged into canonical form.  The pair sweep (_rows) runs on
+integer ends, so the hot loop is integer multiply-and-compare.
+self_product_stats scales an IntervalSet to one lcm denominator
+(_scaled_endpoints); the fast bracket reads its integer ends straight from
+the cell addresses, at the scale 3^D of its deepest cell.  With both
+factors sorted left to right and all endpoints nonnegative, the candidate
+products of one row have nondecreasing lower and upper endpoints, so each
+row merges in a single pass; ternary._merge_ends merges the rows, in
+batches as they arrive so that memory stays near the output's size.  The
+sweep is quadratic in the number of cells.  _self_product is its single
+self-product entry: self_product_stats and fast_bounds measure P(A x A)
+through it.  The tests' general product P(S x T), the oracle for the
+standard route, calls _rows itself.
 
 Two estimate routes for the measure of P(C x C), C the middle-third Cantor
 set, both via its right half R = C meet [2/3, 1] and the scaling identity
@@ -37,13 +35,13 @@ records hold each measure as an integer over a power of 9, hand out reduced
 Fractions on access through ternary's one property factory, and write JSON
 straight from the ints through ternary's text kernels, so `art` and `fast`
 load neither `fractions` nor `intervals`; convergence_tail and
-EstimateResult.full_bounds return lowest-terms pairs.  The functions that
-take or return Fractions and IntervalSets import them where they run.
+EstimateResult.full_bounds return lowest-terms pairs.  self_product_stats
+reads an IntervalSet and returns its measure as a Fraction.
 """
 
 import time
 from math import isqrt, lcm
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .subdivision import ROOT, _ends, _fast_tree, _leaves
 from .ternary import Ratio, _fraction, _fraction_property, _lowest, _merge_ends
@@ -120,19 +118,6 @@ def _self_product(los: Sequence[int], his: Sequence[int]) -> tuple[int, int]:
     """
     los, his = _merge_ends(*_rows(los, his, los, his, triangle=True))
     return sum(his) - sum(los), len(los)
-
-
-def product_image(S: "IntervalSet", T: "Optional[IntervalSet]" = None) -> "IntervalSet":
-    """P(S x T) as a canonical IntervalSet; T omitted means P(S x S)."""
-    from .intervals import IntervalSet
-
-    triangle = T is None or T == S
-    a_los, a_his, a_den = _scaled_endpoints(S)
-    b_los, b_his, b_den = (a_los, a_his, a_den) if triangle else _scaled_endpoints(T)
-    if not a_los or not b_los:
-        return IntervalSet._from_ends([], [], 1)
-    los, his = _merge_ends(*_rows(a_los, a_his, b_los, b_his, triangle))
-    return IntervalSet._from_ends(los, his, a_den * b_den)
 
 
 def self_product_stats(S: "IntervalSet") -> tuple["Fraction", int]:

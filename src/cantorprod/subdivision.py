@@ -147,8 +147,8 @@ def p_interval(node: FastNode, k: int, high_side: bool) -> tuple[Ratio, Ratio]:
 def g_interval(node: FastNode, k: int, high_side: bool) -> tuple[Ratio, Ratio]:
     """Diagonal gap G = [(a+1)(a+3), (a+2)^2] / 9^d of the same side piece, as
     pairs: what its middle removal opens on the diagonal, from the band's top
-    to the upper third's square (gaps.diagonal_gap of the piece); both sides
-    agree at k = 0."""
+    to the upper third's square, an interval of length (|piece|/3)^2; both
+    sides agree at k = 0."""
     if k < 0:
         raise ValueError("gap index must be >= 0")
     a, d = _side(node, k, high_side, 0)

@@ -33,9 +33,7 @@ from cantorprod.gaps import (
     beta_series,
     certify,
     chain_holds,
-    child_gap_covered,
     deep_series_total,
-    diagonal_gap,
     first_level_gap_total,
     full_enclosure,
     geometric_series,
@@ -48,7 +46,7 @@ from cantorprod.gaps import (
     verify_order_chain,
 )
 from cantorprod.intervals import Interval, IntervalSet
-from cantorprod.products import fast_bounds, product_image, self_product_stats, standard_estimate
+from cantorprod.products import fast_bounds, self_product_stats, standard_estimate
 from cantorprod.subdivision import (
     ROOT,
     fast_subdivision,
@@ -57,6 +55,7 @@ from cantorprod.subdivision import (
     right_half_subdivision,
 )
 from cantorprod.ternary import Membership, classify_ternary
+from oracles import child_gap_covered, diagonal_gap, product_image
 
 P6 = 9**6
 P10 = 9**10

@@ -464,6 +464,18 @@ def test_run_runs_atexit_handlers_and_keeps_the_exit_code(argv, want):
     assert (proc.stderr == b"") == (want == 0)
 
 
+def test_run_under_cprofile_prints_the_profile(capsys):
+    # cProfile writes its table after the command returns, so run must not
+    # end the process itself while a profiler watches
+    code, member, _ = run_cli(capsys, "member", "--x", "1/4")
+    assert (code, len(member.splitlines())) == (0, 2)
+    proc = subprocess.run([sys.executable, "-m", "cProfile", "-m", "cantorprod.cli", "member",
+                           "--x", "1/4"], capture_output=True, env=CHILD_ENV, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith(member)
+    assert "function calls" in proc.stdout
+
+
 def test_no_command_is_usage_error(capsys):
     assert run_cli(capsys)[0] == 2
 

@@ -21,11 +21,7 @@ from cantorprod.gaps import (
     beta_series,
     certify,
     chain_holds,
-    child_cell,
-    child_gap_covered,
-    compare_products,
     deep_series_total,
-    diagonal_gap,
     first_level_gap_total,
     full_enclosure,
     gap_total,
@@ -33,20 +29,21 @@ from cantorprod.gaps import (
     high_cover_threshold,
     level3_enclosure,
     low_cover_threshold,
-    scaled_point,
     second_level_increment,
-    side_piece,
     truncated_gap_sum,
-    truncated_gap_sum_series,
     unresolved_cells_bound,
     verify_order_chain,
 )
 from cantorprod.intervals import Interval, IntervalSet
-from cantorprod.products import product_image, standard_estimate
+from cantorprod.products import standard_estimate
 from cantorprod.render import MAX_DEPTH, MAX_KMAX, cell_families
 from cantorprod.subdivision import (
     ROOT, FastNode, _fast_tree, _rounds, _side, g_interval, node_child, p_interval, q_interval,
     right_half_subdivision,
+)
+from oracles import (
+    child_cell, child_gap_covered, compare_products, diagonal_gap, product_image, scaled_point,
+    side_piece, truncated_gap_sum_series,
 )
 
 P6 = 9**6

@@ -12,7 +12,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cantorprod import products
-from cantorprod.gaps import diagonal_gap
 from cantorprod.intervals import (
     Interval, IntervalSet, _merge_ends, decimal_string, format_rational,
 )
@@ -23,7 +22,6 @@ from cantorprod.products import (
     _surviving_gaps,
     convergence_tail,
     fast_bounds,
-    product_image,
     self_product_stats,
     standard_estimate,
 )
@@ -34,6 +32,7 @@ from cantorprod.subdivision import (
     right_half_subdivision,
 )
 from cantorprod.ternary import decimal_ratio, format_ratio
+from oracles import diagonal_gap, product_image
 
 RIGHT = IntervalSet([["2/3", "1"]])
 

@@ -4,12 +4,14 @@ or is listed here with the role that keeps it.
 One fresh interpreter runs the command lines below in process, under
 `sys.setprofile`, from before the package is imported, so what runs at import
 counts too.  All but the last go through `cli.main`; the last goes through
-`cli.run`, the process entry, with `os._exit` stubbed to raise SystemExit so
-the probe lives on.  It reports every code object it entered.
+`cli.run`, the process entry, which under a profiler ends with SystemExit
+rather than `os._exit`, so the probe lives on.  It reports every code object
+it entered.
 Each `def` in the package (methods and nested functions included, lambdas
 and comprehensions not) that no run entered must be in UNREACHED, and every
 entry there must still exist and still go unreached, so the list cannot go
-stale.
+stale.  The slow references the tests check the package against live in
+tests/oracles.py, not here, and each must still be imported by a test.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ COMMAND_LINES = [
 ]
 
 PROBE = """\
-import contextlib, io, json, os, sys
+import contextlib, io, json, sys
 entered = set()
 
 def profile(frame, event, arg):
@@ -44,10 +46,6 @@ def profile(frame, event, arg):
         code = frame.f_code
         entered.add((code.co_filename, code.co_name, code.co_firstlineno))
 
-def exit_here(code):
-    raise SystemExit(code)
-
-os._exit = exit_here
 sys.setprofile(profile)
 from cantorprod import cli
 *lines, last = json.loads(sys.argv[1])
@@ -56,25 +54,18 @@ for run in [*(lambda argv=argv: cli.main(argv) for argv in lines), cli.run]:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             run()
-        except SystemExit:  # --help, the usage error and cli.run's os._exit
+        except SystemExit:  # --help, the usage error and cli.run
             pass
 sys.setprofile(None)
 print(json.dumps(sorted(entered)))
 """
 
-ORACLE, PERFBENCH, LIBRARY, FAILURE = "oracle", "perfbench hook", "library face", "failure path"
+PERFBENCH, LIBRARY, FAILURE = "perfbench hook", "library face", "failure path"
 
 # every function no command runs, by module and qualified name, with its role:
-# a test oracle, a function perfbench wraps or calls, a public library face,
-# or a path taken only when something fails
+# a function perfbench wraps or calls, a public library face, or a path taken
+# only when something fails
 UNREACHED = {
-    # the geometric route the int families are checked against, and the
-    # Fraction series the closed form is checked against
-    **dict.fromkeys([
-        "gaps.child_cell", "gaps.child_gap_covered", "gaps.compare_products",
-        "gaps.diagonal_gap", "gaps.scaled_point", "gaps.side_piece",
-        "gaps.truncated_gap_sum_series",
-    ], ORACLE),
     # wrapped or called by perfbench's tracer and sweep_peak
     **dict.fromkeys([
         "intervals.IntervalSet.__init__", "intervals.decimal_string",
@@ -97,7 +88,7 @@ UNREACHED = {
             "intersection", "measure", "point", "subset_of", "sup", "union")),
         "intervals._as_interval", "intervals.format_rational", "intervals.parse_rational",
         "intervals.rat",
-        "products._scaled_endpoints", "products.product_image",
+        "products._scaled_endpoints",
         "subdivision.FastNode.cell", "subdivision._cover", "subdivision._gaps",
         "subdivision.gap_set", "subdivision.removed_gaps", "subdivision.squared_length_sum",
         "subdivision.standard_subdivision",
@@ -155,7 +146,7 @@ def audit(package: Path) -> tuple[list[str], list[str]]:
 
 
 def test_every_function_is_reached_or_listed_with_its_role():
-    assert set(UNREACHED.values()) <= {ORACLE, PERFBENCH, LIBRARY, FAILURE}
+    assert set(UNREACHED.values()) <= {PERFBENCH, LIBRARY, FAILURE}
     unlisted, stale = audit(PACKAGE)
     assert unlisted == [], "reached by no command and not in UNREACHED"
     assert stale == [], "in UNREACHED, but gone or now reached"
@@ -167,3 +158,16 @@ def test_an_unlisted_unreached_function_is_reported(tmp_path):
     with open(copy / "ternary.py", "a", encoding="utf-8") as handle:
         handle.write("\n\ndef _never_run():\n    pass\n")
     assert audit(copy) == (["ternary._never_run"], [])
+
+
+def test_every_oracle_is_imported_by_a_test():
+    oracles = ast.parse((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    defined_here = {node.name for node in oracles.body if isinstance(node, ast.FunctionDef)}
+    imported = {
+        alias.name
+        for path in (ROOT / "tests").glob("test_*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.module == "oracles"
+        for alias in node.names
+    }
+    assert sorted(defined_here - imported) == [], "in tests/oracles.py, but no test imports it"

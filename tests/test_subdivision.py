@@ -9,9 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorprod.gaps import child_cell, side_piece
 from cantorprod.intervals import Interval, IntervalSet
-from cantorprod.products import product_image
 from cantorprod.subdivision import (
     ROOT,
     _cover,
@@ -30,6 +28,7 @@ from cantorprod.subdivision import (
     standard_subdivision,
 )
 from cantorprod.ternary import Membership, classify_ternary, ternary_expansion
+from oracles import child_cell, product_image, side_piece
 
 UNIT = IntervalSet([["0", "1"]])
 RIGHT = IntervalSet([["2/3", "1"]])

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cantorprod.gaps import compare_products, scaled_point, truncated_gap_sum_series
 from cantorprod.intervals import format_rational, parse_rational, rat
 from cantorprod.subdivision import ROOT, FastNode
 from cantorprod.ternary import classify_ternary, parse_ratio, ternary_expansion
+from oracles import compare_products, scaled_point, truncated_gap_sum_series
 
 
 def fraction_parse_oracle(text: str) -> Fraction:
@@ -94,7 +94,7 @@ def test_out_of_range_names_the_value_in_lowest_terms(value, shown):
         classify_ternary(value)
 
 
-# the public gap entries that read a rational, each with x in one rational
+# the gap oracles that read a rational, each with x in one rational
 # slot and its other arguments fixed, and its pinned value at x = 1/3
 GAP_ENTRIES = {
     "scaled_point": (lambda x: scaled_point(FastNode(5, 2), x), Fraction(16, 27)),
