@@ -27,8 +27,7 @@ _EXPORTS = {
         "Membership", "TernaryExpansion", "classify_ternary", "ternary_expansion",
     ),
     "intervals": (
-        "Interval", "IntervalSet", "Rational", "decimal_string", "format_rational",
-        "parse_rational", "rat",
+        "Interval", "IntervalSet", "decimal_string", "format_rational", "rat",
     ),
     "subdivision": (
         "FastNode", "FastSubdivision", "ROOT", "fast_subdivision", "g_interval", "gap_set",

@@ -9,11 +9,12 @@ One merge, _merge_ends, lives in `ternary` (the integer sweeps in `products`
 use it and load no `fractions`), and so do the text kernels and _ratio, the
 one reader of rationals.  format_rational and decimal_string wrap the text
 kernels on the ints _ratio reads; rat passes a Fraction through and reads
-anything else with _ratio, so a float is a TypeError everywhere here.  The
-integer routes (the subdivision covers and the product sweep) merge on ints
-and cross into Fractions once, through IntervalSet._from_ends, the one
-int -> Fraction bridge.  No command loads this module: `certify` and
-`selftest` run on the int pairs of `gaps`' exact kernel.
+anything else, a "p/q" text included, with _ratio, so a float is a
+TypeError everywhere here.  A set is built by IntervalSet(items), which
+canonicalises any intervals and which the algebra methods build through, or
+by IntervalSet._from_ends, the one int -> Fraction bridge, which wraps the
+canonical ends the integer routes merge.  No command loads this module:
+`certify` and `selftest` run on the int pairs of `gaps`' exact kernel.
 
 No floats anywhere in here: decimal output is rendered by one integer division
 and truncated with an explicit "..." marker when inexact.
@@ -23,24 +24,14 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
-from .ternary import _merge_ends, _ratio, decimal_ratio, format_ratio, parse_ratio
+from .ternary import _merge_ends, _ratio, decimal_ratio, format_ratio
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 
 def rat(value: RationalLike) -> Fraction:
     """An int, a Fraction or a text like "5/9" as an exact Fraction; see the module doc."""
     return value if isinstance(value, Fraction) else Fraction(*_ratio(value))
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" (or a bare integer "p") into a Fraction.
-
-    Floats are rejected on purpose; a decimal point in the input is an error.
-    `ternary.parse_ratio` reads the text, so there is one parser.
-    """
-    return Fraction(*parse_ratio(text))
 
 
 def format_rational(x: RationalLike) -> str:
@@ -132,26 +123,13 @@ class IntervalSet:
         self.intervals: tuple[Interval, ...] = tuple(map(Interval, los, his))
 
     @classmethod
-    def _from_canonical(cls, intervals: Iterable[Interval]) -> "IntervalSet":
-        """Wrap intervals that are already sorted, disjoint and non-touching."""
-        out = cls.__new__(cls)
-        out.intervals = tuple(intervals)
-        return out
-
-    @classmethod
     def _from_ends(cls, los: Sequence[int], his: Sequence[int], den: int) -> "IntervalSet":
-        """Wrap canonical integer component ends over one denominator den."""
-        return cls._from_canonical(
+        """Wrap canonical integer component ends over one denominator den, unmerged."""
+        out = cls.__new__(cls)
+        out.intervals = tuple(
             Interval(Fraction(lo, den), Fraction(hi, den)) for lo, hi in zip(los, his)
         )
-
-    @classmethod
-    def empty(cls) -> "IntervalSet":
-        return cls(())
-
-    @classmethod
-    def point(cls, x: RationalLike) -> "IntervalSet":
-        return cls._from_canonical([Interval(x, x)])
+        return out
 
     def __iter__(self) -> Iterator[Interval]:
         return iter(self.intervals)
@@ -200,7 +178,7 @@ class IntervalSet:
             raise ValueError(f"affine target must be nondegenerate, got {target!r}")
         scale = target.length
         shift = target.lo
-        return IntervalSet._from_canonical(
+        return IntervalSet(
             Interval(shift + scale * iv.lo, shift + scale * iv.hi) for iv in self.intervals
         )
 
@@ -218,8 +196,8 @@ class IntervalSet:
             return self
         cuts = [c for c in other.intervals if c.lo < c.hi]
         ends = zip([self.inf] + [c.hi for c in cuts], [c.lo for c in cuts] + [self.sup])
-        gaps = IntervalSet._from_canonical(Interval(lo, hi) for lo, hi in ends if lo <= hi)
-        return IntervalSet._from_canonical(iv for iv in self.intersection(gaps) if iv.lo < iv.hi)
+        gaps = IntervalSet(Interval(lo, hi) for lo, hi in ends if lo <= hi)
+        return IntervalSet(iv for iv in self.intersection(gaps) if iv.lo < iv.hi)
 
     def intersection(self, other: "IntervalSet") -> "IntervalSet":
         out: list[Interval] = []
@@ -234,7 +212,7 @@ class IntervalSet:
                 i += 1
             else:
                 j += 1
-        return IntervalSet._from_canonical(out)
+        return IntervalSet(out)
 
     def subset_of(self, other: "IntervalSet") -> bool:
         return self.union(other) == other

@@ -1,4 +1,4 @@
-"""Product images P(S x T) = {xy} of interval unions, and measure estimates.
+"""Product images P(A x A) = {xy : x, y in A} of interval unions, and measure estimates.
 
 The multiplication image of a union of closed intervals with nonnegative
 endpoints is again a union of closed intervals: the componentwise products
@@ -6,15 +6,13 @@ endpoints is again a union of closed intervals: the componentwise products
 integer ends, so the hot loop is integer multiply-and-compare.
 self_product_stats scales an IntervalSet to one lcm denominator
 (_scaled_endpoints); the fast bracket reads its integer ends straight from
-the cell addresses, at the scale 3^D of its deepest cell.  With both
-factors sorted left to right and all endpoints nonnegative, the candidate
-products of one row have nondecreasing lower and upper endpoints, so each
-row merges in a single pass; ternary._merge_ends merges the rows, in
-batches as they arrive so that memory stays near the output's size.  The
-sweep is quadratic in the number of cells.  _self_product is its single
-self-product entry: self_product_stats and fast_bounds measure P(A x A)
-through it.  The tests' general product P(S x T), the oracle for the
-standard route, calls _rows itself.
+the cell addresses, at the scale 3^D of its deepest cell.  With the cells
+sorted left to right and all endpoints nonnegative, the candidate products
+of one row have nondecreasing lower and upper endpoints, so each row merges
+in a single pass; ternary._merge_ends merges the rows, in batches as they
+arrive so that memory stays near the output's size.  The sweep is
+quadratic in the number of cells.  _self_product is its single entry:
+self_product_stats and fast_bounds measure P(A x A) through it.
 
 Two estimate routes for the measure of P(C x C), C the middle-third Cantor
 set, both via its right half R = C meet [2/3, 1] and the scaling identity
@@ -24,8 +22,7 @@ measure(P(C x C)) = (3/2) measure(P(R x R)):
   the union of one sibling band per split cell and one diagonal square per
   leaf.  A split cell leaves one whole gap or none, and _surviving_gaps
   counts each level's gaps from the ancestors above half its depth, with no
-  walk over the cells: `art --n 20` spends about 4 ms in the route and
-  peaks at 13.4 MB RSS, as `art --n 0` does (2-core x86, Python 3.11).
+  walk over the cells.
   measure(P(R_n x R_n)) - measure(P(R x R)) lies in [0, (1/63) (2/9)^(n-1)];
 * fast_bounds: squeeze measure(P(D_n x D_n)) between the inner/outer
   truncated fast subdivisions, which converges like 36^-n in n.
@@ -68,55 +65,49 @@ def _scaled_endpoints(s: "IntervalSet") -> tuple[list[int], list[int], int]:
     return los, his, den
 
 
-def _rows(
-    a_los: Sequence[int],
-    a_his: Sequence[int],
-    b_los: Sequence[int],
-    b_his: Sequence[int],
-    triangle: bool,
-) -> tuple[list[int], list[int]]:
-    """Lower and upper ends of intervals whose union is P(A x B), in scaled integer units.
+def _rows(los: Sequence[int], his: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Lower and upper ends of intervals whose union is P(A x A), from A's
+    sorted integer ends, in the square of their units.
 
-    Each row's product segments merge in one pass.  The collected ends are
-    merged again once they outgrow twice the larger of what the last merge
-    kept and one full row, so they stay within a small multiple of the
+    The image is symmetric in the factors, so row i sweeps the cells j >= i
+    only, and its product segments merge in one pass.  The collected ends
+    are merged again once they outgrow twice the larger of what the last
+    merge kept and one full row, so they stay within a small multiple of the
     output's size instead of holding every row's segments; a union of
     partial unions is the same union.
     """
-    los: list[int] = []
-    his: list[int] = []
-    nb = len(b_los)
-    kept = nb
-    for i in range(len(a_los)):
-        aL = a_los[i]
-        aH = a_his[i]
-        j = i if triangle else 0
-        cur_lo = aL * b_los[j]
-        cur_hi = aH * b_his[j]
-        for j in range(j + 1, nb):
-            lo = aL * b_los[j]
+    out_los: list[int] = []
+    out_his: list[int] = []
+    n = len(los)
+    kept = n
+    for i in range(n):
+        aL = los[i]
+        aH = his[i]
+        cur_lo = aL * aL
+        cur_hi = aH * aH
+        for j in range(i + 1, n):
+            lo = aL * los[j]
             if lo <= cur_hi:
-                cur_hi = aH * b_his[j]
+                cur_hi = aH * his[j]
             else:
-                los.append(cur_lo)
-                his.append(cur_hi)
+                out_los.append(cur_lo)
+                out_his.append(cur_hi)
                 cur_lo = lo
-                cur_hi = aH * b_his[j]
-        los.append(cur_lo)
-        his.append(cur_hi)
-        if len(los) > 2 * kept:
-            los, his = _merge_ends(los, his)
-            kept = max(len(los), nb)
-    return los, his
+                cur_hi = aH * his[j]
+        out_los.append(cur_lo)
+        out_his.append(cur_hi)
+        if len(out_los) > 2 * kept:
+            out_los, out_his = _merge_ends(out_los, out_his)
+            kept = max(len(out_los), n)
+    return out_los, out_his
 
 
 def _self_product(los: Sequence[int], his: Sequence[int]) -> tuple[int, int]:
     """(measure, component count) of P(A x A) from A's canonical integer ends.
 
-    The measure is in the square of the ends' units.  The image is symmetric
-    in the factors, so the sweep runs over the triangle i <= j.
+    The measure is in the square of the ends' units.
     """
-    los, his = _merge_ends(*_rows(los, his, los, his, triangle=True))
+    los, his = _merge_ends(*_rows(los, his))
     return sum(his) - sum(los), len(los)
 
 

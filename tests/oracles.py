@@ -8,17 +8,20 @@ covering thresholds and node_child.  truncated_gap_sum_series sums on
 Fractions what gaps.truncated_gap_sum gives in closed form.
 
 product_image is the general pair sweep P(S x T) of two IntervalSets, the
-reference for the standard route and the fast bracket.  It calls
-products._scaled_endpoints, products._rows and products._merge_ends through
-the module, so a test that rebinds one there sees this sweep use it.
+reference for the standard route and the fast bracket.  It shares no code
+with the sweep it checks: it scales, multiplies and merges on its own, so a
+rebound or broken products._rows, _self_product or _merge_ends leaves it as
+it is.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, compress
+from math import lcm
+from operator import lt
 from typing import Optional
 
-from cantorprod import products
 from cantorprod.gaps import _holds
 from cantorprod.intervals import Interval, IntervalSet, rat
 from cantorprod.subdivision import FastNode, g_interval, node_child, p_interval
@@ -107,11 +110,38 @@ def truncated_gap_sum_series(length: Fraction, uncovered: int, cut: int = 8) -> 
 
 
 def product_image(S: IntervalSet, T: Optional[IntervalSet] = None) -> IntervalSet:
-    """P(S x T) as a canonical IntervalSet; T omitted means P(S x S)."""
-    triangle = T is None or T == S
-    a_los, a_his, a_den = products._scaled_endpoints(S)
-    b_los, b_his, b_den = (a_los, a_his, a_den) if triangle else products._scaled_endpoints(T)
-    if not a_los or not b_los:
-        return IntervalSet._from_ends([], [], 1)
-    los, his = products._merge_ends(*products._rows(a_los, a_his, b_los, b_his, triangle))
-    return IntervalSet._from_ends(los, his, a_den * b_den)
+    """P(S x T) as a canonical IntervalSet; T omitted means P(S x S).
+
+    Row by row on integer ends over one lcm denominator: one S component
+    times each T component (for P(S x S), each component from its own on,
+    as xy = yx).  Intervals sorted by lower end, with `reach` the running
+    maximum of their upper ends, split exactly where a reach falls below
+    the next lower end.  A row's products come so sorted, with
+    nondecreasing upper ends, because T is sorted and every end is
+    nonnegative; all rows' pieces are sorted before the final split.
+    """
+    square = T is None
+    T = S if square else T
+    if any(iv.lo < 0 for iv in (*S, *T)):
+        raise ValueError("product image needs nonnegative endpoints")
+    if not S or not T:
+        return IntervalSet()
+    den = lcm(*(x.denominator for iv in (*S, *T) for x in (iv.lo, iv.hi)))
+
+    def split(los: list[int], reach: list[int]) -> tuple[list[int], list[int]]:
+        cuts = list(compress(range(1, len(los)), map(lt, reach, los[1:])))
+        return [los[0], *map(los.__getitem__, cuts)], [*(reach[j - 1] for j in cuts), reach[-1]]
+
+    b_los = [int(iv.lo * den) for iv in T]
+    b_his = [int(iv.hi * den) for iv in T]
+    piece_los: list[int] = []
+    piece_his: list[int] = []
+    for i, iv in enumerate(S):
+        a_lo, a_hi, first = int(iv.lo * den), int(iv.hi * den), i if square else 0
+        los, his = split([a_lo * lo for lo in b_los[first:]], [a_hi * hi for hi in b_his[first:]])
+        piece_los += los
+        piece_his += his
+    order = sorted(range(len(piece_los)), key=piece_los.__getitem__)
+    los = list(map(piece_los.__getitem__, order))
+    los, his = split(los, list(accumulate(map(piece_his.__getitem__, order), max)))
+    return IntervalSet._from_ends(los, his, den * den)

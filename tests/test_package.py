@@ -21,7 +21,7 @@ README = ROOT / "README.md"
 
 def test_exports_resolve_and_readme_library_example_runs():
     assert [name for name in cantorprod.__all__ if not hasattr(cantorprod, name)] == []
-    assert len(cantorprod.__all__) == 37
+    assert len(cantorprod.__all__) == 35
     section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(block, str(README), "exec"), {})

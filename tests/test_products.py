@@ -70,7 +70,7 @@ def test_two_cell_self_product():
 
 def test_product_with_unit_point_is_identity():
     rng = random.Random(101)
-    one = IntervalSet.point(1)
+    one = IntervalSet([(1, 1)])
     for _ in range(50):
         s = random_nonneg_set(rng)
         assert product_image(s, one) == s
@@ -85,8 +85,8 @@ def test_product_symmetric():
 
 
 def test_product_empty_factor():
-    assert product_image(IntervalSet.empty(), RIGHT) == IntervalSet.empty()
-    assert product_image(RIGHT, IntervalSet.empty()) == IntervalSet.empty()
+    assert product_image(IntervalSet(), RIGHT) == IntervalSet()
+    assert product_image(RIGHT, IntervalSet()) == IntervalSet()
 
 
 def test_product_distributes_over_union():
@@ -126,7 +126,7 @@ def test_product_contains_pointwise_samples():
         img = product_image(s, t)
         comps_s, comps_t = list(s), list(t)
         if not comps_s or not comps_t:
-            assert img == IntervalSet.empty()
+            assert img == IntervalSet()
             continue
         for _ in range(5):
             a = rng.choice(comps_s)
@@ -535,7 +535,8 @@ def test_fast_bounds_match_pairwise_oracle():
 def test_fast_bounds_match_interval_set_route():
     # the integer ends read from the addresses against the route they replace:
     # the public fast_subdivision brackets swept through the lcm scale, and
-    # through product_image, the general sweep, which skips _self_product
+    # through product_image, the oracle's own sweep, which shares no code
+    # with _rows
     cases = [(n, K) for n in range(3) for K in range(1, 11)] + [(3, K) for K in range(1, 6)]
     for n, K in cases:
         sub = fast_subdivision(n, K)
@@ -548,22 +549,22 @@ def test_fast_bounds_match_interval_set_route():
 
 
 def test_fast_bounds_builds_no_interval_set(monkeypatch):
-    # both constructors, the canonicalising one and the wrapper of canonical parts
+    # both ways to build a set, the canonicalising constructor and the int bridge
     built = []
-    init, wrap = IntervalSet.__init__, IntervalSet._from_canonical
+    init, bridge = IntervalSet.__init__, IntervalSet._from_ends
 
     def counted_init(self, items=()):
         built.append("init")
         init(self, items)
 
-    def counted_wrap(cls, intervals):
-        built.append("canonical")
-        return wrap(intervals)
+    def counted_bridge(cls, los, his, den):
+        built.append("ends")
+        return bridge(los, his, den)
 
     monkeypatch.setattr(IntervalSet, "__init__", counted_init)
-    monkeypatch.setattr(IntervalSet, "_from_canonical", classmethod(counted_wrap))
+    monkeypatch.setattr(IntervalSet, "_from_ends", classmethod(counted_bridge))
     product_image(IntervalSet([["0", "1"]]))
-    assert set(built) == {"init", "canonical"}  # the probe sees both
+    assert set(built) == {"init", "ends"}  # the probe sees both
     built.clear()
     fast_bounds(2, 4)
     assert built == []
@@ -580,15 +581,16 @@ def test_sweep_merges_rows_as_they_arrive(monkeypatch):
 
     monkeypatch.setattr(products, "_merge_ends", counted)
     sub = fast_subdivision(1, 4)
-    for s, t in [(sub.outer, None), (sub.inner, None), (sub.inner, sub.outer)]:
+    for s in (sub.outer, sub.inner):
         merged.clear()
-        assert product_image(s, t) == pairwise_product(s, t)
-        assert len(merged) > 1
+        expected = pairwise_product(s)
+        assert self_product_stats(s) == (expected.measure(), len(expected))
+        assert len(merged) > 1  # a merge mid-way, and the final one
 
 
 def test_self_products_share_one_kernel(monkeypatch):
     # fast_bounds and self_product_stats reach the sweep only through
-    # _self_product, and product_image sweeps once without it
+    # _self_product, and product_image, their oracle, reaches neither
     calls = {"_rows": 0, "_self_product": 0}
     for name in calls:
         def counted(*args, _name=name, _wrapped=getattr(products, name), **kwargs):
@@ -605,8 +607,8 @@ def test_self_products_share_one_kernel(monkeypatch):
     two = IntervalSet([["0", "1/3"], ["2/3", "1"]])
     assert count(lambda: fast_bounds(2, 3)) == (2, 2)
     assert count(lambda: self_product_stats(RIGHT)) == (1, 1)
-    assert count(lambda: product_image(RIGHT, two)) == (1, 0)
-    assert count(lambda: product_image(two)) == (1, 0)
+    assert count(lambda: product_image(RIGHT, two)) == (0, 0)
+    assert count(lambda: product_image(two)) == (0, 0)
 
 
 def test_fast_bounds_json_shape():

@@ -12,17 +12,24 @@ and comprehensions not) that no run entered must be in UNREACHED, and every
 entry there must still exist and still go unreached, so the list cannot go
 stale.  The slow references the tests check the package against live in
 tests/oracles.py, not here, and each must still be imported by a test.
+The perfbench hooks are also installed here with perfbench's own tracer,
+so a renamed hook fails this suite, not only a traced benchmark run.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+import cantorprod
+from cantorprod import intervals, products
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cantorprod"
@@ -83,11 +90,10 @@ UNREACHED = {
             "__delattr__", "__eq__", "__hash__", "__init__", "__reduce__", "__repr__",
             "__setattr__", "contains", "length", "to_json")),
         *(f"intervals.IntervalSet.{name}" for name in (
-            "__eq__", "__hash__", "__iter__", "__len__", "__repr__", "_from_canonical",
-            "_from_ends", "affine_image", "contains", "difference", "empty", "inf",
-            "intersection", "measure", "point", "subset_of", "sup", "union")),
-        "intervals._as_interval", "intervals.format_rational", "intervals.parse_rational",
-        "intervals.rat",
+            "__eq__", "__hash__", "__iter__", "__len__", "__repr__", "_from_ends",
+            "affine_image", "contains", "difference", "inf", "intersection", "measure",
+            "subset_of", "sup", "union")),
+        "intervals._as_interval", "intervals.format_rational", "intervals.rat",
         "products._scaled_endpoints",
         "subdivision.FastNode.cell", "subdivision._cover", "subdivision._gaps",
         "subdivision.gap_set", "subdivision.removed_gaps", "subdivision.squared_length_sum",
@@ -171,3 +177,27 @@ def test_every_oracle_is_imported_by_a_test():
         for alias in node.names
     }
     assert sorted(defined_here - imported) == [], "in tests/oracles.py, but no test imports it"
+
+
+def test_perfbench_hooks_install_and_restore(monkeypatch):
+    # the tracer wraps its hooks by name, IntervalSet.__init__ as (self,
+    # items=()), and perfbench/sweep_peak.py rebinds products.self_product_stats
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))  # its modules are flat scripts
+    tracing = importlib.import_module("tracing")
+    recorder = tracing.Recorder("w")
+    sweep = products.self_product_stats
+    patched = tracing.Tracer(recorder, cantorprod).install()
+    try:
+        assert products.self_product_stats is not sweep
+        right = intervals.IntervalSet([["2/3", "1"]])
+        assert intervals.IntervalSet() == intervals.IntervalSet([])
+        assert products.self_product_stats(right) == (Fraction(5, 9), 1)
+        assert intervals.decimal_string(Fraction(5, 9), 3) == "0.555..."
+    finally:
+        tracing._restore(patched)
+    counts = recorder.counts
+    assert counts["intervals.IntervalSet"] == {"calls": 3, "items": 1}
+    assert counts["products.self_product_stats"] == {"calls": 1, "cells_in": 1, "components_out": 1}
+    assert counts["intervals.decimal_string"] == {"calls": 1}
+    assert all(getattr(target, attr) is original for target, attr, original in patched)
+    assert products.self_product_stats is sweep

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cantorprod.intervals import format_rational, parse_rational, rat
+from cantorprod.intervals import format_rational, rat
 from cantorprod.subdivision import ROOT, FastNode
 from cantorprod.ternary import classify_ternary, parse_ratio, ternary_expansion
 from oracles import compare_products, scaled_point, truncated_gap_sum_series
@@ -71,7 +71,7 @@ def test_parse_ratio_matches_the_fraction_parser(text):
     if expected[0] == "value":
         expected = "value", (expected[1].numerator, expected[1].denominator)
     assert outcome(parse_ratio, text) == expected
-    assert outcome(parse_rational, text) == outcome(fraction_parse_oracle, text)
+    assert outcome(rat, text) == outcome(fraction_parse_oracle, text)
 
 
 @settings(derandomize=True, deadline=None)
