@@ -4,8 +4,10 @@ The package computes the Lebesgue measure of {x*y : x, y in the
 middle-third Cantor set} three independent ways: the standard route's
 estimate over a level-n cover, the fast subdivision's inner/outer bracket,
 and a certified enclosure assembled from the gap calculus along the
-diagonal.  Every value is exact (ints over a scale, or a
-`fractions.Fraction`); floats appear only in rendered output.
+diagonal.  Every value is exact: the records and enclosures hand out ints
+over a scale or lowest-terms (p, q) int pairs, and only the interval-set
+face (`intervals` and the covers built on it) holds `fractions.Fraction`s.
+Floats appear only in rendered output.
 
 Imports are lazy: `import cantorprod` loads none of the computation
 modules, and each exported name loads its module on first access (PEP 562).

@@ -29,19 +29,16 @@ totals, truncated gap sums and geometric tails in powers of 9, so the pairs
 carry them exactly.  Each value has one function, which takes ints and
 pairs and returns a pair: gap_total, truncated_gap_sum, beta, alpha, their
 series forms, ...; verify_order_chain gives each check's ends as pairs too.
-certify and the selftest call them; the certificate records hold the pairs
-and give Fractions on access through ternary._fraction_property.
+certify and the selftest call them, and the certificate records hold the
+pairs; level3_enclosure and full_enclosure return them too.
 """
 
 import operator
-from typing import TYPE_CHECKING, Any, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import _CERTIFY_TARGETS as TARGETS
 from .subdivision import ROOT, FastNode, g_interval, node_child, p_interval, q_interval
-from .ternary import Ratio, _fraction_property, _lowest, _ratio, decimal_ratio, format_ratio
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from .ternary import Ratio, _lowest, decimal_ratio, format_ratio
 
 # opaque CLI tokens: the enclosure of measure(P(D_3 x D_3)), then of measure(P(C x C))
 TARGET_LEVEL3, TARGET_FULL = TARGETS
@@ -360,8 +357,7 @@ P10 = 9**10
 # Frozen expected values for every chain entry, each its lowest-terms pair
 # (p, q).  certify() re-derives each value from the series and geometry above
 # and compares against this table; tampering with either side must flip the
-# matching entry to False.  An entry set to an int, a Fraction or a "p/q" text
-# is read exactly too.
+# matching entry to False.
 EXPECTED: dict[str, Ratio] = {
     "level1_gap_total": (5, 324),
     "level2_gap_increment": (859, 2099520),
@@ -384,23 +380,14 @@ EXPECTED: dict[str, Ratio] = {
 }
 
 
-def _entry_ratio(value: Any) -> Ratio:
-    """A table entry as a lowest-terms pair: a (p, q) pair, or what ternary._ratio reads."""
-    return _lowest(*value) if isinstance(value, tuple) else _ratio(value)
-
-
 class ChainEntry(NamedTuple):
-    """One derived value against its frozen one, both held as lowest-terms
-    pairs; value and expected give them as Fractions."""
+    """One derived value against its frozen one, both held as lowest-terms pairs."""
 
     name: str
     value_ratio: Ratio
     expected_ratio: Ratio
     relation: str  # a key of _RELATIONS
     match: bool
-
-    value = _fraction_property(lambda entry: entry.value_ratio)
-    expected = _fraction_property(lambda entry: entry.expected_ratio)
 
     def to_json(self) -> dict:
         return {
@@ -413,16 +400,13 @@ class ChainEntry(NamedTuple):
 
 
 class Certificate(NamedTuple):
-    """An enclosure center +- radius, held as lowest-terms pairs (center and
-    radius give them as Fractions), and the chain that derived it."""
+    """An enclosure center +- radius, held as lowest-terms pairs, and the chain
+    that derived it."""
 
     target: str
     center_ratio: Ratio
     radius_ratio: Ratio
     chain: tuple[ChainEntry, ...]
-
-    center = _fraction_property(lambda cert: cert.center_ratio)
-    radius = _fraction_property(lambda cert: cert.radius_ratio)
 
     @property
     def ok(self) -> bool:
@@ -456,7 +440,7 @@ def certify(target: str = TARGET_LEVEL3) -> Certificate:
     entries: list[ChainEntry] = []
 
     def add(name: str, value: Ratio, relation: str = "eq") -> Ratio:
-        expected = _entry_ratio(EXPECTED[name])
+        expected = EXPECTED[name]
         entries.append(ChainEntry(name, value, expected, relation, _holds(relation, value, expected)))
         return value
 
@@ -496,19 +480,19 @@ def certify(target: str = TARGET_LEVEL3) -> Certificate:
     return Certificate(target, full_center, full_radius, tuple(entries))
 
 
-def _enclosure(target: str) -> tuple["Fraction", "Fraction"]:
+def _enclosure(target: str) -> tuple[Ratio, Ratio]:
     cert = certify(target)
     if not cert.ok:
         names = ", ".join(entry.name for entry in cert.failures())
         raise CertificationError(f"certification failed at: {names}")
-    return cert.center, cert.radius
+    return cert.center_ratio, cert.radius_ratio
 
 
-def level3_enclosure() -> tuple["Fraction", "Fraction"]:
-    """(center, radius) for measure(P(D_3 x D_3)), raising if verification fails."""
+def level3_enclosure() -> tuple[Ratio, Ratio]:
+    """(center, radius) pairs for measure(P(D_3 x D_3)), raising if verification fails."""
     return _enclosure(TARGET_LEVEL3)
 
 
-def full_enclosure() -> tuple["Fraction", "Fraction"]:
-    """(center, radius) for measure(P(C x C)), raising if verification fails."""
+def full_enclosure() -> tuple[Ratio, Ratio]:
+    """(center, radius) pairs for measure(P(C x C)), raising if verification fails."""
     return _enclosure(TARGET_FULL)

@@ -28,8 +28,7 @@ measure(P(C x C)) = (3/2) measure(P(R x R)):
   truncated fast subdivisions, which converges like 36^-n in n.
 
 Both routes run on ints from the cell addresses to their results.  Their
-records hold each measure as an integer over a power of 9, hand out reduced
-Fractions on access through ternary's one property factory, and write JSON
+records hold each measure as an integer over a power of 9 and write JSON
 straight from the ints through ternary's text kernels, so `art` and `fast`
 load neither `fractions` nor `intervals`; convergence_tail and
 EstimateResult.full_bounds return lowest-terms pairs.  self_product_stats
@@ -41,7 +40,7 @@ from math import isqrt, lcm
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .subdivision import ROOT, _ends, _fast_tree, _leaves
-from .ternary import Ratio, _fraction, _fraction_property, _lowest, _merge_ends
+from .ternary import Ratio, _fraction, _lowest, _merge_ends
 from .ternary import decimal_ratio, format_ratio
 
 if TYPE_CHECKING:
@@ -122,8 +121,7 @@ class EstimateResult(NamedTuple):
     """Standard-route estimate of the Cantor product-set measure at level n.
 
     measure(P(R_n x R_n)) is held exactly as scaled_measure / scale, with
-    scale = 9^max(n, 1); set_measure, tail_bound and full_value are built from
-    ints on access, as reduced Fractions.
+    scale = 9^max(n, 1).
     """
 
     n: int
@@ -132,10 +130,6 @@ class EstimateResult(NamedTuple):
     component_count: int
     elapsed_ms: int
 
-    set_measure = _fraction_property(lambda r: (r.scaled_measure, r.scale))
-    tail_bound = _fraction_property(lambda r: convergence_tail(r.n))
-    full_value = _fraction_property(lambda r: r._full_ratio())
-
     def _full_ratio(self) -> tuple[int, int]:
         return 3 * self.scaled_measure, 2 * self.scale
 
@@ -143,9 +137,9 @@ class EstimateResult(NamedTuple):
         """Certified enclosure of measure(P(C x C)) as (lo, hi) lowest-terms
         pairs, from the ints; n = 0 gives 17/21 and 5/6.
 
-        set_measure overshoots the true right-half product measure by at most
-        tail_bound, so the scaling identity pins the full measure inside
-        [(3/2)(set_measure - tail_bound), (3/2) set_measure].
+        m = scaled_measure / scale overshoots the true right-half product
+        measure by at most convergence_tail(n), so the scaling identity pins
+        the full measure inside [(3/2)(m - convergence_tail(n)), (3/2) m].
         """
         t, u = convergence_tail(self.n)
         low = 3 * (self.scaled_measure * u - t * self.scale), 2 * self.scale * u
@@ -305,8 +299,7 @@ class FastBounds(NamedTuple):
     """Exact bracket of measure(P(D_n x D_n)) from the truncated fast subdivision.
 
     Both ends are held exactly as integers over scale = 9^depth, depth that of
-    the deepest cell; lower, upper and width are built from ints on access, as
-    reduced Fractions.
+    the deepest cell.
     """
 
     n: int
@@ -317,10 +310,6 @@ class FastBounds(NamedTuple):
     component_count_inner: int
     component_count_outer: int
     elapsed_ms: int
-
-    lower = _fraction_property(lambda r: (r.scaled_lower, r.scale))
-    upper = _fraction_property(lambda r: (r.scaled_upper, r.scale))
-    width = _fraction_property(lambda r: (r.scaled_upper - r.scaled_lower, r.scale))
 
     def to_json(self, digits: int = 12) -> dict:
         return {

@@ -41,7 +41,7 @@ IntervalSets import `intervals` where they run.
 
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .ternary import Ratio, _fraction, _fraction_property, _lowest, _merge_ends
+from .ternary import Ratio, _fraction, _lowest, _merge_ends
 
 # Membership lives in `ternary`, which never loads `fractions`.  classify_ternary
 # is re-exported here because callers look it up on this module: perfbench's
@@ -50,8 +50,6 @@ from .ternary import Ratio, _fraction, _fraction_property, _lowest, _merge_ends
 from .ternary import classify_ternary  # noqa: F401
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     from .intervals import Interval, IntervalSet
 
 
@@ -67,8 +65,6 @@ class FastNode(NamedTuple):
 
         den = 3**self.k
         return Interval(_fraction(self.m, den), _fraction(self.m + 1, den))
-
-    length = _fraction_property(lambda node: (1, 3**node.k))
 
 
 UNIT = FastNode(m=0, k=0)
@@ -247,12 +243,13 @@ def removed_gaps(n: int, K: int) -> "IntervalSet":
     return _cover([gap for node in parents for gap in _gaps(node, K)], 1 + n * (K + 1))
 
 
-def squared_length_sum(n: int, K: int) -> tuple["Fraction", "Fraction"]:
-    """(sum of |cell|^2 over tracked depth-n cells, its K -> infinity limit).
+def squared_length_sum(n: int, K: int) -> tuple[Ratio, Ratio]:
+    """(sum of |cell|^2 over tracked depth-n cells, its K -> infinity limit),
+    as lowest-terms pairs.
 
     The limit is (1/9) (1/36)^n: each round multiplies the squared-length sum
     of a cell by 2 sum_{k>=1} 9^(-k-1) = 1/36.
     """
     level, _, depth = _fast_tree(n, K)
-    truncated = _fraction(sum(9 ** (depth - node.k) for node in level), 9**depth)
-    return truncated, _fraction(1, 9 * 36**n)
+    truncated = _lowest(sum(9 ** (depth - node.k) for node in level), 9**depth)
+    return truncated, (1, 9 * 36**n)

@@ -10,11 +10,10 @@ The exact routes' int kernels live here too, each in one place:
 `_ratio`, the one reader of an int, a `Fraction` or such a text, which
 `intervals.rat` wraps and every membership function calls; `format_ratio`
 and `decimal_ratio`, the "p/q" and decimal text of p/q; `Ratio`, the type
-of a lowest-terms pair; `_fraction`, which turns such a pair into a
-Fraction, and `_fraction_property`, the one factory of the record properties
-in `products`, `gaps` and `subdivision` that hand out their pairs as
-Fractions on access; and `_merge_ends`, the one merge into canonical
-interval form.
+of a lowest-terms pair, the one number form the records in `products`,
+`gaps` and `subdivision` hold and hand out; `_fraction`, which turns such a
+pair into a Fraction for the set face; and `_merge_ends`, the one merge into
+canonical interval form.
 This module never imports `fractions` at load time, so `member`, `art`,
 `fast`, `render` and `certify` run on ints alone.
 """
@@ -26,7 +25,6 @@ from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from fractions import Fraction
-    from typing import Any, Callable
 
 Ratio = tuple[int, int]  # (p, q) in lowest terms, q > 0: what _lowest returns
 
@@ -60,11 +58,6 @@ def _fraction(p: int, q: int) -> "Fraction":
     from fractions import Fraction
 
     return Fraction(p, q)
-
-
-def _fraction_property(ratio: "Callable[[Any], tuple[int, int]]") -> property:
-    """A record property: the pair (p, q), q > 0, of ratio(record) as a reduced Fraction."""
-    return property(lambda record: _fraction(*ratio(record)))
 
 
 def format_ratio(p: int, q: int) -> str:

@@ -88,7 +88,7 @@ def test_criterion_2_standard_level_11():
     start = time.perf_counter()
     est = standard_estimate(11)
     elapsed = time.perf_counter() - start
-    value = est.full_value
+    value = Fraction(*est.full_bounds()[1])
     window_center = Fraction(80955358, 10**8)
     in_window = abs(value - window_center) <= Fraction(1, 10**8)
     overshoot = value - FULL_CENTER
@@ -136,65 +136,70 @@ def test_criterion_3_level3_certificate():
     ok = all(checks.values())
     report(3, ok, ", ".join(f"{name} {'ok' if good else 'BAD'}" for name, good in checks.items()))
     assert all(checks.values()), checks
-    assert cert.center == LEVEL3_CENTER
+    assert Fraction(*cert.center_ratio) == LEVEL3_CENTER
 
 
 def test_criterion_4_full_certificate():
     start = time.perf_counter()
     cert = certify("theorem")
     elapsed = time.perf_counter() - start
-    radius_exact = cert.radius == Fraction(11, 7 * 16 * 3**11)
+    center, radius = Fraction(*cert.center_ratio), Fraction(*cert.radius_ratio)
+    radius_exact = radius == Fraction(11, 7 * 16 * 3**11)
     ok = (
         cert.ok
-        and cert.center == FULL_CENTER
+        and center == FULL_CENTER
         and radius_exact
-        and cert.radius < Fraction(1, 10**6)
+        and radius < Fraction(1, 10**6)
         and elapsed < 1.0
     )
     report(
         4,
         ok,
-        f"center {cert.center}, radius {cert.radius} "
-        f"(= 11/(7*16*3^11): {radius_exact}, < 1e-6: {cert.radius < Fraction(1, 10**6)}), "
+        f"center {center}, radius {radius} "
+        f"(= 11/(7*16*3^11): {radius_exact}, < 1e-6: {radius < Fraction(1, 10**6)}), "
         f"{elapsed:.3f} s",
     )
     assert cert.ok
-    assert cert.center == FULL_CENTER
+    assert center == FULL_CENTER
     assert radius_exact
-    assert cert.radius < Fraction(1, 10**6)
+    assert radius < Fraction(1, 10**6)
     assert elapsed < 1.0
 
 
 def test_criterion_5_fast_bracket_level_3():
-    center, radius = level3_enclosure()
+    center, radius = (Fraction(*value) for value in level3_enclosure())
     assert center == LEVEL3_CENTER
     assert radius == Fraction(1, 64 * P6)
     start = time.perf_counter()
     results = {K: fast_bounds(3, K) for K in range(4, 9)}
     elapsed = time.perf_counter() - start
-    last = results[8]
-    widths = [results[K].width for K in range(4, 9)]
+    # each bracket's (lower, upper) over its scale
+    ends = {K: (Fraction(r.scaled_lower, r.scale), Fraction(r.scaled_upper, r.scale))
+            for K, r in results.items()}
+    last_lower, last_upper = ends[8]
+    last_width = last_upper - last_lower
+    widths = [upper - lower for lower, upper in ends.values()]
     monotone = all(b < a for a, b in zip(widths, widths[1:]))
     # both routes enclose the same measure, so every bracket must meet center +- r
     meets = all(
-        r.lower <= center + radius and r.upper >= center - radius for r in results.values()
+        lower <= center + radius and upper >= center - radius for lower, upper in ends.values()
     )
-    width_ok = last.width <= LEVEL3_K8_WIDTH
+    width_ok = last_width <= LEVEL3_K8_WIDTH
     runtime_ok = elapsed <= 120
     ok = meets and width_ok and monotone and runtime_ok
     report(
         5,
         ok,
         f"brackets meet center +- r for K=4..8: {meets} "
-        f"(K=8: upper - (center - r) = {last.upper - (center - radius)}, "
-        f"(center + r) - lower = {center + radius - last.lower}), "
-        f"width - W8 = {last.width - LEVEL3_K8_WIDTH} <= 0: {width_ok}, "
+        f"(K=8: upper - (center - r) = {last_upper - (center - radius)}, "
+        f"(center + r) - lower = {center + radius - last_lower}), "
+        f"width - W8 = {last_width - LEVEL3_K8_WIDTH} <= 0: {width_ok}, "
         f"widths shrink K=4..8: {monotone}, {elapsed:.1f} s <= 120: {runtime_ok}",
     )
-    for K, r in results.items():
-        assert r.upper >= center - radius, (K, r.upper - (center - radius))
-        assert r.lower <= center + radius, (K, center + radius - r.lower)
-    assert width_ok, last.width - LEVEL3_K8_WIDTH
+    for K, (lower, upper) in ends.items():
+        assert upper >= center - radius, (K, upper - (center - radius))
+        assert lower <= center + radius, (K, center + radius - lower)
+    assert width_ok, last_width - LEVEL3_K8_WIDTH
     assert monotone
     assert runtime_ok
 
@@ -353,7 +358,7 @@ def test_criterion_8_membership_against_brackets():
 def test_criterion_9_standard_inside_full_certificate():
     # two independent routes to measure(P(C x C)): the level-20 standard
     # enclosure must lie inside the gap-calculus certificate's center +- r
-    center, radius = full_enclosure()
+    center, radius = (Fraction(*value) for value in full_enclosure())
     start = time.perf_counter()
     lo, hi = (Fraction(*end) for end in standard_estimate(20).full_bounds())
     elapsed = time.perf_counter() - start

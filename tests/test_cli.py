@@ -191,7 +191,7 @@ def test_certify_theorem(capsys):
 
 
 def test_certify_reports_tampering(capsys, monkeypatch):
-    monkeypatch.setitem(EXPECTED, "level1_gap_total", Fraction(1, 7))
+    monkeypatch.setitem(EXPECTED, "level1_gap_total", (1, 7))
     code, out, err = run_cli(capsys, "certify", "--target", "prop3")
     assert code == 1
     assert "verification failed: level1_gap_total" in err

@@ -508,8 +508,8 @@ def test_removed_measure_chain():
 def test_certify_level3():
     cert = certify("prop3")
     assert cert.ok
-    assert cert.center == Fraction(91782451, 170061120)
-    assert cert.radius == Fraction(1, 64 * P6)
+    assert cert.center_ratio == (91782451, 170061120)
+    assert cert.radius_ratio == (1, 64 * P6)
     assert [e.name for e in cert.chain][0] == "level1_gap_total"
     assert len(cert.chain) == 14
     assert cert.failures() == ()
@@ -518,10 +518,10 @@ def test_certify_level3():
 def test_certify_full():
     cert = certify("theorem")
     assert cert.ok
-    assert cert.center == Fraction(91782451, 113374080)
-    assert cert.radius == Fraction(11, 19840464)
-    assert cert.radius == Fraction(11, 7 * 16 * 3**11)
-    assert cert.radius < Fraction(1, 10**6)
+    assert cert.center_ratio == (91782451, 113374080)
+    assert cert.radius_ratio == (11, 19840464)
+    assert Fraction(*cert.radius_ratio) == Fraction(11, 7 * 16 * 3**11)
+    assert Fraction(*cert.radius_ratio) < Fraction(1, 10**6)
     assert len(cert.chain) == 18
 
 
@@ -541,9 +541,8 @@ def test_certificate_json_shape():
 
 
 def test_certify_detects_tampering(monkeypatch):
-    monkeypatch.setitem(
-        EXPECTED, "deep_series_total", Fraction(*EXPECTED["deep_series_total"]) + Fraction(1, 10**9)
-    )
+    tampered = Fraction(*EXPECTED["deep_series_total"]) + Fraction(1, 10**9)
+    monkeypatch.setitem(EXPECTED, "deep_series_total", pair(tampered))
     cert = certify("prop3")
     assert not cert.ok
     assert "deep_series_total" in {e.name for e in cert.failures()}
@@ -552,7 +551,7 @@ def test_certify_detects_tampering(monkeypatch):
 
 
 def test_certify_detects_tolerance_tampering(monkeypatch):
-    monkeypatch.setitem(EXPECTED, "full_radius_tolerance", Fraction(1, 10**9))
+    monkeypatch.setitem(EXPECTED, "full_radius_tolerance", (1, 10**9))
     cert = certify("theorem")
     assert not cert.ok
     assert {e.name for e in cert.failures()} == {"full_radius_tolerance"}
@@ -673,6 +672,11 @@ def test_series_kernels_match_fraction_oracles_at_every_cut(name):
             assert kernel(k, cut) == pair(oracle(k, cut)), (k, cut)
 
 
+def node_length(node):
+    """The length 3^-k of the cell at address (m, k), as a Fraction."""
+    return Fraction(1, 3**node.k)
+
+
 def certify_fraction_oracle(target):
     """certify's derivation on Fractions, every series written out:
     (center, radius, [(name, value, expected, relation, match), ...])."""
@@ -680,12 +684,11 @@ def certify_fraction_oracle(target):
     entries = []
 
     def add(name, value, relation="eq"):
-        expected = EXPECTED[name]
-        expected = Fraction(*expected) if isinstance(expected, tuple) else Fraction(expected)
+        expected = Fraction(*EXPECTED[name])
         entries.append((name, value, expected, relation, ops[relation](value, expected)))
         return value
 
-    sq = ROOT.length**2
+    sq = node_length(ROOT) ** 2
     mu1 = add("level1_gap_total", sq / 9 + 2 * _geometric_oracle(sq / 81, Fraction(1, 9)))
     increment = add(
         "level2_gap_increment",
@@ -696,10 +699,10 @@ def certify_fraction_oracle(target):
     d1p = node_child(e1, 1, high_side=True)
     add("band_floor", interval(p_interval(ROOT, 0, high_side=False)).lo)
     add("special_cell_separation", interval(q_interval(e1, 1, high_side=True)).hi, relation="lt")
-    add("special_cell_length", d1p.length)
+    add("special_cell_length", node_length(d1p))
     threshold = high_cover_threshold(e1.m, 1)
     add("special_cell_gap_threshold", Fraction(threshold))
-    gamma1 = add("special_cell_gap_total", _truncated_oracle(d1p.length, threshold))
+    gamma1 = add("special_cell_gap_total", _truncated_oracle(node_length(d1p), threshold))
 
     sum_a = _geometric_oracle(Fraction(1, 9**5), Fraction(1, 9))
     sum_b = _geometric_oracle(Fraction(1, 9**8), Fraction(1, 81))
@@ -732,9 +735,9 @@ def certify_fraction_oracle(target):
 TAMPERINGS = {
     "as-is": {},
     "deep_series_total": {
-        "deep_series_total": FROZEN_EXPECTED["deep_series_total"] + Fraction(1, 10**9)
+        "deep_series_total": pair(FROZEN_EXPECTED["deep_series_total"] + Fraction(1, 10**9))
     },
-    "full_radius_tolerance": {"full_radius_tolerance": Fraction(1, 10**9)},
+    "full_radius_tolerance": {"full_radius_tolerance": (1, 10**9)},
 }
 
 
@@ -747,8 +750,10 @@ def test_certify_matches_fraction_oracle(monkeypatch, target, patch):
         monkeypatch.setitem(EXPECTED, name, value)
     cert = certify(target)
     center, radius, entries = certify_fraction_oracle(target)
-    assert [(e.name, e.value, e.expected, e.relation, e.match) for e in cert.chain] == entries
-    assert (cert.center, cert.radius) == (center, radius)
+    chain = [(e.name, e.value_ratio, e.expected_ratio, e.relation, e.match) for e in cert.chain]
+    assert chain == [(name, pair(value), pair(expected), relation, match)
+                     for name, value, expected, relation, match in entries]
+    assert (cert.center_ratio, cert.radius_ratio) == (pair(center), pair(radius))
 
 
 def oracle_entry(name):
@@ -808,7 +813,9 @@ ENDS = {
 
 def _full_bounds_oracle(n):
     est = standard_estimate(n)
-    return Interval(Fraction(3, 2) * (est.set_measure - est.tail_bound), est.full_value)
+    measure = Fraction(est.scaled_measure, est.scale)
+    tail = Fraction(1, 63) * Fraction(2, 9) ** max(n - 1, 0)
+    return Interval(Fraction(3, 2) * (measure - tail), Fraction(3, 2) * measure)
 
 
 def ends_cases(name):
@@ -832,9 +839,10 @@ def test_ends_are_lowest_terms_pairs_equal_to_fraction_oracles(name):
 def test_enclosure_helpers_match_certificates():
     center3, radius3 = level3_enclosure()
     center, radius = full_enclosure()
-    assert (center3, radius3) == (certify("prop3").center, certify("prop3").radius)
-    assert (center, radius) == (certify("theorem").center, certify("theorem").radius)
-    assert center == Fraction(3, 2) * center3
+    level3, full = certify("prop3"), certify("theorem")
+    assert (center3, radius3) == (level3.center_ratio, level3.radius_ratio)
+    assert (center, radius) == (full.center_ratio, full.radius_ratio)
+    assert Fraction(*center) == Fraction(3, 2) * Fraction(*center3)
 
 
 def test_level2_value_sits_inside_coarser_knowledge():
@@ -842,4 +850,4 @@ def test_level2_value_sits_inside_coarser_knowledge():
     mu2 = Fraction(*first_level_gap_total()) + Fraction(*second_level_increment())
     center3, radius3 = level3_enclosure()
     level2 = Fraction(5, 9) - mu2
-    assert level2 > center3 + radius3
+    assert level2 > Fraction(*center3) + Fraction(*radius3)

@@ -155,6 +155,38 @@ def test_selftest_runs_on_ints_alone():
     assert probe_output(probe, "selftest") == "0 []\n"
 
 
+LIBRARY_ROUTES = """
+import sys
+from cantorprod import (
+    ROOT, certify, fast_bounds, full_enclosure, level3_enclosure, p_interval,
+    squared_length_sum, standard_estimate,
+)
+
+def leaves(value):
+    if hasattr(value, "_fields"):  # a record: every field, by name
+        for name in value._fields:
+            yield from leaves(getattr(value, name))
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from leaves(item)
+    else:
+        yield value
+
+est = standard_estimate(20)
+cert = certify("theorem")
+values = (est, est.full_bounds(), fast_bounds(2, 4), cert, cert.ok, level3_enclosure(),
+          full_enclosure(), squared_length_sum(2, 3), p_interval(ROOT, 0, False))
+print(sorted({type(leaf).__name__ for leaf in leaves(values)}), %s)
+""" % INT_ONLY_HEAVY
+
+
+def test_library_routes_run_on_ints_alone():
+    # the records, enclosures and pairs the library hands out hold ints (and
+    # a record's name and relation texts and match flags), and none of the
+    # calls loads `fractions`
+    assert probe_output(LIBRARY_ROUTES) == "['bool', 'int', 'str'] []\n"
+
+
 def test_module_run_is_clean_under_warnings_as_errors():
     # runpy warns when the package import has already loaded the module it runs
     result = run_probe("-W", "error", "-m", "cantorprod.cli", "member", "--x", "1/4")

@@ -17,6 +17,7 @@ from cantorprod.intervals import (
 )
 from cantorprod.products import (
     EstimateResult,
+    FastBounds,
     _check_hole_free,
     _standard_stats,
     _surviving_gaps,
@@ -46,6 +47,16 @@ def random_nonneg_set(rng: random.Random, pieces: int = 5, den: int = 48) -> Int
             a, b = b, a
         items.append(Interval(a, b))
     return IntervalSet(items)
+
+
+def set_measure(est: EstimateResult) -> Fraction:
+    """The record's measure(P(R_n x R_n)), scaled_measure / scale, as a Fraction."""
+    return Fraction(est.scaled_measure, est.scale)
+
+
+def fast_ends(r: FastBounds) -> tuple[Fraction, Fraction]:
+    """The record's (lower, upper) ends, each over its scale, as Fractions."""
+    return Fraction(r.scaled_lower, r.scale), Fraction(r.scaled_upper, r.scale)
 
 
 def split_middle(piece: Interval) -> IntervalSet:
@@ -182,31 +193,29 @@ def test_convergence_tail_values():
 
 def test_standard_estimate_level_zero():
     est = standard_estimate(0)
-    assert est.set_measure == Fraction(5, 9)
-    assert est.full_value == Fraction(5, 6)
+    assert set_measure(est) == Fraction(5, 9)
     assert est.full_bounds() == ((17, 21), (5, 6))
     assert est.component_count == 1
 
 
 def test_standard_estimate_level_two():
     est = standard_estimate(2)
-    assert est.set_measure == Fraction(44, 81)
+    assert set_measure(est) == Fraction(44, 81)
     assert est.component_count == 2
 
 
 def test_standard_estimates_decrease_with_level():
-    values = [standard_estimate(n).set_measure for n in range(8)]
+    values = [set_measure(standard_estimate(n)) for n in range(8)]
     for a, b in zip(values, values[1:]):
         assert b <= a
 
 
 def test_tail_bounds_actual_telescope():
     # the printed tail really bounds how far the level-n value can still fall
-    deep = standard_estimate(9).set_measure
+    deep = set_measure(standard_estimate(9))
     for n in range(8):
-        est = standard_estimate(n)
-        drop = est.set_measure - deep
-        assert Fraction(0) <= drop <= est.tail_bound
+        drop = set_measure(standard_estimate(n)) - deep
+        assert Fraction(0) <= drop <= Fraction(*convergence_tail(n))
 
 
 def test_full_bounds_pairwise_consistent():
@@ -229,7 +238,7 @@ def test_standard_estimate_matches_sweep_oracle():
     # the whole range the benchmark runs
     for n in range(14):
         est = standard_estimate(n)
-        assert (est.set_measure, est.component_count) == self_product_stats(
+        assert (set_measure(est), est.component_count) == self_product_stats(
             right_half_subdivision(n)
         ), n
 
@@ -474,28 +483,28 @@ def test_estimate_json_shape():
 
 
 def test_fast_bounds_bracket_tightens():
-    results = [fast_bounds(2, K) for K in (2, 3, 4)]
-    for a, b in zip(results, results[1:]):
-        assert b.lower >= a.lower
-        assert b.upper <= a.upper
-        assert b.width < a.width
-    for r in results:
-        assert r.lower < r.upper
+    results = [fast_ends(fast_bounds(2, K)) for K in (2, 3, 4)]
+    for (a_lower, a_upper), (b_lower, b_upper) in zip(results, results[1:]):
+        assert b_lower >= a_lower
+        assert b_upper <= a_upper
+        assert b_upper - b_lower < a_upper - a_lower
+    for lower, upper in results:
+        assert lower < upper
 
 
 def test_fast_bounds_level_one_catches_true_value():
     # one full round removes the diagonal gap: the exact value is 175/324
     true_value = Fraction(175, 324)
     for K in (3, 5, 7):
-        r = fast_bounds(1, K)
-        assert r.lower <= true_value <= r.upper
+        lower, upper = fast_ends(fast_bounds(1, K))
+        assert lower <= true_value <= upper
 
 
 def test_fast_bounds_level_two_catches_true_value():
     # two rounds: 5/9 minus the first two removed-measure increments
     true_value = Fraction(5, 9) - Fraction(5, 324) - Fraction(859, 2099520)
-    r = fast_bounds(2, 6)
-    assert r.lower <= true_value <= r.upper
+    lower, upper = fast_ends(fast_bounds(2, 6))
+    assert lower <= true_value <= upper
 
 
 def pairwise_product(s: IntervalSet, t: IntervalSet | None = None) -> IntervalSet:
@@ -526,8 +535,7 @@ def test_fast_bounds_match_pairwise_oracle():
         inner = pairwise_product(sub.inner)
         outer = pairwise_product(sub.outer)
         r = fast_bounds(n, K)
-        assert r.lower == inner.measure(), (n, K)
-        assert r.upper == outer.measure(), (n, K)
+        assert fast_ends(r) == (inner.measure(), outer.measure()), (n, K)
         assert r.component_count_inner == len(inner), (n, K)
         assert r.component_count_outer == len(outer), (n, K)
 
@@ -541,11 +549,12 @@ def test_fast_bounds_match_interval_set_route():
     for n, K in cases:
         sub = fast_subdivision(n, K)
         r = fast_bounds(n, K)
-        assert (r.lower, r.component_count_inner) == self_product_stats(sub.inner), (n, K)
-        assert (r.upper, r.component_count_outer) == self_product_stats(sub.outer), (n, K)
+        lower, upper = fast_ends(r)
+        assert (lower, r.component_count_inner) == self_product_stats(sub.inner), (n, K)
+        assert (upper, r.component_count_outer) == self_product_stats(sub.outer), (n, K)
         inner, outer = product_image(sub.inner), product_image(sub.outer)
-        assert (r.lower, r.component_count_inner) == (inner.measure(), len(inner)), (n, K)
-        assert (r.upper, r.component_count_outer) == (outer.measure(), len(outer)), (n, K)
+        assert (lower, r.component_count_inner) == (inner.measure(), len(inner)), (n, K)
+        assert (upper, r.component_count_outer) == (outer.measure(), len(outer)), (n, K)
 
 
 def test_fast_bounds_builds_no_interval_set(monkeypatch):
@@ -641,9 +650,8 @@ def test_routes_agree_on_common_ground():
     # the standard enclosure of the full measure and the theorem-level bracket
     # computed from the fast route must overlap once both are scaled
     std_lo, std_hi = (Fraction(*end) for end in standard_estimate(3).full_bounds())
-    fast = fast_bounds(2, 5)
-    scaled_lo = Fraction(3, 2) * fast.lower
-    scaled_hi = Fraction(3, 2) * fast.upper
+    _, fast_hi = fast_ends(fast_bounds(2, 5))
+    scaled_hi = Fraction(3, 2) * fast_hi
     # level-2 fast brackets measure(P(D_2 x D_2)) >= measure(P(R x R)), so
     # only the upper end is directly comparable: it must clear the lower
     # standard bound
@@ -710,9 +718,9 @@ def test_estimate_record_matches_fraction_route():
         measure = Fraction(scaled, den)
         tail = Fraction(1, 63) * Fraction(2, 9) ** max(n - 1, 0)
         full = half * measure
-        fields = (est.set_measure, est.tail_bound, est.full_value)
-        assert fields == (measure, tail, full), n
-        assert [type(value) for value in fields] == [Fraction] * 3, n
+        assert (est.scaled_measure, est.scale, est.component_count) == (scaled, den, count), n
+        fields = (est.scaled_measure, est.scale, *convergence_tail(n), *sum(est.full_bounds(), ()))
+        assert [type(value) for value in fields] == [int] * 8, n
         ends = (half * (measure - tail), half * measure)
         assert est.full_bounds() == tuple((x.numerator, x.denominator) for x in ends), n
         assert convergence_tail(n) == (tail.numerator, tail.denominator), n
@@ -729,9 +737,9 @@ def test_fast_record_matches_fraction_route():
         lower, count_inner = self_product_stats(sub.inner)
         upper, count_outer = self_product_stats(sub.outer)
         r = fast_bounds(n, K)
-        fields = (r.lower, r.upper, r.width)
-        assert fields == (lower, upper, upper - lower), (n, K)
-        assert [type(value) for value in fields] == [Fraction] * 3, (n, K)
+        assert fast_ends(r) == (lower, upper), (n, K)
+        fields = (r.scaled_lower, r.scaled_upper, r.scale)
+        assert [type(value) for value in fields] == [int] * 3, (n, K)
         for digits in (1, 12, 50):
             assert r.to_json(digits) == fast_json_oracle(
                 n, K, lower, upper, count_inner, count_outer, r.elapsed_ms, digits), (n, K, digits)

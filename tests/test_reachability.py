@@ -82,7 +82,8 @@ UNREACHED = {
     # a verification that fails: certify's exit 1 names the first failure
     # (perfbench's tracer counts them too)
     "gaps.Certificate.failures": FAILURE,
-    # the library's Fraction, Interval and IntervalSet face
+    # the library face: Interval, IntervalSet and the Fraction covers, and the
+    # enclosures and the squared-length sum, which hand out int pairs
     **dict.fromkeys([
         "__init__.__dir__",
         "gaps._enclosure", "gaps.full_enclosure", "gaps.level3_enclosure",

@@ -186,7 +186,7 @@ def test_genuine_nodes_keep_q_equal_m():
         depth = rng.randint(1, 4)
         for _ in range(depth):
             node = node_child(node, rng.randint(1, 5), high_side=rng.random() < 0.5)
-        assert node.cell.lo / node.length == node.m  # q, left end over length, is m
+        assert node.cell.lo / node.cell.length == node.m  # q, left end over length, is m
         assert node.m >= 2 * 9**depth
 
 
@@ -345,14 +345,14 @@ def test_gap_midpoints_are_non_members():
 
 def test_squared_length_sum_round_zero_hits_limit():
     truncated, limit = squared_length_sum(0, 1)
-    assert truncated == limit == Fraction(1, 9)
+    assert truncated == limit == (1, 9)
 
 
 def test_squared_length_sum_truncation_below_limit():
     for n in (1, 2):
         values = []
         for K in range(1, 7):
-            truncated, limit = squared_length_sum(n, K)
+            truncated, limit = (Fraction(*value) for value in squared_length_sum(n, K))
             assert limit == Fraction(1, 9) * Fraction(1, 36) ** n
             assert truncated < limit
             values.append(truncated)
@@ -363,7 +363,7 @@ def test_squared_length_sum_one_round_closed_form():
     for K in range(1, 8):
         truncated, _ = squared_length_sum(1, K)
         expected = 2 * sum(Fraction(1, 9 ** (k + 2)) for k in range(1, K + 1))
-        assert truncated == expected
+        assert Fraction(*truncated) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +401,7 @@ def removed_gaps_oracle(n: int, K: int) -> IntervalSet:
 
 def squared_length_oracle(n: int, K: int) -> Fraction:
     _, level = _rounds(n, K)
-    return sum((node.length**2 for node in level), Fraction(0))
+    return sum((Fraction(1, 9**node.k) for node in level), Fraction(0))
 
 
 FAST_CASES = [(n, K) for n in range(3) for K in range(1, 9)] + [(3, K) for K in range(1, 7)]
@@ -423,7 +423,8 @@ def test_fast_routes_match_their_oracles():
     for n, K in FAST_CASES:
         assert tuple(fast_subdivision(n, K)) == fast_oracle(n, K), (n, K)
         assert removed_gaps(n, K) == removed_gaps_oracle(n, K), (n, K)
-        assert squared_length_sum(n, K)[0] == squared_length_oracle(n, K), (n, K)
+        oracle = squared_length_oracle(n, K)
+        assert squared_length_sum(n, K)[0] == (oracle.numerator, oracle.denominator), (n, K)
 
 
 def cell_at(k: int):
@@ -456,8 +457,8 @@ def test_cover_matches_the_per_cell_union(case):
 
 
 def test_covers_build_no_cell_and_call_no_canonicaliser(monkeypatch):
-    # the sets and the product image come from integer ends: no FastNode.cell
-    # or .length, and no IntervalSet.__init__, whose merge runs on Fractions
+    # the sets and the product image come from integer ends: no FastNode.cell,
+    # and no IntervalSet.__init__, whose merge runs on Fractions
     seen = []
     init = IntervalSet.__init__
 
@@ -466,8 +467,7 @@ def test_covers_build_no_cell_and_call_no_canonicaliser(monkeypatch):
         init(self, items)
 
     monkeypatch.setattr(IntervalSet, "__init__", counted_init)
-    for name in ("cell", "length"):
-        monkeypatch.setattr(FastNode, name, property(lambda node, name=name: seen.append(name)))
+    monkeypatch.setattr(FastNode, "cell", property(lambda node: seen.append("cell")))
     standard_subdivision(4)
     right_half_subdivision(0)
     right_half_subdivision(5)
