@@ -87,6 +87,49 @@ MUTANTS = (
         "ChainEntry(name, value, expected, relation, True)",
         ("tests/test_gaps.py::test_certify_detects_tampering",),
     ),
+    Mutant(
+        "touching ends left unmerged",
+        "src/cantorprod/ternary.py",
+        "        if hi < lo:\n",
+        "        if hi <= lo:\n",
+        ("tests/test_intervals.py::test_normalize_merges_touching",
+         "tests/test_intervals.py::test_merge_ends_matches_sort_and_sweep"),
+    ),
+    Mutant(
+        "the beta series stops one child early",
+        "src/cantorprod/gaps.py",
+        "k + 2, cut)",
+        "k + 1, cut)",
+        ("tests/test_gaps.py::test_beta_closed_form_matches_series",),
+    ),
+    Mutant(
+        "run flushes before the atexit handlers",
+        "src/cantorprod/cli.py",
+        "    atexit._run_exitfuncs()\n    sys.stdout.flush()\n    sys.stderr.flush()\n",
+        "    sys.stdout.flush()\n    sys.stderr.flush()\n    atexit._run_exitfuncs()\n",
+        ("tests/test_cli.py::test_run_runs_atexit_handlers_and_keeps_the_exit_code",),
+    ),
+    Mutant(
+        "the hole-free check never raises",
+        "src/cantorprod/products.py",
+        "    if b > 3 * a + t:\n",
+        "    if False:\n",
+        ("tests/test_products.py::test_hole_free_check_raises_on_a_hole",),
+    ),
+    Mutant(
+        "the hole-free bound loses its t",
+        "src/cantorprod/products.py",
+        "    if b > 3 * a + t:\n",
+        "    if b > 3 * a:\n",
+        ("tests/test_products.py::test_hole_free_check_raises_on_a_hole",),
+    ),
+    Mutant(
+        "the figure check skips the closing tag",
+        "src/cantorprod/cli.py",
+        ' and last == "</svg>\\n"\n',
+        "\n",
+        ("tests/test_cli.py::test_selftest_fails_a_figure_without_its_closing_tag",),
+    ),
 )
 
 

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cantorprod import cli, gaps
+from cantorprod import cli, gaps, render
 from cantorprod.gaps import EXPECTED
 from cantorprod.render import render_svg
 from test_reachability import COMMAND_LINES
@@ -346,6 +347,35 @@ def test_selftest_reports_a_raising_check_with_its_traceback(capsys, monkeypatch
     assert err.startswith("Traceback (most recent call last):\n")
     assert "in broken\n" in err
     assert err.endswith("ZeroDivisionError: division by zero\n")
+
+
+def traced_peak(call) -> int:
+    """Peak bytes of Python allocations while call() runs (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_selftest_figure_check_streams_the_figure():
+    # the check reads the lines one at a time, so it never holds the document
+    # that render_svg joins
+    check = dict(cli._selftest_checks())["figure renders"]
+    assert check() is True  # warms whatever the first call caches
+    joined = traced_peak(lambda: render.render_svg(0, 1))
+    assert traced_peak(check) <= joined // 2
+
+
+def test_selftest_fails_a_figure_without_its_closing_tag(capsys, monkeypatch):
+    svg = render._svg
+    monkeypatch.setattr(render, "_svg", lambda depth, k_max: (
+        line for line in svg(depth, k_max) if line != "</svg>\n"))
+    code, out, _ = run_cli(capsys, "selftest")
+    assert code == 1
+    assert out.splitlines()[-1] == "FAIL - figure renders"
+    assert out.count("ok - ") == 10
 
 
 # a child's stdout is block-buffered, as in a shell pipeline, whatever the

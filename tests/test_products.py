@@ -460,6 +460,11 @@ def test_hole_free_check_raises_on_a_hole(monkeypatch):
         _check_hole_free(0, 6, 1)
     # the extreme pair of level 2, in units of 1/9, passes
     _check_hole_free(6, 8, 1)
+    # the bound is b <= 3a + t: its edge passes and one unit past it raises
+    for a, t in ((6, 1), (18, 3)):
+        _check_hole_free(a, 3 * a + t, t)
+        with pytest.raises(RuntimeError):
+            _check_hole_free(a, 3 * a + t + 1, t)
     # and the standard route runs the check on every level it splits
     checked = []
     monkeypatch.setattr(products, "_check_hole_free", lambda *pair: checked.append(pair))

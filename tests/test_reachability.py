@@ -76,7 +76,7 @@ UNREACHED = {
     # wrapped or called by perfbench's tracer and sweep_peak
     **dict.fromkeys([
         "intervals.IntervalSet.__init__", "intervals.decimal_string",
-        "products.self_product_stats", "subdivision.fast_subdivision",
+        "products.self_product_stats", "render.render_svg", "subdivision.fast_subdivision",
         "subdivision.right_half_subdivision",
     ], PERFBENCH),
     # a verification that fails: certify's exit 1 names the first failure
