@@ -25,16 +25,14 @@ _CERTIFY_TARGETS = ("prop3", "theorem")
 _SUBMODULES = ("ternary", "intervals", "subdivision", "products", "gaps", "render", "cli")
 
 _EXPORTS = {
-    "ternary": (
-        "Membership", "TernaryExpansion", "classify_ternary", "ternary_expansion",
-    ),
     "intervals": (
         "Interval", "IntervalSet", "decimal_string", "format_rational", "rat",
     ),
     "subdivision": (
-        "FastNode", "FastSubdivision", "ROOT", "fast_subdivision", "g_interval", "gap_set",
-        "node_child", "node_children", "p_interval", "q_interval", "removed_gaps",
-        "right_half_subdivision", "squared_length_sum", "standard_subdivision",
+        "FastNode", "FastSubdivision", "Membership", "ROOT", "TernaryExpansion",
+        "classify_ternary", "fast_subdivision", "g_interval", "gap_set", "node_child",
+        "node_children", "p_interval", "q_interval", "removed_gaps", "right_half_subdivision",
+        "squared_length_sum", "standard_subdivision", "ternary_expansion",
     ),
     "products": (
         "EstimateResult", "FastBounds", "convergence_tail", "fast_bounds", "standard_estimate",

@@ -8,11 +8,12 @@ byte for byte as ``json.dumps(payload, sort_keys=True, indent=2)`` would,
 without importing json.  Exit codes: 0 success, 1 verification failure or
 failed write, 2 usage.
 
-Only the standard library is imported up front, and neither `fractions` nor
-`json`.  Each handler imports the modules it runs and calls through them, so
-a command loads no computation module it does not use, and a function
-rebound in its module is the one that runs.  `member` loads only `ternary`,
-which decides membership on ints.  `art` and `fast` load `products`,
+Only the standard library is imported up front, and neither `fractions`,
+`json`, `typing` nor `functools`.  Each handler imports the modules it runs
+and calls through them, so a command loads no computation module it does not
+use, and a function rebound in its module is the one that runs.  `member`
+loads only `ternary` and runs its long-division kernel on ints, building no
+record class.  `art` and `fast` load `products`,
 `subdivision` and `ternary`, `render` loads `render`, `subdivision` and
 `ternary`, and `certify` loads `gaps`, `subdivision` and `ternary`; all four
 run on ints from argv to stdout.  `selftest` loads `gaps`, `products`,
@@ -33,13 +34,16 @@ instead, so `python -m cProfile -m cantorprod.cli ...` prints its profile.
 """
 
 import atexit
-import functools
 import os
 import sys
 from types import SimpleNamespace
-from typing import Iterable, NoReturn, Optional, Sequence
 
 from . import _CERTIFY_TARGETS
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # typing, and the re and functools it loads, cost `member` milliseconds
+    from collections.abc import Iterable, Sequence
+    from typing import NoReturn
 
 MAX_DIGITS = 50
 
@@ -115,7 +119,7 @@ def _text_lines(payload: dict, indent: str = "") -> list[str]:
     return lines
 
 
-def _emit(chunks: Iterable[str], out: Optional[str]) -> None:
+def _emit(chunks: "Iterable[str]", out: "str | None") -> None:
     """Write the chunks one by one as UTF-8, whatever the locale or stdout encoding:
     to the --out file, to stdout's binary buffer, or to a text-only stream."""
     if out is not None:
@@ -135,7 +139,7 @@ def _emit(chunks: Iterable[str], out: Optional[str]) -> None:
         sys.stdout.writelines(chunks)
 
 
-def _render_payload(payload: dict, fmt: str, out: Optional[str]) -> None:
+def _render_payload(payload: dict, fmt: str, out: "str | None") -> None:
     if fmt == "json":
         _emit([_dump_json(payload)], out)
     else:
@@ -203,22 +207,26 @@ def _cmd_member(args) -> int:
     from . import ternary
 
     p, q = ternary.parse_ratio(args.x)
-    verdict, expansion = ternary.classify_ternary(args.x)
+    digits, period, complete = ternary._expansion(p, q)
+    verdict = ternary._verdict(digits, period, complete)
+    expansion = ternary._expansion_text(digits, period, complete)
     payload = {
         "x": ternary.format_ratio(p, q),
-        "verdict": verdict.value,
-        "expansion": str(expansion),
-        "preperiod_digits": expansion.preperiod,
-        "period_length": expansion.period,
+        "verdict": verdict,
+        "expansion": expansion,
+        "preperiod_digits": len(digits) - period,
+        "period_length": period,
     }
     if args.format == "json":
         _emit([_dump_json(payload)], args.out)
     else:
-        _emit([f"{verdict.value}\nexpansion = {expansion}\n"], args.out)
+        _emit([f"{verdict}\nexpansion = {expansion}\n"], args.out)
     return 0
 
 
 def _selftest_checks():
+    import functools
+
     from . import gaps, products, render, subdivision
 
     root = subdivision.ROOT
@@ -306,7 +314,7 @@ COMMANDS = {
 _HELP = ("-h", "--help")
 
 
-def _usage(command: Optional[str]) -> str:
+def _usage(command: "str | None") -> str:
     if command is None:
         return "cantorprod [-h] {" + ",".join(COMMANDS) + "} ..."
     words = [command, "[-h]"]
@@ -316,12 +324,12 @@ def _usage(command: Optional[str]) -> str:
     return "cantorprod " + " ".join(words)
 
 
-def _fail(message: str, command: Optional[str] = None) -> NoReturn:
+def _fail(message: str, command: "str | None" = None) -> "NoReturn":
     sys.stderr.write(f"usage: {_usage(command)}\ncantorprod: error: {message}\n")
     raise SystemExit(2)
 
 
-def _help(value: Optional[str], command: Optional[str]) -> NoReturn:
+def _help(value: "str | None", command: "str | None") -> "NoReturn":
     if value is not None:
         _fail(f"argument -h/--help: ignored explicit argument {value!r}", command)
     if command is None:
@@ -334,7 +342,7 @@ def _help(value: Optional[str], command: Optional[str]) -> NoReturn:
     raise SystemExit(0)
 
 
-def _read(token: str, names: Sequence[str], command: Optional[str]):
+def _read(token: str, names: "Sequence[str]", command: "str | None"):
     """None for a value, else (option or None if unknown, text after `=` or None)."""
     if not token.startswith("-") or token == "-":
         return None
@@ -358,7 +366,7 @@ def _read(token: str, names: Sequence[str], command: Optional[str]):
     return None if re.match(r"^-\d+$|^-\d*\.\d+$", token) else (None, None)
 
 
-def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+def parse_args(argv: "Sequence[str]") -> SimpleNamespace:
     """Read argv as argparse reads it: `--opt VALUE`, `--opt=VALUE`, a unique prefix,
     the last of repeats, negative numbers as values. Returns `command` and each of
     its options; a usage error exits 2, and -h or --help prints help and exits 0."""
@@ -408,7 +416,7 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
     return SimpleNamespace(command=command, **values)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: "Sequence[str] | None" = None) -> int:
     args = None
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)  # --help writes to stdout
@@ -429,7 +437,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return code
 
 
-def run() -> NoReturn:
+def run() -> "NoReturn":
     """Run `main` on sys.argv and end the process with its exit code.
 
     A usage error or --help ends `main` with SystemExit; its code is read as

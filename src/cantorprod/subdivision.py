@@ -37,19 +37,21 @@ as Fractions.  The ints of _leaves are already the leaves' left ends, in units
 of their 3^-depth.  The integer walks load no `fractions`: Fractions are
 built through ternary._fraction, and the functions that build Intervals or
 IntervalSets import `intervals` where they run.
+
+The membership records live here too: `classify_ternary` gives a
+`Membership` verdict and a `TernaryExpansion`, both read off `ternary`'s int
+kernel, which `member` runs without them.
 """
 
+from enum import Enum
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .ternary import Ratio, _fraction, _lowest, _merge_ends
-
-# Membership lives in `ternary`, which never loads `fractions`.  classify_ternary
-# is re-exported here because callers look it up on this module: perfbench's
-# tracer wraps `subdivision.classify_ternary` (its --trace 1 run fails without
-# it), and the selftest calls it through this module.
-from .ternary import classify_ternary  # noqa: F401
+from .ternary import Ratio, _expansion, _expansion_text, _fraction, _lowest, _merge_ends
+from .ternary import _ratio, _verdict
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .intervals import Interval, IntervalSet
 
 
@@ -253,3 +255,47 @@ def squared_length_sum(n: int, K: int) -> tuple[Ratio, Ratio]:
     level, _, depth = _fast_tree(n, K)
     truncated = _lowest(sum(9 ** (depth - node.k) for node in level), 9**depth)
     return truncated, (1, 9 * 36**n)
+
+
+class Membership(Enum):
+    MEMBER = "member"
+    NON_MEMBER = "non_member"
+    UNDETERMINED = "undetermined"
+
+
+class TernaryExpansion(NamedTuple):
+    """Base-3 digits of a number in [0, 1], with cycle structure.
+
+    period == 0 means the expansion terminates after the recorded digits;
+    otherwise the last `period` recorded digits repeat forever.  complete is
+    False only when the digit budget ran out before the cycle closed.
+    """
+
+    digits: tuple[int, ...]
+    period: int
+    complete: bool
+
+    @property
+    def preperiod(self) -> int:
+        return len(self.digits) - self.period
+
+    def __str__(self) -> str:
+        return _expansion_text(*self)
+
+
+def ternary_expansion(x: "int | Fraction | str", max_digits: int = 4096) -> TernaryExpansion:
+    """Expand x in [0, 1] in base 3 by long division, detecting the cycle."""
+    digits, period, complete = _expansion(*_ratio(x), max_digits)
+    return TernaryExpansion(tuple(digits), period, complete)
+
+
+def classify_ternary(x: "int | Fraction | str",
+                     max_digits: int = 4096) -> tuple[Membership, TernaryExpansion]:
+    """Decide Cantor-set membership of x in [0, 1] from its ternary digits.
+
+    The verdict is `ternary._verdict`'s: a digit 1 puts x in a removed gap
+    unless it is the last digit of a terminating expansion.  UNDETERMINED
+    can only happen when max_digits is smaller than the cycle.
+    """
+    exp = ternary_expansion(x, max_digits)
+    return Membership(_verdict(*exp)), exp

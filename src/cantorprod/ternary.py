@@ -3,7 +3,10 @@
 A rational x in [0, 1] is in C exactly when its ternary expansion avoids the
 digit 1 (a final digit 1 is allowed: ...1 = ...0222...).  The expansion is
 integer long division of x.numerator by x.denominator, and it cycles within
-the denominator's remainders, so the verdict is exact.
+the denominator's remainders, so the verdict is exact.  `_expansion` is that
+division on ints, `_verdict` and `_expansion_text` are the verdict and the
+`0.d(d)*` text read off its digits; `member` runs on these three alone, and
+the records `subdivision.classify_ternary` hands out wrap them.
 
 The exact routes' int kernels live here too, each in one place:
 `parse_ratio`, the one text parser ("p/q" or "p" to lowest-terms ints);
@@ -14,16 +17,17 @@ of a lowest-terms pair, the one number form the records in `products`,
 `gaps` and `subdivision` hold and hand out; `_fraction`, which turns such a
 pair into a Fraction for the set face; and `_merge_ends`, the one merge into
 canonical interval form.
-This module never imports `fractions` at load time, so `member`, `art`,
-`fast`, `render` and `certify` run on ints alone.
+This module imports neither `fractions` nor `typing` nor `enum` at load
+time: `member`, `art`, `fast`, `render` and `certify` run on ints alone, and
+`member` loads no record machinery.
 """
 
 import sys
-from enum import Enum
 from math import gcd
-from typing import TYPE_CHECKING, NamedTuple
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Sequence
     from fractions import Fraction
 
 Ratio = tuple[int, int]  # (p, q) in lowest terms, q > 0: what _lowest returns
@@ -112,73 +116,49 @@ def _ratio(x: "int | Fraction | str") -> Ratio:
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
-class Membership(Enum):
-    MEMBER = "member"
-    NON_MEMBER = "non_member"
-    UNDETERMINED = "undetermined"
+def _expansion(p: int, q: int, max_digits: int = 4096) -> "tuple[list[int], int, bool]":
+    """(digits, period, complete): the base-3 digits of p/q in [0, 1] (q > 0) by long division.
 
-
-class TernaryExpansion(NamedTuple):
-    """Base-3 digits of a number in [0, 1], with cycle structure.
-
-    period == 0 means the expansion terminates after the recorded digits;
-    otherwise the last `period` recorded digits repeat forever.  complete is
-    False only when the digit budget ran out before the cycle closed.
+    period == 0 means the expansion terminates after the digits; otherwise
+    the last `period` digits repeat forever.  complete is False only when
+    the digit budget ran out before the cycle closed.  1 is 0.(2)*.
     """
-
-    digits: tuple[int, ...]
-    period: int
-    complete: bool
-
-    @property
-    def preperiod(self) -> int:
-        return len(self.digits) - self.period
-
-    def __str__(self) -> str:
-        head = "".join(str(d) for d in self.digits[: self.preperiod])
-        if self.period:
-            tail = "".join(str(d) for d in self.digits[self.preperiod :])
-            return f"0.{head}({tail})*"
-        if not self.complete:
-            return f"0.{head}..."
-        return f"0.{head}" if self.digits else "0"
-
-
-def ternary_expansion(x: "int | Fraction | str", max_digits: int = 4096) -> TernaryExpansion:
-    """Expand x in [0, 1] in base 3 by long division, detecting the cycle."""
-    rem, den = _ratio(x)
-    if not 0 <= rem <= den:
-        raise ValueError(f"expected a number in [0, 1], got {rem if den == 1 else f'{rem}/{den}'}")
-    if rem == den:
-        return TernaryExpansion(digits=(2,), period=1, complete=True)
+    if not 0 <= p <= q:
+        raise ValueError(f"expected a number in [0, 1], got {p if q == 1 else f'{p}/{q}'}")
+    if p == q:
+        return [2], 1, True
     digits: list[int] = []
     seen: dict[int, int] = {}
-    while rem and len(digits) < max_digits:
-        if rem in seen:
-            start = seen[rem]
-            return TernaryExpansion(tuple(digits), period=len(digits) - start, complete=True)
-        seen[rem] = len(digits)
-        rem *= 3
-        d, rem = divmod(rem, den)
+    while p and len(digits) < max_digits:
+        if p in seen:
+            return digits, len(digits) - seen[p], True
+        seen[p] = len(digits)
+        d, p = divmod(3 * p, q)
         digits.append(d)
-    return TernaryExpansion(tuple(digits), period=0, complete=(rem == 0))
+    return digits, 0, p == 0
 
 
-def classify_ternary(x: "int | Fraction | str",
-                     max_digits: int = 4096) -> tuple[Membership, TernaryExpansion]:
-    """Decide Cantor-set membership of x in [0, 1] from its ternary digits.
+def _verdict(digits: "Sequence[int]", period: int, complete: bool) -> str:
+    """The verdict on an `_expansion`: "member", "non_member" or "undetermined".
 
     A digit 1 followed by anything nonzero puts x strictly inside a removed
     gap.  A trailing digit 1 is the left endpoint of a gap and stays in the
     set (rewrite ...1 as ...0222...).  Rationals always resolve within one
-    remainder cycle, so UNDETERMINED can only happen when max_digits is
-    smaller than the cycle.
+    remainder cycle, so "undetermined" can only happen when the digit budget
+    is smaller than the cycle.
     """
-    exp = ternary_expansion(x, max_digits)
-    for pos, d in enumerate(exp.digits):
-        if d == 1:
-            terminal = exp.period == 0 and exp.complete and pos == len(exp.digits) - 1
-            return (Membership.MEMBER if terminal else Membership.NON_MEMBER), exp
-    if not exp.complete:
-        return Membership.UNDETERMINED, exp
-    return Membership.MEMBER, exp
+    if 1 in digits:
+        terminal = period == 0 and complete and digits.index(1) == len(digits) - 1
+        return "member" if terminal else "non_member"
+    return "member" if complete else "undetermined"
+
+
+def _expansion_text(digits: "Sequence[int]", period: int, complete: bool) -> str:
+    """An `_expansion` as text: "0.d(d)*" with the cycle in brackets, "0.d..." cut short."""
+    cut = len(digits) - period
+    head = "".join(map(str, digits[:cut]))
+    if period:
+        return f"0.{head}({''.join(map(str, digits[cut:]))})*"
+    if not complete:
+        return f"0.{head}..."
+    return f"0.{head}" if digits else "0"

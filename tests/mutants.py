@@ -130,6 +130,27 @@ MUTANTS = (
         "\n",
         ("tests/test_cli.py::test_selftest_fails_a_figure_without_its_closing_tag",),
     ),
+    Mutant(
+        "a digit 1 always ends a terminating expansion",
+        "src/cantorprod/ternary.py",
+        "terminal = period == 0 and complete and digits.index(1) == len(digits) - 1",
+        "terminal = True",
+        ("tests/test_ternary.py::test_membership_kernel_matches_the_record_oracle",),
+    ),
+    Mutant(
+        "the kernel loses its x == 1 branch",
+        "src/cantorprod/ternary.py",
+        "    if p == q:\n        return [2], 1, True\n",
+        "",
+        ("tests/test_ternary.py::test_membership_kernel_matches_the_record_oracle",),
+    ),
+    Mutant(
+        "the cycle one digit too long",
+        "src/cantorprod/ternary.py",
+        "return digits, len(digits) - seen[p], True",
+        "return digits, len(digits) - seen[p] + 1, True",
+        ("tests/test_ternary.py::test_membership_kernel_matches_the_record_oracle",),
+    ),
 )
 
 

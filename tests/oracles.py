@@ -12,6 +12,12 @@ reference for the standard route and the fast bracket.  It shares no code
 with the sweep it checks: it scales, multiplies and merges on its own, so a
 rebound or broken products._rows, _self_product or _merge_ends leaves it as
 it is.
+
+The membership oracle is the record route that `member` ran before
+`ternary`'s int kernel: ternary_expansion_oracle's long division builds a
+TernaryExpansion record, whose own __str__ and preperiod give the text, and
+classify_ternary_oracle reads the verdict off its digits.  Only the reader
+`_ratio` and the Membership values are shared with the package.
 """
 
 from __future__ import annotations
@@ -20,12 +26,12 @@ from fractions import Fraction
 from itertools import accumulate, compress
 from math import lcm
 from operator import lt
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from cantorprod.gaps import _holds
 from cantorprod.intervals import Interval, IntervalSet, rat
-from cantorprod.subdivision import FastNode, g_interval, node_child, p_interval
-from cantorprod.ternary import _fraction
+from cantorprod.subdivision import FastNode, Membership, g_interval, node_child, p_interval
+from cantorprod.ternary import _fraction, _ratio
 
 
 def scaled_point(node: FastNode, x: Fraction) -> Fraction:
@@ -145,3 +151,69 @@ def product_image(S: IntervalSet, T: Optional[IntervalSet] = None) -> IntervalSe
     los = list(map(piece_los.__getitem__, order))
     los, his = split(los, list(accumulate(map(piece_his.__getitem__, order), max)))
     return IntervalSet._from_ends(los, his, den * den)
+
+
+class TernaryExpansion(NamedTuple):
+    """Base-3 digits of a number in [0, 1], with cycle structure.
+
+    period == 0 means the expansion terminates after the recorded digits;
+    otherwise the last `period` recorded digits repeat forever.  complete is
+    False only when the digit budget ran out before the cycle closed.
+    """
+
+    digits: tuple[int, ...]
+    period: int
+    complete: bool
+
+    @property
+    def preperiod(self) -> int:
+        return len(self.digits) - self.period
+
+    def __str__(self) -> str:
+        head = "".join(str(d) for d in self.digits[: self.preperiod])
+        if self.period:
+            tail = "".join(str(d) for d in self.digits[self.preperiod :])
+            return f"0.{head}({tail})*"
+        if not self.complete:
+            return f"0.{head}..."
+        return f"0.{head}" if self.digits else "0"
+
+
+def ternary_expansion_oracle(x: int | Fraction | str, max_digits: int = 4096) -> TernaryExpansion:
+    """Expand x in [0, 1] in base 3 by long division, detecting the cycle."""
+    rem, den = _ratio(x)
+    if not 0 <= rem <= den:
+        raise ValueError(f"expected a number in [0, 1], got {rem if den == 1 else f'{rem}/{den}'}")
+    if rem == den:
+        return TernaryExpansion(digits=(2,), period=1, complete=True)
+    digits: list[int] = []
+    seen: dict[int, int] = {}
+    while rem and len(digits) < max_digits:
+        if rem in seen:
+            start = seen[rem]
+            return TernaryExpansion(tuple(digits), period=len(digits) - start, complete=True)
+        seen[rem] = len(digits)
+        rem *= 3
+        d, rem = divmod(rem, den)
+        digits.append(d)
+    return TernaryExpansion(tuple(digits), period=0, complete=(rem == 0))
+
+
+def classify_ternary_oracle(x: int | Fraction | str,
+                            max_digits: int = 4096) -> tuple[Membership, TernaryExpansion]:
+    """Decide Cantor-set membership of x in [0, 1] from its ternary digits.
+
+    A digit 1 followed by anything nonzero puts x strictly inside a removed
+    gap.  A trailing digit 1 is the left endpoint of a gap and stays in the
+    set (rewrite ...1 as ...0222...).  Rationals always resolve within one
+    remainder cycle, so UNDETERMINED can only happen when max_digits is
+    smaller than the cycle.
+    """
+    exp = ternary_expansion_oracle(x, max_digits)
+    for pos, d in enumerate(exp.digits):
+        if d == 1:
+            terminal = exp.period == 0 and exp.complete and pos == len(exp.digits) - 1
+            return (Membership.MEMBER if terminal else Membership.NON_MEMBER), exp
+    if not exp.complete:
+        return Membership.UNDETERMINED, exp
+    return Membership.MEMBER, exp

@@ -54,7 +54,7 @@ from cantorprod.subdivision import (
     removed_gaps,
     right_half_subdivision,
 )
-from cantorprod.ternary import Membership, classify_ternary
+from cantorprod.subdivision import Membership, classify_ternary
 from oracles import child_gap_covered, diagonal_gap, product_image
 
 P6 = 9**6

@@ -128,6 +128,26 @@ def test_member_runs_on_ints_alone(fmt):
     assert probe_output(probe) == "False\n"
 
 
+# typing brings re, functools and collections with it, and enum is what the
+# Membership class is built on: together about 7 ms of `member` on a 2-core
+# x86 host when no site hook preloads them
+RECORD_MACHINERY = "sorted({'typing', 'enum', 're', 'functools', 'collections'} & set(sys.modules))"
+
+
+def test_member_loads_no_record_machinery():
+    # io.StringIO directly: contextlib imports functools and collections itself
+    probe = ("import io, sys\n"
+             "from cantorprod import cli\n"
+             "for fmt in ('json', 'text'):\n"
+             "    sys.stdout = io.StringIO()\n"
+             "    code = cli.main(['member', '--x', '1/4', '--format', fmt])\n"
+             "    out, sys.stdout = sys.stdout.getvalue(), sys.__stdout__\n"
+             "    print(code, out.splitlines()[-1])\n"
+             f"print({RECORD_MACHINERY})\n")
+    assert probe_output(probe) == "0 }\n0 expansion = 0.(02)*\n[]\n"
+    assert probe_output(f"import cantorprod.cli, sys; print({RECORD_MACHINERY})") == "[]\n"
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("command", ["art", "fast"])
 def test_art_and_fast_run_on_ints_alone(command, fmt):

@@ -96,7 +96,8 @@ UNREACHED = {
             "subset_of", "sup", "union")),
         "intervals._as_interval", "intervals.format_rational", "intervals.rat",
         "products._scaled_endpoints",
-        "subdivision.FastNode.cell", "subdivision._cover", "subdivision._gaps",
+        "subdivision.FastNode.cell", "subdivision.TernaryExpansion.__str__",
+        "subdivision.TernaryExpansion.preperiod", "subdivision._cover", "subdivision._gaps",
         "subdivision.gap_set", "subdivision.removed_gaps", "subdivision.squared_length_sum",
         "subdivision.standard_subdivision",
         "ternary._fraction",

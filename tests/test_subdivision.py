@@ -27,7 +27,7 @@ from cantorprod.subdivision import (
     squared_length_sum,
     standard_subdivision,
 )
-from cantorprod.ternary import Membership, classify_ternary, ternary_expansion
+from cantorprod.subdivision import Membership, classify_ternary, ternary_expansion
 from oracles import child_cell, product_image, side_piece
 
 UNIT = IntervalSet([["0", "1"]])

@@ -1,10 +1,12 @@
 """Tests for `ternary`: the integer text parser against the Fraction parser it
-replaced, membership over the int, Fraction and str forms of one value, and
-`_ratio` as the one reader behind `rat` and the gap oracles that read a
-rational."""
+replaced, membership over the int, Fraction and str forms of one value, the
+membership kernel and the `member` command against the record route they
+replaced, and `_ratio` as the one reader behind `rat` and the gap oracles
+that read a rational."""
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -12,9 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cantorprod.intervals import format_rational, rat
-from cantorprod.subdivision import ROOT, FastNode
-from cantorprod.ternary import classify_ternary, parse_ratio, ternary_expansion
-from oracles import compare_products, scaled_point, truncated_gap_sum_series
+from cantorprod.subdivision import ROOT, FastNode, classify_ternary, ternary_expansion
+from cantorprod.ternary import _expansion, _expansion_text, _verdict, parse_ratio
+from oracles import classify_ternary_oracle, compare_products, scaled_point
+from oracles import ternary_expansion_oracle, truncated_gap_sum_series
+from test_cli import run_cli
 
 
 def fraction_parse_oracle(text: str) -> Fraction:
@@ -92,6 +96,65 @@ def test_classification_is_the_same_for_int_fraction_and_str(x, scale):
 def test_out_of_range_names_the_value_in_lowest_terms(value, shown):
     with pytest.raises(ValueError, match=rf"^expected a number in \[0, 1\], got {shown}$"):
         classify_ternary(value)
+
+
+# ---------------------------------------------------------------------------
+# the membership kernel and `member`, against the record route they replaced
+
+
+def grid(top: int) -> list[str]:
+    """Every "p/q" with 0 <= p <= q <= top, unreduced ones included."""
+    return [f"{p}/{q}" for q in range(1, top + 1) for p in range(q + 1)]
+
+
+@pytest.mark.parametrize("max_digits", [1, 4, 4096])
+def test_membership_kernel_matches_the_record_oracle(max_digits):
+    for text in grid(243):
+        verdict, exp = classify_ternary_oracle(text, max_digits)
+        p, q = (int(part) for part in text.split("/"))
+        digits, period, complete = _expansion(p, q, max_digits)
+        assert (tuple(digits), period, complete) == exp, text
+        assert _verdict(digits, period, complete) == verdict.value, text
+        assert _expansion_text(digits, period, complete) == str(exp), text
+        record = classify_ternary(text, max_digits)
+        assert record == (verdict, exp), text
+        assert (record[1].preperiod, str(record[1])) == (exp.preperiod, str(exp)), text
+
+
+def seed_member_output(text: str, fmt: str) -> str:
+    """What `member --x text` printed when it formatted the oracle's records."""
+    verdict, expansion = classify_ternary_oracle(text)
+    if fmt == "text":
+        return f"{verdict.value}\nexpansion = {expansion}\n"
+    x = Fraction(text)
+    payload = {
+        "x": f"{x.numerator}/{x.denominator}",
+        "verdict": verdict.value,
+        "expansion": str(expansion),
+        "preperiod_digits": expansion.preperiod,
+        "period_length": expansion.period,
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_member_prints_what_the_record_route_printed(capsys, fmt):
+    for text in grid(81):
+        assert run_cli(capsys, "member", "--x", text, "--format", fmt) == (
+            0, seed_member_output(text, fmt), ""), text
+
+
+MEMBER_USAGE = "usage: cantorprod member [-h] --x X [--format {json,text}] [--out OUT]\n"
+
+
+@pytest.mark.parametrize("text", ["5/4", "-1/4", "2", "1/-3", "4/-2", "0.5", "1e3", "1/0", "",
+                                  "one", "1/2/3"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_member_errors_keep_their_messages(capsys, text, fmt):
+    with pytest.raises(ValueError) as oracle:
+        ternary_expansion_oracle(text)
+    err = f"{MEMBER_USAGE}cantorprod: error: {oracle.value}\n"
+    assert run_cli(capsys, "member", f"--x={text}", "--format", fmt) == (2, "", err)
 
 
 # the gap oracles that read a rational, each with x in one rational
