@@ -22,7 +22,9 @@ __version__ = "0.1.0"
 # them as choices without importing gaps
 _CERTIFY_TARGETS = ("prop3", "theorem")
 
-_SUBMODULES = ("ternary", "intervals", "subdivision", "products", "gaps", "render", "cli")
+_SUBMODULES = (
+    "ternary", "standard", "intervals", "subdivision", "products", "gaps", "render", "cli",
+)
 
 _EXPORTS = {
     "intervals": (
@@ -34,9 +36,8 @@ _EXPORTS = {
         "node_children", "p_interval", "q_interval", "removed_gaps", "right_half_subdivision",
         "squared_length_sum", "standard_subdivision", "ternary_expansion",
     ),
-    "products": (
-        "EstimateResult", "FastBounds", "convergence_tail", "fast_bounds", "standard_estimate",
-    ),
+    "standard": ("convergence_tail",),
+    "products": ("EstimateResult", "FastBounds", "fast_bounds", "standard_estimate"),
     "gaps": (
         "Certificate", "CertificationError", "certify", "full_enclosure", "level3_enclosure",
         "verify_order_chain",

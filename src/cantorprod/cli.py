@@ -13,15 +13,17 @@ Only the standard library is imported up front, and neither `fractions`,
 and calls through them, so a command loads no computation module it does not
 use, and a function rebound in its module is the one that runs.  `member`
 loads only `ternary` and runs its long-division kernel on ints, building no
-record class.  `art` and `fast` load `products`,
-`subdivision` and `ternary`, `render` loads `render`, `subdivision` and
-`ternary`, and `certify` loads `gaps`, `subdivision` and `ternary`; all four
-run on ints from argv to stdout.  `selftest` loads `gaps`, `products`,
-`render`, `subdivision` and `ternary` and runs its checks on their int
-routes: the gap calculus' public values (`gaps.beta`,
-`gaps.verify_order_chain`, ...) are lowest-terms int pairs, so no command
-loads `fractions` or `intervals`.  `_emit` writes its output chunk by chunk:
-`render` streams the figure line by line as it is built.
+record class; `art` likewise loads only `standard` and `ternary`, and
+prints the standard route's payload with no record.  `fast` loads
+`products`, `standard`, `subdivision` and `ternary`, `render` loads
+`render`, `subdivision` and `ternary`, and `certify` loads `gaps`,
+`subdivision` and `ternary`; all five run on ints from argv to stdout.
+`selftest` loads `gaps`, `products`, `render`, `standard`, `subdivision` and
+`ternary` and runs its checks on their int routes: the gap calculus' public
+values (`gaps.beta`, `gaps.verify_order_chain`, ...) are lowest-terms int
+pairs, so no command loads `fractions` or `intervals`.  `_emit` writes its
+output chunk by chunk: `render` streams the figure line by line as it is
+built.
 
 `run()` is the process entry, for `python -m cantorprod.cli` and the
 `cantorprod` console script alike; `main(argv)` is the in-process API and
@@ -148,10 +150,11 @@ def _render_payload(payload: dict, fmt: str, out: "str | None") -> None:
 
 
 def _cmd_art(args) -> int:
-    from . import products
+    from . import standard
 
-    result = products.standard_estimate(args.n)
-    _render_payload(result.to_json(args.digits), args.format, args.out)
+    level, measure, count, elapsed = standard._standard_run(args.n)
+    payload = standard._estimate_json(args.n, measure, 9**level, count, elapsed, args.digits)
+    _render_payload(payload, args.format, args.out)
     return 0
 
 

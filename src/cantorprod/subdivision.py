@@ -33,10 +33,10 @@ both schemes are walks that append words.
 This module is the one place that turns an address into endpoints.  Every
 set of cells here is a _cover: _ends reads their integer ends at one scale
 3^-depth, merged on ints and made Fractions once; FastNode.cell gives one cell
-as Fractions.  The ints of _leaves are already the leaves' left ends, in units
-of their 3^-depth.  The integer walks load no `fractions`: Fractions are
-built through ternary._fraction, and the functions that build Intervals or
-IntervalSets import `intervals` where they run.
+as Fractions.  The ints of ternary._leaves are already the leaves' left ends,
+in units of their 3^-depth.  The integer walks load no `fractions`:
+Fractions are built through ternary._fraction, and the functions that build
+Intervals or IntervalSets import `intervals` where they run.
 
 The membership records live here too: `classify_ternary` gives a
 `Membership` verdict and a `TernaryExpansion`, both read off `ternary`'s int
@@ -46,8 +46,8 @@ kernel, which `member` runs without them.
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .ternary import Ratio, _expansion, _expansion_text, _fraction, _lowest, _merge_ends
-from .ternary import _ratio, _verdict
+from .ternary import Ratio, _expansion, _expansion_text, _fraction, _leaves, _lowest
+from .ternary import _merge_ends, _ratio, _verdict
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -76,24 +76,6 @@ ROOT = FastNode(m=2, k=1)
 def _append(node: FastNode, word: int, j: int) -> FastNode:
     """The address `node` followed by the j ternary digits of `word` (0 <= word < 3^j)."""
     return FastNode(node.m * 3**j + word, node.k + j)
-
-
-def _leaves(node: FastNode, j: int) -> list[int]:
-    """The m of the 2^j standard cells j levels below `node`, left to right.
-
-    They are `node` followed by each j-digit word without digit 1, at depth
-    node.k + j.  Digit i from the right doubles the list: the words so far
-    (digit 0 there), then each plus 2 * 3^i, which lies above all of them.
-    Plain ints: render reads its cells' left ends straight off them, and
-    the standard route its ancestors' addresses, with no FastNode to unpack.
-    """
-    if j < 0:
-        raise ValueError("level must be >= 0")
-    ms = [_append(node, 0, j).m]
-    for i in range(j):
-        lead = 2 * 3**i
-        ms += [lead + m for m in ms]
-    return ms
 
 
 def _ends(nodes: Iterable[FastNode], depth: int) -> tuple[list[int], list[int]]:

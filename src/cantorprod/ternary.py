@@ -15,11 +15,13 @@ The exact routes' int kernels live here too, each in one place:
 and `decimal_ratio`, the "p/q" and decimal text of p/q; `Ratio`, the type
 of a lowest-terms pair, the one number form the records in `products`,
 `gaps` and `subdivision` hold and hand out; `_fraction`, which turns such a
-pair into a Fraction for the set face; and `_merge_ends`, the one merge into
-canonical interval form.
+pair into a Fraction for the set face; `_merge_ends`, the one merge into
+canonical interval form; and `_leaves`, the one walk over the standard
+cells below an address, which `subdivision`, `render` and the standard
+route's ancestor lists read.
 This module imports neither `fractions` nor `typing` nor `enum` at load
 time: `member`, `art`, `fast`, `render` and `certify` run on ints alone, and
-`member` loads no record machinery.
+`member` and `art` load no record machinery.
 """
 
 import sys
@@ -104,6 +106,24 @@ def _merge_ends(los: list, his: list) -> tuple[list, list]:
             out_his.append(hi)
             out_los.append(lo)
     return out_los, out_his + his[-1:]
+
+
+def _leaves(node: tuple[int, int], j: int) -> list[int]:
+    """The m of the 2^j standard cells j levels below the address node = (m, k), left to right.
+
+    They are node followed by each j-digit word without digit 1, at depth
+    k + j.  Digit i from the right doubles the list: the words so far (digit
+    0 there), then each plus 2 * 3^i, which lies above all of them.  Plain
+    ints: render reads its cells' left ends straight off them, and the
+    standard route its ancestors' addresses, with no address record to unpack.
+    """
+    if j < 0:
+        raise ValueError("level must be >= 0")
+    ms = [node[0] * 3**j]
+    for i in range(j):
+        lead = 2 * 3**i
+        ms += [lead + m for m in ms]
+    return ms
 
 
 def _ratio(x: "int | Fraction | str") -> Ratio:

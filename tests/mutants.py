@@ -61,10 +61,33 @@ MUTANTS = (
     ),
     Mutant(
         "the deepest ancestor level skipped",
-        "src/cantorprod/products.py",
+        "src/cantorprod/standard.py",
         "for i in range(1, j // 2):",
         "for i in range(1, (j - 1) // 2):",
         ("tests/test_products.py::test_standard_estimate_matches_band_merge_oracle",),
+    ),
+    Mutant(
+        "the ancestor lists built one level too deep",
+        "src/cantorprod/standard.py",
+        "_leaves(_RIGHT, i - 1) for i in",
+        "_leaves(_RIGHT, i) for i in",
+        ("tests/test_products.py::test_surviving_gaps_match_gap_walk_oracle",),
+    ),
+    Mutant(
+        "level 0 not read as level 1",
+        "src/cantorprod/standard.py",
+        "    level = max(n, 1)\n",
+        "    level = n\n",
+        ("tests/test_cli.py::test_art_prints_what_the_gap_walk_gives",
+         "tests/test_products.py::test_standard_estimate_level_zero"),
+    ),
+    Mutant(
+        "the full value's denominator off by one",
+        "src/cantorprod/standard.py",
+        "    full = 3 * measure, 2 * scale\n",
+        "    full = 3 * measure, 2 * scale + 1\n",
+        ("tests/test_cli.py::test_art_prints_what_the_gap_walk_gives",
+         "tests/test_products.py::test_estimate_record_matches_fraction_route"),
     ),
     Mutant(
         "low and high side pieces swapped",
@@ -111,14 +134,14 @@ MUTANTS = (
     ),
     Mutant(
         "the hole-free check never raises",
-        "src/cantorprod/products.py",
+        "src/cantorprod/standard.py",
         "    if b > 3 * a + t:\n",
         "    if False:\n",
         ("tests/test_products.py::test_hole_free_check_raises_on_a_hole",),
     ),
     Mutant(
         "the hole-free bound loses its t",
-        "src/cantorprod/products.py",
+        "src/cantorprod/standard.py",
         "    if b > 3 * a + t:\n",
         "    if b > 3 * a:\n",
         ("tests/test_products.py::test_hole_free_check_raises_on_a_hole",),

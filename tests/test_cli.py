@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from cantorprod import cli, gaps, render
 from cantorprod.gaps import EXPECTED
 from cantorprod.render import render_svg
+from test_products import decimal_string_oracle, gap_walk_oracle
 from test_reachability import COMMAND_LINES
 
 
@@ -130,6 +131,40 @@ def test_art_usage_errors(capsys):
     assert run_cli(capsys, "art", "--n", "2", "--digits", "0")[0] == 2
     assert run_cli(capsys, "art", "--n", "2", "--digits", "99")[0] == 2
     assert run_cli(capsys, "art", "--n", "3", "--threads", "2")[0] == 2
+
+
+def art_oracle_output(n: int, digits: int, fmt: str) -> str:
+    """What `art` prints at n, elapsed_ms read as 0, built from the gap walk with
+    Fractions, the Fraction decimal oracle and json as the writer."""
+    level = max(n, 1)
+    scaled, count = gap_walk_oracle(level)
+    measure = Fraction(scaled, 9**level)
+    full = Fraction(3, 2) * measure
+    tail = Fraction(1, 63) * Fraction(2, 9) ** max(n - 1, 0)
+    payload = {
+        "n": n,
+        "set_measure": f"{measure.numerator}/{measure.denominator}",
+        "tail_bound": f"{tail.numerator}/{tail.denominator}",
+        "full_value": f"{full.numerator}/{full.denominator}",
+        "decimal": decimal_string_oracle(full, digits),
+        "component_count": count,
+        "elapsed_ms": 0,
+    }
+    if fmt == "json":
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return "".join(f"{key} = {payload[key]}\n" for key in sorted(payload))
+
+
+def test_art_prints_what_the_gap_walk_gives(capsys):
+    # every level art accepts, at the shortest, default and longest decimal,
+    # against a payload built with no code of the package's standard route
+    for n in range(21):
+        for digits in (1, 12, 50):
+            for fmt in ("json", "text"):
+                code, out, err = run_cli(capsys, "art", "--n", str(n), "--digits", str(digits),
+                                         "--format", fmt)
+                assert (code, masked(out), err) == (
+                    0, art_oracle_output(n, digits, fmt), ""), (n, digits, fmt)
 
 
 # ---------------------------------------------------------------------------

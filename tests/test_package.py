@@ -73,11 +73,12 @@ def test_cli_import_loads_no_computation_module():
 
 COMMANDS = {
     "member": (["member", "--x", "1/4"], ["ternary"]),
-    "art": (["art", "--n", "3"], ["products", "subdivision", "ternary"]),
-    "fast": (["fast", "--n", "1", "--K", "2"], ["products", "subdivision", "ternary"]),
+    "art": (["art", "--n", "3"], ["standard", "ternary"]),
+    "fast": (["fast", "--n", "1", "--K", "2"], ["products", "standard", "subdivision", "ternary"]),
     "certify": (["certify"], ["gaps", "subdivision", "ternary"]),
     "render": (["render", "--n", "0", "--K", "1"], ["render", "subdivision", "ternary"]),
-    "selftest": (["selftest"], ["gaps", "products", "render", "subdivision", "ternary"]),
+    "selftest": (["selftest"],
+                 ["gaps", "products", "render", "standard", "subdivision", "ternary"]),
 }
 
 
@@ -146,6 +147,23 @@ def test_member_loads_no_record_machinery():
              f"print({RECORD_MACHINERY})\n")
     assert probe_output(probe) == "0 }\n0 expansion = 0.(02)*\n[]\n"
     assert probe_output(f"import cantorprod.cli, sys; print({RECORD_MACHINERY})") == "[]\n"
+
+
+def test_art_loads_no_record_machinery():
+    # art prints the standard route's payload straight from its int kernel:
+    # no record class, so none of what typing and enum bring with them
+    probe = ("import io, sys\n"
+             "from cantorprod import cli\n"
+             "for fmt in ('json', 'text'):\n"
+             "    sys.stdout = io.StringIO()\n"
+             "    code = cli.main(['art', '--n', '13', '--format', fmt])\n"
+             "    out, sys.stdout = sys.stdout.getvalue(), sys.__stdout__\n"
+             "    print(code, out.splitlines()[-1])\n"
+             f"print({RECORD_MACHINERY})\n")
+    assert probe_output(probe) == "0 }\n0 tail_bound = 4096/17793060798303\n[]\n"
+    # and the probe sees them: the record face loads all five
+    face = "import cantorprod.products, sys; print(%s)" % RECORD_MACHINERY
+    assert probe_output(face) == "['collections', 'enum', 'functools', 're', 'typing']\n"
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

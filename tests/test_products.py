@@ -11,20 +11,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cantorprod import products
+from cantorprod import products, standard
 from cantorprod.intervals import (
     Interval, IntervalSet, _merge_ends, decimal_string, format_rational,
 )
 from cantorprod.products import (
     EstimateResult,
     FastBounds,
+    fast_bounds,
+    self_product_stats,
+    standard_estimate,
+)
+from cantorprod.standard import (
     _check_hole_free,
     _standard_stats,
     _surviving_gaps,
     convergence_tail,
-    fast_bounds,
-    self_product_stats,
-    standard_estimate,
 )
 from cantorprod.subdivision import (
     ROOT,
@@ -467,7 +469,7 @@ def test_hole_free_check_raises_on_a_hole(monkeypatch):
             _check_hole_free(a, 3 * a + t + 1, t)
     # and the standard route runs the check on every level it splits
     checked = []
-    monkeypatch.setattr(products, "_check_hole_free", lambda *pair: checked.append(pair))
+    monkeypatch.setattr(standard, "_check_hole_free", lambda *pair: checked.append(pair))
     standard_estimate(4)
     assert checked == [(54, 54, 27), (54, 72, 9), (54, 78, 3)]
 

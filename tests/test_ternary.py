@@ -1,8 +1,8 @@
 """Tests for `ternary`: the integer text parser against the Fraction parser it
 replaced, membership over the int, Fraction and str forms of one value, the
 membership kernel and the `member` command against the record route they
-replaced, and `_ratio` as the one reader behind `rat` and the gap oracles
-that read a rational."""
+replaced, `_ratio` as the one reader behind `rat` and the gap oracles
+that read a rational, and `_leaves` against the cell walk it replaced."""
 
 from __future__ import annotations
 
@@ -14,8 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cantorprod.intervals import format_rational, rat
-from cantorprod.subdivision import ROOT, FastNode, classify_ternary, ternary_expansion
-from cantorprod.ternary import _expansion, _expansion_text, _verdict, parse_ratio
+from cantorprod.subdivision import ROOT, UNIT, FastNode, classify_ternary, ternary_expansion
+from cantorprod.ternary import _expansion, _expansion_text, _leaves, _verdict, parse_ratio
 from oracles import classify_ternary_oracle, compare_products, scaled_point
 from oracles import ternary_expansion_oracle, truncated_gap_sum_series
 from test_cli import run_cli
@@ -200,3 +200,13 @@ def test_gap_entries_read_every_exact_form_alike(name):
         if expected[0] == "value":
             assert all(isinstance(entry(form), type(expected[1])) for form in forms)
 
+
+def test_leaves_match_the_address_walk():
+    # the int walk, on FastNodes and on plain (m, k) pairs, against a walk
+    # that splits each FastNode cell into its 0 and 2 children, level by level
+    for node in (UNIT, ROOT):
+        cells = [node]
+        for j in range(11):
+            assert _leaves(node, j) == _leaves(tuple(node), j) == [cell.m for cell in cells], (
+                node, j)
+            cells = [FastNode(3 * cell.m + digit, cell.k + 1) for cell in cells for digit in (0, 2)]
