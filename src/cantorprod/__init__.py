@@ -9,6 +9,12 @@ over a scale or lowest-terms (p, q) int pairs, and only the interval-set
 face (`intervals` and the covers built on it) holds `fractions.Fraction`s.
 Floats appear only in rendered output.
 
+Every command runs on an int kernel with no record class.  The records the
+library hands out (`FastNode`, `Certificate`, `FastBounds`, ...) all live in
+`records`, the one module that imports `typing` or `enum`; each function
+that returns one wraps its kernel's tuples and imports `records` where it
+runs, so no command loads it.
+
 Imports are lazy: `import cantorprod` loads none of the computation
 modules, and each exported name loads its module on first access (PEP 562).
 A short-lived CLI command then pays only for the modules it runs.
@@ -23,7 +29,8 @@ __version__ = "0.1.0"
 _CERTIFY_TARGETS = ("prop3", "theorem")
 
 _SUBMODULES = (
-    "ternary", "standard", "intervals", "subdivision", "products", "gaps", "render", "cli",
+    "ternary", "standard", "intervals", "subdivision", "products", "gaps", "render", "records",
+    "cli",
 )
 
 _EXPORTS = {
@@ -31,18 +38,21 @@ _EXPORTS = {
         "Interval", "IntervalSet", "decimal_string", "format_rational", "rat",
     ),
     "subdivision": (
-        "FastNode", "FastSubdivision", "Membership", "ROOT", "TernaryExpansion",
         "classify_ternary", "fast_subdivision", "g_interval", "gap_set", "node_child",
         "node_children", "p_interval", "q_interval", "removed_gaps", "right_half_subdivision",
         "squared_length_sum", "standard_subdivision", "ternary_expansion",
     ),
     "standard": ("convergence_tail",),
-    "products": ("EstimateResult", "FastBounds", "fast_bounds", "standard_estimate"),
+    "products": ("fast_bounds", "standard_estimate"),
     "gaps": (
-        "Certificate", "CertificationError", "certify", "full_enclosure", "level3_enclosure",
+        "CertificationError", "certify", "full_enclosure", "level3_enclosure",
         "verify_order_chain",
     ),
     "render": ("render_svg",),
+    "records": (
+        "Certificate", "EstimateResult", "FastBounds", "FastNode", "FastSubdivision",
+        "Membership", "ROOT", "TernaryExpansion",
+    ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

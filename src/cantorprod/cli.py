@@ -11,19 +11,24 @@ failed write, 2 usage.
 Only the standard library is imported up front, and neither `fractions`,
 `json`, `typing` nor `functools`.  Each handler imports the modules it runs
 and calls through them, so a command loads no computation module it does not
-use, and a function rebound in its module is the one that runs.  `member`
-loads only `ternary` and runs its long-division kernel on ints, building no
-record class; `art` likewise loads only `standard` and `ternary`, and
-prints the standard route's payload with no record.  `fast` loads
-`products`, `standard`, `subdivision` and `ternary`, `render` loads
-`render`, `subdivision` and `ternary`, and `certify` loads `gaps`,
-`subdivision` and `ternary`; all five run on ints from argv to stdout.
-`selftest` loads `gaps`, `products`, `render`, `standard`, `subdivision` and
-`ternary` and runs its checks on their int routes: the gap calculus' public
-values (`gaps.beta`, `gaps.verify_order_chain`, ...) are lowest-terms int
-pairs, so no command loads `fractions` or `intervals`.  `_emit` writes its
-output chunk by chunk: `render` streams the figure line by line as it is
-built.
+use, and a function rebound in its module is the one that runs.  Every
+command runs on an int kernel, on plain (m, k) address pairs and
+lowest-terms (p, q) pairs, and writes its payload from the kernel's tuples:
+no command builds a record class or loads `records`, and so none loads
+`typing`, `enum`, `fractions` or `intervals`.  The modules each loads:
+
+* `member`: `ternary` (`_expansion`, `_verdict`, `_expansion_text`);
+* `art`: `standard` and `ternary` (`standard._standard_run`, `_estimate_json`);
+* `fast`: `products`, `standard`, `subdivision` and `ternary`
+  (`products._fast_run`, `_bounds_json`);
+* `certify`: `gaps`, `subdivision` and `ternary` (`gaps._certify`,
+  `_certificate_json`);
+* `render`: `render`, `subdivision` and `ternary` (`render._svg`, `_families`);
+* `selftest`: `gaps`, `products`, `render`, `standard`, `subdivision` and
+  `ternary`, whose kernels its 11 checks call.
+
+`_emit` writes its output chunk by chunk: `render` streams the figure line
+by line as it is built.
 
 `run()` is the process entry, for `python -m cantorprod.cli` and the
 `cantorprod` console script alike; `main(argv)` is the in-process API and
@@ -161,8 +166,9 @@ def _cmd_art(args) -> int:
 def _cmd_fast(args) -> int:
     from . import products
 
-    bounds = products.fast_bounds(args.n, args.K)
-    _render_payload(bounds.to_json(args.digits), args.format, args.out)
+    run = products._fast_run(args.n, args.K)
+    payload = products._bounds_json(args.n, args.K, *run, args.digits)
+    _render_payload(payload, args.format, args.out)
     return 0
 
 
@@ -170,14 +176,15 @@ def _cmd_certify(args) -> int:
     from . import gaps
 
     try:
-        cert = gaps.certify(args.target)
+        center, radius, chain, verified = gaps._certify(args.target)
     except gaps.CertificationError as exc:  # a threshold broke its pattern mid-derivation
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
-    _render_payload(cert.to_json(args.digits), args.format, args.out)
-    if not cert.ok:
-        first = cert.failures()[0]
-        print(f"verification failed: {first.name}", file=sys.stderr)
+    payload = gaps._certificate_json(args.target, center, radius, chain, verified, args.digits)
+    _render_payload(payload, args.format, args.out)
+    if not verified:
+        first = next(name for name, *_, match in chain if not match)
+        print(f"verification failed: {first}", file=sys.stderr)
         return 1
     return 0
 
@@ -188,7 +195,7 @@ def _cmd_render(args) -> int:
     if args.format == "svg":
         _emit(render._svg(args.n, args.K), args.out)
         return 0
-    node, families = render.cell_families(args.n, args.K)
+    node, families = render._families(args.n, args.K)
     lo, hi = render.cell_text(node)
 
     def ends(pair) -> list[str]:
@@ -197,7 +204,7 @@ def _cmd_render(args) -> int:
     payload = {
         "depth": args.n,
         "k_max": args.K,
-        "cell": {"lo": lo, "hi": hi, "q": node.m},
+        "cell": {"lo": lo, "hi": hi, "q": node[0]},
         "families": [
             {"k": k, "side": side, "p": ends(p), "g": ends(g)} for k, side, p, g in families
         ],
@@ -228,27 +235,37 @@ def _cmd_member(args) -> int:
 
 
 def _selftest_checks():
-    import functools
+    from . import gaps, products, render, standard, subdivision, ternary
 
-    from . import gaps, products, render, subdivision
+    root = ternary._ROOT
+    theorem = []  # the theorem certificate, derived once for the three checks that read it
 
-    root = subdivision.ROOT
-    full = functools.cache(functools.partial(gaps.certify, "theorem"))  # shared by three checks
+    def full():  # (center, radius, chain, verified)
+        if not theorem:
+            theorem.append(gaps._certify("theorem"))
+        return theorem[0]
 
     def encloses(bounds, x) -> bool:  # bounds: a (lo, hi) pair of (p, q) pairs
         return gaps._holds("le", bounds[0], x) and gaps._holds("le", x, bounds[1])
 
     def base_product():  # measure(P([2/3, 1]^2)) from the root's ends in thirds, over 9
-        measure, _ = products._self_product(*subdivision._ends([root], root.k))
-        return measure, 9**root.k
+        measure, _ = products._self_product(*subdivision._ends([root], root[1]))
+        return measure, 9 ** root[1]
 
     def after_two_rounds():  # 5/9 less the gap measure the first two rounds remove
         mu = gaps._sum(gaps.first_level_gap_total(), gaps.second_level_increment())
         return gaps._sum((5, 9), gaps._prod((-1, 1), mu))
 
+    def standard_bounds():
+        level, measure, _, _ = standard._standard_run(3)
+        return standard._full_bounds(3, measure, 9**level)
+
     def fast_bracket():
-        bounds = products.fast_bounds(2, 4)
-        return (bounds.scaled_lower, bounds.scale), (bounds.scaled_upper, bounds.scale)
+        lower, upper, scale, *_ = products._fast_run(2, 4)
+        return (lower, scale), (upper, scale)
+
+    def verdict(text: str) -> str:
+        return ternary._verdict(*ternary._expansion(*ternary.parse_ratio(text)))
 
     def figure_renders():  # read line by line, as the render command streams it
         lines = render._svg(0, 1)
@@ -258,20 +275,20 @@ def _selftest_checks():
         return first.startswith("<svg") and last == "</svg>\n"
 
     yield "base product 5/9", lambda: gaps._holds("eq", base_product(), (5, 9))
-    yield "level-3 certificate", lambda: gaps.certify("prop3").ok
-    yield "full certificate", lambda: full().ok
-    yield "full radius below 1e-6", lambda: gaps._holds("lt", full().radius_ratio, (1, 10**6))
+    yield "level-3 certificate", lambda: gaps._certify("prop3")[3]
+    yield "full certificate", lambda: full()[3]
+    yield "full radius below 1e-6", lambda: gaps._holds("lt", full()[1], (1, 10**6))
     yield "standard bounds enclose the certified center", (
-        lambda: encloses(products.standard_estimate(3).full_bounds(), full().center_ratio))
+        lambda: encloses(standard_bounds(), full()[0]))
     yield "fast bracket catches the removed measure", (
         lambda: encloses(fast_bracket(), after_two_rounds()))
     yield "order chain holds at the root", (
-        lambda: gaps.chain_holds(gaps.verify_order_chain(root, 4)))
+        lambda: gaps.chain_holds(gaps._order_chain(root, 4)))
     yield "degenerate scale is flagged", (
-        lambda: not gaps.chain_holds(gaps.verify_order_chain(root._replace(m=0), 3)))
+        lambda: not gaps.chain_holds(gaps._order_chain((0, root[1]), 3)))
     yield "membership spot checks", lambda: [
-        subdivision.classify_ternary(text)[0].value
-        for text in ("1/4", "1/2", "2/3", "1")] == ["member", "non_member", "member", "member"]
+        verdict(text) for text in ("1/4", "1/2", "2/3", "1")
+    ] == ["member", "non_member", "member", "member"]
     yield "series closed forms", (
         lambda: gaps.beta(1) == gaps.beta_series(1) and gaps.alpha(2) == gaps.alpha_series(2))
     yield "figure renders", figure_renders

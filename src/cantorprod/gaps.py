@@ -28,17 +28,35 @@ q > 0 (ternary.Ratio): _sum, _prod, _holds (compare) and geometric_series
 totals, truncated gap sums and geometric tails in powers of 9, so the pairs
 carry them exactly.  Each value has one function, which takes ints and
 pairs and returns a pair: gap_total, truncated_gap_sum, beta, alpha, their
-series forms, ...; verify_order_chain gives each check's ends as pairs too.
-certify and the selftest call them, and the certificate records hold the
-pairs; level3_enclosure and full_enclosure return them too.
+series forms, ...
+
+Two int kernels run on them with no record class, on plain (m, k) address
+pairs: _order_chain, the order chain's checks as tuples, and _certify, the
+certificate's chain entries as tuples with its center, radius and verdict.
+`certify` and selftest run these, and _certificate_json writes the
+payload.  verify_order_chain and certify wrap them in the records of
+`records` (ChainCheck; ChainEntry and Certificate), which they import where
+they run; level3_enclosure and full_enclosure return the kernel's pairs.
 """
 
 import operator
-from typing import Iterable, NamedTuple, Optional
 
 from . import _CERTIFY_TARGETS as TARGETS
-from .subdivision import ROOT, FastNode, g_interval, node_child, p_interval, q_interval
-from .ternary import Ratio, _lowest, decimal_ratio, format_ratio
+from .subdivision import _child, g_interval, p_interval, q_interval
+from .ternary import _ROOT, Address, Ratio, _lowest, decimal_ratio, format_ratio
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterable
+
+    from .records import Certificate, ChainCheck
+
+# a check of the order chain, as records.ChainCheck's fields:
+# (name, k, holds, lhs, rhs, relation)
+Check = tuple[str, int, bool, Ratio, Ratio, str]
+# an entry of a certificate's chain, as records.ChainEntry's fields:
+# (name, value, expected, relation, match)
+Entry = tuple[str, Ratio, Ratio, str, bool]
 
 # opaque CLI tokens: the enclosure of measure(P(D_3 x D_3)), then of measure(P(C x C))
 TARGET_LEVEL3, TARGET_FULL = TARGETS
@@ -52,21 +70,12 @@ class CertificationError(Exception):
 # the interleaving order of the three families
 
 
-class ChainCheck(NamedTuple):
-    name: str
-    k: int
-    holds: bool
-    lhs: Ratio
-    rhs: Ratio
-    relation: str  # a key of _RELATIONS
-
-
 # the comparisons an order check or a certificate entry may assert
 _RELATIONS = {"eq": operator.eq, "lt": operator.lt, "le": operator.le, "gt": operator.gt}
 
 
-def _check(name: str, k: int, lhs: Ratio, rhs: Ratio, relation: str) -> ChainCheck:
-    return ChainCheck(name, k, _holds(relation, lhs, rhs), lhs, rhs, relation)
+def _check(name: str, k: int, lhs: Ratio, rhs: Ratio, relation: str) -> Check:
+    return name, k, _holds(relation, lhs, rhs), lhs, rhs, relation
 
 
 # one (name, relation) per link of either side's band climb, from its square q
@@ -78,7 +87,7 @@ _CLIMB = (
 
 
 def _climb(side: str, k: int, q: tuple[Ratio, Ratio], p: tuple[Ratio, Ratio],
-           g: tuple[Ratio, Ratio]) -> list[ChainCheck]:
+           g: tuple[Ratio, Ratio]) -> list[Check]:
     ends = (q[0], p[0], q[1], p[1], g[0], g[1])
     return [
         _check(f"{name}_{side}", k, lhs, rhs, relation)
@@ -86,8 +95,8 @@ def _climb(side: str, k: int, q: tuple[Ratio, Ratio], p: tuple[Ratio, Ratio],
     ]
 
 
-def verify_order_chain(node: FastNode, k_max: int) -> tuple[ChainCheck, ...]:
-    """Check the interleaving of gap, square, and band intervals up to k_max.
+def _order_chain(node: Address, k_max: int) -> tuple[Check, ...]:
+    """The interleaving of gap, square, and band intervals up to k_max, as check tuples.
 
     Nothing is assumed about the node: every relation is evaluated and
     reported, so a synthetic node that breaks the order (q = 0 breaks
@@ -97,7 +106,7 @@ def verify_order_chain(node: FastNode, k_max: int) -> tuple[ChainCheck, ...]:
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    checks: list[ChainCheck] = []
+    checks: list[Check] = []
     for k in range(k_max):
         q_next, q_next_hi = q_interval(node, k + 1, False), q_interval(node, k + 1, True)
         g_low, g_high = g_interval(node, k, False), g_interval(node, k, True)
@@ -112,9 +121,17 @@ def verify_order_chain(node: FastNode, k_max: int) -> tuple[ChainCheck, ...]:
     return tuple(checks)
 
 
-def chain_holds(checks: Iterable[ChainCheck]) -> bool:
-    """Whether every check of an order chain holds."""
-    return all(check.holds for check in checks)
+def verify_order_chain(node: Address, k_max: int) -> "tuple[ChainCheck, ...]":
+    """Check the interleaving of gap, square, and band intervals up to k_max:
+    _order_chain's checks as records."""
+    from .records import ChainCheck
+
+    return tuple(ChainCheck(*check) for check in _order_chain(node, k_max))
+
+
+def chain_holds(checks: "Iterable[Check]") -> bool:
+    """Whether every check of an order chain, records or tuples, holds."""
+    return all(holds for _, _, holds, *_ in checks)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +235,7 @@ def truncated_gap_sum(length: Ratio, uncovered: int) -> Ratio:
 def first_level_gap_total() -> Ratio:
     """Measure removed from P(D_0 x D_0) by the first round: every gap of the
     root cell [2/3, 1] survives, total (5/36)(1/3)^2 = 5/324."""
-    return gap_total((1, 3**ROOT.k))
+    return gap_total((1, 3 ** _ROOT[1]))
 
 
 def _verified_threshold(high: bool, q: int, k: int, expected: int) -> int:
@@ -232,7 +249,7 @@ def _verified_threshold(high: bool, q: int, k: int, expected: int) -> int:
 
 
 def _uncovered_children(
-    high: bool, q: int, s: int, d: int, cut: int, stop: Optional[int] = None
+    high: bool, q: int, s: int, d: int, cut: int, stop: "int | None" = None
 ) -> Ratio:
     """Uncovered gap measure of one side's children j = 1..stop of a cell with parameter q.
 
@@ -257,8 +274,8 @@ def second_level_increment(cut: int = 12) -> Ratio:
     is the covering threshold (k for E_k, k+2 for F_k), verified here over the
     partial range before the matching geometric tails are attached.
     """
-    low = _uncovered_children(False, ROOT.m, 2, 0, cut)
-    return _sum(low, _uncovered_children(True, ROOT.m, 2, 2, cut))
+    low = _uncovered_children(False, _ROOT[0], 2, 0, cut)
+    return _sum(low, _uncovered_children(True, _ROOT[0], 2, 2, cut))
 
 
 def beta(k: int) -> Ratio:
@@ -278,7 +295,7 @@ def _uncovered_grandchildren(k: int, high_side: bool, stop: int, cut: int) -> Ra
     one side: every low grandchild, and the high ones of index m <= stop."""
     if k < 1:
         raise ValueError("index must be >= 1")
-    q = node_child(ROOT, k, high_side=high_side).m
+    q, _ = _child(_ROOT, k, high_side=high_side)
     low = _uncovered_children(False, q, k + 3, k + 1, cut)
     return _sum(low, _uncovered_children(True, q, k + 3, k + 3, cut, stop=stop))
 
@@ -380,81 +397,64 @@ EXPECTED: dict[str, Ratio] = {
 }
 
 
-class ChainEntry(NamedTuple):
-    """One derived value against its frozen one, both held as lowest-terms pairs."""
-
-    name: str
-    value_ratio: Ratio
-    expected_ratio: Ratio
-    relation: str  # a key of _RELATIONS
-    match: bool
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "value": format_ratio(*self.value_ratio),
-            "expected": format_ratio(*self.expected_ratio),
-            "relation": self.relation,
-            "match": self.match,
-        }
+def _entry_json(name: str, value: Ratio, expected: Ratio, relation: str, match: bool) -> dict:
+    """One chain entry's payload: both values as "p/q" text."""
+    return {
+        "name": name,
+        "value": format_ratio(*value),
+        "expected": format_ratio(*expected),
+        "relation": relation,
+        "match": match,
+    }
 
 
-class Certificate(NamedTuple):
-    """An enclosure center +- radius, held as lowest-terms pairs, and the chain
-    that derived it."""
-
-    target: str
-    center_ratio: Ratio
-    radius_ratio: Ratio
-    chain: tuple[ChainEntry, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(entry.match for entry in self.chain)
-
-    def failures(self) -> tuple[ChainEntry, ...]:
-        return tuple(entry for entry in self.chain if not entry.match)
-
-    def to_json(self, digits: int = 12) -> dict:
-        return {
-            "target": self.target,
-            "center": format_ratio(*self.center_ratio),
-            "radius": format_ratio(*self.radius_ratio),
-            "decimal_center": decimal_ratio(*self.center_ratio, digits),
-            "verified": self.ok,
-            "chain": [entry.to_json() for entry in self.chain],
-        }
+def _certificate_json(target: str, center: Ratio, radius: Ratio, chain: "Iterable[Entry]",
+                      verified: bool, digits: int) -> dict:
+    """The certificate's payload: center and radius as "p/q" text, the center as a
+    decimal, the verdict, and every chain entry's payload."""
+    return {
+        "target": target,
+        "center": format_ratio(*center),
+        "radius": format_ratio(*radius),
+        "decimal_center": decimal_ratio(*center, digits),
+        "verified": verified,
+        "chain": [_entry_json(*entry) for entry in chain],
+    }
 
 
-def certify(target: str = TARGET_LEVEL3) -> Certificate:
-    """Re-derive the measure enclosure and compare every step to its frozen value.
+def _certify(target: str) -> tuple[Ratio, Ratio, tuple[Entry, ...], bool]:
+    """(center, radius, chain, verified): re-derive the measure enclosure and compare
+    every step to its frozen value, with each entry a tuple.
 
     The level-3 target encloses measure(P(D_3 x D_3)); the full target scales
     it to the Cantor product set, folding in the subdivision tail.  Entries
     appear in dependency order; center and radius are taken from the derived
-    values, not the frozen table.  Every value is a lowest-terms pair of the
-    exact kernel.
+    values, not the frozen table, and verified says whether every entry
+    matches.  Every value is a lowest-terms pair of the exact kernel.
     """
     if target not in TARGETS:
         raise ValueError(f"unknown certification target {target!r}")
-    entries: list[ChainEntry] = []
+    entries: list[Entry] = []
 
     def add(name: str, value: Ratio, relation: str = "eq") -> Ratio:
         expected = EXPECTED[name]
-        entries.append(ChainEntry(name, value, expected, relation, _holds(relation, value, expected)))
+        entries.append((name, value, expected, relation, _holds(relation, value, expected)))
         return value
+
+    def result(center: Ratio, radius: Ratio) -> tuple[Ratio, Ratio, tuple[Entry, ...], bool]:
+        return center, radius, tuple(entries), all(match for *_, match in entries)
 
     mu1 = add("level1_gap_total", first_level_gap_total())
     increment = add("level2_gap_increment", second_level_increment())
 
-    e1 = node_child(ROOT, 1, high_side=False)
-    d1p = node_child(e1, 1, high_side=True)
-    add("band_floor", p_interval(ROOT, 0, high_side=False)[0])
+    e1 = _child(_ROOT, 1, high_side=False)
+    d1p = _child(e1, 1, high_side=True)
+    add("band_floor", p_interval(_ROOT, 0, high_side=False)[0])
     # the special cell's square sits strictly below the round-one band, so its
     # own gaps survive in full up to the covering threshold
     add("special_cell_separation", q_interval(e1, 1, high_side=True)[1], relation="lt")
-    length = add("special_cell_length", (1, 3**d1p.k))
-    threshold = high_cover_threshold(e1.m, 1)
+    length = add("special_cell_length", (1, 3 ** d1p[1]))
+    threshold = high_cover_threshold(e1[0], 1)
     add("special_cell_gap_threshold", (threshold, 1))
     gamma1 = add("special_cell_gap_total", truncated_gap_sum(length, threshold))
 
@@ -471,21 +471,30 @@ def certify(target: str = TARGET_LEVEL3) -> Certificate:
     add("enclosure_shift_bound", shift, relation="lt")
 
     if target == TARGET_LEVEL3:
-        return Certificate(target, center, radius, tuple(entries))
+        return result(center, radius)
 
     full_center = add("full_center", _prod((3, 2), center))
     tail = add("subdivision_tail", (1, 63 * 36**3))
     full_radius = add("full_radius", _prod((3, 2), _sum(radius, tail)))
     add("full_radius_tolerance", full_radius, relation="lt")
-    return Certificate(target, full_center, full_radius, tuple(entries))
+    return result(full_center, full_radius)
+
+
+def certify(target: str = TARGET_LEVEL3) -> "Certificate":
+    """Re-derive the measure enclosure and compare every step to its frozen value:
+    _certify's center, radius and chain as a records.Certificate."""
+    from .records import Certificate, ChainEntry
+
+    center, radius, chain, _ = _certify(target)
+    return Certificate(target, center, radius, tuple(ChainEntry(*entry) for entry in chain))
 
 
 def _enclosure(target: str) -> tuple[Ratio, Ratio]:
-    cert = certify(target)
-    if not cert.ok:
-        names = ", ".join(entry.name for entry in cert.failures())
+    center, radius, chain, verified = _certify(target)
+    if not verified:
+        names = ", ".join(name for name, *_, match in chain if not match)
         raise CertificationError(f"certification failed at: {names}")
-    return cert.center_ratio, cert.radius_ratio
+    return center, radius
 
 
 def level3_enclosure() -> tuple[Ratio, Ratio]:

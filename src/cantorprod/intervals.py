@@ -22,11 +22,14 @@ and truncated with an explicit "..." marker when inexact.
 
 from bisect import bisect_right
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
 
 from .ternary import _merge_ends, _ratio, decimal_ratio, format_ratio
 
-RationalLike = Union[Fraction, int, str]
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterable, Iterator, Sequence
+
+RationalLike = Fraction | int | str
 
 
 def rat(value: RationalLike) -> Fraction:
@@ -97,7 +100,7 @@ class Interval:
         return f"[{self.lo}, {self.hi}]"
 
 
-IntervalLike = Union[Interval, Sequence[RationalLike]]
+IntervalLike = "Interval | Sequence[RationalLike]"
 
 
 def _as_interval(item: IntervalLike) -> Interval:
@@ -117,13 +120,13 @@ class IntervalSet:
 
     __slots__ = ("intervals",)
 
-    def __init__(self, items: Iterable[IntervalLike] = ()) -> None:
+    def __init__(self, items: "Iterable[IntervalLike]" = ()) -> None:
         ivs = [_as_interval(it) for it in items]
         los, his = _merge_ends([iv.lo for iv in ivs], [iv.hi for iv in ivs])
         self.intervals: tuple[Interval, ...] = tuple(map(Interval, los, his))
 
     @classmethod
-    def _from_ends(cls, los: Sequence[int], his: Sequence[int], den: int) -> "IntervalSet":
+    def _from_ends(cls, los: "Sequence[int]", his: "Sequence[int]", den: int) -> "IntervalSet":
         """Wrap canonical integer component ends over one denominator den, unmerged."""
         out = cls.__new__(cls)
         out.intervals = tuple(
@@ -131,7 +134,7 @@ class IntervalSet:
         )
         return out
 
-    def __iter__(self) -> Iterator[Interval]:
+    def __iter__(self) -> "Iterator[Interval]":
         return iter(self.intervals)
 
     def __len__(self) -> int:

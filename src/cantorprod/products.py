@@ -21,33 +21,35 @@ measure(P(C x C)) = (3/2) measure(P(R x R)):
 * standard_estimate: P(R_n x R_n) over the level-n standard subdivision,
   counted from its surviving gaps by the int kernel in `standard`;
   measure(P(R_n x R_n)) - measure(P(R x R)) lies in [0, (1/63) (2/9)^(n-1)].
-  Here is only its record face: EstimateResult wraps standard._standard_run,
-  and its to_json is standard._estimate_json, the payload `art` prints
-  without building the record;
+  Here is only its record face: records.EstimateResult wraps
+  standard._standard_run, and its to_json is standard._estimate_json, the
+  payload `art` prints without building the record;
 * fast_bounds: squeeze measure(P(D_n x D_n)) between the inner/outer
-  truncated fast subdivisions, which converges like 36^-n in n.
+  truncated fast subdivisions, which converges like 36^-n in n.  Its
+  kernel is _fast_run, which `fast` and selftest run, and _bounds_json its
+  payload; fast_bounds wraps them in a records.FastBounds.
 
-Both routes run on ints from the cell addresses to their results.  Their
-records hold each measure as an integer over a power of 9 and write JSON
-straight from the ints through ternary's text kernels, so `art` and `fast`
-load neither `fractions` nor `intervals`; EstimateResult.full_bounds
-returns lowest-terms pairs.  self_product_stats reads an IntervalSet and
-returns its measure as a Fraction.
+Both routes run on ints from the cell addresses to their results, held as
+integers over a power of 9 and written as JSON straight from the ints
+through ternary's text kernels, so `art` and `fast` load neither
+`fractions`, `intervals` nor `records`.  self_product_stats reads an
+IntervalSet and returns its measure as a Fraction.
 """
 
 import time
 from math import lcm
-from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .standard import _estimate_json, _standard_run, convergence_tail
+from .standard import _standard_run
 from .subdivision import _ends, _fast_tree
-from .ternary import Ratio, _fraction, _lowest, _merge_ends
-from .ternary import decimal_ratio, format_ratio
+from .ternary import _fraction, _merge_ends, decimal_ratio, format_ratio
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Sequence
     from fractions import Fraction
 
     from .intervals import IntervalSet
+    from .records import EstimateResult, FastBounds
 
 FAST_LEVEL_LIMIT = 3
 FAST_GAP_DEPTH_LIMIT = 10
@@ -64,7 +66,7 @@ def _scaled_endpoints(s: "IntervalSet") -> tuple[list[int], list[int], int]:
     return los, his, den
 
 
-def _rows(los: Sequence[int], his: Sequence[int]) -> tuple[list[int], list[int]]:
+def _rows(los: "Sequence[int]", his: "Sequence[int]") -> tuple[list[int], list[int]]:
     """Lower and upper ends of intervals whose union is P(A x A), from A's
     sorted integer ends, in the square of their units.
 
@@ -101,7 +103,7 @@ def _rows(los: Sequence[int], his: Sequence[int]) -> tuple[list[int], list[int]]
     return out_los, out_his
 
 
-def _self_product(los: Sequence[int], his: Sequence[int]) -> tuple[int, int]:
+def _self_product(los: "Sequence[int]", his: "Sequence[int]") -> tuple[int, int]:
     """(measure, component count) of P(A x A) from A's canonical integer ends.
 
     The measure is in the square of the ends' units.
@@ -117,42 +119,14 @@ def self_product_stats(S: "IntervalSet") -> tuple["Fraction", int]:
     return _fraction(measure, den * den), count
 
 
-class EstimateResult(NamedTuple):
-    """Standard-route estimate of the Cantor product-set measure at level n.
-
-    measure(P(R_n x R_n)) is held exactly as scaled_measure / scale, with
-    scale = 9^max(n, 1).
-    """
-
-    n: int
-    scaled_measure: int
-    scale: int
-    component_count: int
-    elapsed_ms: int
-
-    def full_bounds(self) -> tuple[Ratio, Ratio]:
-        """Certified enclosure of measure(P(C x C)) as (lo, hi) lowest-terms
-        pairs, from the ints; n = 0 gives 17/21 and 5/6.
-
-        m = scaled_measure / scale overshoots the true right-half product
-        measure by at most convergence_tail(n), so the scaling identity pins
-        the full measure inside [(3/2)(m - convergence_tail(n)), (3/2) m].
-        """
-        t, u = convergence_tail(self.n)
-        low = 3 * (self.scaled_measure * u - t * self.scale), 2 * self.scale * u
-        return _lowest(*low), _lowest(3 * self.scaled_measure, 2 * self.scale)
-
-    def to_json(self, digits: int = 12) -> dict:
-        return _estimate_json(self.n, self.scaled_measure, self.scale, self.component_count,
-                              self.elapsed_ms, digits)
-
-
-def standard_estimate(n: int) -> EstimateResult:
+def standard_estimate(n: int) -> "EstimateResult":
     """Measure of P(R_n x R_n), its convergence tail, and the scaled full value.
 
     The full value (3/2) measure(P(R_n x R_n)) overshoots the true product-set
     measure by at most (3/2) convergence_tail(n).
     """
+    from .records import EstimateResult
+
     level, measure, count, elapsed = _standard_run(n)
     return EstimateResult(
         n=n,
@@ -163,42 +137,14 @@ def standard_estimate(n: int) -> EstimateResult:
     )
 
 
-class FastBounds(NamedTuple):
-    """Exact bracket of measure(P(D_n x D_n)) from the truncated fast subdivision.
-
-    Both ends are held exactly as integers over scale = 9^depth, depth that of
-    the deepest cell.
-    """
-
-    n: int
-    gap_depth: int
-    scaled_lower: int
-    scaled_upper: int
-    scale: int
-    component_count_inner: int
-    component_count_outer: int
-    elapsed_ms: int
-
-    def to_json(self, digits: int = 12) -> dict:
-        return {
-            "n": self.n,
-            "gap_depth": self.gap_depth,
-            "lower": format_ratio(self.scaled_lower, self.scale),
-            "upper": format_ratio(self.scaled_upper, self.scale),
-            "width": format_ratio(self.scaled_upper - self.scaled_lower, self.scale),
-            "decimal_lower": decimal_ratio(self.scaled_lower, self.scale, digits),
-            "decimal_upper": decimal_ratio(self.scaled_upper, self.scale, digits),
-            "component_count_inner": self.component_count_inner,
-            "component_count_outer": self.component_count_outer,
-            "elapsed_ms": self.elapsed_ms,
-        }
-
-
-def fast_bounds(n: int, K: int) -> FastBounds:
-    """Bracket measure(P(D_n x D_n)) by brute force on the truncated brackets.
+def _fast_run(n: int, K: int) -> tuple[int, int, int, int, int, int]:
+    """(scaled_lower, scaled_upper, scale, inner count, outer count, elapsed_ms): the
+    bracket of measure(P(D_n x D_n)) as ints over scale = 9^depth, depth that of the
+    deepest cell.
 
     inner <= D_n <= outer gives measure(P(inner^2)) <= measure(P(D_n^2)) <=
-    measure(P(outer^2)); both ends are exact rationals.
+    measure(P(outer^2)), each the self product of the bracket's union, at the
+    scale 3^depth of the deepest cell.
     """
     if not 0 <= n <= FAST_LEVEL_LIMIT:
         raise ValueError(f"fast brute force supports 0 <= n <= {FAST_LEVEL_LIMIT}")
@@ -206,19 +152,33 @@ def fast_bounds(n: int, K: int) -> FastBounds:
         raise ValueError(f"fast brute force supports gap_depth <= {FAST_GAP_DEPTH_LIMIT}")
     start = time.perf_counter()
     inner, outer, depth = _fast_tree(n, K)
-
-    # each bracket's union, at the scale 3^depth of the deepest cell
     lower, count_inner = _self_product(*_merge_ends(*_ends(inner, depth)))
     upper, count_outer = _self_product(*_merge_ends(*_ends(outer, depth)))
     elapsed = int((time.perf_counter() - start) * 1000)
-    return FastBounds(
-        n=n,
-        gap_depth=K,
-        scaled_lower=lower,
-        scaled_upper=upper,
-        scale=9**depth,
-        component_count_inner=count_inner,
-        component_count_outer=count_outer,
-        elapsed_ms=elapsed,
-    )
+    return lower, upper, 9**depth, count_inner, count_outer, elapsed
 
+
+def _bounds_json(n: int, K: int, lower: int, upper: int, scale: int, count_inner: int,
+                 count_outer: int, elapsed_ms: int, digits: int) -> dict:
+    """The fast bracket's payload at (n, K): lower / scale and upper / scale, as "p/q"
+    text and as decimals, with their width and each union's component count."""
+    return {
+        "n": n,
+        "gap_depth": K,
+        "lower": format_ratio(lower, scale),
+        "upper": format_ratio(upper, scale),
+        "width": format_ratio(upper - lower, scale),
+        "decimal_lower": decimal_ratio(lower, scale, digits),
+        "decimal_upper": decimal_ratio(upper, scale, digits),
+        "component_count_inner": count_inner,
+        "component_count_outer": count_outer,
+        "elapsed_ms": elapsed_ms,
+    }
+
+
+def fast_bounds(n: int, K: int) -> "FastBounds":
+    """Bracket measure(P(D_n x D_n)) by brute force on the truncated brackets:
+    _fast_run's ints as a record, both ends exact rationals."""
+    from .records import FastBounds
+
+    return FastBounds(n, K, *_fast_run(n, K))

@@ -15,12 +15,13 @@ so the figure can be checked against the certified values.  Each exact
 point is converted to float once, and each family value's hyperbola is
 sampled once per figure (no two families share a value).
 
-The figure runs on ints: the P and G ends are the lowest-terms (p, q) pairs
-of subdivision.p_interval and g_interval, each family's one home, and the
-text is ternary.format_ratio's.  An int/int true division is correctly
-rounded, so every float is the one a Fraction would give.  This module loads
-only `subdivision` and `ternary`, and neither `fractions`, `intervals` nor
-`gaps`.
+The figure runs on ints: the cell is a plain (m, k) address pair, the P
+and G ends are the lowest-terms (p, q) pairs of subdivision.p_interval and
+g_interval, each family's one home, and the text is ternary.format_ratio's.
+An int/int true division is correctly rounded, so every float is the one a
+Fraction would give.  This module loads only `subdivision` and `ternary`,
+and neither `fractions`, `intervals`, `gaps` nor `records`: _families is the
+figure's kernel, and cell_families hands out its cell as a FastNode.
 
 _svg hands out the document line by line, each line built as it is read,
 and the CLI writes each one as it comes: at most one family's arcs are held
@@ -29,10 +30,18 @@ render_svg joins the same lines into one string.
 """
 
 from itertools import chain
-from typing import Iterator
 
-from .subdivision import ROOT, UNIT, FastNode, _ends, _leaves, g_interval, node_child, p_interval
-from .ternary import Ratio, format_ratio
+from .subdivision import _child, _ends, g_interval, p_interval
+from .ternary import _ROOT, _UNIT, Address, Ratio, _leaves, format_ratio
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterator
+
+    from .records import FastNode
+
+# a drawn family: (k, side, P, G), P and G (lo, hi) pairs of lowest-terms (p, q) ratios
+Family = tuple[int, str, tuple[Ratio, Ratio], tuple[Ratio, Ratio]]
 
 MAX_DEPTH = 2
 MAX_KMAX = 6
@@ -62,10 +71,9 @@ def _line(x0: float, y0: float, x1: float, y1: float, width: str, extra: str = "
     )
 
 
-def cell_families(
-    depth: int, k_max: int
-) -> tuple[FastNode, list[tuple[int, str, tuple[Ratio, Ratio], tuple[Ratio, Ratio]]]]:
-    """The drawn cell and its (k, side, P, G) families, for the figure's ranges.
+def _families(depth: int, k_max: int) -> tuple[Address, list[Family]]:
+    """The drawn cell as a plain pair and its (k, side, P, G) families, for the
+    figure's ranges.
 
     P and G are (lo, hi) pairs of lowest-terms (p, q) ratios.  The cell at a
     given depth is the end of the low-side child chain.
@@ -74,9 +82,9 @@ def cell_families(
         raise ValueError(f"depth must be in 0..{MAX_DEPTH}")
     if not 0 <= k_max <= MAX_KMAX:
         raise ValueError(f"k_max must be in 0..{MAX_KMAX}")
-    node = ROOT
+    node = _ROOT
     for _ in range(depth):
-        node = node_child(node, 1, high_side=False)
+        node = _child(node, 1, high_side=False)
     tags = [(0, "±")] + [(k, side) for k in range(1, k_max + 1) for side in "-+"]
     return node, [
         (k, side, p_interval(node, k, side == "+"), g_interval(node, k, side == "+"))
@@ -84,21 +92,30 @@ def cell_families(
     ]
 
 
-def cell_text(node: FastNode) -> tuple[str, str]:
+def cell_families(depth: int, k_max: int) -> "tuple[FastNode, list[Family]]":
+    """The drawn cell and its (k, side, P, G) families: _families' cell as a record."""
+    from .records import FastNode
+
+    node, families = _families(depth, k_max)
+    return FastNode(*node), families
+
+
+def cell_text(node: Address) -> tuple[str, str]:
     """The node's cell ends as "p/q" text."""
-    den = 3**node.k
-    return format_ratio(node.m, den), format_ratio(node.m + 1, den)
+    m, k = node
+    den = 3**k
+    return format_ratio(m, den), format_ratio(m + 1, den)
 
 
 def _cells(k_max: int) -> list[tuple[int, str, float, float]]:
     """(k, side, lo, hi) of E_1, F_1, ..., E_K, F_K in local coordinates: the unit cell's."""
     tags = [(k, side) for k in range(1, k_max + 1) for side in "-+"]
     depth = k_max + 1
-    los, his = _ends((node_child(UNIT, k, side == "+") for k, side in tags), depth)
+    los, his = _ends((_child(_UNIT, k, side == "+") for k, side in tags), depth)
     return [(k, side, lo / 3**depth, hi / 3**depth) for (k, side), lo, hi in zip(tags, los, his)]
 
 
-def _band_rects(cells) -> Iterator[str]:
+def _band_rects(cells) -> "Iterator[str]":
     grey = "#c7c7c7"
     yield _rect(2 / 3, 0, 1, 1 / 3, grey)
     yield _rect(0, 2 / 3, 1 / 3, 1, grey)
@@ -113,22 +130,22 @@ def _band_rects(cells) -> Iterator[str]:
             yield _rect(lo, (den - 1) / den, hi, 1, grey)
 
 
-def _grid(levels: int) -> Iterator[str]:
+def _grid(levels: int) -> "Iterator[str]":
     """Lines through the interior triadic gap endpoints down to the given level."""
     den = 3**levels
-    points = [e / den for m in _leaves(UNIT, levels) for e in (m, m + 1)][1:-1]
+    points = [e / den for m in _leaves(_UNIT, levels) for e in (m, m + 1)][1:-1]
     for p in points:
         yield _line(p, 0, p, 1, "0.0015")
         yield _line(0, p, 1, p, "0.0015")
     yield _line(0, 0, 1, 1, "0.0015")
 
 
-def _crosses(depth: int) -> Iterator[str]:
+def _crosses(depth: int) -> "Iterator[str]":
     """A white middle-third cross over the diagonal square of every cell of
     levels 0..depth, level by level."""
     for level in range(depth + 1):
         den = 3 ** (level + 1)  # in thirds of the cell (m, level): 3m, 3m+1, 3m+2, 3m+3
-        for m in _leaves(UNIT, level):
+        for m in _leaves(_UNIT, level):
             lo, a, b, hi = (e / den for e in range(3 * m, 3 * m + 4))
             yield _rect(lo, a, a, b, "white")
             yield _rect(b, a, hi, b, "white")
@@ -136,14 +153,14 @@ def _crosses(depth: int) -> Iterator[str]:
             yield _rect(a, lo, b, a, "white")
 
 
-def _pair_squares(cells) -> Iterator[str]:
+def _pair_squares(cells) -> "Iterator[str]":
     for xk, xside, x0, x1 in cells:
         for yk, yside, y0, y1 in cells:
             tags = f'data-xk="{xk}" data-xside="{xside}" data-yk="{yk}" data-yside="{yside}"'
             yield _rect(x0, y0, x1, y1, "black", f' class="pair" {tags}')
 
 
-def _edge_ticks(cells) -> Iterator[str]:
+def _edge_ticks(cells) -> "Iterator[str]":
     for _, _, lo, hi in cells:
         yield _line(lo, 0, hi, 0, "0.008")
         yield _line(lo, 1, hi, 1, "0.008")
@@ -151,14 +168,14 @@ def _edge_ticks(cells) -> Iterator[str]:
         yield _line(1, lo, 1, hi, "0.008")
 
 
-def _arc_points(node: FastNode, value: Ratio) -> list[str]:
+def _arc_points(node: Address, value: Ratio) -> list[str]:
     """Samples of xy = value in local cell coordinates, left to right, as SVG "x y" text.
 
     Locally the arc is y = v / (q + x) - q, with v = value * 9^k = num / den.
     """
-    q = node.m
+    q, k = node
     num, den = value
-    num *= 9**node.k
+    num *= 9**k
     # x-window where the local y stays inside [0,1]: x_lo = v / (q + 1) - q and
     # x_hi = v / q - q, each an exact int ratio rounded to float once
     lo, hi = num - q * (q + 1) * den, num - q * q * den
@@ -174,7 +191,7 @@ def _arc_points(node: FastNode, value: Ratio) -> list[str]:
     ]
 
 
-def _arcs(node: FastNode, families) -> Iterator[str]:
+def _arcs(node: Address, families) -> "Iterator[str]":
     def arc(points: list[str]) -> str:
         return "M " + " L ".join(points)
 
@@ -204,7 +221,7 @@ def _arcs(node: FastNode, families) -> Iterator[str]:
     yield "</g>"
 
 
-def _label(name: str, tx, ty, ax0=None, ax1=None, anchor="middle") -> Iterator[str]:
+def _label(name: str, tx, ty, ax0=None, ax1=None, anchor="middle") -> "Iterator[str]":
     if ax0 is not None:
         yield _line(
             *ax0, *ax1, "0.0012", ' stroke-dasharray="0.008 0.006" marker-end="url(#tip)"'
@@ -215,7 +232,7 @@ def _label(name: str, tx, ty, ax0=None, ax1=None, anchor="middle") -> Iterator[s
     )
 
 
-def _labels(k_max: int) -> Iterator[str]:
+def _labels(k_max: int) -> "Iterator[str]":
     yield from _label("P(I,0,±)", 0.45, 0.6)
     yield from _label("G(I,0,±)", 1.34, 0.4, (1.2, 0.4), (0.94, 0.4), "start")
     if k_max >= 1:
@@ -232,21 +249,21 @@ def render_svg(depth: int = 1, k_max: int = 3) -> str:
     return "".join(_svg(depth, k_max))
 
 
-def _svg(depth: int, k_max: int) -> Iterator[str]:
+def _svg(depth: int, k_max: int) -> "Iterator[str]":
     """The figure's lines, each with its newline, built one at a time as they are read.
 
     The ranges are checked before the generator is returned, so a bad depth
     or k_max raises before any line is asked for; the CLI streams the lines
     to its output, and only render_svg holds the whole document.
     """
-    node, families = cell_families(depth, k_max)
+    node, families = _families(depth, k_max)
     cell_lo, cell_hi = cell_text(node)
     cells = _cells(k_max)
     head = (
         '<svg xmlns="http://www.w3.org/2000/svg" width="1000"'
         f' viewBox="{_VIEW}" data-cell-lo="{cell_lo}"'
-        f' data-cell-hi="{cell_hi}" data-q="{node.m}"'
-        f' data-scale-k="{node.k}">',
+        f' data-cell-hi="{cell_hi}" data-q="{node[0]}"'
+        f' data-scale-k="{node[1]}">',
         "<defs>",
         '<clipPath id="cell"><rect x="0" y="0" width="1" height="1"/></clipPath>',
         '<marker id="tip" viewBox="0 0 10 10" refX="9" refY="5" markerWidth="6"'

@@ -9,21 +9,21 @@ depth, with no walk over the cells;
 measure(P(R_n x R_n)) - measure(P(R x R)) lies in [0, (1/63) (2/9)^(n-1)].
 
 Everything here runs on ints, from the level to the JSON payload:
-_standard_run is the route with its range check and its timing, and
-_estimate_json its payload.  `art` runs on these two and `ternary` alone,
-with no record class, and `products.standard_estimate` and
-`products.EstimateResult.to_json` wrap them.  This module defines no class
-and imports neither `typing` nor `fractions`.
+_standard_run is the route with its range check and its timing,
+_estimate_json its payload and _full_bounds its enclosure of
+measure(P(C x C)).  `art` runs on the first two and `ternary` alone, and
+selftest reads the enclosure, with no record class;
+`products.standard_estimate` and the `records.EstimateResult` it returns
+wrap them.  This module defines no class and imports neither `typing` nor
+`fractions`.
 """
 
 import time
 from math import isqrt
 
-from .ternary import Ratio, _leaves, decimal_ratio, format_ratio
+from .ternary import _ROOT, Ratio, _leaves, _lowest, decimal_ratio, format_ratio
 
 STANDARD_LEVEL_LIMIT = 20
-
-_RIGHT = (2, 1)  # the address of [2/3, 1], subdivision.ROOT as a plain pair
 
 
 def convergence_tail(n: int) -> Ratio:
@@ -101,7 +101,7 @@ def _surviving_gaps(level: int) -> list[int]:
     each run's Cantor addresses off its ends.  Each ancestor level's
     addresses are built once, for every level they close gaps at.
     """
-    ancestors = [_leaves(_RIGHT, i - 1) for i in range(1, (level - 1) // 2)]
+    ancestors = [_leaves(_ROOT, i - 1) for i in range(1, (level - 1) // 2)]
     counts = []
     for j in range(1, level):
         tails = []
@@ -153,6 +153,19 @@ def _standard_run(n: int) -> tuple[int, int, int, int]:
     level = max(n, 1)
     measure, count = _standard_stats(level)
     return level, measure, count, int((time.perf_counter() - start) * 1000)
+
+
+def _full_bounds(n: int, measure: int, scale: int) -> tuple[Ratio, Ratio]:
+    """Certified enclosure of measure(P(C x C)) from the route at n, as (lo, hi)
+    lowest-terms pairs; n = 0 gives 17/21 and 5/6.
+
+    m = measure / scale overshoots the true right-half product measure by at
+    most convergence_tail(n), so the scaling identity pins the full measure
+    inside [(3/2)(m - convergence_tail(n)), (3/2) m].
+    """
+    t, u = convergence_tail(n)
+    low = 3 * (measure * u - t * scale), 2 * scale * u
+    return _lowest(*low), _lowest(3 * measure, 2 * scale)
 
 
 def _estimate_json(n: int, measure: int, scale: int, count: int, elapsed_ms: int,

@@ -32,59 +32,48 @@ both schemes are walks that append words.
 
 This module is the one place that turns an address into endpoints.  Every
 set of cells here is a _cover: _ends reads their integer ends at one scale
-3^-depth, merged on ints and made Fractions once; FastNode.cell gives one cell
-as Fractions.  The ints of ternary._leaves are already the leaves' left ends,
-in units of their 3^-depth.  The integer walks load no `fractions`:
-Fractions are built through ternary._fraction, and the functions that build
-Intervals or IntervalSets import `intervals` where they run.
+3^-depth, merged on ints and made Fractions once; records.FastNode.cell gives
+one cell as Fractions.  The ints of ternary._leaves are already the leaves'
+left ends, in units of their 3^-depth.  The integer walks load no
+`fractions`: Fractions are built through ternary._fraction, and the
+functions that build Intervals or IntervalSets import `intervals` where they
+run.
 
-The membership records live here too: `classify_ternary` gives a
-`Membership` verdict and a `TernaryExpansion`, both read off `ternary`'s int
-kernel, which `member` runs without them.
+Addresses are plain (m, k) int pairs throughout, starting from ternary's
+_UNIT and _ROOT: _child, _children and the families read and build plain
+pairs, and a records.FastNode, a tuple subclass, passes wherever a pair
+does.  node_child, node_children and fast_subdivision hand out records, and
+so do classify_ternary and ternary_expansion, whose `Membership` verdict and
+`TernaryExpansion` are read off `ternary`'s int kernel, which `member` runs
+without them; each imports `records` where it runs, so `render`, `certify`,
+`fast` and `selftest` load neither `typing` nor `enum` through this module.
 """
 
-from enum import Enum
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from .ternary import _ROOT, _UNIT, Address, Ratio, _expansion, _leaves, _lowest, _merge_ends
+from .ternary import _ratio, _verdict
 
-from .ternary import Ratio, _expansion, _expansion_text, _fraction, _leaves, _lowest
-from .ternary import _merge_ends, _ratio, _verdict
-
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Iterable
     from fractions import Fraction
 
-    from .intervals import Interval, IntervalSet
+    from .intervals import IntervalSet
+    from .records import FastNode, FastSubdivision, Membership, TernaryExpansion
 
 
-class FastNode(NamedTuple):
-    """A ternary address: the cell [m/3^k, (m+1)/3^k]."""
-
-    m: int
-    k: int
-
-    @property
-    def cell(self) -> "Interval":
-        from .intervals import Interval
-
-        den = 3**self.k
-        return Interval(_fraction(self.m, den), _fraction(self.m + 1, den))
-
-
-UNIT = FastNode(m=0, k=0)
-ROOT = FastNode(m=2, k=1)
-
-
-def _append(node: FastNode, word: int, j: int) -> FastNode:
+def _append(node: Address, word: int, j: int) -> Address:
     """The address `node` followed by the j ternary digits of `word` (0 <= word < 3^j)."""
-    return FastNode(node.m * 3**j + word, node.k + j)
+    m, k = node
+    return m * 3**j + word, k + j
 
 
-def _ends(nodes: Iterable[FastNode], depth: int) -> tuple[list[int], list[int]]:
+def _ends(nodes: "Iterable[Address]", depth: int) -> tuple[list[int], list[int]]:
     """Lower and upper ends of the nodes' cells in units of 3^-depth (no node deeper)."""
     units = [(m, 3 ** (depth - k)) for m, k in nodes]
     return [m * unit for m, unit in units], [(m + 1) * unit for m, unit in units]
 
 
-def _cover(nodes: Iterable[FastNode], depth: int) -> "IntervalSet":
+def _cover(nodes: "Iterable[Address]", depth: int) -> "IntervalSet":
     """The union of the nodes' cells (no node deeper than `depth`), merged on ints."""
     from .intervals import IntervalSet
 
@@ -93,7 +82,7 @@ def _cover(nodes: Iterable[FastNode], depth: int) -> "IntervalSet":
 
 def standard_subdivision(n: int) -> "IntervalSet":
     """K_n: what remains of [0, 1] after n rounds of middle-third removal."""
-    return _cover([FastNode(m, n) for m in _leaves(UNIT, n)], n)
+    return _cover([(m, n) for m in _leaves(_UNIT, n)], n)
 
 
 def right_half_subdivision(n: int) -> "IntervalSet":
@@ -105,16 +94,16 @@ def right_half_subdivision(n: int) -> "IntervalSet":
     if n < 0:
         raise ValueError("level must be >= 0")
     level = max(n, 1)
-    return _cover([FastNode(m, level) for m in _leaves(ROOT, level - 1)], level)
+    return _cover([(m, level) for m in _leaves(_ROOT, level - 1)], level)
 
 
-def _side(node: FastNode, k: int, high_side: bool, digit: int) -> FastNode:
+def _side(node: Address, k: int, high_side: bool, digit: int) -> Address:
     """The address node 0^k digit (low side) or node 2^k digit (high side), at
     depth node.k + k + 1: the one place a side-piece word is built."""
     return _append(node, digit + (3 ** (k + 1) - 3 if high_side else 0), k + 1)
 
 
-def p_interval(node: FastNode, k: int, high_side: bool) -> tuple[Ratio, Ratio]:
+def p_interval(node: Address, k: int, high_side: bool) -> tuple[Ratio, Ratio]:
     """Band P = [a(a+2), (a+1)(a+3)] / 9^d of the side piece node 0^k (low) or
     node 2^k (high), whose first third is a / 3^d: the product of its two
     outer thirds, as (lo, hi) lowest-terms pairs."""
@@ -124,7 +113,7 @@ def p_interval(node: FastNode, k: int, high_side: bool) -> tuple[Ratio, Ratio]:
     return _lowest(a * (a + 2), 9**d), _lowest((a + 1) * (a + 3), 9**d)
 
 
-def g_interval(node: FastNode, k: int, high_side: bool) -> tuple[Ratio, Ratio]:
+def g_interval(node: Address, k: int, high_side: bool) -> tuple[Ratio, Ratio]:
     """Diagonal gap G = [(a+1)(a+3), (a+2)^2] / 9^d of the same side piece, as
     pairs: what its middle removal opens on the diagonal, from the band's top
     to the upper third's square, an interval of length (|piece|/3)^2; both
@@ -135,14 +124,14 @@ def g_interval(node: FastNode, k: int, high_side: bool) -> tuple[Ratio, Ratio]:
     return _lowest((a + 1) * (a + 3), 9**d), _lowest((a + 2) ** 2, 9**d)
 
 
-def q_interval(node: FastNode, k: int, high_side: bool) -> tuple[Ratio, Ratio]:
+def q_interval(node: Address, k: int, high_side: bool) -> tuple[Ratio, Ratio]:
     """Square Q = [c^2, (c+1)^2] / 9^d of the k-th child cell c / 3^d (k >= 1),
     the side piece's tracked third, as pairs."""
-    c, d = node_child(node, k, high_side)
+    c, d = _child(node, k, high_side)
     return _lowest(c * c, 9**d), _lowest((c + 1) ** 2, 9**d)
 
 
-def _gaps(node: FastNode, K: int) -> list[FastNode]:
+def _gaps(node: Address, K: int) -> list[Address]:
     """The gaps of B truncated at index K, rescaled into `node`: node 0^k 1 and
     node 2^k 1 for k <= K, both node 1 at k = 0 (the merge drops the copy)."""
     return [_side(node, k, high, 1) for k in range(K + 1) for high in (False, True)]
@@ -156,40 +145,40 @@ def gap_set(K: int) -> "IntervalSet":
     """
     if K < 0:
         raise ValueError("gap index bound must be >= 0")
-    return _cover(_gaps(UNIT, K), K + 1)
+    return _cover(_gaps(_UNIT, K), K + 1)
 
 
-def node_child(node: FastNode, k: int, high_side: bool) -> FastNode:
-    """The k-th surviving child cell of `node`: E_k = node 0^k 2 on the low
-    side, F_k = node 2^k 0 on the high side."""
+def _child(node: Address, k: int, high_side: bool) -> Address:
+    """The k-th surviving child cell of `node` as a plain pair: E_k = node 0^k 2
+    on the low side, F_k = node 2^k 0 on the high side."""
     if k < 1:
         raise ValueError("child index must be >= 1")
     return _side(node, k, high_side, 0 if high_side else 2)
 
 
-def node_children(node: FastNode, K: int) -> tuple[FastNode, ...]:
-    """All tracked children (k <= K on both sides), ordered left to right."""
+def _children(node: Address, K: int) -> list[Address]:
+    """All tracked children (k <= K on both sides) as plain pairs, ordered left to right."""
     if K < 1:
         raise ValueError("child index bound must be >= 1")
-    low = [node_child(node, k, high_side=False) for k in range(K, 0, -1)]
-    high = [node_child(node, k, high_side=True) for k in range(1, K + 1)]
-    return tuple(low + high)
+    low = [_child(node, k, high_side=False) for k in range(K, 0, -1)]
+    return low + [_child(node, k, high_side=True) for k in range(1, K + 1)]
 
 
-class FastSubdivision(NamedTuple):
-    """Result of n rounds of truncated fast subdivision of [2/3, 1].
+def node_child(node: Address, k: int, high_side: bool) -> "FastNode":
+    """The k-th surviving child cell of `node`, _child's pair as a record."""
+    from .records import FastNode
 
-    inner and outer bracket the true surviving set D_n:
-    inner is the union of tracked depth-n cells (all genuine cells of D_n),
-    outer additionally keeps the hull pieces of every subdivided cell, which
-    contain every cell the truncation discarded.
-    """
-
-    inner: "IntervalSet"
-    outer: "IntervalSet"
+    return FastNode(*_child(node, k, high_side))
 
 
-def _rounds(n: int, K: int) -> tuple[list[FastNode], list[FastNode]]:
+def node_children(node: Address, K: int) -> "tuple[FastNode, ...]":
+    """All tracked children (k <= K on both sides), ordered left to right, as records."""
+    from .records import FastNode
+
+    return tuple(FastNode(*child) for child in _children(node, K))
+
+
+def _rounds(n: int, K: int) -> tuple[list[Address], list[Address]]:
     """n rounds from ROOT tracking k <= K: (every subdivided cell, the depth-n cells)."""
     if n < 0:
         raise ValueError("round count must be >= 0")
@@ -197,15 +186,15 @@ def _rounds(n: int, K: int) -> tuple[list[FastNode], list[FastNode]]:
         raise ValueError("gap_depth must be >= 1")
     if (2 * K) ** n > 500_000:
         raise ValueError(f"refusing to track (2*{K})^{n} cells")
-    parents: list[FastNode] = []
-    level = [ROOT]
+    parents: list[Address] = []
+    level = [_ROOT]
     for _ in range(n):
         parents.extend(level)
-        level = [child for node in level for child in node_children(node, K)]
+        level = [child for node in level for child in _children(node, K)]
     return parents, level
 
 
-def _fast_tree(n: int, K: int) -> tuple[list[FastNode], list[FastNode], int]:
+def _fast_tree(n: int, K: int) -> tuple[list[Address], list[Address], int]:
     """(inner, outer) addresses and the depth 1 + n(K+1) of the deepest cell.
 
     inner is the tracked depth-n cells, outer those and the hull tails.
@@ -215,8 +204,10 @@ def _fast_tree(n: int, K: int) -> tuple[list[FastNode], list[FastNode], int]:
     return level, level + tails, 1 + n * (K + 1)
 
 
-def fast_subdivision(n: int, K: int) -> FastSubdivision:
+def fast_subdivision(n: int, K: int) -> "FastSubdivision":
     """Run n truncated rounds starting from [2/3, 1], tracking k <= K."""
+    from .records import FastSubdivision
+
     inner, outer, depth = _fast_tree(n, K)
     return FastSubdivision(inner=_cover(inner, depth), outer=_cover(outer, depth))
 
@@ -235,49 +226,27 @@ def squared_length_sum(n: int, K: int) -> tuple[Ratio, Ratio]:
     of a cell by 2 sum_{k>=1} 9^(-k-1) = 1/36.
     """
     level, _, depth = _fast_tree(n, K)
-    truncated = _lowest(sum(9 ** (depth - node.k) for node in level), 9**depth)
+    truncated = _lowest(sum(9 ** (depth - k) for _, k in level), 9**depth)
     return truncated, (1, 9 * 36**n)
 
 
-class Membership(Enum):
-    MEMBER = "member"
-    NON_MEMBER = "non_member"
-    UNDETERMINED = "undetermined"
-
-
-class TernaryExpansion(NamedTuple):
-    """Base-3 digits of a number in [0, 1], with cycle structure.
-
-    period == 0 means the expansion terminates after the recorded digits;
-    otherwise the last `period` recorded digits repeat forever.  complete is
-    False only when the digit budget ran out before the cycle closed.
-    """
-
-    digits: tuple[int, ...]
-    period: int
-    complete: bool
-
-    @property
-    def preperiod(self) -> int:
-        return len(self.digits) - self.period
-
-    def __str__(self) -> str:
-        return _expansion_text(*self)
-
-
-def ternary_expansion(x: "int | Fraction | str", max_digits: int = 4096) -> TernaryExpansion:
+def ternary_expansion(x: "int | Fraction | str", max_digits: int = 4096) -> "TernaryExpansion":
     """Expand x in [0, 1] in base 3 by long division, detecting the cycle."""
+    from .records import TernaryExpansion
+
     digits, period, complete = _expansion(*_ratio(x), max_digits)
     return TernaryExpansion(tuple(digits), period, complete)
 
 
 def classify_ternary(x: "int | Fraction | str",
-                     max_digits: int = 4096) -> tuple[Membership, TernaryExpansion]:
+                     max_digits: int = 4096) -> "tuple[Membership, TernaryExpansion]":
     """Decide Cantor-set membership of x in [0, 1] from its ternary digits.
 
     The verdict is `ternary._verdict`'s: a digit 1 puts x in a removed gap
     unless it is the last digit of a terminating expansion.  UNDETERMINED
     can only happen when max_digits is smaller than the cycle.
     """
+    from .records import Membership
+
     exp = ternary_expansion(x, max_digits)
     return Membership(_verdict(*exp)), exp

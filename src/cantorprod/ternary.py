@@ -13,15 +13,15 @@ The exact routes' int kernels live here too, each in one place:
 `_ratio`, the one reader of an int, a `Fraction` or such a text, which
 `intervals.rat` wraps and every membership function calls; `format_ratio`
 and `decimal_ratio`, the "p/q" and decimal text of p/q; `Ratio`, the type
-of a lowest-terms pair, the one number form the records in `products`,
-`gaps` and `subdivision` hold and hand out; `_fraction`, which turns such a
+of a lowest-terms pair, the one number form the kernels and the records in
+`records` hold and hand out; `_fraction`, which turns such a
 pair into a Fraction for the set face; `_merge_ends`, the one merge into
 canonical interval form; and `_leaves`, the one walk over the standard
 cells below an address, which `subdivision`, `render` and the standard
-route's ancestor lists read.
+route's ancestor lists read, with `_UNIT` and `_ROOT`, the two addresses
+the walks start from, as plain pairs.
 This module imports neither `fractions` nor `typing` nor `enum` at load
-time: `member`, `art`, `fast`, `render` and `certify` run on ints alone, and
-`member` and `art` load no record machinery.
+time: every command runs on ints alone and loads no record machinery.
 """
 
 import sys
@@ -33,6 +33,10 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 Ratio = tuple[int, int]  # (p, q) in lowest terms, q > 0: what _lowest returns
+
+# the unit cell, and [2/3, 1], whose standard cells cover the Cantor set's right half
+Address = tuple[int, int]  # (m, k), the cell [m/3^k, (m+1)/3^k]: records.FastNode as a plain pair
+_UNIT, _ROOT = (0, 0), (2, 1)
 
 
 def parse_ratio(text: str) -> Ratio:
@@ -108,7 +112,7 @@ def _merge_ends(los: list, his: list) -> tuple[list, list]:
     return out_los, out_his + his[-1:]
 
 
-def _leaves(node: tuple[int, int], j: int) -> list[int]:
+def _leaves(node: Address, j: int) -> list[int]:
     """The m of the 2^j standard cells j levels below the address node = (m, k), left to right.
 
     They are node followed by each j-digit word without digit 1, at depth

@@ -69,8 +69,8 @@ MUTANTS = (
     Mutant(
         "the ancestor lists built one level too deep",
         "src/cantorprod/standard.py",
-        "_leaves(_RIGHT, i - 1) for i in",
-        "_leaves(_RIGHT, i) for i in",
+        "_leaves(_ROOT, i - 1) for i in",
+        "_leaves(_ROOT, i) for i in",
         ("tests/test_products.py::test_surviving_gaps_match_gap_walk_oracle",),
     ),
     Mutant(
@@ -106,9 +106,74 @@ MUTANTS = (
     Mutant(
         "certify trusts every derived value",
         "src/cantorprod/gaps.py",
-        "ChainEntry(name, value, expected, relation, _holds(relation, value, expected))",
-        "ChainEntry(name, value, expected, relation, True)",
-        ("tests/test_gaps.py::test_certify_detects_tampering",),
+        "entries.append((name, value, expected, relation, _holds(relation, value, expected)))",
+        "entries.append((name, value, expected, relation, True))",
+        ("tests/test_gaps.py::test_certify_detects_tampering",
+         "tests/test_cli.py::test_certify_reports_tampering"),
+    ),
+    Mutant(
+        "the certificate's verdict ignores its chain",
+        "src/cantorprod/gaps.py",
+        "tuple(entries), all(match for *_, match in entries)",
+        "tuple(entries), True",
+        ("tests/test_cli.py::test_certify_reports_tampering",),
+    ),
+    Mutant(
+        "certify's record takes the kernel's center for its radius",
+        "src/cantorprod/gaps.py",
+        "    return Certificate(target, center, radius, tuple(",
+        "    return Certificate(target, center, center, tuple(",
+        ("tests/test_gaps.py::test_certify_kernel_matches_the_record_and_fraction_routes",),
+    ),
+    Mutant(
+        "chain_holds reads each check's index for its verdict",
+        "src/cantorprod/gaps.py",
+        "return all(holds for _, _, holds, *_ in checks)",
+        "return all(holds for _, holds, *_ in checks)",
+        ("tests/test_gaps.py::test_order_chain_holds_at_root",),
+    ),
+    Mutant(
+        "the fast kernel swaps inner and outer",
+        "src/cantorprod/products.py",
+        "    inner, outer, depth = _fast_tree(n, K)\n",
+        "    outer, inner, depth = _fast_tree(n, K)\n",
+        ("tests/test_products.py::test_fast_run_matches_the_record_route",),
+    ),
+    Mutant(
+        "the fast payload's width measured the wrong way",
+        "src/cantorprod/products.py",
+        '"width": format_ratio(upper - lower, scale),',
+        '"width": format_ratio(lower - upper, scale),',
+        ("tests/test_products.py::test_fast_record_matches_fraction_route",),
+    ),
+    Mutant(
+        "a plain child built on the wrong side",
+        "src/cantorprod/subdivision.py",
+        "    return _side(node, k, high_side, 0 if high_side else 2)\n",
+        "    return _side(node, k, high_side, 2 if high_side else 0)\n",
+        ("tests/test_gaps.py::test_plain_pair_families_and_children_match_their_fast_node_calls",),
+    ),
+    Mutant(
+        "the figure's cell one child too deep",
+        "src/cantorprod/render.py",
+        "    for _ in range(depth):\n        node = _child(node, 1, high_side=False)\n",
+        "    for _ in range(depth + 1):\n        node = _child(node, 1, high_side=False)\n",
+        ("tests/test_cli.py::test_render_json",),
+    ),
+    Mutant(
+        "selftest's degenerate scale is a genuine cell",
+        "src/cantorprod/cli.py",
+        "gaps._order_chain((0, root[1]), 3)",
+        "gaps._order_chain((2, root[1]), 3)",
+        ("tests/test_cli.py::test_selftest_passes",),
+    ),
+    Mutant(
+        "the standard enclosure adds its tail at the low end",
+        "src/cantorprod/standard.py",
+        "    low = 3 * (measure * u - t * scale), 2 * scale * u\n",
+        "    low = 3 * (measure * u + t * scale), 2 * scale * u\n",
+        ("tests/test_cli.py::test_selftest_passes",
+         "tests/test_gaps.py::test_ends_are_lowest_terms_pairs_equal_to_fraction_oracles"),
     ),
     Mutant(
         "touching ends left unmerged",
@@ -166,6 +231,13 @@ MUTANTS = (
         "    if p == q:\n        return [2], 1, True\n",
         "",
         ("tests/test_ternary.py::test_membership_kernel_matches_the_record_oracle",),
+    ),
+    Mutant(
+        "a digit 1 stops the Cantor count only up to level 22",
+        "src/cantorprod/standard.py",
+        "            if digit == 1:  # and none has x's 1 here\n",
+        "            if digit == 1 and j <= 22:  # and none has x's 1 here\n",
+        ("tests/test_products.py::test_count_matches_the_frozen_table_up_to_level_32",),
     ),
     Mutant(
         "the cycle one digit too long",

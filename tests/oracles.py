@@ -30,7 +30,8 @@ from typing import NamedTuple, Optional
 
 from cantorprod.gaps import _holds
 from cantorprod.intervals import Interval, IntervalSet, rat
-from cantorprod.subdivision import FastNode, Membership, g_interval, node_child, p_interval
+from cantorprod.records import FastNode, Membership
+from cantorprod.subdivision import g_interval, node_child, p_interval
 from cantorprod.ternary import _fraction, _ratio
 
 

@@ -47,14 +47,14 @@ from cantorprod.gaps import (
 )
 from cantorprod.intervals import Interval, IntervalSet
 from cantorprod.products import fast_bounds, self_product_stats, standard_estimate
+from cantorprod.records import ROOT, Membership
 from cantorprod.subdivision import (
-    ROOT,
     fast_subdivision,
     node_child,
     removed_gaps,
     right_half_subdivision,
 )
-from cantorprod.subdivision import Membership, classify_ternary
+from cantorprod.subdivision import classify_ternary
 from oracles import child_gap_covered, diagonal_gap, product_image
 
 P6 = 9**6

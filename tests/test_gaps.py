@@ -13,7 +13,6 @@ import pytest
 from cantorprod import gaps
 from cantorprod.gaps import (
     EXPECTED,
-    Certificate,
     CertificationError,
     alpha,
     alpha_series,
@@ -36,10 +35,11 @@ from cantorprod.gaps import (
 )
 from cantorprod.intervals import Interval, IntervalSet
 from cantorprod.products import standard_estimate
-from cantorprod.render import MAX_DEPTH, MAX_KMAX, cell_families
+from cantorprod.render import MAX_DEPTH, MAX_KMAX, _families, cell_families
+from cantorprod.records import ROOT, FastNode
 from cantorprod.subdivision import (
-    ROOT, FastNode, _fast_tree, _rounds, _side, g_interval, node_child, p_interval, q_interval,
-    right_half_subdivision,
+    _child, _children, _fast_tree, _rounds, _side, g_interval, node_child, node_children,
+    p_interval, q_interval, right_half_subdivision,
 )
 from oracles import (
     child_cell, child_gap_covered, compare_products, diagonal_gap, product_image, scaled_point,
@@ -111,15 +111,20 @@ def _g_oracle(node, k, high_side):
     return Interval(edge**2 - t * t, edge**2)
 
 
-def test_families_match_scaled_point_oracles():
-    # every address down to depth 3 (the synthetic m = 0, 1 cells too), and
-    # every cell of the depth-2 fast tree with child index <= 6, hull tails
-    # included; family index k <= 8 on both sides
+def family_nodes() -> list[FastNode]:
+    """Every address down to depth 3 (the synthetic m = 0, 1 cells too), and
+    every cell of the depth-2 fast tree with child index <= 6, hull tails
+    included, as FastNodes."""
     nodes = {FastNode(m, k0) for k0 in range(4) for m in range(3**k0)}
     parents, _ = _rounds(2, 6)
     _, outer, _ = _fast_tree(2, 6)
-    nodes.update(parents + outer)
-    for node in nodes:
+    nodes.update(FastNode(*node) for node in parents + outer)
+    return sorted(nodes)
+
+
+def test_families_match_scaled_point_oracles():
+    # every family_nodes() address; family index k <= 8 on both sides
+    for node in family_nodes():
         for high_side in (False, True):
             for k in range(9):
                 p = interval(p_interval(node, k, high_side))
@@ -135,6 +140,36 @@ def test_families_match_scaled_point_oracles():
                     assert g.hi == q.lo
             with pytest.raises(ValueError):
                 q_interval(node, 0, high_side)
+
+
+def test_plain_pair_families_and_children_match_their_fast_node_calls():
+    # the kernels read and build plain (m, k) pairs: each family on the pair
+    # equals its call on the FastNode, and each child pair is node_child's
+    # record, whose cell is the geometric route's; over family_nodes()
+    for node in family_nodes():
+        plain = tuple(node)
+        for high_side in (False, True):
+            for k in range(9):
+                for family in (p_interval, g_interval):
+                    assert family(plain, k, high_side) == family(node, k, high_side), (node, k)
+                if k == 0:
+                    continue
+                assert q_interval(plain, k, high_side) == q_interval(node, k, high_side)
+                child, record = _child(plain, k, high_side), node_child(node, k, high_side)
+                assert (type(child), type(record)) == (tuple, FastNode)
+                assert child == record, (node, k, high_side)
+                assert FastNode(*child).cell == child_cell(node, k, high_side)
+        for K in range(1, 7):
+            children = _children(plain, K)
+            assert {type(child) for child in children} == {tuple}
+            assert tuple(children) == node_children(node, K), (node, K)
+    # and the figure's cell: render's kernel pair against cell_families' record
+    for depth in range(MAX_DEPTH + 1):
+        for k_max in range(MAX_KMAX + 1):
+            (cell, families), (record, record_families) = (
+                _families(depth, k_max), cell_families(depth, k_max))
+            assert (type(cell), type(record)) == (tuple, FastNode)
+            assert (cell, families) == (record, record_families), (depth, k_max)
 
 
 def test_render_families_match_scaled_point_oracles():
@@ -329,6 +364,11 @@ def test_order_chain_matches_written_out_oracle():
             assert got == want, (node, k_max)
             assert all(c.lhs == pair(c.lhs) and c.rhs == pair(c.rhs) for c in checks)
             assert chain_holds(checks) == all(c[2] for c in want)
+            # the kernel on the plain pair: the same checks, as tuples
+            kernel = gaps._order_chain(tuple(node), k_max)
+            assert {type(check) for check in kernel} == {tuple}
+            assert kernel == tuple(map(tuple, checks)), (node, k_max)
+            assert chain_holds(kernel) == chain_holds(checks)
 
 
 def test_band_touches_gap_compares_the_band_with_the_gap(monkeypatch):
@@ -336,7 +376,7 @@ def test_band_touches_gap_compares_the_band_with_the_gap(monkeypatch):
     # the two band_touches_gap links at every index, and no other link
     def lowered(node, k, high_side):
         lo, hi = g_interval(node, k, high_side)
-        return pair(Fraction(*lo) - Fraction(1, 9 ** _side(node, k, high_side, 0).k)), hi
+        return pair(Fraction(*lo) - Fraction(1, 9 ** _side(node, k, high_side, 0)[1])), hi
 
     monkeypatch.setattr(gaps, "g_interval", lowered)
     failed = [(c.name, c.k) for c in verify_order_chain(ROOT, 3) if not c.holds]
@@ -754,6 +794,39 @@ def test_certify_matches_fraction_oracle(monkeypatch, target, patch):
     assert chain == [(name, pair(value), pair(expected), relation, match)
                      for name, value, expected, relation, match in entries]
     assert (cert.center_ratio, cert.radius_ratio) == (pair(center), pair(radius))
+
+
+@pytest.mark.parametrize("patch", TAMPERINGS.values(), ids=TAMPERINGS)
+@pytest.mark.parametrize("target", ["prop3", "theorem"])
+def test_certify_kernel_matches_the_record_and_fraction_routes(monkeypatch, target, patch):
+    # the tuples `certify` prints from against the Certificate record and the
+    # Fraction derivation, as is and under both table tamperings
+    for name, value in patch.items():
+        monkeypatch.setitem(EXPECTED, name, value)
+    center, radius, chain, verified = gaps._certify(target)
+    assert {type(entry) for entry in chain} == {tuple}
+    cert = certify(target)
+    assert (cert.target, cert.center_ratio, cert.radius_ratio) == (target, center, radius)
+    assert tuple(map(tuple, cert.chain)) == chain
+    assert verified is cert.ok
+    want_center, want_radius, entries = certify_fraction_oracle(target)
+    assert list(chain) == [(name, pair(value), pair(expected), relation, match)
+                           for name, value, expected, relation, match in entries]
+    assert (center, radius) == (pair(want_center), pair(want_radius))
+    assert verified is all(match for *_, match in entries)
+    for digits in (1, 12, 50):
+        payload = gaps._certificate_json(target, center, radius, chain, verified, digits)
+        assert payload == cert.to_json(digits)
+
+
+@pytest.mark.parametrize("target", ["prop3", "theorem"])
+def test_certify_kernel_raises_like_the_record_route_on_a_broken_threshold(monkeypatch, target):
+    real = gaps.high_cover_threshold
+    monkeypatch.setattr(gaps, "high_cover_threshold", lambda q, k: real(q, k) + (k == 3))
+    message = "high covering threshold pattern broke at q=2, k=3: 6 != 5"
+    for route in (gaps._certify, certify):
+        with pytest.raises(CertificationError, match=message):
+            route(target)
 
 
 def oracle_entry(name):

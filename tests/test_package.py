@@ -161,9 +161,29 @@ def test_art_loads_no_record_machinery():
              "    print(code, out.splitlines()[-1])\n"
              f"print({RECORD_MACHINERY})\n")
     assert probe_output(probe) == "0 }\n0 tail_bound = 4096/17793060798303\n[]\n"
-    # and the probe sees them: the record face loads all five
-    face = "import cantorprod.products, sys; print(%s)" % RECORD_MACHINERY
+    # and the probe sees them: the records module loads all five
+    face = "import cantorprod.records, sys; print(%s)" % RECORD_MACHINERY
     assert probe_output(face) == "['collections', 'enum', 'functools', 're', 'typing']\n"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_loads_no_record_machinery(command):
+    # every command runs on its int kernel: under each of its targets and
+    # formats it loads neither `records` nor what typing and enum bring
+    argvs = [COMMANDS[command][0]]
+    options = {name: kind for name, kind, _ in cli.COMMANDS[command][2]}
+    for name in ("target", "format"):
+        if name in options:
+            argvs = [[*argv, f"--{name}", value] for argv in argvs for value in options[name]]
+    probe = ("import io, sys\n"
+             "from cantorprod import cli\n"
+             f"for argv in {argvs!r}:\n"
+             "    sys.stdout = io.StringIO()\n"
+             "    code = cli.main(argv)\n"
+             "    sys.stdout = sys.__stdout__\n"
+             "    print(code, end=' ')\n"
+             f"print({RECORD_MACHINERY}, 'cantorprod.records' in sys.modules)\n")
+    assert probe_output(probe) == "0 " * len(argvs) + "[] False\n"
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

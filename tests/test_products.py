@@ -16,8 +16,6 @@ from cantorprod.intervals import (
     Interval, IntervalSet, _merge_ends, decimal_string, format_rational,
 )
 from cantorprod.products import (
-    EstimateResult,
-    FastBounds,
     fast_bounds,
     self_product_stats,
     standard_estimate,
@@ -28,8 +26,8 @@ from cantorprod.standard import (
     _surviving_gaps,
     convergence_tail,
 )
+from cantorprod.records import ROOT, EstimateResult, FastBounds
 from cantorprod.subdivision import (
-    ROOT,
     _leaves,
     fast_subdivision,
     right_half_subdivision,
@@ -406,6 +404,39 @@ def test_surviving_gaps_match_gap_walk_oracle():
         assert _standard_stats(n) == gap_walk_oracle(n), n
 
 
+def test_count_past_level_20_matches_gap_walk_oracle():
+    # past STANDARD_LEVEL_LIMIT, where `art` stops and the count still runs
+    for n in (21, 22):
+        assert _standard_stats(n) == gap_walk_oracle(n), n
+
+
+# u_1..u_31, the surviving gaps of levels 1..31, frozen from
+# _surviving_gaps(32): a regression pin on the count past the gap walk's
+# affordable range, not a proof (up to level 22 the walk checks it)
+SURVIVING_GAPS_32 = (
+    1, 2, 4, 7, 15, 28, 58, 111, 227, 445, 899, 1781, 3579, 7123, 14281, 28495, 57057,
+    113980, 228094, 455922, 912110, 1823693, 3647913, 7294777, 14590603, 29179111,
+    58360317, 116716456, 233437090, 466865834, 933740014,
+)
+
+
+def stats_from_table(level: int) -> tuple[int, int]:
+    """(measure, count) over 9^level from the frozen counts: the hull less one s^2
+    gap per survivor at each split level j, s = 3^(level-1-j)."""
+    measure = 9**level - (2 * 3 ** (level - 1)) ** 2
+    for j, survivors in enumerate(SURVIVING_GAPS_32[: level - 1], 1):
+        measure -= survivors * 9 ** (level - 1 - j)
+    return measure, 1 + sum(SURVIVING_GAPS_32[: level - 1])
+
+
+def test_count_matches_the_frozen_table_up_to_level_32():
+    assert tuple(_surviving_gaps(32)) == SURVIVING_GAPS_32
+    for n in range(1, 27):
+        assert _standard_stats(n) == stats_from_table(n), n
+    # the table itself: each level keeps at most its 2^(j-1) cells' gaps
+    assert all(0 < u <= 2 ** (j - 1) for j, u in enumerate(SURVIVING_GAPS_32, 1))
+
+
 def test_standard_gaps_are_all_or_nothing():
     # every open gap's room m - (a+s)(a+3s) over the walk's split cells is a
     # whole number of s^2, and the cells give the walk's measure
@@ -750,6 +781,28 @@ def test_fast_record_matches_fraction_route():
         for digits in (1, 12, 50):
             assert r.to_json(digits) == fast_json_oracle(
                 n, K, lower, upper, count_inner, count_outer, r.elapsed_ms, digits), (n, K, digits)
+
+
+def test_fast_run_matches_the_record_route():
+    # the ints `fast` and selftest read, and the payload `fast` prints from
+    # them, against the FastBounds record and the lcm sweep over the public
+    # brackets, for every n <= 2 with K <= 6 and n = 3 with K <= 4
+    cases = [(n, K) for n in range(3) for K in range(1, 7)] + [(3, K) for K in range(1, 5)]
+    for n, K in cases:
+        run = lower, upper, scale, count_inner, count_outer, elapsed = products._fast_run(n, K)
+        assert {type(value) for value in run} == {int}, (n, K)
+        r = fast_bounds(n, K)
+        assert (n, K, *run) == r._replace(elapsed_ms=elapsed), (n, K)
+        sub = fast_subdivision(n, K)
+        assert (Fraction(lower, scale), count_inner) == self_product_stats(sub.inner), (n, K)
+        assert (Fraction(upper, scale), count_outer) == self_product_stats(sub.outer), (n, K)
+        for digits in (1, 12, 50):
+            payload = products._bounds_json(n, K, *run, digits)
+            assert payload == r._replace(elapsed_ms=elapsed).to_json(digits), (n, K, digits)
+    for n, K in ((4, 2), (2, 11), (-1, 2), (1, 0)):
+        for route in (products._fast_run, fast_bounds):
+            with pytest.raises(ValueError):
+                route(n, K)
 
 
 huge = st.integers(-(10**90), 10**90)

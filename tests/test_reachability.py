@@ -67,27 +67,27 @@ sys.setprofile(None)
 print(json.dumps(sorted(entered)))
 """
 
-PERFBENCH, LIBRARY, FAILURE = "perfbench hook", "library face", "failure path"
+PERFBENCH, LIBRARY = "perfbench hook", "library face"
 
 # every function no command runs, by module and qualified name, with its role:
-# a function perfbench wraps or calls, a public library face, or a path taken
-# only when something fails
+# a function perfbench wraps or calls, or a public library face
 UNREACHED = {
-    # wrapped or called by perfbench's tracer and sweep_peak
+    # wrapped or called by perfbench's tracer and sweep_peak; the record faces
+    # among them wrap the kernels the commands run
     **dict.fromkeys([
-        "intervals.IntervalSet.__init__", "intervals.decimal_string",
-        "products.self_product_stats", "render.render_svg", "subdivision.fast_subdivision",
+        "gaps.certify", "intervals.IntervalSet.__init__", "intervals.decimal_string",
+        "products.fast_bounds", "products.self_product_stats", "products.standard_estimate",
+        "render.render_svg", "subdivision.classify_ternary", "subdivision.fast_subdivision",
         "subdivision.right_half_subdivision",
     ], PERFBENCH),
-    # a verification that fails: certify's exit 1 names the first failure
-    # (perfbench's tracer counts them too)
-    "gaps.Certificate.failures": FAILURE,
     # the library face: Interval, IntervalSet and the Fraction covers, the
-    # enclosures and the squared-length sum, which hand out int pairs, and the
-    # estimate record's JSON, which `art` builds from the kernel without it
+    # enclosures and the squared-length sum, which hand out int pairs, and
+    # the functions that wrap a kernel's tuples in the records of `records`,
+    # with the records' methods: every command runs the kernel without them
     **dict.fromkeys([
         "__init__.__dir__",
         "gaps._enclosure", "gaps.full_enclosure", "gaps.level3_enclosure",
+        "gaps.verify_order_chain",
         *(f"intervals.Interval.{name}" for name in (
             "__delattr__", "__eq__", "__hash__", "__init__", "__reduce__", "__repr__",
             "__setattr__", "contains", "length", "to_json")),
@@ -96,12 +96,17 @@ UNREACHED = {
             "affine_image", "contains", "difference", "inf", "intersection", "measure",
             "subset_of", "sup", "union")),
         "intervals._as_interval", "intervals.format_rational", "intervals.rat",
-        "products.EstimateResult.to_json", "products._scaled_endpoints",
-        "subdivision.FastNode.cell", "subdivision.TernaryExpansion.__str__",
-        "subdivision.TernaryExpansion.preperiod", "subdivision._cover", "subdivision._gaps",
-        "subdivision.gap_set", "subdivision.removed_gaps", "subdivision.squared_length_sum",
-        "subdivision.standard_subdivision",
-        "ternary._fraction",
+        "products._scaled_endpoints",
+        "records.Certificate.failures", "records.Certificate.ok", "records.Certificate.to_json",
+        "records.ChainEntry.to_json", "records.EstimateResult.full_bounds",
+        "records.EstimateResult.to_json", "records.FastBounds.to_json", "records.FastNode.cell",
+        "records.TernaryExpansion.__str__", "records.TernaryExpansion.preperiod",
+        "render.cell_families",
+        "subdivision._cover", "subdivision._gaps", "subdivision.gap_set",
+        "subdivision.node_child", "subdivision.node_children", "subdivision.removed_gaps",
+        "subdivision.squared_length_sum", "subdivision.standard_subdivision",
+        "subdivision.ternary_expansion",
+        "ternary._fraction", "ternary._ratio",
     ], LIBRARY),
 }
 
@@ -155,7 +160,7 @@ def audit(package: Path) -> tuple[list[str], list[str]]:
 
 
 def test_every_function_is_reached_or_listed_with_its_role():
-    assert set(UNREACHED.values()) <= {PERFBENCH, LIBRARY, FAILURE}
+    assert set(UNREACHED.values()) <= {PERFBENCH, LIBRARY}
     unlisted, stale = audit(PACKAGE)
     assert unlisted == [], "reached by no command and not in UNREACHED"
     assert stale == [], "in UNREACHED, but gone or now reached"

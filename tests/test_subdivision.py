@@ -10,14 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantorprod.intervals import Interval, IntervalSet
+from cantorprod.records import ROOT, FastNode, Membership
 from cantorprod.subdivision import (
-    ROOT,
     _cover,
     _ends,
     _fast_tree,
     _leaves,
     _rounds,
-    FastNode,
     fast_subdivision,
     gap_set,
     node_child,
@@ -27,7 +26,7 @@ from cantorprod.subdivision import (
     squared_length_sum,
     standard_subdivision,
 )
-from cantorprod.subdivision import Membership, classify_ternary, ternary_expansion
+from cantorprod.subdivision import classify_ternary, ternary_expansion
 from oracles import child_cell, product_image, side_piece
 
 UNIT = IntervalSet([["0", "1"]])
@@ -202,6 +201,11 @@ def test_node_children_ordering():
         node_children(ROOT, 0)
 
 
+def as_nodes(nodes) -> list[FastNode]:
+    """The plain (m, k) pairs the fast tree hands out, as the FastNodes the oracles read."""
+    return [FastNode(*node) for node in nodes]
+
+
 def appended(node: FastNode, digits) -> FastNode:
     """The address `node` followed by `digits`, one ternary digit at a time."""
     m, k = node
@@ -226,7 +230,7 @@ def test_fast_tree_addresses_are_appended_words():
     # E_k = I 0^k 2 and F_k = I 2^k 0, as the geometric route places them;
     # the hull tails are I 0^(K+1) and I 2^(K+1), the outermost side pieces
     for K in range(1, 9):
-        parents, _ = _rounds(3, K)
+        parents = as_nodes(_rounds(3, K)[0])
         for parent in parents:
             for k in range(1, K + 1):
                 low = node_child(parent, k, high_side=False)
@@ -236,6 +240,7 @@ def test_fast_tree_addresses_are_appended_words():
                 assert low.cell == child_cell(parent, k, high_side=False)
                 assert high.cell == child_cell(parent, k, high_side=True)
         inner, outer, depth = _fast_tree(3, K)
+        inner, outer = as_nodes(inner), as_nodes(outer)
         assert depth == 1 + 3 * (K + 1)
         tails = outer[len(inner):]
         assert outer[: len(inner)] == inner
@@ -390,18 +395,19 @@ def gap_set_oracle(K: int) -> IntervalSet:
 
 def fast_oracle(n: int, K: int) -> tuple[IntervalSet, IntervalSet]:
     inner, outer, _ = _fast_tree(n, K)
-    return IntervalSet(node.cell for node in inner), IntervalSet(node.cell for node in outer)
+    return (IntervalSet(node.cell for node in as_nodes(inner)),
+            IntervalSet(node.cell for node in as_nodes(outer)))
 
 
 def removed_gaps_oracle(n: int, K: int) -> IntervalSet:
-    parents, _ = _rounds(n, K)
+    parents = as_nodes(_rounds(n, K)[0])
     base = gap_set_oracle(K)
     return IntervalSet(gap for node in parents for gap in base.affine_image(node.cell))
 
 
 def squared_length_oracle(n: int, K: int) -> Fraction:
     _, level = _rounds(n, K)
-    return sum((Fraction(1, 9**node.k) for node in level), Fraction(0))
+    return sum((Fraction(1, 9**k) for _, k in level), Fraction(0))
 
 
 FAST_CASES = [(n, K) for n in range(3) for K in range(1, 9)] + [(3, K) for K in range(1, 7)]

@@ -14,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cantorprod.intervals import format_rational, rat
-from cantorprod.subdivision import ROOT, UNIT, FastNode, classify_ternary, ternary_expansion
+from cantorprod.records import ROOT, UNIT, FastNode
+from cantorprod.subdivision import classify_ternary, ternary_expansion
 from cantorprod.ternary import _expansion, _expansion_text, _leaves, _verdict, parse_ratio
 from oracles import classify_ternary_oracle, compare_products, scaled_point
 from oracles import ternary_expansion_oracle, truncated_gap_sum_series
