@@ -39,8 +39,8 @@ _EXPORTS = {
     ),
     "subdivision": (
         "classify_ternary", "fast_subdivision", "g_interval", "gap_set", "node_child",
-        "node_children", "p_interval", "q_interval", "removed_gaps", "right_half_subdivision",
-        "squared_length_sum", "standard_subdivision", "ternary_expansion",
+        "p_interval", "q_interval", "removed_gaps", "right_half_subdivision",
+        "squared_length_sum", "standard_subdivision",
     ),
     "standard": ("convergence_tail",),
     "products": ("fast_bounds", "standard_estimate"),

@@ -19,8 +19,8 @@ no command builds a record class or loads `records`, and so none loads
 
 * `member`: `ternary` (`_expansion`, `_verdict`, `_expansion_text`);
 * `art`: `standard` and `ternary` (`standard._standard_run`, `_estimate_json`);
-* `fast`: `products`, `standard`, `subdivision` and `ternary`
-  (`products._fast_run`, `_bounds_json`);
+* `fast`: `products`, `subdivision` and `ternary` (`products._fast_run`,
+  `_bounds_json`);
 * `certify`: `gaps`, `subdivision` and `ternary` (`gaps._certify`,
   `_certificate_json`);
 * `render`: `render`, `subdivision` and `ternary` (`render._svg`, `_families`);

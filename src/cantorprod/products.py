@@ -21,13 +21,14 @@ measure(P(C x C)) = (3/2) measure(P(R x R)):
 * standard_estimate: P(R_n x R_n) over the level-n standard subdivision,
   counted from its surviving gaps by the int kernel in `standard`;
   measure(P(R_n x R_n)) - measure(P(R x R)) lies in [0, (1/63) (2/9)^(n-1)].
-  Here is only its record face: records.EstimateResult wraps
-  standard._standard_run, and its to_json is standard._estimate_json, the
-  payload `art` prints without building the record;
+  Here is only its record face, a records.EstimateResult over
+  standard._standard_run, which `art` runs without the record;
+  standard_estimate imports it where it runs, so `fast` does not load
+  `standard`;
 * fast_bounds: squeeze measure(P(D_n x D_n)) between the inner/outer
   truncated fast subdivisions, which converges like 36^-n in n.  Its
   kernel is _fast_run, which `fast` and selftest run, and _bounds_json its
-  payload; fast_bounds wraps them in a records.FastBounds.
+  payload; fast_bounds wraps _fast_run's ints in a records.FastBounds.
 
 Both routes run on ints from the cell addresses to their results, held as
 integers over a power of 9 and written as JSON straight from the ints
@@ -39,7 +40,6 @@ IntervalSet and returns its measure as a Fraction.
 import time
 from math import lcm
 
-from .standard import _standard_run
 from .subdivision import _ends, _fast_tree
 from .ternary import _fraction, _merge_ends, decimal_ratio, format_ratio
 
@@ -126,6 +126,7 @@ def standard_estimate(n: int) -> "EstimateResult":
     measure by at most (3/2) convergence_tail(n).
     """
     from .records import EstimateResult
+    from .standard import _standard_run
 
     level, measure, count, elapsed = _standard_run(n)
     return EstimateResult(

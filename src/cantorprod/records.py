@@ -1,8 +1,6 @@
 """The package's record classes: every NamedTuple it hands out, and Membership.
 
-Each record wraps what an int kernel returns as plain tuples and ints, and
-writes its JSON through the same kernel function the command line calls, so
-a record and its command print the same bytes:
+Each record wraps what an int kernel returns as plain tuples and ints:
 
 * `FastNode`, the cell address (m, k), a tuple subclass, so a plain pair
   and a FastNode are interchangeable wherever an address is read; `UNIT`
@@ -15,10 +13,13 @@ a record and its command print the same bytes:
 * `ChainCheck` (`gaps.verify_order_chain`) over `gaps._order_chain`, and
   `ChainEntry` and `Certificate` (`gaps.certify`) over `gaps._certify`.
 
-No command builds a record.  Each function that returns one imports this
-module where it runs, so this is the only module that imports `typing` or
-`enum`, and no command loads either.  It loads only `ternary` itself; a
-record's JSON or enclosure loads its kernel's module when it is asked for.
+No command builds a record, and a record writes no JSON: the payload of
+each command is its kernel's (`standard._estimate_json`,
+`products._bounds_json`, `gaps._certificate_json`), which takes a record's
+fields as they are.  Each function that returns a record imports this module
+where it runs, so this is the only module that imports `typing` or `enum`,
+and no command loads either.  It loads only `ternary` itself;
+EstimateResult.full_bounds loads `standard` when it is asked for.
 """
 
 from enum import Enum
@@ -107,12 +108,6 @@ class EstimateResult(NamedTuple):
 
         return _full_bounds(self.n, self.scaled_measure, self.scale)
 
-    def to_json(self, digits: int = 12) -> dict:
-        from .standard import _estimate_json
-
-        return _estimate_json(self.n, self.scaled_measure, self.scale, self.component_count,
-                              self.elapsed_ms, digits)
-
 
 class FastBounds(NamedTuple):
     """Exact bracket of measure(P(D_n x D_n)) from the truncated fast subdivision.
@@ -129,11 +124,6 @@ class FastBounds(NamedTuple):
     component_count_inner: int
     component_count_outer: int
     elapsed_ms: int
-
-    def to_json(self, digits: int = 12) -> dict:
-        from .products import _bounds_json
-
-        return _bounds_json(*self, digits)
 
 
 class ChainCheck(NamedTuple):
@@ -154,11 +144,6 @@ class ChainEntry(NamedTuple):
     relation: str  # a key of gaps._RELATIONS
     match: bool
 
-    def to_json(self) -> dict:
-        from .gaps import _entry_json
-
-        return _entry_json(*self)
-
 
 class Certificate(NamedTuple):
     """An enclosure center +- radius, held as lowest-terms pairs, and the chain
@@ -175,9 +160,3 @@ class Certificate(NamedTuple):
 
     def failures(self) -> tuple[ChainEntry, ...]:
         return tuple(entry for entry in self.chain if not entry.match)
-
-    def to_json(self, digits: int = 12) -> dict:
-        from .gaps import _certificate_json
-
-        return _certificate_json(self.target, self.center_ratio, self.radius_ratio, self.chain,
-                                 self.ok, digits)

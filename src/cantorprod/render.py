@@ -21,7 +21,7 @@ g_interval, each family's one home, and the text is ternary.format_ratio's.
 An int/int true division is correctly rounded, so every float is the one a
 Fraction would give.  This module loads only `subdivision` and `ternary`,
 and neither `fractions`, `intervals`, `gaps` nor `records`: _families is the
-figure's kernel, and cell_families hands out its cell as a FastNode.
+figure's kernel, and the cell it gives is a plain pair.
 
 _svg hands out the document line by line, each line built as it is read,
 and the CLI writes each one as it comes: at most one family's arcs are held
@@ -37,8 +37,6 @@ from .ternary import _ROOT, _UNIT, Address, Ratio, _leaves, format_ratio
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from collections.abc import Iterator
-
-    from .records import FastNode
 
 # a drawn family: (k, side, P, G), P and G (lo, hi) pairs of lowest-terms (p, q) ratios
 Family = tuple[int, str, tuple[Ratio, Ratio], tuple[Ratio, Ratio]]
@@ -90,14 +88,6 @@ def _families(depth: int, k_max: int) -> tuple[Address, list[Family]]:
         (k, side, p_interval(node, k, side == "+"), g_interval(node, k, side == "+"))
         for k, side in tags
     ]
-
-
-def cell_families(depth: int, k_max: int) -> "tuple[FastNode, list[Family]]":
-    """The drawn cell and its (k, side, P, G) families: _families' cell as a record."""
-    from .records import FastNode
-
-    node, families = _families(depth, k_max)
-    return FastNode(*node), families
 
 
 def cell_text(node: Address) -> tuple[str, str]:

@@ -42,11 +42,11 @@ run.
 Addresses are plain (m, k) int pairs throughout, starting from ternary's
 _UNIT and _ROOT: _child, _children and the families read and build plain
 pairs, and a records.FastNode, a tuple subclass, passes wherever a pair
-does.  node_child, node_children and fast_subdivision hand out records, and
-so do classify_ternary and ternary_expansion, whose `Membership` verdict and
-`TernaryExpansion` are read off `ternary`'s int kernel, which `member` runs
-without them; each imports `records` where it runs, so `render`, `certify`,
-`fast` and `selftest` load neither `typing` nor `enum` through this module.
+does.  node_child and fast_subdivision hand out records, and so does
+classify_ternary, whose `Membership` verdict and `TernaryExpansion` are read
+off `ternary`'s int kernel, which `member` runs without them; each imports
+`records` where it runs, so `render`, `certify`, `fast` and `selftest` load
+neither `typing` nor `enum` through this module.
 """
 
 from .ternary import _ROOT, _UNIT, Address, Ratio, _expansion, _leaves, _lowest, _merge_ends
@@ -171,13 +171,6 @@ def node_child(node: Address, k: int, high_side: bool) -> "FastNode":
     return FastNode(*_child(node, k, high_side))
 
 
-def node_children(node: Address, K: int) -> "tuple[FastNode, ...]":
-    """All tracked children (k <= K on both sides), ordered left to right, as records."""
-    from .records import FastNode
-
-    return tuple(FastNode(*child) for child in _children(node, K))
-
-
 def _rounds(n: int, K: int) -> tuple[list[Address], list[Address]]:
     """n rounds from ROOT tracking k <= K: (every subdivided cell, the depth-n cells)."""
     if n < 0:
@@ -186,6 +179,11 @@ def _rounds(n: int, K: int) -> tuple[list[Address], list[Address]]:
         raise ValueError("gap_depth must be >= 1")
     if (2 * K) ** n > 500_000:
         raise ValueError(f"refusing to track (2*{K})^{n} cells")
+    # the cell count alone admits K = 200_000 at n = 1, whose addresses run to
+    # 200,002 digits: bound the digits built as well
+    depth = 1 + n * (K + 1)
+    if (2 * K) ** n * depth > 10_000_000:
+        raise ValueError(f"refusing to build (2*{K})^{n} addresses of {depth} digits")
     parents: list[Address] = []
     level = [_ROOT]
     for _ in range(n):
@@ -230,23 +228,17 @@ def squared_length_sum(n: int, K: int) -> tuple[Ratio, Ratio]:
     return truncated, (1, 9 * 36**n)
 
 
-def ternary_expansion(x: "int | Fraction | str", max_digits: int = 4096) -> "TernaryExpansion":
-    """Expand x in [0, 1] in base 3 by long division, detecting the cycle."""
-    from .records import TernaryExpansion
-
-    digits, period, complete = _expansion(*_ratio(x), max_digits)
-    return TernaryExpansion(tuple(digits), period, complete)
-
-
 def classify_ternary(x: "int | Fraction | str",
                      max_digits: int = 4096) -> "tuple[Membership, TernaryExpansion]":
     """Decide Cantor-set membership of x in [0, 1] from its ternary digits.
 
-    The verdict is `ternary._verdict`'s: a digit 1 puts x in a removed gap
-    unless it is the last digit of a terminating expansion.  UNDETERMINED
-    can only happen when max_digits is smaller than the cycle.
+    The digits come from `ternary._expansion`'s long division, which detects
+    the cycle, and the verdict is `ternary._verdict`'s: a digit 1 puts x in a
+    removed gap unless it is the last digit of a terminating expansion.
+    UNDETERMINED can only happen when max_digits is smaller than the cycle.
     """
-    from .records import Membership
+    from .records import Membership, TernaryExpansion
 
-    exp = ternary_expansion(x, max_digits)
+    digits, period, complete = _expansion(*_ratio(x), max_digits)
+    exp = TernaryExpansion(tuple(digits), period, complete)
     return Membership(_verdict(*exp)), exp

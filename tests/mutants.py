@@ -154,6 +154,13 @@ MUTANTS = (
         ("tests/test_gaps.py::test_plain_pair_families_and_children_match_their_fast_node_calls",),
     ),
     Mutant(
+        "the fast rounds build addresses of any length",
+        "src/cantorprod/subdivision.py",
+        "    if (2 * K) ** n * depth > 10_000_000:\n",
+        "    if False:\n",
+        ("tests/test_subdivision.py::test_fast_refuses_addresses_too_long_to_build",),
+    ),
+    Mutant(
         "the figure's cell one child too deep",
         "src/cantorprod/render.py",
         "    for _ in range(depth):\n        node = _child(node, 1, high_side=False)\n",

@@ -35,11 +35,11 @@ from cantorprod.gaps import (
 )
 from cantorprod.intervals import Interval, IntervalSet
 from cantorprod.products import standard_estimate
-from cantorprod.render import MAX_DEPTH, MAX_KMAX, _families, cell_families
+from cantorprod.render import MAX_DEPTH, MAX_KMAX, _families
 from cantorprod.records import ROOT, FastNode
 from cantorprod.subdivision import (
-    _child, _children, _fast_tree, _rounds, _side, g_interval, node_child, node_children,
-    p_interval, q_interval, right_half_subdivision,
+    _child, _children, _fast_tree, _rounds, _side, g_interval, node_child, p_interval,
+    q_interval, right_half_subdivision,
 )
 from oracles import (
     child_cell, child_gap_covered, compare_products, diagonal_gap, product_image, scaled_point,
@@ -162,14 +162,18 @@ def test_plain_pair_families_and_children_match_their_fast_node_calls():
         for K in range(1, 7):
             children = _children(plain, K)
             assert {type(child) for child in children} == {tuple}
-            assert tuple(children) == node_children(node, K), (node, K)
-    # and the figure's cell: render's kernel pair against cell_families' record
+            records = [node_child(node, k, False) for k in range(K, 0, -1)]
+            records += [node_child(node, k, True) for k in range(1, K + 1)]
+            assert children == records, (node, K)
+    # and the figure's cell: render's kernel pair is the end of the low-side
+    # node_child chain from ROOT, whose cell is the geometric route's
     for depth in range(MAX_DEPTH + 1):
+        record, interval = ROOT, ROOT.cell
+        for _ in range(depth):
+            record, interval = node_child(record, 1, False), child_cell(record, 1, False)
         for k_max in range(MAX_KMAX + 1):
-            (cell, families), (record, record_families) = (
-                _families(depth, k_max), cell_families(depth, k_max))
-            assert (type(cell), type(record)) == (tuple, FastNode)
-            assert (cell, families) == (record, record_families), (depth, k_max)
+            cell, _ = _families(depth, k_max)
+            assert (type(cell), cell, FastNode(*cell).cell) == (tuple, record, interval), depth
 
 
 def test_render_families_match_scaled_point_oracles():
@@ -180,7 +184,8 @@ def test_render_families_match_scaled_point_oracles():
 
     for depth in range(MAX_DEPTH + 1):
         for k_max in range(MAX_KMAX + 1):
-            node, families = cell_families(depth, k_max)
+            cell, families = _families(depth, k_max)
+            node = FastNode(*cell)
             assert len(families) == 1 + 2 * k_max
             for k, side, p, g in families:
                 for high_side in {"±": (False, True), "-": (False,), "+": (True,)}[side]:
@@ -571,7 +576,7 @@ def test_certify_rejects_unknown_target():
 
 
 def test_certificate_json_shape():
-    data = certify("theorem").to_json(digits=10)
+    data = gaps._certificate_json("theorem", *gaps._certify("theorem"), digits=10)
     assert data["target"] == "theorem"
     assert data["verified"] is True
     assert data["center"] == "91782451/113374080"
@@ -816,7 +821,8 @@ def test_certify_kernel_matches_the_record_and_fraction_routes(monkeypatch, targ
     assert verified is all(match for *_, match in entries)
     for digits in (1, 12, 50):
         payload = gaps._certificate_json(target, center, radius, chain, verified, digits)
-        assert payload == cert.to_json(digits)
+        assert payload == gaps._certificate_json(cert.target, cert.center_ratio,
+                                                 cert.radius_ratio, cert.chain, cert.ok, digits)
 
 
 @pytest.mark.parametrize("target", ["prop3", "theorem"])

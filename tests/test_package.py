@@ -3,6 +3,8 @@ which modules each entry point loads."""
 
 from __future__ import annotations
 
+import ast
+import inspect
 import os
 import re
 import shlex
@@ -19,12 +21,92 @@ ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 
 
+# Each public name and the reader that keeps it.  A name stays public while
+# one of these reads it: a command, the README's library example, an
+# acceptance criterion (by number), a perfbench hook (by file), or the paper,
+# whose object it is.  A record class or helper that another public name
+# returns or calls is kept by that name.  A value some other public name
+# already hands out is not a reason to stay, so a face added or dropped
+# changes this table, and each reader is checked below.
+PUBLIC = {
+    "CertificationError": ("command", "certify"),
+    "Certificate": ("kept name", "certify"),
+    "EstimateResult": ("kept name", "standard_estimate"),
+    "FastBounds": ("kept name", "fast_bounds"),
+    "FastNode": ("kept name", "node_child"),
+    "FastSubdivision": ("kept name", "fast_subdivision"),
+    "Interval": ("kept name", "IntervalSet"),
+    "IntervalSet": ("perfbench", "tracing.py"),
+    "Membership": ("criterion", 8),
+    "ROOT": ("readme", "the root cell [2/3, 1] of R"),
+    "TernaryExpansion": ("kept name", "classify_ternary"),
+    "certify": ("perfbench", "tracing.py"),
+    "classify_ternary": ("perfbench", "tracing.py"),
+    "convergence_tail": ("paper", "the standard estimate's tail (1/63)(2/9)^(n-1)"),
+    "decimal_string": ("perfbench", "tracing.py"),
+    "fast_bounds": ("perfbench", "tracing.py"),
+    "fast_subdivision": ("perfbench", "tracing.py"),
+    "format_rational": ("kept name", "Interval"),
+    "full_enclosure": ("readme", "the certified enclosure of measure(P(C x C))"),
+    "g_interval": ("paper", "the diagonal gap G of the gap calculus"),
+    "gap_set": ("paper", "the gap family B"),
+    "level3_enclosure": ("criterion", 5),
+    "node_child": ("criterion", 3),
+    "p_interval": ("readme", "the band P of the gap calculus"),
+    "q_interval": ("paper", "the child square Q of the gap calculus"),
+    "rat": ("kept name", "Interval"),
+    "removed_gaps": ("criterion", 8),
+    "render_svg": ("perfbench", "tracing.py"),
+    "right_half_subdivision": ("perfbench", "tracing.py"),
+    "squared_length_sum": ("paper", "the squared-length sum and its limit (1/9)(1/36)^n"),
+    "standard_estimate": ("perfbench", "tracing.py"),
+    "standard_subdivision": ("paper", "the level-n cover K_n"),
+    "verify_order_chain": ("criterion", 6),
+}
+
+
+def readme_library_example() -> str:
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
 def test_exports_resolve_and_readme_library_example_runs():
     assert [name for name in cantorprod.__all__ if not hasattr(cantorprod, name)] == []
-    assert len(cantorprod.__all__) == 35
-    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
-    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
-    exec(compile(block, str(README), "exec"), {})
+    assert cantorprod.__all__ == sorted(PUBLIC)
+    exec(compile(readme_library_example(), str(README), "exec"), {})
+
+
+def criterion_names(number: int) -> set[str]:
+    """The names the acceptance test of criterion `number` reads."""
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    [test] = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name.startswith(f"test_criterion_{number}_")]
+    return {node.id for node in ast.walk(test) if isinstance(node, ast.Name)}
+
+
+def reads(source: str, name: str) -> bool:
+    return re.search(rf"\b{name}\b", source) is not None
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC))
+def test_each_public_name_is_read_by_its_reader(name):
+    reader, detail = PUBLIC[name]
+    if reader == "command":
+        assert reads(inspect.getsource(cli.COMMANDS[detail][0]), name)
+    elif reader == "readme":
+        assert reads(readme_library_example(), name)
+    elif reader == "criterion":
+        assert name in criterion_names(detail)
+    elif reader == "perfbench":
+        assert reads((ROOT / "perfbench" / detail).read_text(encoding="utf-8"), name)
+    elif reader == "kept name":
+        assert reads(inspect.getsource(getattr(cantorprod, detail)), name)
+        chain = [name, detail]
+        while PUBLIC[chain[-1]][0] == "kept name":  # it ends at a reader, not in a loop
+            chain.append(PUBLIC[chain[-1]][1])
+            assert len(set(chain)) == len(chain), chain
+    else:
+        assert (reader, bool(detail)) == ("paper", True)
 
 
 def test_readme_command_lines_parse():
@@ -74,7 +156,7 @@ def test_cli_import_loads_no_computation_module():
 COMMANDS = {
     "member": (["member", "--x", "1/4"], ["ternary"]),
     "art": (["art", "--n", "3"], ["standard", "ternary"]),
-    "fast": (["fast", "--n", "1", "--K", "2"], ["products", "standard", "subdivision", "ternary"]),
+    "fast": (["fast", "--n", "1", "--K", "2"], ["products", "subdivision", "ternary"]),
     "certify": (["certify"], ["gaps", "subdivision", "ternary"]),
     "render": (["render", "--n", "0", "--K", "1"], ["render", "subdivision", "ternary"]),
     "selftest": (["selftest"],

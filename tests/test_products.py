@@ -410,13 +410,16 @@ def test_count_past_level_20_matches_gap_walk_oracle():
         assert _standard_stats(n) == gap_walk_oracle(n), n
 
 
-# u_1..u_31, the surviving gaps of levels 1..31, frozen from
-# _surviving_gaps(32): a regression pin on the count past the gap walk's
-# affordable range, not a proof (up to level 22 the walk checks it)
-SURVIVING_GAPS_32 = (
+# u_1..u_39, the surviving gaps of levels 1..39, frozen from
+# _surviving_gaps(40): a regression pin made by the count it checks, not a
+# proof.  The gap walk checks the count up to level 22 here and up to level
+# 26 in tests/count_check.py, which also checks the whole table; here the
+# table test reads u_1..u_31.
+SURVIVING_GAPS_40 = (
     1, 2, 4, 7, 15, 28, 58, 111, 227, 445, 899, 1781, 3579, 7123, 14281, 28495, 57057,
     113980, 228094, 455922, 912110, 1823693, 3647913, 7294777, 14590603, 29179111,
-    58360317, 116716456, 233437090, 466865834, 933740014,
+    58360317, 116716456, 233437090, 466865834, 933740014, 1867463352, 3734943378,
+    7469853427, 14939740185, 29879413749, 59758894119, 119517655038, 239035443274,
 )
 
 
@@ -424,17 +427,17 @@ def stats_from_table(level: int) -> tuple[int, int]:
     """(measure, count) over 9^level from the frozen counts: the hull less one s^2
     gap per survivor at each split level j, s = 3^(level-1-j)."""
     measure = 9**level - (2 * 3 ** (level - 1)) ** 2
-    for j, survivors in enumerate(SURVIVING_GAPS_32[: level - 1], 1):
+    for j, survivors in enumerate(SURVIVING_GAPS_40[: level - 1], 1):
         measure -= survivors * 9 ** (level - 1 - j)
-    return measure, 1 + sum(SURVIVING_GAPS_32[: level - 1])
+    return measure, 1 + sum(SURVIVING_GAPS_40[: level - 1])
 
 
 def test_count_matches_the_frozen_table_up_to_level_32():
-    assert tuple(_surviving_gaps(32)) == SURVIVING_GAPS_32
+    assert tuple(_surviving_gaps(32)) == SURVIVING_GAPS_40[:31]
     for n in range(1, 27):
         assert _standard_stats(n) == stats_from_table(n), n
     # the table itself: each level keeps at most its 2^(j-1) cells' gaps
-    assert all(0 < u <= 2 ** (j - 1) for j, u in enumerate(SURVIVING_GAPS_32, 1))
+    assert all(0 < u <= 2 ** (j - 1) for j, u in enumerate(SURVIVING_GAPS_40, 1))
 
 
 def test_standard_gaps_are_all_or_nothing():
@@ -506,8 +509,8 @@ def test_hole_free_check_raises_on_a_hole(monkeypatch):
 
 
 def test_estimate_json_shape():
-    est = standard_estimate(1)
-    data = est.to_json(digits=10)
+    level, measure, count, elapsed = standard._standard_run(1)
+    data = standard._estimate_json(1, measure, 9**level, count, elapsed, digits=10)
     assert data["n"] == 1
     assert data["set_measure"] == "5/9"
     assert data["full_value"] == "5/6"
@@ -659,8 +662,7 @@ def test_self_products_share_one_kernel(monkeypatch):
 
 
 def test_fast_bounds_json_shape():
-    r = fast_bounds(1, 2)
-    data = r.to_json(digits=8)
+    data = products._bounds_json(1, 2, *products._fast_run(1, 2), digits=8)
     assert data["n"] == 1
     assert data["gap_depth"] == 2
     assert set(data) == {
@@ -763,7 +765,9 @@ def test_estimate_record_matches_fraction_route():
         assert est.full_bounds() == tuple((x.numerator, x.denominator) for x in ends), n
         assert convergence_tail(n) == (tail.numerator, tail.denominator), n
         for digits in (1, 12, 50):
-            assert est.to_json(digits) == estimate_json_oracle(
+            payload = standard._estimate_json(n, est.scaled_measure, est.scale,
+                                              est.component_count, est.elapsed_ms, digits)
+            assert payload == estimate_json_oracle(
                 n, measure, tail, full, count, est.elapsed_ms, digits), (n, digits)
 
 
@@ -779,7 +783,7 @@ def test_fast_record_matches_fraction_route():
         fields = (r.scaled_lower, r.scaled_upper, r.scale)
         assert [type(value) for value in fields] == [int] * 3, (n, K)
         for digits in (1, 12, 50):
-            assert r.to_json(digits) == fast_json_oracle(
+            assert products._bounds_json(*r, digits) == fast_json_oracle(
                 n, K, lower, upper, count_inner, count_outer, r.elapsed_ms, digits), (n, K, digits)
 
 
@@ -798,7 +802,9 @@ def test_fast_run_matches_the_record_route():
         assert (Fraction(upper, scale), count_outer) == self_product_stats(sub.outer), (n, K)
         for digits in (1, 12, 50):
             payload = products._bounds_json(n, K, *run, digits)
-            assert payload == r._replace(elapsed_ms=elapsed).to_json(digits), (n, K, digits)
+            assert payload == fast_json_oracle(
+                n, K, Fraction(lower, scale), Fraction(upper, scale), count_inner, count_outer,
+                elapsed, digits), (n, K, digits)
     for n, K in ((4, 2), (2, 11), (-1, 2), (1, 0)):
         for route in (products._fast_run, fast_bounds):
             with pytest.raises(ValueError):

@@ -97,15 +97,12 @@ UNREACHED = {
             "subset_of", "sup", "union")),
         "intervals._as_interval", "intervals.format_rational", "intervals.rat",
         "products._scaled_endpoints",
-        "records.Certificate.failures", "records.Certificate.ok", "records.Certificate.to_json",
-        "records.ChainEntry.to_json", "records.EstimateResult.full_bounds",
-        "records.EstimateResult.to_json", "records.FastBounds.to_json", "records.FastNode.cell",
+        "records.Certificate.failures", "records.Certificate.ok",
+        "records.EstimateResult.full_bounds", "records.FastNode.cell",
         "records.TernaryExpansion.__str__", "records.TernaryExpansion.preperiod",
-        "render.cell_families",
         "subdivision._cover", "subdivision._gaps", "subdivision.gap_set",
-        "subdivision.node_child", "subdivision.node_children", "subdivision.removed_gaps",
+        "subdivision.node_child", "subdivision.removed_gaps",
         "subdivision.squared_length_sum", "subdivision.standard_subdivision",
-        "subdivision.ternary_expansion",
         "ternary._fraction", "ternary._ratio",
     ], LIBRARY),
 }

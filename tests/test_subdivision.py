@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cantorprod import subdivision
 from cantorprod.intervals import Interval, IntervalSet
 from cantorprod.records import ROOT, FastNode, Membership
 from cantorprod.subdivision import (
+    _children,
     _cover,
     _ends,
     _fast_tree,
@@ -20,13 +22,12 @@ from cantorprod.subdivision import (
     fast_subdivision,
     gap_set,
     node_child,
-    node_children,
     removed_gaps,
     right_half_subdivision,
     squared_length_sum,
     standard_subdivision,
 )
-from cantorprod.subdivision import classify_ternary, ternary_expansion
+from cantorprod.subdivision import classify_ternary
 from oracles import child_cell, product_image, side_piece
 
 UNIT = IntervalSet([["0", "1"]])
@@ -190,15 +191,18 @@ def test_genuine_nodes_keep_q_equal_m():
 
 
 def test_node_children_ordering():
+    # the kernel's children, left to right, are node_child's records per k
     for K in (1, 2, 4):
-        kids = node_children(ROOT, K)
+        kids = [FastNode(*child) for child in _children(ROOT, K)]
+        assert kids == [node_child(ROOT, k, False) for k in range(K, 0, -1)] + [
+            node_child(ROOT, k, True) for k in range(1, K + 1)]
         assert len(kids) == 2 * K
         cells = [c.cell for c in kids]
         for a, b in zip(cells, cells[1:]):
             assert a.hi < b.lo
         assert all(ROOT.cell.lo <= c.lo and c.hi <= ROOT.cell.hi for c in cells)
     with pytest.raises(ValueError):
-        node_children(ROOT, 0)
+        _children(ROOT, 0)
 
 
 def as_nodes(nodes) -> list[FastNode]:
@@ -318,6 +322,21 @@ def test_fast_refuses_huge_tracking():
         removed_gaps(-1, 2)
     with pytest.raises(ValueError):
         removed_gaps(1, 0)
+
+
+def test_fast_refuses_addresses_too_long_to_build(monkeypatch):
+    # (1, 200_000) passes the cell bound with 400,000 cells, but each address
+    # would run to 200,002 digits: refused before the first one is built
+    def append(*args):
+        raise AssertionError("an address was built")
+
+    monkeypatch.setattr(subdivision, "_append", append)
+    for route in (fast_subdivision, removed_gaps, squared_length_sum):
+        with pytest.raises(ValueError, match="refusing to build"):
+            route(1, 200_000)
+    monkeypatch.undo()
+    # the command line's widest tracking still runs
+    assert len(_rounds(3, 10)[1]) == 20**3
 
 
 def test_removed_gaps_partition_with_outer():
@@ -588,12 +607,12 @@ def test_membership_of_digit_built_points(member, gap_point):
 
 
 def test_ternary_expansion_strings():
-    assert str(ternary_expansion(Fraction(1, 4))) == "0.(02)*"
-    assert str(ternary_expansion(Fraction(1, 3))) == "0.1"
-    assert str(ternary_expansion(Fraction(2, 3))) == "0.2"
-    assert str(ternary_expansion(Fraction(1))) == "0.(2)*"
-    assert str(ternary_expansion(Fraction(0))) == "0"
-    assert str(ternary_expansion(Fraction(5, 9))) == "0.12"
+    assert str(classify_ternary(Fraction(1, 4))[1]) == "0.(02)*"
+    assert str(classify_ternary(Fraction(1, 3))[1]) == "0.1"
+    assert str(classify_ternary(Fraction(2, 3))[1]) == "0.2"
+    assert str(classify_ternary(Fraction(1))[1]) == "0.(2)*"
+    assert str(classify_ternary(Fraction(0))[1]) == "0"
+    assert str(classify_ternary(Fraction(5, 9))[1]) == "0.12"
 
 
 def test_ternary_expansion_reconstructs_value():
@@ -602,7 +621,7 @@ def test_ternary_expansion_reconstructs_value():
         x = Fraction(rng.randint(0, 150), rng.randint(1, 150))
         if x > 1:
             x = 1 / x
-        exp = ternary_expansion(x)
+        exp = classify_ternary(x)[1]
         assert exp.complete
         head = sum(Fraction(d, 3 ** (i + 1)) for i, d in enumerate(exp.digits))
         if exp.period:
@@ -620,9 +639,9 @@ def test_ternary_expansion_reconstructs_value():
 
 def test_ternary_expansion_rejects_out_of_range():
     with pytest.raises(ValueError):
-        ternary_expansion(Fraction(-1, 2))
+        classify_ternary(Fraction(-1, 2))
     with pytest.raises(ValueError):
-        ternary_expansion(Fraction(3, 2))
+        classify_ternary(Fraction(3, 2))
 
 
 def test_membership_digit_budget_exhaustion():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from cantorprod.intervals import format_rational, rat
 from cantorprod.records import ROOT, UNIT, FastNode
-from cantorprod.subdivision import classify_ternary, ternary_expansion
+from cantorprod.subdivision import classify_ternary
 from cantorprod.ternary import _expansion, _expansion_text, _leaves, _verdict, parse_ratio
 from oracles import classify_ternary_oracle, compare_products, scaled_point
 from oracles import ternary_expansion_oracle, truncated_gap_sum_series
@@ -173,7 +173,7 @@ def test_other_types_raise_what_rat_raises(value):
     with pytest.raises(TypeError) as from_rat:
         rat(value)
     with pytest.raises(TypeError) as from_ternary:
-        ternary_expansion(value)
+        classify_ternary(value)
     assert str(from_ternary.value) == str(from_rat.value)
     for entry, _ in GAP_ENTRIES.values():
         assert outcome(entry, value) == (TypeError, str(from_rat.value))
