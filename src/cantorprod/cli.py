@@ -6,7 +6,8 @@ against it as argparse would, without importing argparse.  JSON is the
 machine format; text output is derived from it.  ``_dump_json`` writes it
 byte for byte as ``json.dumps(payload, sort_keys=True, indent=2)`` would,
 without importing json.  Exit codes: 0 success, 1 verification failure or
-failed write, 2 usage.
+failed write, 2 usage.  A process started with stdout closed fails its first
+write to stdout, and one started with stderr closed drops its messages.
 
 Only the standard library is imported up front, and neither `fractions`,
 `json`, `typing` nor `functools`.  Each handler imports the modules it runs
@@ -126,6 +127,21 @@ def _text_lines(payload: dict, indent: str = "") -> list[str]:
     return lines
 
 
+def _stdout():
+    """sys.stdout, or a failed write when the process started with stdout closed."""
+    if sys.stdout is None:
+        import errno
+
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    return sys.stdout
+
+
+def _warn(text: str) -> None:
+    """Write text to stderr; a closed stderr drops it, as argparse drops its messages."""
+    if sys.stderr is not None:
+        sys.stderr.write(text)
+
+
 def _emit(chunks: "Iterable[str]", out: "str | None") -> None:
     """Write the chunks one by one as UTF-8, whatever the locale or stdout encoding:
     to the --out file, to stdout's binary buffer, or to a text-only stream."""
@@ -136,7 +152,7 @@ def _emit(chunks: "Iterable[str]", out: "str | None") -> None:
             raise ValueError(f"cannot write --out {out}: {exc.strerror}") from exc
         with handle:
             handle.writelines(chunks)
-    elif hasattr(sys.stdout, "buffer"):
+    elif hasattr(_stdout(), "buffer"):
         sys.stdout.flush()
         write = sys.stdout.buffer.write
         for chunk in chunks:
@@ -178,13 +194,13 @@ def _cmd_certify(args) -> int:
     try:
         center, radius, chain, verified = gaps._certify(args.target)
     except gaps.CertificationError as exc:  # a threshold broke its pattern mid-derivation
-        print(f"verification failed: {exc}", file=sys.stderr)
+        _warn(f"verification failed: {exc}\n")
         return 1
     payload = gaps._certificate_json(args.target, center, radius, chain, verified, args.digits)
     _render_payload(payload, args.format, args.out)
     if not verified:
         first = next(name for name, *_, match in chain if not match)
-        print(f"verification failed: {first}", file=sys.stderr)
+        _warn(f"verification failed: {first}\n")
         return 1
     return 0
 
@@ -303,7 +319,8 @@ def _cmd_selftest(args) -> int:
             import traceback
 
             print(f"FAIL - {name} ({exc})")
-            traceback.print_exc()  # to stderr: stdout keeps one line per check
+            if sys.stderr is not None:  # else print_exc would write to stdout
+                traceback.print_exc()  # to stderr: stdout keeps one line per check
             failures += 1
             continue
         if passed:
@@ -345,7 +362,7 @@ def _usage(command: "str | None") -> str:
 
 
 def _fail(message: str, command: "str | None" = None) -> "NoReturn":
-    sys.stderr.write(f"usage: {_usage(command)}\ncantorprod: error: {message}\n")
+    _warn(f"usage: {_usage(command)}\ncantorprod: error: {message}\n")
     raise SystemExit(2)
 
 
@@ -357,7 +374,7 @@ def _help(value: "str | None", command: "str | None") -> "NoReturn":
     else:
         defaults = [f"--{n} {d}" for n, _, d in COMMANDS[command][2] if d not in (None, REQUIRED)]
         body = f"{COMMANDS[command][1]}\n\ndefaults: {' '.join(defaults) or 'none'}\n"
-    sys.stdout.write(f"usage: {_usage(command)}\n\n{body}\nWrite --opt VALUE or --opt=VALUE.\n")
+    _stdout().write(f"usage: {_usage(command)}\n\n{body}\nWrite --opt VALUE or --opt=VALUE.\n")
     sys.stdout.flush()  # a failed write to stdout raises here, inside main
     raise SystemExit(0)
 
@@ -443,16 +460,18 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         if not 1 <= getattr(args, "digits", 1) <= MAX_DIGITS:
             _fail(f"digits must be in 1..{MAX_DIGITS}", args.command)
         code = COMMANDS[args.command][0](args)
-        sys.stdout.flush()  # a failed write to stdout raises here, not at exit
+        if getattr(args, "out", None) is None:  # an --out run never touches stdout
+            _stdout().flush()  # a failed write to stdout raises here, not at exit
     except ValueError as exc:  # a rejected argument value: usage error, exit 2
         _fail(str(exc), args.command)
     except OSError as exc:  # a failed write to stdout, or to an --out file once open
-        if getattr(args, "out", None) is None:  # leave nothing for a failing flush at exit
+        if getattr(args, "out", None) is None and sys.stdout is not None:
+            # leave nothing for a failing flush at exit
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         if not isinstance(exc, BrokenPipeError):  # a closed pipe ends quietly
-            print(f"cantorprod: error: cannot write output: {exc.strerror}", file=sys.stderr)
+            _warn(f"cantorprod: error: cannot write output: {exc.strerror}\n")
         return 1
     return code
 
@@ -477,8 +496,9 @@ def run() -> "NoReturn":
     ):
         sys.exit(code)
     atexit._run_exitfuncs()
-    sys.stdout.flush()
-    sys.stderr.flush()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None: the process started with it closed
+            stream.flush()
     os._exit(code)
 
 

@@ -200,8 +200,12 @@ MUTANTS = (
     Mutant(
         "run flushes before the atexit handlers",
         "src/cantorprod/cli.py",
-        "    atexit._run_exitfuncs()\n    sys.stdout.flush()\n    sys.stderr.flush()\n",
-        "    sys.stdout.flush()\n    sys.stderr.flush()\n    atexit._run_exitfuncs()\n",
+        "    atexit._run_exitfuncs()\n    for stream in (sys.stdout, sys.stderr):\n"
+        "        if stream is not None:  # None: the process started with it closed\n"
+        "            stream.flush()\n",
+        "    for stream in (sys.stdout, sys.stderr):\n"
+        "        if stream is not None:  # None: the process started with it closed\n"
+        "            stream.flush()\n    atexit._run_exitfuncs()\n",
         ("tests/test_cli.py::test_run_runs_atexit_handlers_and_keeps_the_exit_code",),
     ),
     Mutant(
@@ -252,6 +256,55 @@ MUTANTS = (
         "return digits, len(digits) - seen[p], True",
         "return digits, len(digits) - seen[p] + 1, True",
         ("tests/test_ternary.py::test_membership_kernel_matches_the_record_oracle",),
+    ),
+    Mutant(
+        "cli imports json",
+        "src/cantorprod/cli.py",
+        "import atexit\nimport os\n",
+        "import atexit\nimport json\nimport os\n",
+        ("tests/test_package.py::test_command_line_loads_its_modules",),
+    ),
+    Mutant(
+        "the certificate kernel imports a record class",
+        "src/cantorprod/gaps.py",
+        "from . import _CERTIFY_TARGETS as TARGETS\n",
+        "from . import _CERTIFY_TARGETS as TARGETS\nfrom .records import ChainEntry\n",
+        ("tests/test_package.py::test_command_line_loads_its_modules",),
+    ),
+    Mutant(
+        "ternary postpones its annotations",
+        "src/cantorprod/ternary.py",
+        "import sys\nfrom math import gcd\n",
+        "from __future__ import annotations\n\nimport sys\nfrom math import gcd\n",
+        ("tests/test_package.py::test_command_line_loads_its_modules",),
+    ),
+    Mutant(
+        "the standard route imports Fraction",
+        "src/cantorprod/standard.py",
+        "import time\nfrom math import isqrt\n",
+        "import time\nfrom fractions import Fraction\nfrom math import isqrt\n",
+        ("tests/test_package.py::test_command_line_loads_its_modules",),
+    ),
+    Mutant(
+        "render imports typing",
+        "src/cantorprod/render.py",
+        "from itertools import chain\n",
+        "import typing\nfrom itertools import chain\n",
+        ("tests/test_package.py::test_command_line_loads_its_modules",),
+    ),
+    Mutant(
+        "a closed stderr is written to",
+        "src/cantorprod/cli.py",
+        "    if sys.stderr is not None:\n        sys.stderr.write(text)\n",
+        "    sys.stderr.write(text)\n",
+        ("tests/test_cli.py::test_closed_stderr_drops_what_it_would_say",),
+    ),
+    Mutant(
+        "a closed stdout is written to",
+        "src/cantorprod/cli.py",
+        "    if sys.stdout is None:\n        import errno\n",
+        "    if False:\n        import errno\n",
+        ("tests/test_cli.py::test_closed_stdout_is_a_failed_write",),
     ),
 )
 

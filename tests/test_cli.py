@@ -20,7 +20,7 @@ from cantorprod import cli, gaps, render
 from cantorprod.gaps import EXPECTED
 from cantorprod.render import render_svg
 from test_products import decimal_string_oracle, gap_walk_oracle
-from test_reachability import COMMAND_LINES
+from command_lines import COMMAND_LINES
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -476,6 +476,39 @@ def test_failed_write_is_an_error_not_a_usage_error(argv):
     # --out opens /dev/full fine and the write fails; selftest and --help write no --out
     if argv[0] != "selftest" and "--help" not in argv:
         assert run_module([*argv, "--out", "/dev/full"], subprocess.DEVNULL) == want
+
+
+def run_closed(argv, fd: int) -> subprocess.CompletedProcess:
+    """Run `python -m cantorprod.cli` with fd 1 (stdout) or 2 (stderr) closed
+    before it starts, so that the child's sys.stdout or sys.stderr is None."""
+    shell = ["sh", "-c", f'exec "$@" {fd}>&-', "sh"]
+    return subprocess.run([*shell, sys.executable, "-m", "cantorprod.cli", *argv],
+                          capture_output=True, env=CHILD_ENV)
+
+
+@pytest.mark.parametrize("argv", [["member", "--x", "1/4"], ["art", "--n", "3"],
+                                  ["fast", "--n", "1", "--K", "2"], ["certify"],
+                                  DEEPEST_FIGURE, ["selftest"], ["--help"], ["certify", "--help"]],
+                         ids=["member", "art", "fast", "certify", "render", "selftest", "help",
+                              "certify-help"])
+def test_closed_stdout_is_a_failed_write(argv):
+    proc = run_closed(argv, 1)
+    assert (proc.returncode, proc.stderr) == (
+        1, b"cantorprod: error: cannot write output: Bad file descriptor\n")
+
+
+def test_out_run_needs_no_stdout(tmp_path):
+    target = tmp_path / "fig.svg"
+    proc = run_closed(["render", "--n", "0", "--K", "1", "--out", str(target)], 1)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert target.read_text(encoding="utf-8") == render_svg(0, 1)
+
+
+def test_closed_stderr_drops_what_it_would_say():
+    member = run_closed(["member", "--x", "1/4"], 2)
+    assert (member.returncode, member.stdout) == (0, b"member\nexpansion = 0.(02)*\n")
+    usage = run_closed(["art", "--n", "99"], 2)
+    assert (usage.returncode, usage.stdout) == (2, b"")
 
 
 def masked(text: str) -> str:

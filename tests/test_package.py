@@ -1,21 +1,25 @@
 """The package's public surface: every exported name, the README examples, and
-which modules each entry point loads."""
+which modules each entry point loads, row by row of tests/command_lines.py."""
 
 from __future__ import annotations
 
 import ast
 import inspect
+import json
 import os
 import re
 import shlex
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
 import cantorprod
 from cantorprod import cli, gaps
+from command_lines import FORBIDDEN, IMPORTS, LOADS, ROWS
+from test_cli import masked, run_cli
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -124,7 +128,8 @@ def run_probe(*args: str) -> subprocess.CompletedProcess:
     """A fresh `python -S` on this checkout's sources; -S keeps site .pth files
     from importing anything first."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    return subprocess.run([sys.executable, "-S", *args], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-S", *args], env=env, capture_output=True,
+                          encoding="utf-8")
 
 
 def probe_output(source: str, *argv: str) -> str:
@@ -133,166 +138,75 @@ def probe_output(source: str, *argv: str) -> str:
     return result.stdout
 
 
-RUN_MAIN = (
-    "import contextlib, io, sys\n"
-    "from cantorprod import cli\n"
-    "with contextlib.redirect_stdout(io.StringIO()):\n"
-    "    code = cli.main(sys.argv[1:])\n"
-)
 LOADED = "sorted(m.split('.')[1] for m in sys.modules if m.startswith('cantorprod.'))"
 
-
-def test_cli_import_compiles_no_record_machinery():
-    # dataclasses pulls in inspect, ast, dis and tokenize, and each decorator
-    # execs fresh source on every import: too much for a start-up-bound CLI.
-    probe = "import cantorprod.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    assert probe_output(probe) == "[]\n"
-
-
-def test_cli_import_loads_no_computation_module():
-    assert probe_output(f"import cantorprod.cli, sys; print({LOADED})") == "['cli']\n"
-
-
-COMMANDS = {
-    "member": (["member", "--x", "1/4"], ["ternary"]),
-    "art": (["art", "--n", "3"], ["standard", "ternary"]),
-    "fast": (["fast", "--n", "1", "--K", "2"], ["products", "subdivision", "ternary"]),
-    "certify": (["certify"], ["gaps", "subdivision", "ternary"]),
-    "render": (["render", "--n", "0", "--K", "1"], ["render", "subdivision", "ternary"]),
-    "selftest": (["selftest"],
-                 ["gaps", "products", "render", "standard", "subdivision", "ternary"]),
-}
+# the child's sys.modules, written by an atexit handler, which cli.run runs
+# before os._exit; registered before anything but builtins is imported
+DUMP = """\
+import atexit, sys
+def dump():
+    names = " ".join(sys.modules)
+    with open({path!r}, "w", encoding="utf-8") as handle:
+        handle.write(names)
+atexit.register(dump)
+"""
 
 
-@pytest.mark.parametrize("argv, modules", COMMANDS.values(), ids=COMMANDS)
-def test_each_command_loads_only_the_modules_it_runs(argv, modules):
-    # nor `__future__`: `from __future__ import annotations` is a real import,
-    # about 0.3 ms of a short-lived process
-    probe = RUN_MAIN + f"print(code, {LOADED}, '__future__' in sys.modules)\n"
-    assert probe_output(probe, *argv) == f"0 {['cli', *modules]} False\n"
+def probe_modules(tmp_path, source: str, *argv: str) -> tuple[subprocess.CompletedProcess, set]:
+    """Run source after DUMP in a `python -S -W error` child; (the run, its sys.modules)."""
+    path = tmp_path / "modules"
+    result = run_probe("-W", "error", "-c", DUMP.format(path=str(path)) + source, *argv)
+    return result, set(path.read_text(encoding="utf-8").split())
 
 
-@pytest.mark.parametrize("argv", [None, *(argv for argv, _ in COMMANDS.values())],
-                         ids=["import", *COMMANDS])
-def test_no_command_loads_argparse(argv):
-    # argparse and the gettext and locale imports its messages trigger cost
-    # about 5 ms of every short-lived CLI process
-    heavy = "sorted({'argparse', 'gettext', 'locale'} & set(sys.modules))"
-    if argv is None:
-        assert probe_output(f"import cantorprod.cli, sys; print({heavy})") == "[]\n"
-    else:
-        assert probe_output(RUN_MAIN + f"print(code, {heavy})\n", *argv) == "0 []\n"
+def package(modules: set) -> set:
+    return {name.split(".", 1)[1] for name in modules if name.startswith("cantorprod.")}
 
 
-@pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS.values()], ids=COMMANDS)
-def test_no_command_loads_json(argv):
-    # cli writes JSON itself: json costs about 2 ms of every short-lived process
-    options = {name: kind for name, kind, _ in cli.COMMANDS[argv[0]][2]}
-    extras = [["--format", fmt] for fmt in options["format"]] if "format" in options else [[]]
-    probe = ("import contextlib, io, sys\n"
-             "from cantorprod import cli\n"
-             "with contextlib.redirect_stdout(io.StringIO()):\n"
-             f"    codes = [cli.main(sys.argv[1:] + extra) for extra in {extras!r}]\n"
-             "print(codes, 'json' in sys.modules)\n")
-    assert probe_output(probe, *argv) == f"{[0] * len(extras)} False\n"
+@pytest.mark.parametrize("line", ROWS)
+def test_command_line_loads_its_modules(capsys, tmp_path, line):
+    # the process entry with only builtins before it: what the command itself loads
+    argv = line.split()
+    result, modules = probe_modules(tmp_path, "from cantorprod.cli import run; run()", *argv)
+    code, out, err = run_cli(capsys, *argv)
+    assert (result.returncode, masked(result.stdout), result.stderr) == (code, masked(out), err)
+    assert package(modules) == ROWS[line]
+    assert sorted(modules & FORBIDDEN) == []
 
 
-# fractions brings decimal and numbers with it, about 3 ms of a short-lived
-# process, and `from __future__ import annotations` is a real import
-INT_ONLY_HEAVY = ("sorted({'fractions', 'decimal', 'numbers', 'json', '__future__'}"
-                  " & set(sys.modules))")
+@pytest.mark.parametrize("statement", IMPORTS)
+def test_import_loads_its_modules(tmp_path, statement):
+    # the bare cli import loads no forbidden module, and the library's records
+    # and set face load theirs: the probe sees them
+    package_modules, shown = IMPORTS[statement]
+    result, modules = probe_modules(tmp_path, statement)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+    assert package(modules) == package_modules
+    assert modules & FORBIDDEN >= shown
+    assert bool(modules & FORBIDDEN) == bool(shown)
 
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_member_runs_on_ints_alone(fmt):
-    probe = RUN_MAIN + f"print(code, {INT_ONLY_HEAVY})\n"
-    assert probe_output(probe, "member", "--x", "1/4", "--format", fmt) == "0 []\n"
-    probe = "import cantorprod.cli, sys; print('fractions' in sys.modules)"
-    assert probe_output(probe) == "False\n"
+def named(text: str) -> set:
+    return set(re.findall(r"`(\w+)`", text))
 
 
-# typing brings re, functools and collections with it, and enum is what the
-# Membership class is built on: together about 7 ms of `member` on a 2-core
-# x86 host when no site hook preloads them
-RECORD_MACHINERY = "sorted({'typing', 'enum', 're', 'functools', 'collections'} & set(sys.modules))"
-
-
-def test_member_loads_no_record_machinery():
-    # io.StringIO directly: contextlib imports functools and collections itself
-    probe = ("import io, sys\n"
-             "from cantorprod import cli\n"
-             "for fmt in ('json', 'text'):\n"
-             "    sys.stdout = io.StringIO()\n"
-             "    code = cli.main(['member', '--x', '1/4', '--format', fmt])\n"
-             "    out, sys.stdout = sys.stdout.getvalue(), sys.__stdout__\n"
-             "    print(code, out.splitlines()[-1])\n"
-             f"print({RECORD_MACHINERY})\n")
-    assert probe_output(probe) == "0 }\n0 expansion = 0.(02)*\n[]\n"
-    assert probe_output(f"import cantorprod.cli, sys; print({RECORD_MACHINERY})") == "[]\n"
-
-
-def test_art_loads_no_record_machinery():
-    # art prints the standard route's payload straight from its int kernel:
-    # no record class, so none of what typing and enum bring with them
-    probe = ("import io, sys\n"
-             "from cantorprod import cli\n"
-             "for fmt in ('json', 'text'):\n"
-             "    sys.stdout = io.StringIO()\n"
-             "    code = cli.main(['art', '--n', '13', '--format', fmt])\n"
-             "    out, sys.stdout = sys.stdout.getvalue(), sys.__stdout__\n"
-             "    print(code, out.splitlines()[-1])\n"
-             f"print({RECORD_MACHINERY})\n")
-    assert probe_output(probe) == "0 }\n0 tail_bound = 4096/17793060798303\n[]\n"
-    # and the probe sees them: the records module loads all five
-    face = "import cantorprod.records, sys; print(%s)" % RECORD_MACHINERY
-    assert probe_output(face) == "['collections', 'enum', 'functools', 're', 'typing']\n"
-
-
-@pytest.mark.parametrize("command", COMMANDS)
-def test_every_command_loads_no_record_machinery(command):
-    # every command runs on its int kernel: under each of its targets and
-    # formats it loads neither `records` nor what typing and enum bring
-    argvs = [COMMANDS[command][0]]
-    options = {name: kind for name, kind, _ in cli.COMMANDS[command][2]}
-    for name in ("target", "format"):
-        if name in options:
-            argvs = [[*argv, f"--{name}", value] for argv in argvs for value in options[name]]
-    probe = ("import io, sys\n"
-             "from cantorprod import cli\n"
-             f"for argv in {argvs!r}:\n"
-             "    sys.stdout = io.StringIO()\n"
-             "    code = cli.main(argv)\n"
-             "    sys.stdout = sys.__stdout__\n"
-             "    print(code, end=' ')\n"
-             f"print({RECORD_MACHINERY}, 'cantorprod.records' in sys.modules)\n")
-    assert probe_output(probe) == "0 " * len(argvs) + "[] False\n"
-
-
-@pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("command", ["art", "fast"])
-def test_art_and_fast_run_on_ints_alone(command, fmt):
-    probe = RUN_MAIN + f"print(code, {INT_ONLY_HEAVY})\n"
-    assert probe_output(probe, *COMMANDS[command][0], "--format", fmt) == "0 []\n"
-
-
-@pytest.mark.parametrize("fmt", ["svg", "json", "text"])
-def test_render_runs_on_ints_alone(fmt):
-    probe = RUN_MAIN + f"print(code, {INT_ONLY_HEAVY})\n"
-    argv = ["render", "--n", "2", "--K", "6", "--format", fmt]
-    assert probe_output(probe, *argv) == "0 []\n"
-
-
-@pytest.mark.parametrize("fmt", ["json", "text"])
-@pytest.mark.parametrize("target", ["prop3", "theorem"])
-def test_certify_runs_on_ints_alone(target, fmt):
-    probe = RUN_MAIN + f"print(code, {INT_ONLY_HEAVY})\n"
-    argv = ["certify", "--target", target, "--format", fmt]
-    assert probe_output(probe, *argv) == "0 []\n"
-
-
-def test_selftest_runs_on_ints_alone():
-    probe = RUN_MAIN + f"print(code, {INT_ONLY_HEAVY})\n"
-    assert probe_output(probe, "selftest") == "0 []\n"
+def test_docs_name_the_modules_each_command_loads():
+    # cli's docstring and README's note on each command restate LOADS: each
+    # names the command's modules, and what a note says it does not load is a
+    # forbidden module or a package module it does not load
+    bullet = r"^\* `(\w+)`:? (.*?)(?=\n\* |\n\n)"
+    docstring = dict(re.findall(bullet, cli.__doc__, re.M | re.S))
+    assert {command: named(text.split("(")[0]) for command, text in docstring.items()} == {
+        command: set(loads) for command, loads in LOADS.items()}
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    notes = dict(re.findall(bullet, section.split("\n## ", 1)[0], re.M | re.S))
+    assert set(notes) == set(LOADS)
+    modules = {path.stem for path in (ROOT / "src" / "cantorprod").glob("*.py")}
+    for command, text in notes.items():
+        loads, neither = re.search(r"it loads (?:only )?(.*?), and neither (.*? nor `\w+`)",
+                                   " ".join(text.split())).groups()
+        assert named(loads) == set(LOADS[command]), command
+        assert named(neither) <= (FORBIDDEN | modules) - {"cli", *LOADS[command]}, command
 
 
 LIBRARY_ROUTES = """
@@ -316,8 +230,9 @@ est = standard_estimate(20)
 cert = certify("theorem")
 values = (est, est.full_bounds(), fast_bounds(2, 4), cert, cert.ok, level3_enclosure(),
           full_enclosure(), squared_length_sum(2, 3), p_interval(ROOT, 0, False))
-print(sorted({type(leaf).__name__ for leaf in leaves(values)}), %s)
-""" % INT_ONLY_HEAVY
+heavy = {"fractions", "decimal", "numbers", "json", "__future__"}
+print(sorted({type(leaf).__name__ for leaf in leaves(values)}), sorted(heavy & set(sys.modules)))
+"""
 
 
 def test_library_routes_run_on_ints_alone():
@@ -327,11 +242,19 @@ def test_library_routes_run_on_ints_alone():
     assert probe_output(LIBRARY_ROUTES) == "['bool', 'int', 'str'] []\n"
 
 
-def test_module_run_is_clean_under_warnings_as_errors():
+@pytest.mark.parametrize("line", ROWS)
+def test_module_run_is_clean_under_warnings_as_errors(capsys, line):
     # runpy warns when the package import has already loaded the module it runs
-    result = run_probe("-W", "error", "-m", "cantorprod.cli", "member", "--x", "1/4")
-    assert (result.returncode, result.stderr) == (0, "")
-    assert result.stdout == "member\nexpansion = 0.(02)*\n"
+    argv = line.split()
+    result = run_probe("-W", "error", "-m", "cantorprod.cli", *argv)
+    code, out, err = run_cli(capsys, *argv)
+    assert (result.returncode, masked(result.stdout), result.stderr) == (code, masked(out), err)
+    if code == 0 and "--help" not in argv:  # what a JSON or SVG reader takes whole
+        fmt = getattr(cli.parse_args(argv), "format", None)
+        if fmt == "json":
+            json.loads(result.stdout)
+        elif fmt == "svg":
+            ET.fromstring(result.stdout)
 
 
 def test_dir_lists_exports_and_unknown_names_raise():

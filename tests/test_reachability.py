@@ -1,12 +1,12 @@
 """The reachability gate: every function in src/cantorprod is run by a command,
 or is listed here with the role that keeps it.
 
-One fresh interpreter runs the command lines below in process, under
-`sys.setprofile`, from before the package is imported, so what runs at import
-counts too.  All but the last go through `cli.main`; the last goes through
-`cli.run`, the process entry, which under a profiler ends with SystemExit
-rather than `os._exit`, so the probe lives on.  It reports every code object
-it entered.
+One fresh interpreter runs every command line of tests/command_lines.py in
+process, under `sys.setprofile`, from before the package is imported, so what
+runs at import counts too.  All but the last go through `cli.main`; the last,
+a usage error, goes through `cli.run`, the process entry, which under a
+profiler ends with SystemExit rather than `os._exit`, so the probe lives on.
+It reports every code object it entered.
 Each `def` in the package (methods and nested functions included, lambdas
 and comprehensions not) that no run entered must be in UNREACHED, and every
 entry there must still exist and still go unreached, so the list cannot go
@@ -30,19 +30,10 @@ from pathlib import Path
 
 import cantorprod
 from cantorprod import intervals, products
+from command_lines import COMMAND_LINES
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cantorprod"
-
-COMMAND_LINES = [
-    ["art", "--n", "0"], ["art", "--n", "13"], ["art", "--n", "20"],
-    ["fast", "--n", "2", "--K", "4"],
-    *(["certify", "--target", target, "--format", fmt]
-      for target in ("prop3", "theorem") for fmt in ("json", "text")),
-    *(["render", "--n", "2", "--K", "6", "--format", fmt] for fmt in ("svg", "json", "text")),
-    ["member", "--x", "1/4"], ["member", "--x", "1/4", "--format", "json"],
-    ["selftest"], ["--help"], ["certify", "--help"], ["art", "--n", "99"],
-]
 
 PROBE = """\
 import contextlib, io, json, sys
