@@ -18,7 +18,7 @@ import pytest
 
 import cantorprod
 from cantorprod import cli, gaps
-from command_lines import FORBIDDEN, IMPORTS, LOADS, ROWS
+from command_lines import FORBIDDEN, IMPORTS, LOADS, ROWS, every_choice
 from test_cli import masked, run_cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -163,27 +163,115 @@ def package(modules: set) -> set:
     return {name.split(".", 1)[1] for name in modules if name.startswith("cantorprod.")}
 
 
-@pytest.mark.parametrize("line", ROWS)
-def test_command_line_loads_its_modules(capsys, tmp_path, line):
-    # the process entry with only builtins before it: what the command itself loads
+# line -> (the child's exit code, stdout, stderr, sys.modules), so the per-command
+# checks below start no second child for a row already probed
+PROBED: dict[str, tuple[int, str, str, set]] = {}
+
+
+def check_line(capsys, tmp_path, line: str) -> None:
+    """Row `line` of ROWS: the child's output is main's, and it loads its modules alone."""
     argv = line.split()
-    result, modules = probe_modules(tmp_path, "from cantorprod.cli import run; run()", *argv)
+    if line not in PROBED:
+        # the process entry with only builtins before it: what the command itself loads
+        result, modules = probe_modules(tmp_path, "from cantorprod.cli import run; run()", *argv)
+        PROBED[line] = (result.returncode, result.stdout, result.stderr, modules)
+    returncode, stdout, stderr, modules = PROBED[line]
     code, out, err = run_cli(capsys, *argv)
-    assert (result.returncode, masked(result.stdout), result.stderr) == (code, masked(out), err)
+    assert (returncode, masked(stdout), stderr) == (code, masked(out), err)
     assert package(modules) == ROWS[line]
     assert sorted(modules & FORBIDDEN) == []
 
 
-@pytest.mark.parametrize("statement", IMPORTS)
-def test_import_loads_its_modules(tmp_path, statement):
-    # the bare cli import loads no forbidden module, and the library's records
-    # and set face load theirs: the probe sees them
+@pytest.mark.parametrize("line", ROWS)
+def test_command_line_loads_its_modules(capsys, tmp_path, line):
+    check_line(capsys, tmp_path, line)
+
+
+def check_import(tmp_path, statement: str) -> None:
     package_modules, shown = IMPORTS[statement]
     result, modules = probe_modules(tmp_path, statement)
     assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
     assert package(modules) == package_modules
     assert modules & FORBIDDEN >= shown
     assert bool(modules & FORBIDDEN) == bool(shown)
+
+
+@pytest.mark.parametrize("statement", IMPORTS)
+def test_import_loads_its_modules(tmp_path, statement):
+    # the bare cli import loads no forbidden module, and the library's records
+    # and set face load theirs: the probe sees them
+    check_import(tmp_path, statement)
+
+
+# The per-command checks by name, each on its rows of the same table: a base
+# line, or the base line under each of its --target and --format values.
+BASE = {"member": "member --x 1/4", "art": "art --n 3", "fast": "fast --n 1 --K 2",
+        "certify": "certify", "render": "render --n 0 --K 1", "selftest": "selftest"}
+
+
+def choices(command: str) -> list[str]:
+    return [" ".join(argv) for argv in every_choice(BASE[command].split())]
+
+
+def test_cli_import_compiles_no_record_machinery(tmp_path):
+    check_import(tmp_path, "import cantorprod.cli")  # neither dataclasses nor inspect
+
+
+def test_cli_import_loads_no_computation_module(tmp_path):
+    check_import(tmp_path, "import cantorprod.cli")  # `cli` alone
+
+
+@pytest.mark.parametrize("command", BASE)
+def test_each_command_loads_only_the_modules_it_runs(capsys, tmp_path, command):
+    check_line(capsys, tmp_path, BASE[command])
+
+
+@pytest.mark.parametrize("command", [None, *BASE], ids=["import", *BASE])
+def test_no_command_loads_argparse(capsys, tmp_path, command):
+    if command is None:
+        check_import(tmp_path, "import cantorprod.cli")
+    else:
+        check_line(capsys, tmp_path, BASE[command])
+
+
+@pytest.mark.parametrize("command", BASE)
+def test_no_command_loads_json(capsys, tmp_path, command):
+    for line in choices(command):
+        check_line(capsys, tmp_path, line)
+
+
+@pytest.mark.parametrize("command", BASE)
+def test_every_command_loads_no_record_machinery(capsys, tmp_path, command):
+    for line in choices(command):
+        check_line(capsys, tmp_path, line)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_member_runs_on_ints_alone(capsys, tmp_path, fmt):
+    check_line(capsys, tmp_path, f"member --x 1/4 --format {fmt}")
+    check_import(tmp_path, "import cantorprod.cli")
+
+
+def test_member_loads_no_record_machinery(capsys, tmp_path):
+    for fmt in ("json", "text"):
+        check_line(capsys, tmp_path, f"member --x 1/4 --format {fmt}")
+    check_import(tmp_path, "import cantorprod.cli")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["art", "fast"])
+def test_art_and_fast_run_on_ints_alone(capsys, tmp_path, command, fmt):
+    check_line(capsys, tmp_path, f"{BASE[command]} --format {fmt}")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("target", ["prop3", "theorem"])
+def test_certify_runs_on_ints_alone(capsys, tmp_path, target, fmt):
+    check_line(capsys, tmp_path, f"certify --target {target} --format {fmt}")
+
+
+def test_selftest_runs_on_ints_alone(capsys, tmp_path):
+    check_line(capsys, tmp_path, "selftest")
 
 
 def named(text: str) -> set:
